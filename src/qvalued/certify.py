@@ -252,9 +252,6 @@ def certified_exponent_stratified(h: DecayHypothesis, s: Stratification,
                 "hypothesis constants too weak (stratum %d)" % (i + 1))
     lam, mu_prime, mu_tilde, lambda_tilde = _exponent_chain(
         h.n, h.k, h.q_exp, h.mu, gamma)
-    # identical chain per stratum under the shared gamma; keep the min
-    # explicit anyway so the contract is visible
-    mu_tilde = min([mu_tilde] * max(h.n_strata, 1) + [mu_tilde])
     power = h.n + h.k * h.q_exp + h.q_exp * mu_prime
     factors = [
         ("scale_comparison", 4.0 ** (h.n + h.k * h.q_exp)),

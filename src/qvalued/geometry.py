@@ -56,6 +56,8 @@ class QuadratureGrid:
         wts = np.asarray(self.weights, dtype=float).ravel()
         if pts.shape[0] != wts.shape[0]:
             raise ValueError("points and weights disagree in length")
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
+            raise ValueError("points and weights must be finite")
         if np.any(wts <= 0):
             raise ValueError("weights must be positive")
         object.__setattr__(self, "points", pts)

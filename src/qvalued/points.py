@@ -225,6 +225,8 @@ class SampledQFunction:
             raise ValueError("values must have shape (S, Q, m)")
         if vals.shape[0] != self.grid.size:
             raise ValueError("sample count disagrees with grid size")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("sample values must be finite")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -268,13 +270,16 @@ class SampledQFunction:
         """Sample a callable x -> (Q, m) array on grid points.
 
         Callables that accept the whole (S, n) point block at once and
-        return (S, Q, m) are used as-is; anything else is invoked per node.
+        return (S, Q, m) are used as-is.  A callable that returns another
+        shape, or rejects the block with TypeError, ValueError or IndexError
+        (the errors of a per-point function handed a block), is invoked per
+        node; any other error propagates.
         """
         try:
             block = np.asarray(fn(grid.points), dtype=float)
             if block.shape == (grid.size, q, m):
                 return cls(grid, block.copy())
-        except Exception:
+        except (TypeError, ValueError, IndexError):
             pass
         vals = np.empty((grid.size, q, m))
         for i, x in enumerate(grid.points):

@@ -10,6 +10,14 @@ Fitting alternates two steps: match each sample's branches to the current
 model branches with an exact assignment solve, then refit all branch
 polynomials by (weighted) least squares.  For exponents other than 2 the
 refit is iteratively reweighted with a floored weight.
+
+The alternation is multi-started.  Besides spectral and random labelings,
+starts come from label propagation over the sample lattice: a
+quality-guided region growing (a heap of frontier cells ordered by chain
+length and match margin) that looks neighbours up in one precomputed
+neighbour-index table and matches all neighbours of a newly labelled cell
+in one batched call.  Starts are built lazily, so a serial fit that reaches
+the rounding floor never computes the starts after it.
 """
 
 from __future__ import annotations
@@ -196,14 +204,14 @@ def coefficient_tuple(poly, r=None, rho=1.0, top_only=False):
 def coefficient_metric(fpoly, gpoly, r=None, rho=1.0, top_only=False):
     """Matching distance between two polynomials' coefficient tuples.
 
-    Requires a shared center unless only top-order slots are compared;
+    Requires an identical center unless only top-order slots are compared;
     otherwise the tuples live in different charts ("recenter first").
     """
     from .points import metric_g
 
     if fpoly.degree != gpoly.degree or fpoly.q != gpoly.q or fpoly.m != gpoly.m:
         raise ValueError("polynomials must share degree, Q, and m")
-    if not top_only and not np.allclose(fpoly.center, gpoly.center, atol=0.0):
+    if not top_only and not np.array_equal(fpoly.center, gpoly.center):
         raise RecenterError("recenter first")
     a = coefficient_tuple(fpoly, r, rho, top_only)
     b = coefficient_tuple(gpoly, r, rho, top_only)
@@ -325,6 +333,44 @@ def _lattice_directions(n):
     return dirs
 
 
+def _neighbour_table(keys, dirs, depth):
+    """Lattice neighbours by index: table[s, d, j] is the sample whose key is
+    keys[s] + (j + 1) * dirs[d], or -1 where no sample has that key.
+
+    Keys are linearised over the per-axis ranks of the coordinates present
+    (so the linear range stays small whatever the lattice extent) and found
+    with one sorted search per offset.  Where samples share a key the one
+    listed last is found.
+    """
+    S, n = keys.shape
+    coords = [np.unique(keys[:, a]) for a in range(n)]
+    dims = tuple(c.shape[0] for c in coords)
+
+    def linear(lattice):
+        """Linear key of each lattice point; -1 where a coordinate occurs in
+        no sample."""
+        present = np.ones(lattice.shape[0], dtype=bool)
+        ranks = []
+        for a in range(n):
+            r = np.minimum(np.searchsorted(coords[a], lattice[:, a]), dims[a] - 1)
+            present &= coords[a][r] == lattice[:, a]
+            ranks.append(r)
+        return np.where(present, np.ravel_multi_index(ranks, dims), -1)
+
+    own = linear(keys)
+    order = np.argsort(own, kind="stable")
+    own_sorted = own[order]
+    table = np.full((S, len(dirs), depth), -1,
+                    dtype=np.int32 if S < 2 ** 31 else np.int64)
+    for di, d in enumerate(dirs):
+        for j in range(depth):
+            target = linear(keys + (j + 1) * np.asarray(d))
+            pos = np.maximum(np.searchsorted(own_sorted, target, side="right") - 1, 0)
+            hit = (target >= 0) & (own_sorted[pos] == target)
+            table[hit, di, j] = order[pos[hit]]
+    return table
+
+
 def _propagated_labels(points, values, resolution, start_labels, order=0):
     """Labels grown over the sample lattice, most confident cells first.
 
@@ -337,6 +383,12 @@ def _propagated_labels(points, values, resolution, start_labels, order=0):
     neighborhoods are labeled and the longest, best-conditioned chains are
     available.  Order 0 degenerates to nearest-value tracking, the stabler
     choice for rough data.
+
+    Lattice lookups go through one neighbour-index table built up front
+    (`_neighbour_table`); labelled cells are flagged in a bytearray.  When a
+    cell is labelled, every unlabelled lattice neighbour is predicted and
+    matched in one batch before the pushes, which changes no priority: the
+    pushes see the same labels whether made one by one or together.
     """
     import heapq
 
@@ -347,50 +399,65 @@ def _propagated_labels(points, values, resolution, start_labels, order=0):
     depth = min(order + 1, max(_EXTRAP_WEIGHTS))
     half_dirs = _lattice_directions(n)
     dirs = [d for hd in half_dirs for d in (hd, tuple(-x for x in hd))]
-    index_of = {tuple(k): s for s, k in enumerate(keys)}
+    table = _neighbour_table(keys, dirs, depth)
+    lines = table.reshape(S * len(dirs), depth)  # row s * len(dirs) + d
+    flat = memoryview(table.reshape(-1))  # Python ints for the scalar walks
+    row_span = len(dirs) * depth
+    # extrap[L] holds the weights of a chain of length L, zero-padded to
+    # depth: a padded term adds a signed zero, which leaves every squared
+    # difference to the prediction unchanged
+    extrap = np.zeros((depth + 1, depth))
+    for length in range(1, depth + 1):
+        extrap[length, :length] = _EXTRAP_WEIGHTS[length]
+    labelled = bytearray(S)
     labels = np.full((S, Q), -1, dtype=int)
-    ordered = np.empty_like(values)
+    ordered = np.zeros_like(values)  # finite everywhere, so padding is exact
     perms = _permutation_table(Q) if Q <= 6 else None
     arange_q = np.arange(Q)
 
-    def predict(s):
-        """Longest-chain extrapolation; returns (pred, chain_len) or None."""
-        key = keys[s]
-        best_chain = []
-        for d in dirs:
-            cand = []
-            for step in range(1, depth + 1):
-                t = index_of.get(tuple(key + np.multiply(step, d)))
-                if t is None or labels[t, 0] < 0:
+    def longest_chain(s):
+        """(line row, length) of the longest run of labelled cells leading
+        away from s along one lattice direction; the first direction wins
+        ties."""
+        best_row, best_len = 0, 0
+        for at in range(s * row_span, (s + 1) * row_span, depth):
+            length = 0
+            while length < depth:
+                t = flat[at + length]
+                if t < 0 or not labelled[t]:
                     break
-                cand.append(t)
-            if len(cand) > len(best_chain):
-                best_chain = cand
-                if len(best_chain) == depth:
+                length += 1
+            if length > best_len:
+                best_row, best_len = at // depth, length
+                if length == depth:
                     break
-        if not best_chain:
-            return None
-        w = _EXTRAP_WEIGHTS[len(best_chain)]
-        pred = w[0] * ordered[best_chain[0]]
-        for wi, t in zip(w[1:], best_chain[1:]):
-            pred = pred + wi * ordered[t]
-        return pred, len(best_chain)
+        return best_row, best_len
 
-    def match(s, pred):
-        """Best pairing and its margin over the runner-up."""
-        diff = values[s][:, None, :] - pred[None, :, :]
-        d2 = np.einsum("abm,abm->ab", diff, diff)
-        if perms is not None:
-            totals = d2[perms, arange_q].sum(axis=1)
-            pick = int(np.argmin(totals))
-            if totals.shape[0] > 1:
-                second = np.partition(totals, 1)[1]
-            else:
-                second = totals[pick]
-            return perms[pick], float(second - totals[pick])
-        rows, cols = linear_sum_assignment(d2.T)
-        lab = rows[np.argsort(cols)]
-        return lab, 0.0
+    def predict(rows, lengths):
+        """Newton extrapolation along each chain, summed term by term in
+        chain order: the rounding of a sum over one cell at a time."""
+        terms = extrap[lengths][:, :, None, None] * ordered[lines[rows]]
+        pred = terms[:, 0]
+        for j in range(1, depth):
+            pred = pred + terms[:, j]
+        return pred
+
+    def match(cells, pred):
+        """Best pairing per cell and its margin over the runner-up."""
+        diff = values[cells][:, :, None, :] - pred[:, None, :, :]
+        d2 = np.einsum("tabm,tabm->tab", diff, diff)
+        if perms is None:
+            labs = np.empty((len(cells), Q), dtype=int)
+            for i, cost in enumerate(d2):
+                rows, cols = linear_sum_assignment(cost.T)
+                labs[i] = rows[np.argsort(cols)]
+            return labs, [0.0] * len(cells)
+        totals = d2[:, perms, arange_q].sum(axis=2)
+        pick = totals.argmin(axis=1)
+        if totals.shape[1] == 1:
+            return perms[pick], [0.0] * len(cells)
+        low = np.partition(totals, 1, axis=1)
+        return perms[pick], (low[:, 1] - low[:, 0]).tolist()
 
     # Seed where branches are farthest apart; the global branch order is
     # arbitrary anyway.
@@ -404,61 +471,59 @@ def _propagated_labels(points, values, resolution, start_labels, order=0):
             )
             gaps = np.minimum(gaps, g)
     seed = int(np.argmax(gaps)) if Q > 1 else 0
-    labels[seed] = start_labels[seed]
-    ordered[seed] = values[seed][labels[seed]]
 
     counter = 0
     heap = []
-    repushes = np.zeros(S, dtype=int)
-
-    def push(s):
-        nonlocal counter
-        got = predict(s)
-        if got is None:
-            return
-        pred, chain_len = got
-        lab, margin = match(s, pred)
-        # chain length outranks margin: a wide margin against a constant
-        # extrapolation is still a guess, a full-depth chain is not
-        heapq.heappush(heap, (-chain_len, -margin, counter, s, lab))
-        counter += 1
+    repushes = bytearray(S)
 
     def commit(s, lab):
-        nonlocal done
+        """Label s, then push its unlabelled neighbours in direction order."""
+        nonlocal counter, done
         labels[s] = lab
         ordered[s] = values[s][lab]
+        labelled[s] = 1
         done += 1
-        for d in dirs:
-            t = index_of.get(tuple(keys[s] + np.asarray(d)))
-            if t is not None and labels[t, 0] < 0:
-                push(t)
+        cells, rows, lengths = [], [], []
+        for at in range(s * row_span, (s + 1) * row_span, depth):
+            t = flat[at]
+            if t >= 0 and not labelled[t]:
+                row, length = longest_chain(t)
+                if length:
+                    cells.append(t)
+                    rows.append(row)
+                    lengths.append(length)
+        if not cells:
+            return
+        labs, margins = match(cells, predict(rows, lengths))
+        for t, length, margin, lab_t in zip(cells, lengths, margins, labs):
+            # chain length outranks margin: a wide margin against a constant
+            # extrapolation is still a guess, a full-depth chain is not
+            heapq.heappush(heap, (-length, -margin, counter, t, lab_t))
+            counter += 1
 
-    done = 1
-    for d in dirs:
-        t = index_of.get(tuple(keys[seed] + np.asarray(d)))
-        if t is not None:
-            push(t)
+    done = 0
+    commit(seed, start_labels[seed])
     while done < S:
         if not heap:
             # disconnected remainder: seed a fresh component
-            rest = np.nonzero(labels[:, 0] < 0)[0]
+            rest = np.flatnonzero(np.frombuffer(labelled, dtype=np.uint8) == 0)
             s = int(rest[np.argmax(gaps[rest])])
             commit(s, start_labels[s])
             continue
-        neg_len, neg_margin, _, s, lab = heapq.heappop(heap)
-        if labels[s, 0] >= 0:
+        neg_len, _, _, s, lab = heapq.heappop(heap)
+        if labelled[s]:
             continue
-        got = predict(s)
-        pred, chain_len = got
-        if chain_len != -neg_len and repushes[s] < 16:
-            # neighborhood changed since the push; requeue at fresh priority
-            repushes[s] += 1
-            lab, margin = match(s, pred)
-            heapq.heappush(heap, (-chain_len, -margin, counter, s, lab))
-            counter += 1
-            continue
+        row, chain_len = longest_chain(s)
         if chain_len != -neg_len:
-            lab, _ = match(s, pred)
+            # neighborhood changed since the push: rematch, and requeue at
+            # the fresh priority unless s was requeued 16 times already
+            fresh, margin = match([s], predict([row], [chain_len]))
+            if repushes[s] < 16:
+                repushes[s] += 1
+                heapq.heappush(heap, (-chain_len, -margin[0], counter, s, fresh[0]))
+                counter += 1
+                continue
+            lab = fresh[0]
         commit(s, lab)
     return labels
 
@@ -494,7 +559,12 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     Restricts u to the ball, then minimizes the weighted sum of matching
     distances to the q_exp power via alternating assignment and regression,
     multi-started from sorted, lattice-propagated, and random labelings.
-    Returns a FitResult; its residual is the attained weighted objective.
+    Starts are built lazily, in that order: the serial path stops at the
+    first start whose objective reaches the rounding floor, so later starts
+    (the propagations included) are never computed; with cfg.threads > 1
+    every start is built and run.  Returns a FitResult; its residual is the
+    attained weighted objective and its `starts` the number of scheduled
+    starts, however many ran.
     """
     cfg = cfg or FitConfig()
     if isinstance(u, SampledQFunction):
@@ -522,19 +592,21 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     design = design_matrix(X, center, indices)
 
     Q = sub.q
-    rng = np.random.default_rng(cfg.seed)
-    inits = []
-    if Q == 1:
-        inits.append(np.zeros((sub.size, 1), dtype=int))
-    else:
+    scheduled = 1 if Q == 1 else 2 + (k > 0) + cfg.restarts
+
+    def inits():
+        if Q == 1:
+            yield np.zeros((sub.size, 1), dtype=int)
+            return
         ranks = _spectral_ranks(values)
-        inits.append(ranks)
-        inits.append(_propagated_labels(X, values, sub.grid.resolution, ranks, 0))
+        yield ranks
+        yield _propagated_labels(X, values, sub.grid.resolution, ranks, 0)
         if k > 0:
-            inits.append(_propagated_labels(X, values, sub.grid.resolution, ranks, k))
+            yield _propagated_labels(X, values, sub.grid.resolution, ranks, k)
+        rng = np.random.default_rng(cfg.seed)
         for _ in range(cfg.restarts):
             draw = rng.random((sub.size, Q))
-            inits.append(np.argsort(draw, axis=1))
+            yield np.argsort(draw, axis=1)
 
     # An objective this far below the data's quadratic mass can only be
     # rounding noise: the fit is an interpolation and further starts are
@@ -545,14 +617,14 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     def run(labels0):
         return _alternate(design, values, weights, labels0.copy(), q_exp, cfg)
 
-    if cfg.threads > 1 and len(inits) > 1:
+    if cfg.threads > 1 and scheduled > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(run, inits))
+            outcomes = list(pool.map(run, list(inits())))
     else:
         outcomes = []
-        for labels0 in inits:
+        for labels0 in inits():
             outcomes.append(run(labels0))
             if outcomes[-1][2] <= exact_floor:
                 break
@@ -578,7 +650,7 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     else:
         full = coeffs
     poly = QPolynomial(center, k, full).canonical_branch_order()
-    return FitResult(poly, obj, conv, iters, len(inits))
+    return FitResult(poly, obj, conv, iters, scheduled)
 
 
 def _lex_order(values):

@@ -211,6 +211,29 @@ def test_cli_exit_codes(tmp_path):
                  "--out", str(tmp_path / "o.json")]) == 4
 
 
+def test_non_finite_samples_exit_as_input_errors(tmp_path, bp_csv):
+    src, u = bp_csv
+    # one value inside the fitted ball becomes NaN
+    lines = src.read_text().splitlines()
+    row = u.nearest_index([0.1, 0.2]) + 1  # line 0 is the header
+    cells = lines[row].split(",")
+    cells[u.n] = "nan"
+    lines[row] = ",".join(cells)
+    path = tmp_path / "nan.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="finite"):
+        io.read_samples_csv(path)
+    out = tmp_path / "o.json"
+    assert main(["fit", "--in", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    js = tmp_path / "nan.json"
+    io.write_samples_json(js, u)
+    obj = json.loads(js.read_text())  # NaN is written as null
+    obj["values"][3][1][0] = None
+    js.write_text(json.dumps(obj))
+    assert main(["fit", "--in", str(js), "--out", str(out)]) == 2
+
+
 def test_cli_exit_numeric_on_starved_ladder(tmp_path, bp_csv):
     src, _ = bp_csv
     rc = main(["exponent", "--in", str(src), "--out",

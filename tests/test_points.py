@@ -183,6 +183,14 @@ def test_sampled_shape_validation(disk_grid):
     assert u.m == 1 and u.q == 2 and u.n == 2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sampled_refuses_non_finite_values(disk_grid, bad):
+    vals = np.zeros((disk_grid.size, 2, 1))
+    vals[0, 1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SampledQFunction(disk_grid, vals)
+
+
 def test_q_mass_constant(disk_grid):
     u = SampledQFunction(disk_grid, np.ones((disk_grid.size, 2, 1)))
     # |u| = sqrt(2) per node, so the 2-mass is 2 * area
@@ -287,3 +295,16 @@ def test_from_function_paths_agree():
 
     slow = SampledQFunction.from_function(grid, per_node, 2, 2)
     assert np.array_equal(fast.values, slow.values)
+
+
+def test_from_function_propagates_errors_of_vectorised_callables():
+    grid = QuadratureGrid(np.array([[0.1, 0.0], [0.2, 0.3]]), np.ones(2), 0.1)
+
+    def broken(pts):
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim == 2:
+            raise ZeroDivisionError("bad block")
+        return np.stack([pts, -pts])
+
+    with pytest.raises(ZeroDivisionError, match="bad block"):
+        SampledQFunction.from_function(grid, broken, 2, 2)

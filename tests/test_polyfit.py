@@ -1,13 +1,16 @@
 """Tests for Q-valued polynomials, coefficient metrics, and the fitter."""
 
+import heapq
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from qvalued import polyfit
 from qvalued.errors import InsufficientSamplesError, RecenterError
-from qvalued.geometry import Domain
-from qvalued.points import AqPoint, SampledQFunction, metric_g
+from qvalued.geometry import Domain, QuadratureGrid
+from qvalued.points import AqPoint, SampledQFunction, _permutation_table, metric_g
 from qvalued.polyfit import (
     FitConfig,
     QPolynomial,
@@ -19,6 +22,14 @@ from qvalued.polyfit import (
     local_excess,
     multi_indices,
     random_qpolynomial,
+)
+from qvalued.polyfit import (
+    _EXTRAP_WEIGHTS,
+    _alternate,
+    _lattice_directions,
+    _neighbour_table,
+    _propagated_labels,
+    _spectral_ranks,
 )
 
 
@@ -170,6 +181,11 @@ def test_coefficient_metric_requires_shared_center():
     g = random_qpolynomial(rng, 2, 1, 2, 1, center=np.array([0.5, 0.0]))
     with pytest.raises(RecenterError):
         coefficient_metric(f, g)
+    # centers within a relative 1e-5 are still different charts
+    f = random_qpolynomial(rng, 2, 1, 2, 1, center=np.array([1.0, 0.5]))
+    g = random_qpolynomial(rng, 2, 1, 2, 1, center=np.array([1.0 + 1e-6, 0.5]))
+    with pytest.raises(RecenterError):
+        coefficient_metric(f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -283,3 +299,206 @@ def test_random_qpolynomial_seeded():
     a = random_qpolynomial(np.random.default_rng(5), 2, 1, 2, 2)
     b = random_qpolynomial(np.random.default_rng(5), 2, 1, 2, 2)
     assert np.array_equal(a.coeffs, b.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# label propagation and lazy starts
+
+
+def _lattice_keys(points, resolution):
+    return np.rint((points - points.min(axis=0)) / resolution).astype(int)
+
+
+def _signed_dirs(n):
+    return [d for hd in _lattice_directions(n) for d in (hd, tuple(-x for x in hd))]
+
+
+def _reference_propagated_labels(points, values, resolution, start_labels, order):
+    """Label propagation one cell at a time through a dict of lattice keys:
+    the plain formulation of `_propagated_labels`, kept as its oracle."""
+    S, Q, _ = values.shape
+    keys = _lattice_keys(points, resolution)
+    depth = min(order + 1, max(_EXTRAP_WEIGHTS))
+    dirs = _signed_dirs(points.shape[1])
+    index_of = {tuple(k): s for s, k in enumerate(keys)}
+    labels = np.full((S, Q), -1, dtype=int)
+    ordered = np.empty_like(values)
+    perms = _permutation_table(Q) if Q <= 6 else None
+
+    def predict(s):
+        best = []
+        for d in dirs:
+            cand = []
+            for step in range(1, depth + 1):
+                t = index_of.get(tuple(keys[s] + np.multiply(step, d)))
+                if t is None or labels[t, 0] < 0:
+                    break
+                cand.append(t)
+            if len(cand) > len(best):
+                best = cand
+        if not best:
+            return None
+        w = _EXTRAP_WEIGHTS[len(best)]
+        pred = w[0] * ordered[best[0]]
+        for wi, t in zip(w[1:], best[1:]):
+            pred = pred + wi * ordered[t]
+        return pred, len(best)
+
+    def match(s, pred):
+        diff = values[s][:, None, :] - pred[None, :, :]
+        d2 = np.einsum("abm,abm->ab", diff, diff)
+        if perms is None:
+            rows, cols = linear_sum_assignment(d2.T)
+            return rows[np.argsort(cols)], 0.0
+        totals = d2[perms, np.arange(Q)].sum(axis=1)
+        pick = int(np.argmin(totals))
+        second = np.partition(totals, 1)[1] if totals.shape[0] > 1 else totals[pick]
+        return perms[pick], float(second - totals[pick])
+
+    gaps = np.full(S, np.inf)
+    for a in range(Q):
+        for b in range(a + 1, Q):
+            diff = values[:, a, :] - values[:, b, :]
+            gaps = np.minimum(gaps, np.einsum("sm,sm->s", diff, diff))
+    heap, counter, repushes = [], [0], np.zeros(S, dtype=int)
+
+    def push(s):
+        got = predict(s)
+        if got is not None:
+            lab, margin = match(s, got[0])
+            heapq.heappush(heap, (-got[1], -margin, counter[0], s, lab))
+            counter[0] += 1
+
+    def commit(s, lab):
+        labels[s] = lab
+        ordered[s] = values[s][lab]
+        for d in dirs:
+            t = index_of.get(tuple(keys[s] + np.asarray(d)))
+            if t is not None and labels[t, 0] < 0:
+                push(t)
+
+    seed = int(np.argmax(gaps)) if Q > 1 else 0
+    commit(seed, start_labels[seed])
+    while np.any(labels[:, 0] < 0):
+        if not heap:
+            rest = np.nonzero(labels[:, 0] < 0)[0]
+            s = int(rest[np.argmax(gaps[rest])])
+            commit(s, start_labels[s])
+            continue
+        neg_len, _, _, s, lab = heapq.heappop(heap)
+        if labels[s, 0] >= 0:
+            continue
+        pred, chain_len = predict(s)
+        if chain_len != -neg_len:
+            lab, margin = match(s, pred)
+            if repushes[s] < 16:
+                repushes[s] += 1
+                heapq.heappush(heap, (-chain_len, -margin, counter[0], s, lab))
+                counter[0] += 1
+                continue
+        commit(s, lab)
+    return labels
+
+
+def _two_balls():
+    part = Domain.ball(2, 0.3).sample(1.0 / 16.0)
+    pts = np.concatenate([part.points - 0.7, part.points + [0.7, 0.1]])
+    return QuadratureGrid(pts, np.concatenate([part.weights] * 2), part.resolution)
+
+
+PROPAGATION_GRIDS = {
+    "ball": lambda: Domain.ball(2, 1.0).sample(1.0 / 16.0),
+    "annulus": lambda: Domain.annulus(2, 0.4, 1.0).sample(1.0 / 16.0),
+    "two_balls": _two_balls,
+    "ball_3d": lambda: Domain.ball(3, 1.0).sample(1.0 / 5.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROPAGATION_GRIDS))
+def test_neighbour_table_matches_dict_lookup(name):
+    grid = PROPAGATION_GRIDS[name]()
+    keys = _lattice_keys(grid.points, grid.resolution)
+    dirs = _signed_dirs(grid.dim)
+    table = _neighbour_table(keys, dirs, 4)
+    index_of = {tuple(k): s for s, k in enumerate(keys)}
+    expected = np.array([
+        [[index_of.get(tuple(k + step * np.asarray(d)), -1) for step in range(1, 5)]
+         for d in dirs]
+        for k in keys
+    ])
+    assert np.array_equal(table, expected)
+
+
+@pytest.mark.parametrize("name", sorted(PROPAGATION_GRIDS))
+def test_propagated_labels_match_reference(name):
+    grid = PROPAGATION_GRIDS[name]()
+    rng = np.random.default_rng(12)
+    for q, m, k, noise in ((2, 1, 1, 0.0), (3, 2, 2, 0.0), (2, 3, 1, 0.05),
+                           (4, 1, 3, 0.0), (7, 1, 1, 0.0)):
+        vals = random_qpolynomial(rng, grid.dim, m, q, k).eval(grid.points)
+        vals = vals + noise * rng.normal(size=vals.shape)
+        ranks = _spectral_ranks(vals)
+        for order in (0, k):
+            got = _propagated_labels(grid.points, vals, grid.resolution, ranks, order)
+            want = _reference_propagated_labels(grid.points, vals, grid.resolution,
+                                                ranks, order)
+            assert np.array_equal(got, want), (q, m, k, order)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("m", [1, 2])
+def test_order_k_propagation_alone_is_exact(fit_grid, q, m):
+    rng = np.random.default_rng(100 + 10 * q + m)
+    weights = fit_grid.weights
+    for k in (1, 2, 3):
+        vals = random_qpolynomial(rng, 2, m, q, k).eval(fit_grid.points)
+        design = design_matrix(fit_grid.points, np.zeros(2), multi_indices(2, k))
+        labels = _propagated_labels(fit_grid.points, vals, fit_grid.resolution,
+                                    _spectral_ranks(vals), k)
+        obj = _alternate(design, vals, weights, labels, 2.0, FitConfig())[2]
+        mass = float(np.sum(weights * np.einsum("sqm,sqm->s", vals, vals)))
+        assert obj <= (100.0 * np.finfo(float).eps) ** 2 * mass
+
+
+def test_serial_fit_stops_before_propagating(fit_grid, monkeypatch):
+    calls = []
+    original = polyfit._propagated_labels
+
+    def counting(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(polyfit, "_propagated_labels", counting)
+    # two sheets that never cross: the spectral ranks are already exact
+    x = fit_grid.points
+    vals = np.stack([1.0 + 0.2 * x[:, 0], -1.0 + 0.3 * x[:, 1]], axis=1)
+    u = SampledQFunction(fit_grid, vals[:, :, None])
+    res = best_fit(u, np.zeros(2), 1.1, 1, 2.0)
+    assert res.residual <= 1e-20
+    assert calls == []
+    assert res.starts == 2 + 1 + FitConfig().restarts
+    pooled = best_fit(u, np.zeros(2), 1.1, 1, 2.0, FitConfig(threads=2))
+    assert calls == [0, 1]
+    assert pooled.starts == res.starts
+
+
+def _r15_pair(grid):
+    r = np.linalg.norm(grid.points, axis=1)
+    th = np.arctan2(grid.points[:, 1], grid.points[:, 0])
+    a = (r ** 1.5 * np.cos(1.5 * th))[:, None]
+    return SampledQFunction(grid, np.stack([a, -a], axis=1))
+
+
+@pytest.mark.parametrize("data", ["exact", "r15"])
+def test_best_fit_independent_of_thread_count(fit_grid, data):
+    if data == "exact":
+        target = random_qpolynomial(np.random.default_rng(13), 2, 2, 3, 2)
+        u = SampledQFunction(fit_grid, target.eval(fit_grid.points))
+    else:
+        u = _r15_pair(fit_grid)
+    fits = [best_fit(u, np.zeros(2), 1.1, 2, 2.0, FitConfig(threads=t))
+            for t in (1, 2)]
+    a, b = fits
+    assert np.array_equal(a.polynomial.coeffs, b.polynomial.coeffs)
+    assert (a.residual, a.iterations, a.starts, a.converged) == \
+        (b.residual, b.iterations, b.starts, b.converged)
