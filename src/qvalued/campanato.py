@@ -23,7 +23,8 @@ from .errors import (
     ExponentBandError,
     InsufficientSamplesError,
 )
-from .points import AqPoint, metric_g, optimal_assignment
+from .geometry import dyadic_ladder
+from .points import AqPoint, match_batch, metric_g, optimal_assignment
 from .polyfit import best_fit, coefficient_tuple
 
 __all__ = [
@@ -199,8 +200,7 @@ def coefficient_flow(u, x0, rho0, depth, k, q_exp=2.0, r=None, cfg=None):
     r = k if r is None else r
     if r > k:
         raise ValueError("tuple order exceeds fit degree")
-    ladder = rho0 * np.exp2(-np.arange(depth + 1, dtype=float))
-    prof = excess_profile(u, x0, k, q_exp, ladder, cfg)
+    prof = excess_profile(u, x0, k, q_exp, dyadic_ladder(rho0, depth), cfg)
     tuples = [coefficient_tuple(f.polynomial, r) for f in prof.fits]
     dists = np.array([
         metric_g(a, b) for a, b in zip(tuples[:-1], tuples[1:])
@@ -310,8 +310,7 @@ def dyadic_consistency(u, x0, k, q_exp, lam, ladder, seminorm=None,
         sub = u.restrict(x0, rho_small)
         pv = fit_big.polynomial.eval(sub.grid.points)
         qv = fit_small.polynomial.eval(sub.grid.points)
-        dists = np.array([metric_g(AqPoint(a), AqPoint(b))
-                          for a, b in zip(pv, qv)])
+        dists = np.sqrt(match_batch(pv, qv)[1])
         lhs = float(np.sum(sub.grid.weights * dists ** q_exp))
         rhs = constant * rho_big ** lam * seminorm ** q_exp
         ratios.append(lhs / rhs if rhs > 0 else math.inf)

@@ -30,7 +30,8 @@ from .errors import (
     InsufficientSamplesError,
     WeakConstantsError,
 )
-from .polyfit import _assign_labels, best_fit
+from .points import match_batch
+from .polyfit import best_fit
 
 __all__ = [
     "DecayHypothesis",
@@ -303,7 +304,7 @@ def _scaled_masses(u, center, radius, poly, n, k, q_exp):
     """
     sub = u.restrict(center, radius)
     model = poly.eval(sub.grid.points)
-    _, costs = _assign_labels(sub.values, model)
+    _, costs, _ = match_batch(sub.values, model)
     g = np.sqrt(np.maximum(costs, 0.0))
     mass = float(np.sum(sub.grid.weights * g ** q_exp))
     mags = np.sqrt(np.einsum("sqm,sqm->s", sub.values, sub.values))

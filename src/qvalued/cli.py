@@ -15,7 +15,7 @@ import numpy as np
 
 from . import campanato, certify, io, lab
 from .errors import QvaluedError, WeakConstantsError
-from .geometry import Domain
+from .geometry import Domain, dyadic_ladder
 from .points import SampledQFunction
 from .polyfit import FitConfig, best_fit
 
@@ -47,10 +47,6 @@ def _region(args, u):
     return io.bounding_ball(u)
 
 
-def _ladder(radius, depth):
-    return [radius * 2.0 ** (-j) for j in range(depth)]
-
-
 def _csv_sibling(out):
     root, ext = os.path.splitext(str(out))
     return root + ".csv" if ext.lower() == ".json" else str(out) + ".csv"
@@ -78,7 +74,8 @@ def cmd_excess(args):
     center, radius = _region(args, u)
     cfg = FitConfig(seed=args.seed, threads=_threads())
     prof = campanato.excess_profile(
-        u, center, args.k, args.q, _ladder(radius, args.ladder_depth), cfg
+        u, center, args.k, args.q,
+        dyadic_ladder(radius, args.ladder_depth - 1), cfg
     )
     io.write_report_json(args.out, {
         "center": prof.center,
@@ -97,7 +94,7 @@ def cmd_seminorm(args):
     cfg = FitConfig(seed=args.seed, threads=_threads())
     rep = campanato.campanato_seminorm(
         u, args.k, args.q, args.lam, [center],
-        _ladder(radius, args.ladder_depth), cfg
+        dyadic_ladder(radius, args.ladder_depth - 1), cfg
     )
     io.write_report_json(args.out, {
         "value": rep.value,
@@ -117,7 +114,8 @@ def cmd_exponent(args):
     center, radius = _region(args, u)
     cfg = FitConfig(seed=args.seed, threads=_threads())
     fit = campanato.decay_exponent(
-        u, center, args.k, args.q, _ladder(radius, args.ladder_depth), cfg
+        u, center, args.k, args.q,
+        dyadic_ladder(radius, args.ladder_depth - 1), cfg
     )
     try:
         alpha = None if fit.exact else fit.holder_alpha(u.n, args.q)
@@ -181,7 +179,7 @@ def cmd_lab_audit(args):
     center, radius = io.bounding_ball(u)
     branch = lab.branch_set_detect(u, args.tol)
     freq = lab.frequency_function(
-        u, center, _ladder(0.5 * radius, args.ladder_depth)
+        u, center, dyadic_ladder(0.5 * radius, args.ladder_depth - 1)
     )
     io.write_report_json(args.out, {
         "branch_set": {
@@ -276,6 +274,9 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if getattr(args, "ladder_depth", 1) < 1:
+        print("input error: --ladder-depth must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
     try:
         return args.func(args)
     except WeakConstantsError as exc:

@@ -23,6 +23,7 @@ __all__ = [
     "Domain",
     "QuadratureGrid",
     "dyadic_ladder",
+    "neighbour_table",
     "unit_ball_volume",
     "a_weighted_constant",
     "AWeightedEstimate",
@@ -41,6 +42,48 @@ def dyadic_ladder(rho0, depth):
     if depth < 0:
         raise ValueError("ladder depth must be nonnegative")
     return rho0 * np.exp2(-np.arange(depth + 1, dtype=float))
+
+
+def neighbour_table(points, resolution, dirs, depth):
+    """Lattice neighbours by index: table[s, d, j] is the sample one lattice
+    step of (j + 1) * dirs[d] away from sample s, or -1 where there is none.
+
+    Points sit on a lattice of side `resolution` anchored at their
+    coordinate-wise minimum and are keyed by rounding.  Keys are linearised
+    over the per-axis ranks of the coordinates present (so the linear range
+    stays small whatever the lattice extent) and found with one sorted
+    search per offset.  Where samples share a key the one listed last is
+    found.
+    """
+    points = np.asarray(points, dtype=float)
+    keys = np.rint((points - points.min(axis=0)) / resolution).astype(int)
+    S, n = keys.shape
+    coords = [np.unique(keys[:, a]) for a in range(n)]
+    dims = tuple(c.shape[0] for c in coords)
+
+    def linear(lattice):
+        """Linear key of each lattice point; -1 where a coordinate occurs in
+        no sample."""
+        present = np.ones(lattice.shape[0], dtype=bool)
+        ranks = []
+        for a in range(n):
+            r = np.minimum(np.searchsorted(coords[a], lattice[:, a]), dims[a] - 1)
+            present &= coords[a][r] == lattice[:, a]
+            ranks.append(r)
+        return np.where(present, np.ravel_multi_index(ranks, dims), -1)
+
+    own = linear(keys)
+    order = np.argsort(own, kind="stable")
+    own_sorted = own[order]
+    table = np.full((S, len(dirs), depth), -1,
+                    dtype=np.int32 if S < 2 ** 31 else np.int64)
+    for di, d in enumerate(dirs):
+        for j in range(depth):
+            target = linear(keys + (j + 1) * np.asarray(d))
+            pos = np.maximum(np.searchsorted(own_sorted, target, side="right") - 1, 0)
+            hit = (target >= 0) & (own_sorted[pos] == target)
+            table[hit, di, j] = order[pos[hit]]
+    return table
 
 
 @dataclass(frozen=True)

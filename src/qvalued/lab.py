@@ -24,8 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HomogeneityError, ReflectionTraceError
-from .geometry import Domain
-from .points import AqPoint, SampledQFunction, metric_g, optimal_assignment
+from .geometry import Domain, neighbour_table
+from .points import (
+    _ENUMERATION_LIMIT,
+    AqPoint,
+    SampledQFunction,
+    _permutation_table,
+    match_batch,
+    metric_g,
+    optimal_assignment,
+)
 from .polyfit import FitConfig, best_fit
 
 __all__ = [
@@ -73,7 +81,6 @@ __all__ = [
     "circle_rule",
 ]
 
-_MATCH_LIMIT = 6
 _HALF = (-0.5 * math.pi, 0.5 * math.pi)
 
 
@@ -139,41 +146,6 @@ def kernel_self_test(nr=96, nt=64):
     pts, w, r = disk_rule(np.zeros(2), 0.5, nr=nr, nt=nt, stretch=True)
     value = float(np.sum(w * r ** (2.0 - 3.5)))
     return value, 2.0 * math.pi * math.sqrt(2.0)
-
-
-# ---------------------------------------------------------------------------
-# branch matching on arrays of tuples
-
-_PERM_CACHE = {}
-
-
-def _perms(q):
-    if q > _MATCH_LIMIT:
-        raise ValueError("branch matching tables stop at Q = %d" % _MATCH_LIMIT)
-    if q not in _PERM_CACHE:
-        _PERM_CACHE[q] = np.array(list(itertools.permutations(range(q))))
-    return _PERM_CACHE[q]
-
-
-def _align(vc, vn):
-    """Reorder the branches of vn per sample to best match vc (both (S,Q,m))."""
-    if vc.shape[1] == 1:
-        return vn
-    perms = _perms(vc.shape[1])
-    cand = vn[:, perms, :]
-    cost = np.sum((cand - vc[:, None, :, :]) ** 2, axis=(2, 3))
-    pick = np.argmin(cost, axis=1)
-    return cand[np.arange(vc.shape[0]), pick]
-
-
-def _matched_cost(a, b):
-    """Per-sample squared matching distance G^2 between value arrays."""
-    if a.shape[1] == 1:
-        return np.sum((a - b) ** 2, axis=(1, 2))
-    perms = _perms(a.shape[1])
-    cand = b[:, perms, :]
-    cost = np.sum((cand - a[:, None, :, :]) ** 2, axis=(2, 3))
-    return cost.min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +628,7 @@ def pairwise_separation(entries=None, center=(0.35, 0.12), radius=0.12, nr=12, n
             nj, fj, vj = evals[j]
             if fi.q != fj.q or fi.m != fj.m:
                 continue
-            d2 = float(np.sum(w * _matched_cost(vi, vj)))
+            d2 = float(np.sum(w * match_batch(vi, vj)[1]))
             pairs.append((ni, nj))
             dists.append(math.sqrt(max(d2, 0.0)))
     dists_t = tuple(dists)
@@ -828,14 +800,6 @@ def splitting_lower_bound(candidates, nr=64, nt=128, jet_tol=1e-8):
 # sampled-grid helpers
 
 
-def _lattice_maps(u):
-    h = u.grid.resolution
-    mins = u.grid.points.min(axis=0)
-    keys = np.rint((u.grid.points - mins) / h).astype(int)
-    table = {tuple(k): i for i, k in enumerate(keys)}
-    return table, keys, h
-
-
 def _node_jacobians(u, indices=None):
     """Branch-matched first derivatives at grid nodes, shape (K, Q, m, n).
 
@@ -843,24 +807,27 @@ def _node_jacobians(u, indices=None):
     before differencing; a missing neighbor degrades to a one-sided
     difference, and an isolated node gets a zero column.
     """
-    table, keys, h = _lattice_maps(u)
+    axes = np.eye(u.n, dtype=int)
+    table = neighbour_table(u.grid.points, u.grid.resolution,
+                            np.concatenate([axes, -axes]), 1)
     idx = np.arange(u.size) if indices is None else np.asarray(indices, dtype=int)
     vals = u.values
+    vc = vals[idx]
+
+    def aligned(at):
+        """Values at nodes `at`, branches reordered to best match vc."""
+        near = vals[at]
+        labels, _, _ = match_batch(near, vc)
+        return np.take_along_axis(near, labels[:, :, None], axis=1)
+
     out = np.zeros((idx.shape[0], u.q, u.m, u.n))
     for d in range(u.n):
-        plus = np.full(idx.shape[0], -1, dtype=int)
-        minus = np.full(idx.shape[0], -1, dtype=int)
-        for row, i in enumerate(idx):
-            k = keys[i].copy()
-            k[d] += 1
-            plus[row] = table.get(tuple(k), -1)
-            k[d] -= 2
-            minus[row] = table.get(tuple(k), -1)
-        vc = vals[idx]
+        plus = table[idx, d, 0]
+        minus = table[idx, u.n + d, 0]
         ip = np.where(plus >= 0, plus, idx)
         im = np.where(minus >= 0, minus, idx)
-        vp = _align(vc, vals[ip])
-        vm = _align(vc, vals[im])
+        vp = aligned(ip)
+        vm = aligned(im)
         span = u.grid.points[ip, d] - u.grid.points[im, d]
         ok = span > 0.0
         col = np.zeros_like(vc)
@@ -1253,7 +1220,7 @@ def translation_invariance_set(v, directions=None, shifts=(0.05, 0.1, 0.2),
         for t in shifts:
             for sign in (1.0, -1.0):
                 moved = v.eval(pts + sign * t * e[None, :])
-                worst = max(worst, float(np.sqrt(_matched_cost(base, moved).max())))
+                worst = max(worst, float(np.sqrt(match_batch(base, moved)[1].max())))
         devs[i] = worst
     dim = int(np.sum(devs <= tol))
     return InvarianceReport(directions, devs, dim, tol)
@@ -1334,7 +1301,9 @@ def _matched_second_difference(vc, vm, vp):
     q = vc.shape[1]
     if q == 1:
         return vm - 2.0 * vc + vp
-    perms = _perms(q)
+    if q > _ENUMERATION_LIMIT:
+        raise ValueError("branch matching tables stop at Q = %d" % _ENUMERATION_LIMIT)
+    perms = _permutation_table(q)
     k = perms.shape[0]
     sm = vm[:, perms, :]
     sp = vp[:, perms, :]

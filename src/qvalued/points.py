@@ -9,6 +9,7 @@ fixing a pairing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ __all__ = [
     "metric_g",
     "brute_force_metric",
     "optimal_assignment",
+    "match_batch",
     "order_branches",
     "translate_add",
     "SampledQFunction",
@@ -31,15 +33,18 @@ __all__ = [
     "lebesgue_point_profile",
 ]
 
-_PERM_CACHE = {}
 _BRUTE_FORCE_LIMIT = 8
+# match_batch enumerates all Q! pairings up to this Q and solves one
+# assignment per sample above it
+_ENUMERATION_LIMIT = 6
+# pairing terms match_batch holds at once: rows per chunk = this // (Q! Q)
+_CHUNK_ENTRIES = 1 << 20
 
 
+@functools.lru_cache(maxsize=None)
 def _permutation_table(q):
-    """All permutations of range(q) as an array of shape (q!, q)."""
-    if q not in _PERM_CACHE:
-        _PERM_CACHE[q] = np.array(list(itertools.permutations(range(q))), dtype=int)
-    return _PERM_CACHE[q]
+    """All permutations of range(q), lexicographic, as a (q!, q) array."""
+    return np.array(list(itertools.permutations(range(q))), dtype=int)
 
 
 def _canonical(branches):
@@ -182,6 +187,62 @@ def optimal_assignment(s, t, tol=1e-12):
         cols_left.remove(chosen)
     total = cost[np.arange(q), sigma].sum()
     return sigma, math.sqrt(max(total, 0.0))
+
+
+def _best_pairings(d2, perms):
+    """Per row of d2: (cheapest pairing, its total, the gap to the runner-up).
+    totals[:, p] sums d2[:, perms[p, i], i] over i in index order; perms[0],
+    the identity, serves as arange(Q)."""
+    totals = d2[:, perms, perms[0]].sum(axis=2)
+    low = np.partition(totals, 1, axis=1)
+    return perms[totals.argmin(axis=1)], low[:, 0], low[:, 1] - low[:, 0]
+
+
+def match_batch(a, b):
+    """Optimal branch pairing of a[s] with b[s] for every sample s.
+
+    a and b have shape (S, Q, m).  Returns (labels, sq_cost, margin):
+    labels[s, i] is the branch of a[s] matched to b[s, i], sq_cost[s] the
+    squared matching distance G(a[s], b[s])^2, and margin[s] the gap
+    between the best and the runner-up pairing cost.  Up to
+    Q = _ENUMERATION_LIMIT every pairing is enumerated in lexicographic
+    order, in row chunks of at most _CHUNK_ENTRIES terms, and an exact tie
+    goes to the lexicographically smallest pairing, as in
+    optimal_assignment.  Above it each sample gets one exact assignment
+    solve and the margin is 0, as it is for Q = 1.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 3 or a.shape != b.shape:
+        raise ValueError("match_batch needs two (S, Q, m) arrays of one shape")
+    S, Q, _ = a.shape
+    diff = a[:, :, None, :] - b[:, None, :, :]
+    d2 = np.einsum("sabm,sabm->sab", diff, diff)
+    if Q == 1:
+        return np.zeros((S, 1), dtype=int), d2[:, 0, 0], np.zeros(S)
+    if Q == 2:
+        # the two pairings in closed form; same totals, ties and labels as
+        # the enumeration below, without its per-row sort
+        keep = d2[:, 0, 0] + d2[:, 1, 1]
+        swap = d2[:, 1, 0] + d2[:, 0, 1]
+        crossed = swap < keep
+        best = np.minimum(keep, swap)
+        labels = np.stack([crossed, ~crossed], axis=1).astype(int)
+        return labels, best, np.maximum(keep, swap) - best
+    if Q > _ENUMERATION_LIMIT:
+        labels = np.empty((S, Q), dtype=int)
+        sq_cost = np.empty(S)
+        for s in range(S):
+            rows, cols = linear_sum_assignment(d2[s])
+            labels[s, cols] = rows
+            sq_cost[s] = d2[s][rows, cols].sum()
+        return labels, sq_cost, np.zeros(S)
+    perms = _permutation_table(Q)
+    if S * perms.size <= _CHUNK_ENTRIES:
+        return _best_pairings(d2, perms)
+    step = max(_CHUNK_ENTRIES // perms.size, 1)
+    parts = [_best_pairings(d2[lo:lo + step], perms) for lo in range(0, S, step)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def order_branches(u):
@@ -344,6 +405,7 @@ def lebesgue_point_profile(u, x0, ladder, q_exp=2.0, value=None):
     x0 = np.asarray(x0, dtype=float).ravel()
     if value is None:
         value = u.value_at(x0)
+    ref = value.branches if isinstance(value, AqPoint) else AqPoint(value).branches
     h = u.grid.resolution
     omega = unit_ball_volume(u.n)
     d2 = np.sum((u.grid.points - x0) ** 2, axis=1)
@@ -357,9 +419,8 @@ def lebesgue_point_profile(u, x0, ladder, q_exp=2.0, value=None):
         if not np.any(mask):
             truncated = True
             continue
-        dists = np.array(
-            [metric_g(AqPoint(v), value) for v in u.values[mask]]
-        )
+        vals = u.values[mask]
+        dists = np.sqrt(match_batch(vals, np.broadcast_to(ref, vals.shape))[1])
         mass = float(np.sum(u.grid.weights[mask] * dists ** q_exp))
         radii.append(rho)
         averages.append(mass / (omega * rho ** u.n))

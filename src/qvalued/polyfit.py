@@ -27,10 +27,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InsufficientSamplesError, RecenterError
-from .points import AqPoint, SampledQFunction, _permutation_table
+from .geometry import neighbour_table
+from .points import AqPoint, SampledQFunction, match_batch
 
 __all__ = [
     "multi_indices",
@@ -44,9 +44,6 @@ __all__ = [
     "random_qpolynomial",
     "comparison_constant_ratios",
 ]
-
-_VECTORIZED_PERM_LIMIT = 4  # enumerate S_Q per sample up to Q = 4 (24 pairings)
-
 
 def multi_indices(n, k):
     """Multi-indices p with |p| <= k in graded lexicographic order."""
@@ -241,36 +238,6 @@ class FitResult:
         return iter((self.polynomial, self.residual))
 
 
-def _branch_distances(values, model_vals):
-    """Per-sample distance matrix d2[s, a, b] = |V[s,a] - P_b(x_s)|^2."""
-    diff = values[:, :, None, :] - model_vals[:, None, :, :]
-    return np.einsum("sabm,sabm->sab", diff, diff)
-
-
-def _assign_labels(values, model_vals):
-    """Optimal per-sample pairing; labels[s, i] is the sample-branch index
-    matched to model branch i.  Returns (labels, per-sample squared cost)."""
-    S, Q, _ = values.shape
-    d2 = _branch_distances(values, model_vals)
-    if Q == 1:
-        return np.zeros((S, 1), dtype=int), d2[:, 0, 0]
-    if Q <= _VECTORIZED_PERM_LIMIT:
-        perms = _permutation_table(Q)
-        totals = np.zeros((S, perms.shape[0]))
-        for i in range(Q):
-            totals += d2[:, perms[:, i], i]
-        pick = np.argmin(totals, axis=1)
-        return perms[pick], totals[np.arange(S), pick]
-    labels = np.empty((S, Q), dtype=int)
-    costs = np.empty(S)
-    for s in range(S):
-        rows, cols = linear_sum_assignment(d2[s])
-        order = np.argsort(cols)
-        labels[s] = rows[order]
-        costs[s] = d2[s][rows, cols].sum()
-    return labels, costs
-
-
 def _weighted_lstsq(design, rhs, weights):
     sw = np.sqrt(weights)[:, None]
     sol, *_ = np.linalg.lstsq(design * sw, rhs * sw, rcond=None)
@@ -333,44 +300,6 @@ def _lattice_directions(n):
     return dirs
 
 
-def _neighbour_table(keys, dirs, depth):
-    """Lattice neighbours by index: table[s, d, j] is the sample whose key is
-    keys[s] + (j + 1) * dirs[d], or -1 where no sample has that key.
-
-    Keys are linearised over the per-axis ranks of the coordinates present
-    (so the linear range stays small whatever the lattice extent) and found
-    with one sorted search per offset.  Where samples share a key the one
-    listed last is found.
-    """
-    S, n = keys.shape
-    coords = [np.unique(keys[:, a]) for a in range(n)]
-    dims = tuple(c.shape[0] for c in coords)
-
-    def linear(lattice):
-        """Linear key of each lattice point; -1 where a coordinate occurs in
-        no sample."""
-        present = np.ones(lattice.shape[0], dtype=bool)
-        ranks = []
-        for a in range(n):
-            r = np.minimum(np.searchsorted(coords[a], lattice[:, a]), dims[a] - 1)
-            present &= coords[a][r] == lattice[:, a]
-            ranks.append(r)
-        return np.where(present, np.ravel_multi_index(ranks, dims), -1)
-
-    own = linear(keys)
-    order = np.argsort(own, kind="stable")
-    own_sorted = own[order]
-    table = np.full((S, len(dirs), depth), -1,
-                    dtype=np.int32 if S < 2 ** 31 else np.int64)
-    for di, d in enumerate(dirs):
-        for j in range(depth):
-            target = linear(keys + (j + 1) * np.asarray(d))
-            pos = np.maximum(np.searchsorted(own_sorted, target, side="right") - 1, 0)
-            hit = (target >= 0) & (own_sorted[pos] == target)
-            table[hit, di, j] = order[pos[hit]]
-    return table
-
-
 def _propagated_labels(points, values, resolution, start_labels, order=0):
     """Labels grown over the sample lattice, most confident cells first.
 
@@ -385,21 +314,20 @@ def _propagated_labels(points, values, resolution, start_labels, order=0):
     choice for rough data.
 
     Lattice lookups go through one neighbour-index table built up front
-    (`_neighbour_table`); labelled cells are flagged in a bytearray.  When a
-    cell is labelled, every unlabelled lattice neighbour is predicted and
-    matched in one batch before the pushes, which changes no priority: the
-    pushes see the same labels whether made one by one or together.
+    (`geometry.neighbour_table`); labelled cells are flagged in a bytearray.
+    When a cell is labelled, every unlabelled lattice neighbour is predicted
+    and matched in one `match_batch` call before the pushes, which changes
+    no priority: the pushes see the same labels whether made one by one or
+    together.
     """
     import heapq
 
     S, Q, m = values.shape
     n = points.shape[1]
-    base = points.min(axis=0)
-    keys = np.rint((points - base) / resolution).astype(int)
     depth = min(order + 1, max(_EXTRAP_WEIGHTS))
     half_dirs = _lattice_directions(n)
     dirs = [d for hd in half_dirs for d in (hd, tuple(-x for x in hd))]
-    table = _neighbour_table(keys, dirs, depth)
+    table = neighbour_table(points, resolution, dirs, depth)
     lines = table.reshape(S * len(dirs), depth)  # row s * len(dirs) + d
     flat = memoryview(table.reshape(-1))  # Python ints for the scalar walks
     row_span = len(dirs) * depth
@@ -412,8 +340,6 @@ def _propagated_labels(points, values, resolution, start_labels, order=0):
     labelled = bytearray(S)
     labels = np.full((S, Q), -1, dtype=int)
     ordered = np.zeros_like(values)  # finite everywhere, so padding is exact
-    perms = _permutation_table(Q) if Q <= 6 else None
-    arange_q = np.arange(Q)
 
     def longest_chain(s):
         """(line row, length) of the longest run of labelled cells leading
@@ -441,23 +367,6 @@ def _propagated_labels(points, values, resolution, start_labels, order=0):
         for j in range(1, depth):
             pred = pred + terms[:, j]
         return pred
-
-    def match(cells, pred):
-        """Best pairing per cell and its margin over the runner-up."""
-        diff = values[cells][:, :, None, :] - pred[:, None, :, :]
-        d2 = np.einsum("tabm,tabm->tab", diff, diff)
-        if perms is None:
-            labs = np.empty((len(cells), Q), dtype=int)
-            for i, cost in enumerate(d2):
-                rows, cols = linear_sum_assignment(cost.T)
-                labs[i] = rows[np.argsort(cols)]
-            return labs, [0.0] * len(cells)
-        totals = d2[:, perms, arange_q].sum(axis=2)
-        pick = totals.argmin(axis=1)
-        if totals.shape[1] == 1:
-            return perms[pick], [0.0] * len(cells)
-        low = np.partition(totals, 1, axis=1)
-        return perms[pick], (low[:, 1] - low[:, 0]).tolist()
 
     # Seed where branches are farthest apart; the global branch order is
     # arbitrary anyway.
@@ -494,8 +403,8 @@ def _propagated_labels(points, values, resolution, start_labels, order=0):
                     lengths.append(length)
         if not cells:
             return
-        labs, margins = match(cells, predict(rows, lengths))
-        for t, length, margin, lab_t in zip(cells, lengths, margins, labs):
+        labs, _, margins = match_batch(values[cells], predict(rows, lengths))
+        for t, length, margin, lab_t in zip(cells, lengths, margins.tolist(), labs):
             # chain length outranks margin: a wide margin against a constant
             # extrapolation is still a guess, a full-depth chain is not
             heapq.heappush(heap, (-length, -margin, counter, t, lab_t))
@@ -517,10 +426,11 @@ def _propagated_labels(points, values, resolution, start_labels, order=0):
         if chain_len != -neg_len:
             # neighborhood changed since the push: rematch, and requeue at
             # the fresh priority unless s was requeued 16 times already
-            fresh, margin = match([s], predict([row], [chain_len]))
+            fresh, _, margin = match_batch(values[[s]], predict([row], [chain_len]))
             if repushes[s] < 16:
                 repushes[s] += 1
-                heapq.heappush(heap, (-chain_len, -margin[0], counter, s, fresh[0]))
+                heapq.heappush(heap, (-chain_len, -float(margin[0]), counter, s,
+                                      fresh[0]))
                 counter += 1
                 continue
             lab = fresh[0]
@@ -540,7 +450,7 @@ def _alternate(design, values, weights, labels, q_exp, cfg):
             w_eff = weights * np.maximum(g_prev, cfg.irls_floor) ** (q_exp - 2.0)
         coeffs = _fit_branches(design, values, labels, w_eff)
         model_vals = np.einsum("sk,qmk->sqm", design, coeffs)
-        new_labels, costs = _assign_labels(values, model_vals)
+        new_labels, costs, _ = match_batch(values, model_vals)
         g_prev = np.sqrt(np.maximum(costs, 0.0))
         obj = _objective(weights, costs, q_exp)
         same = np.array_equal(new_labels, labels)
@@ -690,8 +600,6 @@ def comparison_constant_ratios(instances, seed=0, n=2, m=1, k=2, q_exp=2.0,
     instance count is the caller's check.  The inequality itself is scale
     invariant, so the unit radius loses no generality.
     """
-    from .points import metric_g
-
     rng = np.random.default_rng(seed)
     from .geometry import Domain
 
@@ -709,7 +617,7 @@ def comparison_constant_ratios(instances, seed=0, n=2, m=1, k=2, q_exp=2.0,
         subset = rng.choice(grid.size, size=count, replace=False)
         fv = F.eval(grid.points[subset])
         gv = G.eval(grid.points[subset])
-        dists = np.array([metric_g(AqPoint(a), AqPoint(b)) for a, b in zip(fv, gv)])
+        dists = np.sqrt(match_batch(fv, gv)[1])
         integral = float(np.sum(grid.weights[subset] * dists ** q_exp))
         top = coefficient_metric(F, G) ** q_exp
         ratios[i] = top / integral

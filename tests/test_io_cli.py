@@ -196,7 +196,7 @@ def test_cli_fit_exact_polynomial_residual(tmp_path):
     assert poly.degree == 1 and poly.q == 2
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, bp_csv):
     assert main(["fit", "--in", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path / "o.json")]) == 2
     bad = tmp_path / "bad.csv"
@@ -209,6 +209,25 @@ def test_cli_exit_codes(tmp_path):
     ))
     assert main(["certify", "--in", str(weak),
                  "--out", str(tmp_path / "o.json")]) == 4
+    # a ladder needs at least one rung
+    for argv in (["exponent", "--ladder-depth", "0"],
+                 ["lab", "audit", "--ladder-depth", "0"],
+                 ["excess", "--ladder-depth", "-1"]):
+        out = tmp_path / "ladder.json"
+        assert main(argv + ["--in", str(bp_csv[0]), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+def test_cli_reports_independent_of_thread_count(tmp_path, bp_csv, monkeypatch):
+    src, _ = bp_csv
+    for command in ("fit", "exponent"):
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("AQC_THREADS", threads)
+            out = tmp_path / ("%s-%s.json" % (command, threads))
+            assert main([command, "--in", str(src), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1], command
 
 
 def test_non_finite_samples_exit_as_input_errors(tmp_path, bp_csv):

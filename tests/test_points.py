@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qvalued.errors import BranchAmbiguityError, OracleLimitError
 from qvalued.geometry import Domain, QuadratureGrid, dyadic_ladder
@@ -14,6 +15,7 @@ from qvalued.points import (
     SampledQFunction,
     brute_force_metric,
     lebesgue_point_profile,
+    match_batch,
     metric_g,
     numeric_derivative,
     optimal_assignment,
@@ -127,6 +129,53 @@ def test_optimal_assignment_reports_matching():
     sigma, dist = optimal_assignment(s, t)
     assert list(sigma) == [1, 0]
     assert dist == pytest.approx(math.sqrt(0.02))
+
+
+def _pair_costs(a, b):
+    """d2[s, i, j] = |a[s, i] - b[s, j]|^2, written independently of the
+    library."""
+    return ((a[:, :, None, :] - b[:, None, :, :]) ** 2).sum(axis=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 10), st.integers(1, 3), st.data())
+def test_match_batch_is_an_optimal_pairing(S, q, m, data):
+    values = arrays(float, (2, S, q, m),
+                    elements=st.floats(-100, 100, allow_nan=False))
+    a, b = data.draw(values)
+    labels, sq_cost, margin = match_batch(a, b)
+    assert labels.shape == (S, q) and sq_cost.shape == margin.shape == (S,)
+    assert np.array_equal(np.sort(labels, axis=1), np.tile(np.arange(q), (S, 1)))
+    d2 = _pair_costs(a, b)
+    paired = d2[np.arange(S)[:, None], labels, np.arange(q)].sum(axis=1)
+    assert np.allclose(paired, sq_cost, rtol=1e-12, atol=0)
+    assert np.all(margin >= 0)
+    for s in range(S):
+        want = metric_g(a[s], b[s]) ** 2
+        assert sq_cost[s] == pytest.approx(want, rel=1e-12, abs=0)
+        if q <= 6:
+            assert sq_cost[s] == pytest.approx(brute_force_metric(a[s], b[s]) ** 2,
+                                               rel=1e-12, abs=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 6), st.integers(1, 3), st.data())
+def test_match_batch_breaks_exact_ties_lexicographically(S, q, m, data):
+    # small integers make every pairing cost exact, so ties are exact
+    a, b = data.draw(arrays(float, (2, S, q, m), elements=st.integers(-2, 2)))
+    labels, _, _ = match_batch(b, a)
+    for s in range(S):
+        sigma, _ = optimal_assignment(a[s], b[s])
+        assert np.array_equal(labels[s], sigma)
+
+
+def test_match_batch_chunks_agree_with_metric():
+    # Q = 6 over more rows than one chunk of pairing terms holds
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(2, 3000, 6, 2))
+    _, sq_cost, _ = match_batch(a, b)
+    want = [metric_g(x, y) ** 2 for x, y in zip(a, b)]
+    assert np.allclose(sq_cost, want, rtol=1e-12, atol=0)
 
 
 def test_optimal_assignment_lexmin_on_ties():

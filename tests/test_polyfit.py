@@ -9,7 +9,7 @@ from scipy.optimize import linear_sum_assignment
 
 from qvalued import polyfit
 from qvalued.errors import InsufficientSamplesError, RecenterError
-from qvalued.geometry import Domain, QuadratureGrid
+from qvalued.geometry import Domain, QuadratureGrid, neighbour_table
 from qvalued.points import AqPoint, SampledQFunction, _permutation_table, metric_g
 from qvalued.polyfit import (
     FitConfig,
@@ -27,7 +27,6 @@ from qvalued.polyfit import (
     _EXTRAP_WEIGHTS,
     _alternate,
     _lattice_directions,
-    _neighbour_table,
     _propagated_labels,
     _spectral_ranks,
 )
@@ -348,7 +347,7 @@ def _reference_propagated_labels(points, values, resolution, start_labels, order
         diff = values[s][:, None, :] - pred[None, :, :]
         d2 = np.einsum("abm,abm->ab", diff, diff)
         if perms is None:
-            rows, cols = linear_sum_assignment(d2.T)
+            rows, cols = linear_sum_assignment(d2)
             return rows[np.argsort(cols)], 0.0
         totals = d2[perms, np.arange(Q)].sum(axis=1)
         pick = int(np.argmin(totals))
@@ -419,7 +418,7 @@ def test_neighbour_table_matches_dict_lookup(name):
     grid = PROPAGATION_GRIDS[name]()
     keys = _lattice_keys(grid.points, grid.resolution)
     dirs = _signed_dirs(grid.dim)
-    table = _neighbour_table(keys, dirs, 4)
+    table = neighbour_table(grid.points, grid.resolution, dirs, 4)
     index_of = {tuple(k): s for s, k in enumerate(keys)}
     expected = np.array([
         [[index_of.get(tuple(k + step * np.asarray(d)), -1) for step in range(1, 5)]
@@ -445,7 +444,7 @@ def test_propagated_labels_match_reference(name):
             assert np.array_equal(got, want), (q, m, k, order)
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 7])
 @pytest.mark.parametrize("m", [1, 2])
 def test_order_k_propagation_alone_is_exact(fit_grid, q, m):
     rng = np.random.default_rng(100 + 10 * q + m)
