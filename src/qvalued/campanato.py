@@ -63,12 +63,16 @@ def excess_profile(u, x0, k, q_exp=2.0, ladder=None, cfg=None):
 
     Rungs that fall below the grid resolution (or lose all nodes, or leave
     the fit under-determined) truncate the profile and are flagged rather
-    than fatal: a deep ladder on a coarse grid is a normal request.
+    than fatal: a deep ladder on a coarse grid is a normal request.  A
+    missing or empty ladder is refused with ValueError.
     """
+    rungs = np.asarray([] if ladder is None else ladder, dtype=float)
+    if rungs.ndim != 1 or rungs.size == 0:
+        raise ValueError("ladder must be a non-empty 1-D sequence of radii")
     x0 = np.asarray(x0, dtype=float).ravel()
     radii, excesses, fits = [], [], []
     truncated = False
-    for rho in np.asarray(ladder, dtype=float):
+    for rho in rungs:
         try:
             res = best_fit(u, x0, rho, k, q_exp, cfg)
         except (BelowResolutionError, EmptyIntersectionError,

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import HomogeneityError, ReflectionTraceError
 from .geometry import Domain, neighbour_table
 from .points import (
+    _CHUNK_ENTRIES,
     _ENUMERATION_LIMIT,
     AqPoint,
     SampledQFunction,
@@ -1296,22 +1297,27 @@ def _matched_second_difference(vc, vm, vp):
 
     Chooses, for each sample, the pair of permutations applied to the two
     neighbors that minimizes the summed squared second difference; this is
-    the discrete analog of following each locally smooth sheet.
+    the discrete analog of following each locally smooth sheet.  Samples
+    go through in chunks that hold at most _CHUNK_ENTRIES terms (the
+    differences, their squares and the pairing costs), so peak memory does
+    not grow with the sample count.
     """
-    q = vc.shape[1]
+    S, q, m = vc.shape
     if q == 1:
         return vm - 2.0 * vc + vp
     if q > _ENUMERATION_LIMIT:
         raise ValueError("branch matching tables stop at Q = %d" % _ENUMERATION_LIMIT)
     perms = _permutation_table(q)
     k = perms.shape[0]
-    sm = vm[:, perms, :]
-    sp = vp[:, perms, :]
-    diff = sm[:, :, None, :, :] - 2.0 * vc[:, None, None, :, :] + sp[:, None, :, :, :]
-    cost = np.sum(diff * diff, axis=(3, 4)).reshape(vc.shape[0], k * k)
-    pick = np.argmin(cost, axis=1)
-    flat = diff.reshape(vc.shape[0], k * k, q, vc.shape[2])
-    return flat[np.arange(vc.shape[0]), pick]
+    step = max(_CHUNK_ENTRIES // (k * k * (2 * q * m + 1)), 1)
+    out = np.empty((S, q, m))
+    for lo in range(0, S, step):
+        c, sm, sp = vc[lo:lo + step], vm[lo:lo + step, perms], vp[lo:lo + step, perms]
+        diff = sm[:, :, None, :, :] - 2.0 * c[:, None, None, :, :] + sp[:, None, :, :, :]
+        cost = np.sum(diff * diff, axis=(3, 4)).reshape(c.shape[0], k * k)
+        pick = np.argmin(cost, axis=1)
+        out[lo:lo + step] = diff.reshape(c.shape[0], k * k, q, m)[np.arange(c.shape[0]), pick]
+    return out
 
 
 def laplacian_defect(f, points, step):

@@ -99,6 +99,14 @@ def test_too_few_usable_rungs(u_abs):
         decay_exponent(u_abs, (0.0, 0.0), 0, 2.0, [0.5, 0.25], min_rungs=4)
 
 
+@pytest.mark.parametrize("ladder", [None, [], np.array(0.5)])
+def test_missing_or_empty_ladder_refused(u_abs, ladder):
+    with pytest.raises(ValueError, match="ladder"):
+        excess_profile(u_abs, (0.0, 0.0), 0, 2.0, ladder)
+    with pytest.raises(ValueError, match="ladder"):
+        decay_exponent(u_abs, (0.0, 0.0), 0, 2.0, ladder)
+
+
 def test_excess_monotone_in_degree(u_abs15):
     es = []
     for k in (0, 1, 2, 3):

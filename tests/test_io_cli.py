@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import qvalued
 from qvalued import io, lab
 from qvalued.cli import main
 from qvalued.geometry import Domain
@@ -159,6 +160,8 @@ def test_cli_generate_runs_as_module(tmp_path):
         [sys.executable, "-m", "qvalued.cli", "lab", "generate", "--kind",
          "wall_pair", "--out", str(out), "--resolution", "0.125"],
         capture_output=True, text=True,
+        # run next to the imported package, so -m finds it without PYTHONPATH
+        cwd=os.path.dirname(os.path.dirname(qvalued.__file__)),
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().splitlines()[0] == "2,1,2"

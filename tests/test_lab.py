@@ -1,6 +1,7 @@
 """Tests for the harmonic test-function library and its diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,29 @@ def test_branch_power_harmonic_away_from_origin():
     for f in (lab.BranchPower(2, 3), lab.BranchPower(3, 4), lab.BranchPower(2, 1)):
         order, _, _ = lab.harmonicity_order(f, pts, 1.0 / 64.0)
         assert order >= 1.8
+
+
+def test_matched_second_difference_chunks_agree(monkeypatch):
+    rng = np.random.default_rng(8)
+    vc, vm, vp = (rng.normal(size=(10, 3, 2)) for _ in range(3))
+    whole = lab._matched_second_difference(vc, vm, vp)
+    # 3! * 3! * (2 * 3 * 2 + 1) = 468 terms per sample: two samples a chunk
+    monkeypatch.setattr(lab, "_CHUNK_ENTRIES", 1000)
+    assert np.array_equal(lab._matched_second_difference(vc, vm, vp), whole)
+
+
+def test_matched_second_difference_memory_independent_of_sample_count():
+    rng = np.random.default_rng(9)
+    peaks = []
+    for samples in (1, 16):
+        vc, vm, vp = (rng.normal(size=(samples, 5, 1)) for _ in range(3))
+        tracemalloc.start()
+        try:
+            lab._matched_second_difference(vc, vm, vp)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < lab._CHUNK_ENTRIES * 8
 
 
 # ---------------------------------------------------------------------------

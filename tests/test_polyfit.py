@@ -5,12 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from qvalued import polyfit
 from qvalued.errors import InsufficientSamplesError, RecenterError
 from qvalued.geometry import Domain, QuadratureGrid, neighbour_table
-from qvalued.points import AqPoint, SampledQFunction, _permutation_table, metric_g
+from qvalued.points import (
+    AqPoint,
+    SampledQFunction,
+    _permutation_table,
+    match_batch,
+    metric_g,
+)
 from qvalued.polyfit import (
     FitConfig,
     QPolynomial,
@@ -26,6 +34,8 @@ from qvalued.polyfit import (
 from qvalued.polyfit import (
     _EXTRAP_WEIGHTS,
     _alternate,
+    _chain_matches,
+    _extrapolate,
     _lattice_directions,
     _propagated_labels,
     _spectral_ranks,
@@ -359,7 +369,7 @@ def _reference_propagated_labels(points, values, resolution, start_labels, order
         for b in range(a + 1, Q):
             diff = values[:, a, :] - values[:, b, :]
             gaps = np.minimum(gaps, np.einsum("sm,sm->s", diff, diff))
-    heap, counter, repushes = [], [0], np.zeros(S, dtype=int)
+    heap, counter = [], [0]
 
     def push(s):
         got = predict(s)
@@ -390,11 +400,9 @@ def _reference_propagated_labels(points, values, resolution, start_labels, order
         pred, chain_len = predict(s)
         if chain_len != -neg_len:
             lab, margin = match(s, pred)
-            if repushes[s] < 16:
-                repushes[s] += 1
-                heapq.heappush(heap, (-chain_len, -margin, counter[0], s, lab))
-                counter[0] += 1
-                continue
+            heapq.heappush(heap, (-chain_len, -margin, counter[0], s, lab))
+            counter[0] += 1
+            continue
         commit(s, lab)
     return labels
 
@@ -428,20 +436,119 @@ def test_neighbour_table_matches_dict_lookup(name):
     assert np.array_equal(table, expected)
 
 
+def _two_branch_field(points):
+    """+-r^1.5 e^{1.5 i theta} in the leading plane: the branches coincide at
+    the origin (zero margins) and their sheets cross along rays, where
+    order-0 tracking along a lattice line breaks."""
+    r = np.linalg.norm(points[:, :2], axis=1)
+    th = 1.5 * np.arctan2(points[:, 1], points[:, 0])
+    b = (r ** 1.5)[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
+    return np.stack([b, -b], axis=1)
+
+
+def _assert_labels_match_reference(grid, vals, orders):
+    ranks = _spectral_ranks(vals)
+    for order in orders:
+        got = _propagated_labels(grid.points, vals, grid.resolution, ranks, order)
+        want = _reference_propagated_labels(grid.points, vals, grid.resolution,
+                                            ranks, order)
+        assert np.array_equal(got, want), (vals.shape, order)
+
+
 @pytest.mark.parametrize("name", sorted(PROPAGATION_GRIDS))
 def test_propagated_labels_match_reference(name):
     grid = PROPAGATION_GRIDS[name]()
     rng = np.random.default_rng(12)
     for q, m, k, noise in ((2, 1, 1, 0.0), (3, 2, 2, 0.0), (2, 3, 1, 0.05),
-                           (4, 1, 3, 0.0), (7, 1, 1, 0.0)):
+                           (4, 1, 3, 0.0), (7, 1, 1, 0.0), (3, 2, 2, 0.05)):
         vals = random_qpolynomial(rng, grid.dim, m, q, k).eval(grid.points)
         vals = vals + noise * rng.normal(size=vals.shape)
-        ranks = _spectral_ranks(vals)
-        for order in (0, k):
-            got = _propagated_labels(grid.points, vals, grid.resolution, ranks, order)
-            want = _reference_propagated_labels(grid.points, vals, grid.resolution,
-                                                ranks, order)
-            assert np.array_equal(got, want), (q, m, k, order)
+        _assert_labels_match_reference(grid, vals, (0, k))
+    _assert_labels_match_reference(grid, _two_branch_field(grid.points), (1, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 7]), m=st.integers(1, 2), k=st.integers(0, 3),
+       order=st.integers(0, 3), data=st.sampled_from(["exact", "noisy", "integer"]),
+       holes=st.floats(0.0, 0.3), seed=st.integers(0, 2 ** 16))
+def test_propagated_labels_match_reference_on_small_grids(q, m, k, order, data,
+                                                          holes, seed):
+    rng = np.random.default_rng(seed)
+    full = Domain.ball(2, 1.0).sample(1.0 / 4.0)
+    keep = rng.random(full.size) >= holes  # holes split the lattice: reseeds
+    grid = QuadratureGrid(full.points[keep], full.weights[keep], full.resolution)
+    vals = random_qpolynomial(rng, 2, m, q, k).eval(grid.points)
+    if data == "noisy":
+        vals = vals + 0.05 * rng.normal(size=vals.shape)
+    elif data == "integer":  # small integers: exact ties between pairings
+        vals = np.round(2.0 * vals)
+    _assert_labels_match_reference(grid, vals, (order,))
+
+
+def test_propagation_serves_most_chains_from_the_table(monkeypatch):
+    """The inputs of the reference test reach both paths: the chain table
+    (for 2 <= Q <= 6) and matching at push time (ties, broken tracking,
+    and every chain for Q = 7)."""
+    grid = PROPAGATION_GRIDS["ball"]()
+    matched_now = []
+    tables = []
+    original_match, original_table = polyfit.match_batch, polyfit._chain_matches
+
+    def counting_table(*args):
+        tables.append(args[1].shape)
+        monkeypatch.setattr(polyfit, "match_batch", original_match)
+        try:
+            return original_table(*args)
+        finally:
+            monkeypatch.setattr(polyfit, "match_batch", counting_match)
+
+    def counting_match(a, b):
+        matched_now.append(len(a))
+        return original_match(a, b)
+
+    monkeypatch.setattr(polyfit, "_chain_matches", counting_table)
+    monkeypatch.setattr(polyfit, "match_batch", counting_match)
+    vals = _two_branch_field(grid.points)
+    _propagated_labels(grid.points, vals, grid.resolution, _spectral_ranks(vals), 1)
+    assert len(tables) == 1
+    assert 0 < sum(matched_now) < grid.size // 10
+    tables.clear()
+    matched_now.clear()
+    vals = random_qpolynomial(np.random.default_rng(3), 2, 1, 7, 1).eval(grid.points)
+    _propagated_labels(grid.points, vals, grid.resolution, _spectral_ranks(vals), 1)
+    assert tables == [] and sum(matched_now) >= grid.size - 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_chain_table_agrees_with_matching_in_any_common_frame(q):
+    """A tabled pairing composed with a common branch permutation P is what
+    match_batch gives for the chain labelled by its frames composed with P.
+    For Q = 2 the margin is bit-identical; for Q >= 3 the pairing totals
+    are summed in another branch order, so it may differ in its last bits."""
+    grid = Domain.ball(2, 1.0).sample(1.0 / 8.0)
+    rng = np.random.default_rng(40 + q)
+    vals = random_qpolynomial(rng, 2, 2, q, 2).eval(grid.points)
+    vals = vals + 0.05 * rng.normal(size=vals.shape)
+    depth = 3
+    table = neighbour_table(grid.points, grid.resolution, _signed_dirs(2), depth)
+    extrap = np.zeros((depth + 1, depth))
+    for length in range(1, depth + 1):
+        extrap[length, :length] = _EXTRAP_WEIGHTS[length]
+    ranks, margins, frames = _chain_matches(vals, table, extrap)
+    t, d, step = np.nonzero(margins > 0.0)
+    assert t.size > 0.9 * np.count_nonzero(table >= 0)
+    perms = _permutation_table(q)
+    common = perms[rng.integers(len(perms), size=t.size)]
+    cells = table[t, d]
+    chain_labels = np.take_along_axis(perms[frames[t, d]], common[:, None, :], axis=2)
+    pred = _extrapolate(extrap, vals[cells[:, :, None], chain_labels], step + 1)
+    labs, cost, gap = match_batch(vals[t], pred)
+    assert np.array_equal(labs, np.take_along_axis(perms[ranks[t, d, step]], common, axis=1))
+    if q == 2:
+        assert np.array_equal(gap, margins[t, d, step])
+    else:
+        bound = q * np.finfo(float).eps * (cost + gap)
+        assert np.all(np.abs(gap - margins[t, d, step]) <= bound)
 
 
 @pytest.mark.parametrize("q", [2, 3, 7])
