@@ -20,7 +20,6 @@ Exponent chain (all certificates):
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -421,8 +420,8 @@ def _free_centers(u, bad_points, min_nodes_radius, cap=12):
 
 
 def audit_hypothesis(us, h, s, which, mu=None, tol=DEFAULT_AUDIT_TOL,
-                     cfg=None, min_nodes_radius=8.0, threads=1,
-                     coarse_only=False, fits=None):
+                     cfg=None, min_nodes_radius=8.0, coarse_only=False,
+                     fits=None):
     """Evaluate one part of the decay premise on sampled data.
 
     which = "I": contraction at base-set points (joint across components).
@@ -432,14 +431,14 @@ def audit_hypothesis(us, h, s, which, mu=None, tol=DEFAULT_AUDIT_TOL,
     Per center and per admissible dyadic scale pair, both sides of the
     premise are computed by quadrature; ratios above 1 + tol are reported
     as violations with their location and scales.  `fits` can carry
-    precomputed comparison polynomials keyed by point tuples.
+    precomputed comparison polynomials keyed by (point tuple, fit radius).
     """
     u_list = _as_list(us)
     mu = h.mu if mu is None else mu
     fits = {} if fits is None else fits
 
     def fit_at(center, rho_top):
-        key = tuple(np.round(np.asarray(center, float), 12))
+        key = (tuple(np.round(np.asarray(center, float), 12)), float(rho_top))
         if key not in fits:
             fits[key] = [
                 _limit_fit(u, center, rho_top, h.k, h.q_exp, cfg,
@@ -487,7 +486,7 @@ def audit_hypothesis(us, h, s, which, mu=None, tol=DEFAULT_AUDIT_TOL,
                                      mu, h, rho_top, tol, min_nodes_radius,
                                      coarse_only)
 
-            return _run_audit(jobs, task, which, beta, tol, threads)
+            return _run_audit(jobs, task, which, beta, tol)
         beta = 1.0 if h.beta2 is None else h.beta2
         centers = s.free_points if s.free_points is not None else \
             _free_centers(u_list[0], s.base, min_nodes_radius)
@@ -511,7 +510,8 @@ def audit_hypothesis(us, h, s, which, mu=None, tol=DEFAULT_AUDIT_TOL,
         base_fams = [[fit_at(y, h.eps)[i] for y in s.base]
                      for i in range(len(u_list))]
         strat_fams = [
-            [fit_at(x1, min(0.25, _dist_to(s.base, x1)) * 0.999)[i]
+            [fit_at(x1, min(min(0.25, _dist_to(s.base, x1)) * 0.999,
+                            h.eps))[i]
              for pts in s.strata for x1 in pts]
             for i in range(len(u_list))
         ]
@@ -530,23 +530,19 @@ def audit_hypothesis(us, h, s, which, mu=None, tol=DEFAULT_AUDIT_TOL,
                                  h.beta_tildes[i], mu, h, rho_top, tol,
                                  min_nodes_radius, coarse_only)
 
-        return _run_audit(jobs, task, which, beta, tol, threads)
+        return _run_audit(jobs, task, which, beta, tol)
     else:
         raise ValueError("which must be I, II, or III")
 
-    return _run_audit(list(centers), task, which, beta, tol, threads)
+    return _run_audit(list(centers), task, which, beta, tol)
 
 
-def _run_audit(jobs, task, which, beta, tol, threads):
+def _run_audit(jobs, task, which, beta, tol):
     checked = 0
     violations = []
     worst = 0.0
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(task, jobs))
-    else:
-        results = [task(j) for j in jobs]
-    for c, v, w in results:
+    for job in jobs:
+        c, v, w = task(job)
         checked += c
         violations.extend(v)
         worst = max(worst, w)
@@ -566,9 +562,8 @@ class CertifyOutcome:
 
 
 def end_to_end_certify(us, s, k, q_exp, mu_claim, eps=0.2,
-                       tol=DEFAULT_AUDIT_TOL, cfg=None, threads=1,
-                       offset_window=4, min_nodes_radius=8.0,
-                       soundness_depth=4):
+                       tol=DEFAULT_AUDIT_TOL, cfg=None, offset_window=4,
+                       min_nodes_radius=8.0, soundness_depth=4):
     """Calibrate, audit, and certify in one pass.
 
     The hypothesis constants are first calibrated on coarse scale pairs
@@ -597,7 +592,7 @@ def end_to_end_certify(us, s, k, q_exp, mu_claim, eps=0.2,
     for which in parts:
         rep = audit_hypothesis(u_list, base_h, s, which, tol=tol, cfg=cfg,
                                min_nodes_radius=min_nodes_radius,
-                               threads=threads, coarse_only=True, fits=fits)
+                               coarse_only=True, fits=fits)
         calibrated[which] = max(rep.worst_ratio, 1.0) * (1.0 + tol)
     if s.n_strata:
         h = replace(base_h, beta0=calibrated["I"],
@@ -609,8 +604,7 @@ def end_to_end_certify(us, s, k, q_exp, mu_claim, eps=0.2,
     refused = False
     for which in parts:
         rep = audit_hypothesis(u_list, h, s, which, tol=tol, cfg=cfg,
-                               min_nodes_radius=min_nodes_radius,
-                               threads=threads, fits=fits)
+                               min_nodes_radius=min_nodes_radius, fits=fits)
         audits.append(rep)
         if not rep.clean:
             refused = True

@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 input or parse error, 3 numeric failure,
 4 certificate refusal.  All randomness sits behind --seed, so repeated runs
-with the same flags produce byte-identical outputs.  AQC_THREADS caps the
-worker threads handed to the library.
+with the same flags produce byte-identical outputs.
 """
 
 import argparse
@@ -22,14 +21,6 @@ from .polyfit import FitConfig, best_fit
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_REFUSED = 4
-
-
-def _threads():
-    raw = os.environ.get("AQC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError("AQC_THREADS must be an integer, got %r" % raw) from None
 
 
 def _read_samples(path, resolution=None):
@@ -55,7 +46,7 @@ def _csv_sibling(out):
 def cmd_fit(args):
     u = _read_samples(args.infile, args.resolution)
     center, radius = _region(args, u)
-    cfg = FitConfig(seed=args.seed, threads=_threads())
+    cfg = FitConfig(seed=args.seed)
     res = best_fit(u, center, radius, args.k, args.q, cfg)
     io.write_polynomial_json(
         args.out, res.polynomial, residual=res.residual,
@@ -72,7 +63,7 @@ def cmd_fit(args):
 def cmd_excess(args):
     u = _read_samples(args.infile, args.resolution)
     center, radius = _region(args, u)
-    cfg = FitConfig(seed=args.seed, threads=_threads())
+    cfg = FitConfig(seed=args.seed)
     prof = campanato.excess_profile(
         u, center, args.k, args.q,
         dyadic_ladder(radius, args.ladder_depth - 1), cfg
@@ -91,7 +82,7 @@ def cmd_excess(args):
 def cmd_seminorm(args):
     u = _read_samples(args.infile, args.resolution)
     center, radius = _region(args, u)
-    cfg = FitConfig(seed=args.seed, threads=_threads())
+    cfg = FitConfig(seed=args.seed)
     rep = campanato.campanato_seminorm(
         u, args.k, args.q, args.lam, [center],
         dyadic_ladder(radius, args.ladder_depth - 1), cfg
@@ -112,7 +103,7 @@ def cmd_seminorm(args):
 def cmd_exponent(args):
     u = _read_samples(args.infile, args.resolution)
     center, radius = _region(args, u)
-    cfg = FitConfig(seed=args.seed, threads=_threads())
+    cfg = FitConfig(seed=args.seed)
     fit = campanato.decay_exponent(
         u, center, args.k, args.q,
         dyadic_ladder(radius, args.ladder_depth - 1), cfg
@@ -161,11 +152,11 @@ def cmd_lab_generate(args):
     f = _lab_function(args)
     if args.domain:
         dom, res = io.read_domain_json(args.domain)
-        resolution = args.resolution or res
+        resolution = res if args.resolution is None else args.resolution
     else:
         dom = Domain.ball(f.n, 1.0)
         resolution = args.resolution
-    grid = dom.sample(resolution or 1.0 / 64.0)
+    grid = dom.sample(1.0 / 64.0 if resolution is None else resolution)
     u = SampledQFunction.from_function(grid, f.eval, f.q, f.m)
     if str(args.out).endswith(".json"):
         io.write_samples_json(args.out, u)

@@ -103,6 +103,9 @@ class QuadratureGrid:
             raise ValueError("points and weights must be finite")
         if np.any(wts <= 0):
             raise ValueError("weights must be positive")
+        if not (np.isfinite(self.resolution) and self.resolution > 0):
+            raise ValueError("resolution must be positive and finite, got %r"
+                             % (self.resolution,))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
 

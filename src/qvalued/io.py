@@ -93,7 +93,7 @@ def _infer_resolution(points):
 def _samples_from_arrays(points, values, resolution=None):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.asarray(values, dtype=float)
-    h = float(resolution) if resolution else _infer_resolution(points)
+    h = _infer_resolution(points) if resolution is None else float(resolution)
     weights = np.full(points.shape[0], h ** points.shape[1])
     grid = QuadratureGrid(points, weights, h)
     return SampledQFunction(grid, values)

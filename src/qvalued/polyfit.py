@@ -24,8 +24,8 @@ composing permutation ranks in pure Python.  The rest (ties, chains that
 lost their frames where sheets cross, and Q = 1 or Q above the enumeration
 limit, where no table is built) are predicted and matched when pushed, all
 neighbours of a newly labelled cell in one batched call.  Both paths give
-the same labels.  Starts are built lazily, so a serial fit that reaches
-the rounding floor never computes the starts after it.
+the same labels.  Starts are built lazily, so a fit that reaches the
+rounding floor never computes the starts after it.
 """
 
 from __future__ import annotations
@@ -237,7 +237,6 @@ class FitConfig:
     irls_floor: float = 1e-9
     seed: int = 0
     zero_constant: bool = False
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -640,14 +639,18 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     Restricts u to the ball, then minimizes the weighted sum of matching
     distances to the q_exp power via alternating assignment and regression,
     multi-started from sorted, lattice-propagated, and random labelings.
-    Starts are built lazily, in that order: the serial path stops at the
+    Starts are built lazily, in that order, and the loop stops at the
     first start whose objective reaches the rounding floor, so later starts
-    (the propagations included) are never computed; with cfg.threads > 1
-    every start is built and run.  Returns a FitResult; its residual is the
-    attained weighted objective and its `starts` the number of scheduled
-    starts, however many ran.
+    (the propagations included) are never computed.  q_exp must be finite
+    and at least 1, k non-negative.  Returns a FitResult; its residual is
+    the attained weighted objective and its `starts` the number of
+    scheduled starts, however many ran.
     """
     cfg = cfg or FitConfig()
+    if not (math.isfinite(q_exp) and q_exp >= 1.0):
+        raise ValueError("q_exp must be finite and at least 1, got %r" % q_exp)
+    if k < 0:
+        raise ValueError("degree k must be non-negative, got %r" % k)
     if isinstance(u, SampledQFunction):
         sub = u.restrict(center, radius)
     else:
@@ -695,34 +698,17 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     mass = float(np.sum(weights * np.einsum("sqm,sqm->s", values, values)))
     exact_floor = (100.0 * np.finfo(float).eps) ** 2 * max(mass, 1e-300)
 
-    def run(labels0):
-        return _alternate(design, values, weights, labels0.copy(), q_exp, cfg)
-
-    if cfg.threads > 1 and scheduled > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(run, list(inits())))
-    else:
-        outcomes = []
-        for labels0 in inits():
-            outcomes.append(run(labels0))
-            if outcomes[-1][2] <= exact_floor:
-                break
-
-    # Selection is order-aware and thread-count independent: the first start
-    # reaching the rounding floor wins outright, otherwise the best
-    # objective with lexicographic coefficients as the tie-break.
-    best = None
-    for coeffs, labels, obj, conv, iters in outcomes:
-        key = (obj, coeffs.tobytes())
-        if best is None or key < best[0]:
-            best = (key, coeffs, obj, conv, iters)
-        if obj <= exact_floor:
-            best = (key, coeffs, obj, conv, iters)
+    outcomes = []
+    for labels0 in inits():
+        outcomes.append(_alternate(design, values, weights, labels0, q_exp, cfg))
+        if outcomes[-1][2] <= exact_floor:
             break
 
-    _, coeffs, obj, conv, iters = best
+    # Every outcome before one at the floor lies above it, so the least
+    # objective, with lexicographic coefficients as the tie-break, also
+    # picks that one.
+    coeffs, _, obj, conv, iters = min(
+        outcomes, key=lambda o: (o[2], o[0].tobytes()))
     full = np.zeros((Q, sub.m, len(multi_indices(center.shape[0], k))))
     if cfg.zero_constant:
         all_idx = multi_indices(center.shape[0], k)

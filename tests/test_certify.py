@@ -227,9 +227,24 @@ def test_audit_branch_point_with_limit_polynomial(branch_sample):
     zero = QPolynomial(np.zeros(2), 1, np.zeros((2, 2, K)))
     h = DecayHypothesis(n=2, k=1, q_exp=2.0, mu=0.5, eps=0.2, beta1=1.05)
     rep = audit_hypothesis(branch_sample, h, s, "I",
-                           fits={(0.0, 0.0): [zero]})
+                           fits={((0.0, 0.0), h.eps): [zero]})
     assert rep.clean
     assert rep.worst_ratio == pytest.approx(1.0, abs=0.05)
+
+
+def test_part_three_does_not_depend_on_part_two_fits():
+    # part II fits the stratum point at its eps-capped radius; part III
+    # must use that radius too, so sharing the fit cache changes nothing
+    grid = Domain.ball(2, 1.0).sample(1.0 / 80.0)
+    u = SampledQFunction(grid, branch_pair_values(grid.points))
+    s = Stratification(base=[[0.0, 0.0]], strata=([[0.5, 0.0]],),
+                       free_points=[[-0.5, 0.3], [0.1, -0.6]])
+    h = DecayHypothesis(n=2, k=1, q_exp=2.0, mu=0.5, beta0=1.0, betas=(1.0,),
+                        beta_tildes=(1.0,))
+    alone = audit_hypothesis(u, h, s, "III")
+    fits = {}
+    audit_hypothesis(u, h, s, "II", fits=fits)
+    assert audit_hypothesis(u, h, s, "III", fits=fits) == alone
 
 
 def test_end_to_end_certifies_branch_pair(branch_sample):

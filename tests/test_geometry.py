@@ -171,5 +171,8 @@ def test_grid_construction_guards():
             QuadratureGrid(np.zeros((2, 2)), np.array([1.0, bad]), 0.1)
         with pytest.raises(ValueError, match="finite"):
             QuadratureGrid(np.array([[0.0, 0.0], [bad, 0.0]]), np.ones(2), 0.1)
+    for bad in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="resolution"):
+            QuadratureGrid(np.zeros((2, 2)), np.ones(2), bad)
     with pytest.raises(BelowResolutionError):
         Domain.ball(2, 1.0).sample(1.5)

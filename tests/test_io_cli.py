@@ -175,7 +175,7 @@ def test_cli_fit_deterministic_replay(tmp_path, bp_csv):
     assert main(base + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     center, radius = io.bounding_ball(u)
-    res = best_fit(u, center, radius, 1, 2.0, FitConfig(seed=3, threads=1))
+    res = best_fit(u, center, radius, 1, 2.0, FitConfig(seed=3))
     lib = tmp_path / "lib.json"
     io.write_polynomial_json(
         lib, res.polynomial, residual=res.residual,
@@ -221,18 +221,6 @@ def test_cli_exit_codes(tmp_path, bp_csv):
         assert not out.exists()
 
 
-def test_cli_reports_independent_of_thread_count(tmp_path, bp_csv, monkeypatch):
-    src, _ = bp_csv
-    for command in ("fit", "exponent"):
-        reports = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("AQC_THREADS", threads)
-            out = tmp_path / ("%s-%s.json" % (command, threads))
-            assert main([command, "--in", str(src), "--out", str(out)]) == 0
-            reports.append(out.read_bytes())
-        assert reports[0] == reports[1], command
-
-
 def test_non_finite_samples_exit_as_input_errors(tmp_path, bp_csv):
     src, u = bp_csv
     # one value inside the fitted ball becomes NaN
@@ -256,19 +244,38 @@ def test_non_finite_samples_exit_as_input_errors(tmp_path, bp_csv):
     assert main(["fit", "--in", str(js), "--out", str(out)]) == 2
 
 
+def test_cli_refuses_non_positive_resolution(tmp_path, bp_csv):
+    src, u = bp_csv
+    out = tmp_path / "o.json"
+    for res in ("0", "-0.0625"):
+        assert main(["fit", "--in", str(src), "--out", str(out),
+                     "--resolution", res]) == 2
+        assert not out.exists()
+        assert main(["lab", "generate", "--kind", "wall_pair", "--out",
+                     str(tmp_path / "g.csv"), "--resolution", res]) == 2
+        assert not (tmp_path / "g.csv").exists()
+    js = tmp_path / "zero.json"
+    io.write_samples_json(js, u)
+    obj = json.loads(js.read_text())
+    obj["resolution"] = 0
+    js.write_text(json.dumps(obj))
+    assert main(["fit", "--in", str(js), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_refuses_undefined_exponent_or_degree(tmp_path, bp_csv):
+    src, _ = bp_csv
+    out = tmp_path / "o.json"
+    for flags in (["--q", "0"], ["--q", "-2"], ["--q", "nan"], ["--k", "-1"]):
+        assert main(["fit", "--in", str(src), "--out", str(out)] + flags) == 2
+        assert not out.exists()
+
+
 def test_cli_exit_numeric_on_starved_ladder(tmp_path, bp_csv):
     src, _ = bp_csv
     rc = main(["exponent", "--in", str(src), "--out",
                str(tmp_path / "o.json"), "--resolution", "0.5"])
     assert rc == 3
-
-
-def test_cli_threads_env_validation(tmp_path, bp_csv, monkeypatch):
-    src, _ = bp_csv
-    monkeypatch.setenv("AQC_THREADS", "not-a-number")
-    rc = main(["fit", "--in", str(src), "--out", str(tmp_path / "o.json"),
-               "--k", "1"])
-    assert rc == 2
 
 
 def test_cli_certify_golden(tmp_path):

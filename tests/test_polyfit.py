@@ -583,9 +583,6 @@ def test_serial_fit_stops_before_propagating(fit_grid, monkeypatch):
     assert res.residual <= 1e-20
     assert calls == []
     assert res.starts == 2 + 1 + FitConfig().restarts
-    pooled = best_fit(u, np.zeros(2), 1.1, 1, 2.0, FitConfig(threads=2))
-    assert calls == [0, 1]
-    assert pooled.starts == res.starts
 
 
 def _r15_pair(grid):
@@ -595,16 +592,40 @@ def _r15_pair(grid):
     return SampledQFunction(grid, np.stack([a, -a], axis=1))
 
 
-@pytest.mark.parametrize("data", ["exact", "r15"])
-def test_best_fit_independent_of_thread_count(fit_grid, data):
-    if data == "exact":
-        target = random_qpolynomial(np.random.default_rng(13), 2, 2, 3, 2)
+@pytest.mark.parametrize("q_exp", [1.0, 3.0])
+def test_reweighted_fit_interpolates_exact_samples(fit_grid, q_exp):
+    rng = np.random.default_rng(17)
+    for q, m, k in ((1, 1, 2), (2, 1, 1), (2, 2, 2), (3, 1, 1)):
+        target = random_qpolynomial(rng, 2, m, q, k)
         u = SampledQFunction(fit_grid, target.eval(fit_grid.points))
-    else:
-        u = _r15_pair(fit_grid)
-    fits = [best_fit(u, np.zeros(2), 1.1, 2, 2.0, FitConfig(threads=t))
-            for t in (1, 2)]
-    a, b = fits
-    assert np.array_equal(a.polynomial.coeffs, b.polynomial.coeffs)
-    assert (a.residual, a.iterations, a.starts, a.converged) == \
-        (b.residual, b.iterations, b.starts, b.converged)
+        res = best_fit(u, np.zeros(2), 1.1, k, q_exp)
+        gap = coefficient_metric(res.polynomial.recenter(np.zeros(2)),
+                                 target.recenter(np.zeros(2)))
+        assert gap <= 1e-8, (q, m, k)
+
+
+@pytest.mark.parametrize("q_exp", [1.0, 3.0])
+def test_reweighted_residual_is_the_matched_objective(fit_grid, q_exp):
+    u = _r15_pair(fit_grid)
+    sub = u.restrict(np.zeros(2), 1.1)
+
+    def objective(poly):
+        costs = match_batch(sub.values, poly.eval(sub.grid.points))[1]
+        return float(np.sum(sub.grid.weights * np.sqrt(costs) ** q_exp))
+
+    res = best_fit(u, np.zeros(2), 1.1, 1, q_exp)
+    assert res.residual == pytest.approx(objective(res.polynomial), rel=1e-12,
+                                         abs=0.0)
+    # reweighting must improve on the plain least-squares polynomial
+    assert res.residual < objective(best_fit(u, np.zeros(2), 1.1, 1).polynomial)
+
+
+@pytest.mark.parametrize("q_exp, k, match", [
+    (0.0, 1, "q_exp"), (-2.0, 1, "q_exp"), (0.5, 1, "q_exp"),
+    (math.nan, 1, "q_exp"), (math.inf, 1, "q_exp"), (2.0, -1, "degree"),
+])
+def test_best_fit_refuses_undefined_exponent_or_degree(fit_grid, q_exp, k,
+                                                      match):
+    u = _r15_pair(fit_grid)
+    with pytest.raises(ValueError, match=match):
+        best_fit(u, np.zeros(2), 1.1, k, q_exp)
