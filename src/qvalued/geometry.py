@@ -170,6 +170,9 @@ class Domain:
         c = np.zeros(self.n) if c is None else np.asarray(c, dtype=float).ravel()
         if c.shape[0] != self.n:
             raise DegenerateDomainError("degenerate domain: bad center")
+        if not (np.all(np.isfinite(c)) and all(
+                math.isfinite(v) for v in (self.radius, self.inner_radius, self.half_width))):
+            raise DegenerateDomainError("degenerate domain: non-finite geometry")
         object.__setattr__(self, "center", c)
         if self.kind in ("ball", "half_ball"):
             if self.radius <= 0:
@@ -248,8 +251,8 @@ class Domain:
     def sample(self, resolution):
         """Uniform cell grid over the bounding box, keeping interior centers."""
         h = float(resolution)
-        if h <= 0:
-            raise ValueError("resolution must be positive")
+        if not (math.isfinite(h) and h > 0):
+            raise ValueError("resolution must be positive and finite, got %r" % h)
         R = self._bounding_radius()
         if h > R:
             raise BelowResolutionError(

@@ -198,6 +198,19 @@ def _best_pairings(d2, perms):
     return perms[totals.argmin(axis=1)], low[:, 0], low[:, 1] - low[:, 0]
 
 
+def _swap_margins(d2, labels):
+    """Per row of d2: the gap from the pairing `labels` to the cheapest
+    pairing one transposition away, clamped at 0.  Swapping the partners
+    of b's branches i and j changes the total by
+    d2[l_i, j] + d2[l_j, i] - d2[l_i, i] - d2[l_j, j]."""
+    S, Q = labels.shape
+    rows = np.arange(S)[:, None]
+    own = d2[rows, labels, np.arange(Q)]
+    i, j = np.triu_indices(Q, 1)
+    change = d2[rows, labels[:, i], j] + d2[rows, labels[:, j], i] - own[:, i] - own[:, j]
+    return np.maximum(change.min(axis=1), 0.0)
+
+
 def match_batch(a, b):
     """Optimal branch pairing of a[s] with b[s] for every sample s.
 
@@ -209,7 +222,9 @@ def match_batch(a, b):
     order, in row chunks of at most _CHUNK_ENTRIES terms, and an exact tie
     goes to the lexicographically smallest pairing, as in
     optimal_assignment.  Above it each sample gets one exact assignment
-    solve and the margin is 0, as it is for Q = 1.
+    solve, and the margin is the gap to the cheapest pairing one
+    transposition away from the optimum, clamped at 0 against rounding.
+    For Q = 1 the margin is 0.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -218,6 +233,7 @@ def match_batch(a, b):
     S, Q, _ = a.shape
     diff = a[:, :, None, :] - b[:, None, :, :]
     d2 = np.einsum("sabm,sabm->sab", diff, diff)
+    del diff  # m times the size of d2; free it before the pairing work
     if Q == 1:
         return np.zeros((S, 1), dtype=int), d2[:, 0, 0], np.zeros(S)
     if Q == 2:
@@ -230,13 +246,13 @@ def match_batch(a, b):
         labels = np.stack([crossed, ~crossed], axis=1).astype(int)
         return labels, best, np.maximum(keep, swap) - best
     if Q > _ENUMERATION_LIMIT:
-        labels = np.empty((S, Q), dtype=int)
-        sq_cost = np.empty(S)
+        # cols[s, r]: the branch of b paired with a's branch r
+        cols = np.empty((S, Q), dtype=int)
         for s in range(S):
-            rows, cols = linear_sum_assignment(d2[s])
-            labels[s, cols] = rows
-            sq_cost[s] = d2[s][rows, cols].sum()
-        return labels, sq_cost, np.zeros(S)
+            cols[s] = linear_sum_assignment(d2[s])[1]
+        labels = np.argsort(cols, axis=1)
+        sq_cost = np.take_along_axis(d2, cols[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+        return labels, sq_cost, _swap_margins(d2, labels)
     perms = _permutation_table(Q)
     if S * perms.size <= _CHUNK_ENTRIES:
         return _best_pairings(d2, perms)

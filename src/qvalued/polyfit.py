@@ -12,20 +12,14 @@ polynomials by (weighted) least squares.  For exponents other than 2 the
 refit is iteratively reweighted with a floored weight.
 
 The alternation is multi-started.  Besides spectral and random labelings,
-starts come from label propagation over the sample lattice: a
-quality-guided region growing (Herraez et al. 2002; a heap of frontier
-cells ordered by chain length and match margin) that looks neighbours up
-in one precomputed neighbour-index table.  Before the walk, the prediction
-of every lattice chain is matched in one chunked pass, with the chain put
-in the branch frames that order-0 tracking along its line gives; during
-the walk a candidate whose chain still carries those frames (up to one
-common permutation) takes its pairing and margin from that table by
-composing permutation ranks in pure Python.  The rest (ties, chains that
-lost their frames where sheets cross, and Q = 1 or Q above the enumeration
-limit, where no table is built) are predicted and matched when pushed, all
-neighbours of a newly labelled cell in one batched call.  Both paths give
-the same labels.  Starts are built lazily, so a fit that reaches the
-rounding floor never computes the starts after it.
+starts come from label propagation over the sample lattice: labels composed
+along a maximum-margin spanning forest (quality-guided growing as a
+spanning tree over edges sorted by reliability, Herraez et al. 2002).
+Every lattice edge is weighed by matching one cell against the Newton
+extrapolation of the lattice chain beyond its neighbour, in chunked
+`match_batch` calls; scipy's csgraph takes the forest, and pointer jumping
+composes the pairings down it.  Starts are built lazily, so a fit that
+reaches the rounding floor never computes the starts after it.
 """
 
 from __future__ import annotations
@@ -38,13 +32,7 @@ import numpy as np
 
 from .errors import InsufficientSamplesError, RecenterError
 from .geometry import neighbour_table
-from .points import (
-    _ENUMERATION_LIMIT,
-    AqPoint,
-    SampledQFunction,
-    _permutation_table,
-    match_batch,
-)
+from .points import AqPoint, SampledQFunction, match_batch
 
 __all__ = [
     "multi_indices",
@@ -313,17 +301,20 @@ def _lattice_directions(n):
     return dirs
 
 
-# Entries in the largest transient array of one chain-table pass: the
-# precompute's scratch memory stays fixed as the grid grows.
+# Entries in the largest transient array of one chunk of chain matches:
+# the scratch memory of a propagation stays fixed as the grid grows.
 _TABLE_CHUNK_ENTRIES = 1 << 14
+
+# Forests grown at order k after the order-0 one: the first frames its
+# chains by the order-0 labels, the second by the first one's.
+_ORDER_K_PASSES = 2
 
 
 def _extrapolate(extrap, chains, lengths):
     """Newton extrapolation along (N, depth, Q, m) chains with the weights
-    extrap[lengths], summed term by term in chain order: the rounding of a
-    sum over one cell at a time.  Zero-weight padding terms add signed
-    zeros, which leave every squared difference to the prediction
-    unchanged."""
+    extrap[lengths], summed term by term in chain order.  Zero-weight
+    padding terms add signed zeros, which leave every squared difference
+    to the prediction unchanged."""
     terms = extrap[lengths][..., None, None] * chains
     pred = terms[:, 0]
     for j in range(1, chains.shape[1]):
@@ -331,281 +322,129 @@ def _extrapolate(extrap, chains, lengths):
     return pred
 
 
-def _perm_rank(perms):
-    """Lexicographic rank of each row of an (N, Q) array of permutations
-    (its Lehmer code read in the factorial base)."""
-    q = perms.shape[1]
-    later_smaller = np.triu(perms[:, None, :] < perms[:, :, None], 1).sum(axis=2)
-    return later_smaller @ np.array([math.factorial(q - 1 - i) for i in range(q)])
+def _chain_pairings(values, cells, chains, frames, extrap):
+    """Match each cell against the prediction of its lattice chain.
 
-
-class _Compositions(dict):
-    """Ranks in a lexicographic permutation table, composed on demand:
-    self[a, b] is the rank of perms[a][perms[b]], perms[a] applied after
-    perms[b]."""
-
-    def __init__(self, perms):
-        super().__init__()
-        self.perms = [tuple(p) for p in perms.tolist()]
-        self.rank_of = {p: r for r, p in enumerate(self.perms)}
-
-    def __missing__(self, key):
-        outer, inner = (self.perms[r] for r in key)
-        got = self[key] = self.rank_of[tuple([outer[i] for i in inner])]
-        return got
-
-
-def _chain_matches(values, table, extrap):
-    """Match the prediction of every lattice chain against its cell.
-
-    For each cell t, direction d and chain length L <= depth the chain
-    t+d, ..., t+Ld is put in the branch frames that order-0 tracking along
-    its line gives: the first cell keeps its own branch order, and each
-    further cell takes the pairing of its depth-1 match against its
-    predecessor (the L = 1 entries, computed first).  The Newton
-    prediction from the framed chain is matched against values[t] with
-    `match_batch`, in chunks of rows.
-
-    Returns three (S, D, depth) arrays, indexed like `table`: the rank of
-    the best pairing in the lexicographic permutation table, its margin,
-    and the frame rank of the chain's cell at that step.  The margin is 0
-    where the chain leaves the grid and where the best pairing beats the
-    runner-up by no more than the rounding of a pairing total.
+    Row i predicts values[cells[i]] from the chain chains[i] (cell indices,
+    -1 off the grid), its in-grid run L taken in the branch frames `frames`
+    (values[c][frames[c]] for chain cell c), and matches it with
+    `match_batch` in row chunks of at most _TABLE_CHUNK_ENTRIES values.
+    Returns int8 pairings P with values[cell][P[j]] matched to
+    values[first chain cell][j], int8 run lengths, and relative margins
+    gap / (sq_cost + gap) (0 where both vanish).
     """
-    S, D, depth = table.shape
+    N, depth = chains.shape
     Q, m = values.shape[1:]
-    perms = _permutation_table(Q)
-    ranks = np.zeros((S, D, depth), dtype=np.int16)
-    margins = np.zeros((S, D, depth))
-    frames = np.zeros((S, D, depth), dtype=np.int16)
-    # one row per (cell, direction), as in the walk
-    lines, rank_rows, margin_rows, frame_rows = (
-        a.reshape(S * D, depth) for a in (table, ranks, margins, frames))
-    widest = max(max(depth, Q) * Q * m, math.factorial(Q) * Q)
-    step = max(_TABLE_CHUNK_ENTRIES // widest, 1)
-    chunks = [slice(lo, min(lo + step, S * D)) for lo in range(0, S * D, step)]
-    tie = Q * np.finfo(float).eps
-
-    def match(rows, length, chains):
-        labs, cost, gap = match_batch(values[np.arange(rows.start, rows.stop) // D],
-                                      _extrapolate(extrap, chains, length))
-        rank_rows[rows, length - 1] = _perm_rank(labs)
-        whole = np.all(lines[rows, :length] >= 0, axis=1)
-        margin_rows[rows, length - 1] = np.where(whole & (gap > tie * (cost + gap)),
-                                                 gap, 0.0)
-
-    for rows in chunks:
-        match(rows, 1, values[lines[rows]])
-    if depth == 1:
-        return ranks, margins, frames
-    back = np.arange(D) ^ 1  # directions come in (d, -d) pairs
-    for rows in chunks:
-        cells = lines[rows]
-        behind = back[np.arange(rows.start, rows.stop) % D]
-        for j in range(1, depth):
-            edge = rank_rows[cells[:, j] * D + behind, 0]
-            frame_rows[rows, j] = _perm_rank(np.take_along_axis(
-                perms[edge], perms[frame_rows[rows, j - 1]], axis=1))
-        chains = values[cells[:, :, None], perms[frame_rows[rows]]]
-        for length in range(2, depth + 1):
-            match(rows, length, chains)
-    return ranks, margins, frames
+    lengths = np.cumprod(chains >= 0, axis=1).sum(axis=1).astype(np.int8)
+    pairings = np.empty((N, Q), dtype=np.int8)
+    margins = np.zeros(N)
+    step = max(_TABLE_CHUNK_ENTRIES // (max(depth, Q) * Q * m), 1)
+    for lo in range(0, N, step):
+        run = chains[lo:lo + step]
+        labs, cost, gap = match_batch(
+            values[cells[lo:lo + step]],
+            _extrapolate(extrap, values[run[..., None], frames[run]], lengths[lo:lo + step]))
+        # from the chain's frames back to its first cell's raw branches
+        np.put_along_axis(pairings[lo:lo + step], frames[run[:, 0]], labs, axis=1)
+        np.divide(gap, cost + gap, out=margins[lo:lo + step], where=cost + gap > 0)
+    return pairings, lengths, margins
 
 
 def _propagated_labels(points, values, resolution, start_labels, order=0):
-    """Labels grown over the sample lattice, most confident cells first.
+    """Labels composed along a maximum-margin spanning forest of the sample
+    lattice (quality-guided unwrapping as a spanning tree over edges sorted
+    by reliability: Herraez et al. 2002, Ghiglia & Pritt 1998, ch. 4).
 
-    Each unlabeled frontier cell is matched against degree-`order` Newton
-    extrapolations of already-labeled cells along lattice lines.  Branch
-    restrictions to lattice lines are 1-D polynomials, so with order >= fit
-    degree the prediction is exact for polynomial data.  Cells whose match
-    is ambiguous (small margin between the best and second-best pairing,
-    which happens where branch sheets cross) are deferred until their
-    neighborhoods are labeled and the longest, best-conditioned chains are
-    available.  Order 0 degenerates to nearest-value tracking, the stabler
-    choice for rough data.  A cell whose chain grew while it waited is
-    matched again and requeued; chain length never shrinks and stops at
-    the depth, so the walk ends.
+    Every lattice edge {t, t + d} (from `geometry.neighbour_table`) is
+    weighed by matching a cell against the Newton extrapolation of the
+    chain t + d, ..., t + Ld running away from it, L its in-grid run of at
+    most order + 1 cells; the key is (L, relative margin), longer first.
+    Branch restrictions to lattice lines are 1-D polynomials, so with
+    order >= fit degree the prediction is exact for polynomial data, and a
+    small margin flags an ambiguous match, as where branch sheets cross.
+    Of the two directions of an edge the better key is kept (at order 0
+    one direction serves: the pairing only inverts).  csgraph's minimum
+    spanning tree on the key ranks, all distinct, gives the unique
+    heaviest forest.  Each component is rooted where the branches are
+    farthest apart (the first such cell), and the root takes its start
+    labels; one breadth-first order from a virtual node joined to every
+    root gives the parents, and pointer jumping composes the pairings
+    down the forest in log-depth numpy steps.
 
-    Lattice lookups go through one neighbour-index table built up front
-    (`geometry.neighbour_table`); labelled cells are flagged in a bytearray.
-    For 2 <= Q <= `points._ENUMERATION_LIMIT`, every chain prediction is
-    matched before the walk (`_chain_matches`) in the frame that order-0
-    tracking gives its cells.  If a chain's labels are those frames up to
-    one common permutation P, its prediction is the tabled one with
-    branches permuted by P, so the table's pairing composed with P and the
-    table's margin are what matching now would give: composing ranks is
-    pure Python.  The labels are the same; for Q >= 3 a margin can differ
-    in its last bit, since the pairing totals are summed in another branch
-    order.  Every other candidate (a tie or near-tie, a chain that left
-    its frames near a branch crossing, Q = 1 or Q above the limit, where
-    `match_batch` gives no margin, and all of them when no chain has a
-    positive margin, as where branches coincide everywhere) is predicted
-    from the labels and matched when it is pushed, all unlabelled
-    neighbours of a newly labelled cell in one `match_batch` call.
-    Neither path changes a priority: the pushes see the same labels either
-    way.
+    Order 0 degenerates to nearest-value tracking, the stabler choice for
+    rough data.  At order k the chains need branch frames: the order-0
+    forest's labels frame the first of _ORDER_K_PASSES further forests,
+    and each forest's labels frame the next.
     """
-    import heapq
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import (
+        breadth_first_order,
+        connected_components,
+        minimum_spanning_tree,
+    )
 
     S, Q, m = values.shape
-    n = points.shape[1]
     depth = min(order + 1, max(_EXTRAP_WEIGHTS))
-    half_dirs = _lattice_directions(n)
-    dirs = [d for hd in half_dirs for d in (hd, tuple(-x for x in hd))]
+    dirs = [d for hd in _lattice_directions(points.shape[1])
+            for d in (hd, tuple(-x for x in hd))]
     table = neighbour_table(points, resolution, dirs, depth)
-    lines = table.reshape(S * len(dirs), depth)  # row s * len(dirs) + d
-    flat = memoryview(table.reshape(-1))  # Python ints for the scalar walks
-    row_span = len(dirs) * depth
-    # extrap[L] holds the weights of a chain of length L, zero-padded to
-    # depth
-    extrap = np.zeros((depth + 1, depth))
-    for length in range(1, depth + 1):
-        extrap[length, :length] = _EXTRAP_WEIGHTS[length]
-    labelled = bytearray(S)
-    labels = np.full((S, Q), -1, dtype=int)
-    ordered = np.zeros_like(values)  # finite everywhere, so padding is exact
-    chain_table = _chain_matches(values, table, extrap) \
-        if 2 <= Q <= _ENUMERATION_LIMIT else None
-    # With a chain table that has a positive margin (one without answers
-    # no candidate), heap entries and `rank` hold labels as ranks in the
-    # lexicographic permutation table, and a commit only appends to
-    # `unwritten`: the ordered values of those cells are written when the
-    # next on-the-fly match reads them, the labels at the end.
-    ranked = chain_table is not None and bool(chain_table[1].any())
-    if ranked:
-        perms = _permutation_table(Q)
-        composed = _Compositions(perms)
-        best, margin, frames = (memoryview(a.reshape(-1)) for a in chain_table)
-        rank = [-1] * S
-        unwritten = []
-
-    def ranks_of(labs):
-        return [composed.rank_of[tuple(lab)] for lab in labs.tolist()]
-
-    def longest_chain(s):
-        """(line row, length) of the longest run of labelled cells leading
-        away from s along one lattice direction; the first direction wins
-        ties."""
-        best_row, best_len = 0, 0
-        for at in range(s * row_span, (s + 1) * row_span, depth):
-            length = 0
-            while length < depth:
-                t = flat[at + length]
-                if t < 0 or not labelled[t]:
-                    break
-                length += 1
-            if length > best_len:
-                best_row, best_len = at // depth, length
-                if length == depth:
-                    break
-        return best_row, best_len
-
-    def tabled(row, length):
-        """(label, margin) of the chain from the table, or None where the
-        stored margin is 0 or the chain's labels left its frames."""
-        at = row * depth
-        gap = margin[at + length - 1]
-        if gap <= 0.0:
-            return None
-        common = rank[flat[at]]
-        for j in range(1, length):
-            if composed[frames[at + j], common] != rank[flat[at + j]]:
-                return None
-        return composed[best[at + length - 1], common], gap
-
-    def matched(cells, rows, lengths):
-        """(label, margin) per chain: from the table where it holds, else
-        predicted from the chain's labels and matched now."""
-        if not ranked:
-            return zip(*match_now(cells, rows, lengths))
-        found = [tabled(r, k) for r, k in zip(rows, lengths)]
-        miss = [i for i, hit in enumerate(found) if hit is None]
-        if miss:
-            labs, margins = match_now(*([x[i] for i in miss] for x in (cells, rows, lengths)))
-            for i, hit in zip(miss, zip(ranks_of(labs), margins)):
-                found[i] = hit
-        return found
-
-    def match_now(cells, rows, lengths):
-        """(labels, margins) of the chains, predicted from their labels."""
-        if ranked and unwritten:
-            cells_now = np.array(unwritten)
-            ordered[cells_now] = values[cells_now[:, None], perms[[rank[c] for c in unwritten]]]
-            unwritten.clear()
-        pred = _extrapolate(extrap, ordered[lines[rows]], lengths)
-        labs, _, margins = match_batch(values[cells], pred)
-        return labs, margins.tolist()
-
-    def start(s):
-        return ranks_of(start_labels[s][None])[0] if ranked else start_labels[s]
-
-    # Seed where branches are farthest apart; the global branch order is
-    # arbitrary anyway.
+    # undirected edges {tail, head = tail + d}, d over the half directions,
+    # in (cell, direction) order
+    tail, half = np.nonzero(table[:, 0::2, 0] >= 0)
+    head = table[tail, 2 * half, 0]
+    count = tail.size
+    _, component = connected_components(
+        coo_matrix((np.ones(count), (tail, head)), shape=(S, S)), directed=False)
     gaps = np.full(S, np.inf)
     for a in range(Q):
         for b in range(a + 1, Q):
-            g = np.einsum(
-                "sm,sm->s",
-                values[:, a, :] - values[:, b, :],
-                values[:, a, :] - values[:, b, :],
-            )
-            gaps = np.minimum(gaps, g)
-    seed = int(np.argmax(gaps)) if Q > 1 else 0
+            diff = values[:, a, :] - values[:, b, :]
+            gaps = np.minimum(gaps, np.einsum("sm,sm->s", diff, diff))
+    by = np.lexsort((-gaps, component))
+    roots = by[np.r_[0, np.flatnonzero(np.diff(component[by])) + 1]]
+    # extrap[L] holds the weights of a chain of length L, zero-padded
+    extrap = np.zeros((depth + 1, depth))
+    for length in range(1, depth + 1):
+        extrap[length, :length] = _EXTRAP_WEIGHTS[length]
 
-    counter = 0
-    heap = []
-
-    def commit(s, lab):
-        """Label s, then push its unlabelled neighbours in direction order."""
-        nonlocal counter, done
-        if ranked:
-            rank[s] = lab
-            unwritten.append(s)
-        else:
-            labels[s] = lab
-            ordered[s] = values[s][lab]
-        labelled[s] = 1
-        done += 1
-        cells, rows, lengths = [], [], []
-        for at in range(s * row_span, (s + 1) * row_span, depth):
-            t = flat[at]
-            if t >= 0 and not labelled[t]:
-                row, length = longest_chain(t)
-                if length:
-                    cells.append(t)
-                    rows.append(row)
-                    lengths.append(length)
-        if not cells:
-            return
-        for t, length, (lab_t, gap) in zip(cells, lengths, matched(cells, rows, lengths)):
-            # chain length outranks margin: a wide margin against a constant
-            # extrapolation is still a guess, a full-depth chain is not
-            heapq.heappush(heap, (-length, -gap, counter, t, lab_t))
-            counter += 1
-
-    done = 0
-    commit(seed, start(seed))
-    while done < S:
-        if not heap:
-            # disconnected remainder: seed a fresh component
-            rest = np.flatnonzero(np.frombuffer(labelled, dtype=np.uint8) == 0)
-            s = int(rest[np.argmax(gaps[rest])])
-            commit(s, start(s))
-            continue
-        neg_len, _, _, s, lab = heapq.heappop(heap)
-        if labelled[s]:
-            continue
-        row, chain_len = longest_chain(s)
-        if chain_len != -neg_len:
-            # neighborhood changed since the push: rematch and requeue at
-            # the fresh priority
-            (lab, gap), = matched([s], [row], [chain_len])
-            heapq.heappush(heap, (-chain_len, -gap, counter, s, lab))
-            counter += 1
-            continue
-        commit(s, lab)
-    return perms[rank] if ranked else labels
+    labels = np.broadcast_to(np.arange(Q), (S, Q))  # raw branch order
+    for reach in (1,) + (depth,) * (_ORDER_K_PASSES if depth > 1 else 0):
+        pairing, length, margin = _chain_pairings(
+            values, tail, table[tail, 2 * half, :reach], labels, extrap)
+        child, parent = tail, head
+        if reach > 1:
+            back = _chain_pairings(values, head, table[head, 2 * half + 1], labels, extrap)
+            flip = (back[1] > length) | ((back[1] == length) & (back[2] > margin))
+            pairing = np.where(flip[:, None], back[0], pairing)
+            length = np.where(flip, back[1], length)
+            margin = np.where(flip, back[2], margin)
+            child, parent = np.where(flip, head, tail), np.where(flip, tail, head)
+        # labels[child] = pairing[labels[parent]] on every edge
+        ranked = np.lexsort((-margin, -length))
+        weight = np.empty(count)
+        weight[ranked] = np.arange(1, count + 1)  # csgraph drops zero weights
+        tree = minimum_spanning_tree(
+            coo_matrix((weight, (tail, head)), shape=(S, S))).tocoo()
+        edge = ranked[tree.data.astype(np.intp) - 1]
+        forest = coo_matrix(
+            (np.ones(edge.size + roots.size),
+             (np.r_[tree.row, np.full(roots.size, S)], np.r_[tree.col, roots])),
+            shape=(S + 1, S + 1))
+        _, up = breadth_first_order(forest, S, directed=False, return_predecessors=True)
+        up[S] = S
+        # compose[v] maps labels[up[v]] to labels[v]; the virtual node S
+        # holds the identity, so labels[root] = start_labels[root]
+        compose = np.empty((S + 1, Q), dtype=np.intp)
+        compose[S] = np.arange(Q)
+        compose[roots] = start_labels[roots]
+        down = up[child[edge]] == parent[edge]
+        compose[child[edge[down]]] = pairing[edge[down]]
+        compose[parent[edge[~down]]] = np.argsort(pairing[edge[~down]], axis=1)
+        while np.any(up != S):
+            compose = np.take_along_axis(compose, compose[up], axis=1)
+            up = up[up]
+        labels = compose[:S]
+    return labels
 
 
 def _alternate(design, values, weights, labels, q_exp, cfg):

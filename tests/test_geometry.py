@@ -88,6 +88,21 @@ def test_degenerate_domains():
         Domain("gone", 2, radius=1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_geometry_is_degenerate(bad):
+    for make in (lambda: Domain.ball(2, bad), lambda: Domain.half_ball(2, bad),
+                 lambda: Domain.annulus(2, bad, 1.0), lambda: Domain.annulus(2, 0.5, bad),
+                 lambda: Domain.box(2, bad), lambda: Domain.ball(2, 1.0, [0.0, bad])):
+        with pytest.raises(DegenerateDomainError, match="non-finite"):
+            make()
+
+
+@pytest.mark.parametrize("h", [math.inf, math.nan])
+def test_sample_refuses_non_finite_resolution(h):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Domain.ball(2, 1.0).sample(h)
+
+
 def test_restrict_superset_is_identity(disk_grid):
     sub, idx = disk_grid.restrict(np.zeros(2), 10.0)
     assert sub.size == disk_grid.size

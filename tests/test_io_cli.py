@@ -263,6 +263,20 @@ def test_cli_refuses_non_positive_resolution(tmp_path, bp_csv):
     assert not out.exists()
 
 
+def test_cli_generate_refuses_non_finite_geometry(tmp_path):
+    out = tmp_path / "g.csv"
+    for res in ("inf", "nan"):
+        assert main(["lab", "generate", "--kind", "wall_pair", "--out", str(out),
+                     "--resolution", res]) == 2
+        assert not out.exists()
+    for radius in ("Infinity", "NaN"):
+        dom = tmp_path / "dom.json"
+        dom.write_text('{"kind": "ball", "n": 2, "radius": %s}' % radius)
+        assert main(["lab", "generate", "--kind", "wall_pair", "--out", str(out),
+                     "--domain", str(dom), "--resolution", "0.125"]) == 3
+        assert not out.exists()
+
+
 def test_cli_refuses_undefined_exponent_or_degree(tmp_path, bp_csv):
     src, _ = bp_csv
     out = tmp_path / "o.json"

@@ -169,6 +169,27 @@ def test_match_batch_breaks_exact_ties_lexicographically(S, q, m, data):
         assert np.array_equal(labels[s], sigma)
 
 
+@pytest.mark.parametrize("q", [7, 8])
+def test_match_batch_margin_above_enumeration_is_the_best_swap(q):
+    """Above Q = 6 the margin is the gap to the cheapest pairing one
+    transposition away from the returned one."""
+    rng = np.random.default_rng(q)
+    a, b = rng.normal(size=(2, 400, q, 2))
+    labels, sq_cost, margin = match_batch(a, b)
+    d2 = _pair_costs(a, b)
+    for s in range(len(a)):
+        own = d2[s, labels[s], np.arange(q)].sum()
+        swapped = []
+        for i in range(q):
+            for j in range(i + 1, q):
+                other = labels[s].copy()
+                other[i], other[j] = other[j], other[i]
+                swapped.append(d2[s, other, np.arange(q)].sum())
+        want = max(min(swapped) - own, 0.0)
+        assert margin[s] == pytest.approx(want, rel=0, abs=1e-12 * sq_cost[s])
+    assert np.all(margin > 0)
+
+
 def test_match_batch_chunks_agree_with_metric():
     # Q = 6 over more rows than one chunk of pairing terms holds
     rng = np.random.default_rng(3)
