@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import BranchAmbiguityError, OracleLimitError
 from .geometry import unit_ball_volume
@@ -124,6 +123,8 @@ def _cost_matrix(a, b):
 
 def metric_g(s, t):
     """Matching distance: min over pairings of the root-sum-of-squares."""
+    from scipy.optimize import linear_sum_assignment
+
     a, b = _branch_arrays(s, t)
     if a.shape[0] == 1:
         return float(np.linalg.norm(a[0] - b[0]))
@@ -152,6 +153,8 @@ def optimal_assignment(s, t, tol=1e-12):
     lexicographically smallest index array is returned, which keeps
     downstream branch tracking deterministic.
     """
+    from scipy.optimize import linear_sum_assignment
+
     a, b = _branch_arrays(s, t)
     q = a.shape[0]
     cost = _cost_matrix(a, b)
@@ -211,6 +214,17 @@ def _swap_margins(d2, labels):
     return np.maximum(change.min(axis=1), 0.0)
 
 
+def _column_distance(x, y):
+    """Squared distances between (m, S) component columns, per sample,
+    summed over components in index order."""
+    diff = x - y
+    diff *= diff
+    total = diff[0]
+    for c in range(1, diff.shape[0]):
+        total += diff[c]
+    return total
+
+
 def match_batch(a, b):
     """Optimal branch pairing of a[s] with b[s] for every sample s.
 
@@ -224,28 +238,36 @@ def match_batch(a, b):
     optimal_assignment.  Above it each sample gets one exact assignment
     solve, and the margin is the gap to the cheapest pairing one
     transposition away from the optimum, clamped at 0 against rounding.
-    For Q = 1 the margin is 0.
+    For Q = 1 the margin is 0.  Q = 2 takes its two pairings in closed
+    form, each branch distance summed over components in index order;
+    scipy is imported only above _ENUMERATION_LIMIT.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 3 or a.shape != b.shape:
         raise ValueError("match_batch needs two (S, Q, m) arrays of one shape")
     S, Q, _ = a.shape
+    if Q == 2:
+        # the two pairings in closed form, on contiguous (m, S) columns per
+        # branch: the totals, ties and labels of the enumeration below,
+        # without its 4-D difference array and per-row sort (the einsum
+        # there sums up to two components in the same order)
+        at = a.transpose(1, 2, 0).copy()
+        bt = b.transpose(1, 2, 0).copy()
+        keep = _column_distance(at[0], bt[0]) + _column_distance(at[1], bt[1])
+        swap = _column_distance(at[1], bt[0]) + _column_distance(at[0], bt[1])
+        crossed = swap < keep
+        best = np.minimum(keep, swap)
+        labels = np.stack([crossed, ~crossed], axis=1).astype(int)
+        return labels, best, np.maximum(keep, swap) - best
     diff = a[:, :, None, :] - b[:, None, :, :]
     d2 = np.einsum("sabm,sabm->sab", diff, diff)
     del diff  # m times the size of d2; free it before the pairing work
     if Q == 1:
         return np.zeros((S, 1), dtype=int), d2[:, 0, 0], np.zeros(S)
-    if Q == 2:
-        # the two pairings in closed form; same totals, ties and labels as
-        # the enumeration below, without its per-row sort
-        keep = d2[:, 0, 0] + d2[:, 1, 1]
-        swap = d2[:, 1, 0] + d2[:, 0, 1]
-        crossed = swap < keep
-        best = np.minimum(keep, swap)
-        labels = np.stack([crossed, ~crossed], axis=1).astype(int)
-        return labels, best, np.maximum(keep, swap) - best
     if Q > _ENUMERATION_LIMIT:
+        from scipy.optimize import linear_sum_assignment
+
         # cols[s, r]: the branch of b paired with a's branch r
         cols = np.empty((S, Q), dtype=int)
         for s in range(S):

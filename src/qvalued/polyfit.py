@@ -8,8 +8,12 @@ rho^|p| exactly.
 
 Fitting alternates two steps: match each sample's branches to the current
 model branches with an exact assignment solve, then refit all branch
-polynomials by (weighted) least squares.  For exponents other than 2 the
-refit is iteratively reweighted with a floored weight.
+polynomials by weighted least squares.  The weighted design sqrt(w) X is
+factored once per fit by a thin SVD, cut at np.linalg.lstsq's default
+rank, and every start and iteration reuses that factor: an iteration is
+one gather of the labelled values and two matrix products.  For exponents
+other than 2 the refit is iteratively reweighted with a floored weight,
+and the design is factored again whenever the weights change.
 
 The alternation is multi-started.  Besides spectral and random labelings,
 starts come from label propagation over the sample lattice: labels composed
@@ -239,27 +243,22 @@ class FitResult:
         return iter((self.polynomial, self.residual))
 
 
-def _weighted_lstsq(design, rhs, weights):
-    sw = np.sqrt(weights)[:, None]
-    sol, *_ = np.linalg.lstsq(design * sw, rhs * sw, rcond=None)
-    return sol
+def _factor(design, weights):
+    """Thin SVD U S V^T of sqrt(w) X, cut at np.linalg.lstsq's default
+    rank: singular values at most eps max(S, K) times the largest count as
+    zero.
 
-
-def _fit_branches(design, values, labels, weights):
-    """Least-squares branch coefficients for fixed labels.
-
-    One solve serves all branches and components: the design matrix is
-    shared, only the right-hand sides differ.
+    Returns (project, basis, solve).  For right-hand sides rhs of shape
+    (S, r), y = project @ rhs is U^T (sqrt(w) rhs); basis @ y = (U /
+    sqrt(w)) y is the weighted least-squares model on the nodes, and
+    solve @ y = V S^-1 y its minimum-norm coefficients, the ones lstsq
+    returns.
     """
-    S, Q, m = values.shape
-    rhs = values[np.arange(S)[:, None], labels, :].reshape(S, Q * m)
-    sol = _weighted_lstsq(design, rhs, weights)  # (K, Q*m)
-    return sol.reshape(-1, Q, m).transpose(1, 2, 0)  # (Q, m, K)
-
-
-def _objective(weights, costs, q_exp):
-    g = np.sqrt(np.maximum(costs, 0.0))
-    return float(np.sum(weights * g ** q_exp))
+    sw = np.sqrt(weights)[:, None]
+    u, s, vt = np.linalg.svd(design * sw, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(design.shape) * s.max(initial=0.0)
+    u = u[:, keep]
+    return (u * sw).T, u / sw, vt[keep].T / s[keep]
 
 
 def _spectral_ranks(values):
@@ -374,7 +373,10 @@ def _propagated_labels(points, values, resolution, start_labels, order=0):
     Order 0 degenerates to nearest-value tracking, the stabler choice for
     rough data.  At order k the chains need branch frames: the order-0
     forest's labels frame the first of _ORDER_K_PASSES further forests,
-    and each forest's labels frame the next.
+    and each forest's labels frame the next.  This is a generator: it
+    yields the order-0 labels and then, for order > 0, the order-k labels.
+    One order-0 forest thus serves both starts of a fit, and a caller that
+    stops after the first yield never grows the order-k forests.
     """
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import (
@@ -407,13 +409,16 @@ def _propagated_labels(points, values, resolution, start_labels, order=0):
     for length in range(1, depth + 1):
         extrap[length, :length] = _EXTRAP_WEIGHTS[length]
 
-    labels = np.broadcast_to(np.arange(Q), (S, Q))  # raw branch order
-    for reach in (1,) + (depth,) * (_ORDER_K_PASSES if depth > 1 else 0):
+    def grow(reach, frames):
+        """Labels composed along the forest of chains of at most `reach`
+        cells, framed by `frames`."""
         pairing, length, margin = _chain_pairings(
-            values, tail, table[tail, 2 * half, :reach], labels, extrap)
+            values, tail, table[tail, 2 * half, :reach], frames,
+            extrap[:reach + 1, :reach])
         child, parent = tail, head
         if reach > 1:
-            back = _chain_pairings(values, head, table[head, 2 * half + 1], labels, extrap)
+            back = _chain_pairings(values, head, table[head, 2 * half + 1], frames,
+                                   extrap)
             flip = (back[1] > length) | ((back[1] == length) & (back[2] > margin))
             pairing = np.where(flip[:, None], back[0], pairing)
             length = np.where(flip, back[1], length)
@@ -443,25 +448,44 @@ def _propagated_labels(points, values, resolution, start_labels, order=0):
         while np.any(up != S):
             compose = np.take_along_axis(compose, compose[up], axis=1)
             up = up[up]
-        labels = compose[:S]
-    return labels
+        return compose[:S]
+
+    labels = grow(1, np.broadcast_to(np.arange(Q), (S, Q)))  # raw branch order
+    yield labels
+    if depth > 1:
+        for _ in range(_ORDER_K_PASSES):
+            labels = grow(depth, labels)
+        yield labels
 
 
-def _alternate(design, values, weights, labels, q_exp, cfg):
+def _alternate(design, values, weights, factor, labels, q_exp, cfg):
+    """Alternate weighted least squares and branch matching from `labels`.
+
+    factor = _factor(design, weights) serves every iteration at q_exp = 2
+    and every start of a fit.  An iteration gathers the labelled values
+    with one flat take, projects them on the factor, and matches the data
+    against the model values; the coefficients are formed once, when the
+    start ends.  At other exponents the least squares are iteratively
+    reweighted by floored powers w g^(q_exp - 2) of the matching distances
+    g, and the design is factored again each time those weights change.
+    Returns (coeffs, labels, objective, converged, iterations).
+    """
+    S, Q, m = values.shape
+    flat = values.reshape(S * Q, m)
+    offsets = np.arange(0, S * Q, Q)[:, None]
     prev_obj = math.inf
-    coeffs = None
-    g_prev = None
+    g = None
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        w_eff = weights
-        if q_exp != 2.0 and g_prev is not None:
-            w_eff = weights * np.maximum(g_prev, cfg.irls_floor) ** (q_exp - 2.0)
-        coeffs = _fit_branches(design, values, labels, w_eff)
-        model_vals = np.einsum("sk,qmk->sqm", design, coeffs)
-        new_labels, costs, _ = match_batch(values, model_vals)
-        g_prev = np.sqrt(np.maximum(costs, 0.0))
-        obj = _objective(weights, costs, q_exp)
+        if q_exp != 2.0 and g is not None:
+            factor = _factor(
+                design, weights * np.maximum(g, cfg.irls_floor) ** (q_exp - 2.0))
+        project, basis, _ = factor
+        y = project @ flat.take(labels + offsets, axis=0).reshape(S, Q * m)
+        new_labels, costs, _ = match_batch(values, (basis @ y).reshape(S, Q, m))
+        g = np.sqrt(np.maximum(costs, 0.0))
+        obj = float(np.sum(weights * g ** q_exp))
         same = np.array_equal(new_labels, labels)
         labels = new_labels
         if same and abs(prev_obj - obj) <= cfg.fit_tol * max(obj, 1e-300):
@@ -469,6 +493,7 @@ def _alternate(design, values, weights, labels, q_exp, cfg):
             prev_obj = obj
             break
         prev_obj = obj
+    coeffs = (factor[2] @ y).reshape(-1, Q, m).transpose(1, 2, 0)  # (Q, m, K)
     return coeffs, labels, prev_obj, converged, iterations
 
 
@@ -513,6 +538,7 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
             "insufficient samples: %d nodes for %d coefficients" % (sub.size, K)
         )
     design = design_matrix(X, center, indices)
+    factor = _factor(design, weights)
 
     Q = sub.q
     scheduled = 1 if Q == 1 else 2 + (k > 0) + cfg.restarts
@@ -523,9 +549,7 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
             return
         ranks = _spectral_ranks(values)
         yield ranks
-        yield _propagated_labels(X, values, sub.grid.resolution, ranks, 0)
-        if k > 0:
-            yield _propagated_labels(X, values, sub.grid.resolution, ranks, k)
+        yield from _propagated_labels(X, values, sub.grid.resolution, ranks, k)
         rng = np.random.default_rng(cfg.seed)
         for _ in range(cfg.restarts):
             draw = rng.random((sub.size, Q))
@@ -539,7 +563,8 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
 
     outcomes = []
     for labels0 in inits():
-        outcomes.append(_alternate(design, values, weights, labels0, q_exp, cfg))
+        outcomes.append(
+            _alternate(design, values, weights, factor, labels0, q_exp, cfg))
         if outcomes[-1][2] <= exact_floor:
             break
 

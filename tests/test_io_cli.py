@@ -167,6 +167,25 @@ def test_cli_generate_runs_as_module(tmp_path):
     assert out.read_text().splitlines()[0] == "2,1,2"
 
 
+def test_import_and_two_branch_fit_leave_scipy_optimize_unloaded(tmp_path, bp_csv):
+    """Only matching above six branches and the single-pair metrics need
+    scipy's assignment solver, so importing the package and its CLI and a
+    Q = 2 `fit` never load scipy.optimize."""
+    src, _ = bp_csv
+    code = (
+        "import sys, qvalued, qvalued.cli\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "assert qvalued.cli.main(%r) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        % ["fit", "--in", str(src), "--k", "1", "--out", str(tmp_path / "fit.json")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        cwd=os.path.dirname(os.path.dirname(qvalued.__file__)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
 def test_cli_fit_deterministic_replay(tmp_path, bp_csv):
     src, u = bp_csv
     out1, out2 = tmp_path / "fit1.json", tmp_path / "fit2.json"

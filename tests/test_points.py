@@ -22,6 +22,7 @@ from qvalued.points import (
     order_branches,
     translate_add,
 )
+from qvalued.points import _best_pairings, _permutation_table
 
 
 def _tuples(q=st.integers(1, 4), m=st.integers(1, 3)):
@@ -167,6 +168,27 @@ def test_match_batch_breaks_exact_ties_lexicographically(S, q, m, data):
     for s in range(S):
         sigma, _ = optimal_assignment(a[s], b[s])
         assert np.array_equal(labels[s], sigma)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 3), st.booleans(), st.data())
+def test_match_batch_two_branches_is_the_enumeration(S, m, integer, data):
+    """The closed-form Q = 2 kernel equals the enumeration of both pairings
+    bit for bit, distances summed over components in index order; exact
+    ties (small integers) go to the identity pairing."""
+    elements = (st.integers(-2, 2) if integer
+                else st.floats(-100, 100, allow_nan=False, allow_subnormal=False))
+    a, b = data.draw(arrays(float, (2, S, 2, m), elements=elements))
+    diff = a[:, :, None, :] - b[:, None, :, :]
+    d2 = diff[..., 0] * diff[..., 0]
+    for c in range(1, m):
+        d2 = d2 + diff[..., c] * diff[..., c]
+    got = match_batch(a, b)
+    want = _best_pairings(d2, _permutation_table(2))
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    tied = d2[:, 0, 0] + d2[:, 1, 1] == d2[:, 1, 0] + d2[:, 0, 1]
+    assert np.all(got[0][tied] == [0, 1])
 
 
 @pytest.mark.parametrize("q", [7, 8])

@@ -33,6 +33,7 @@ from qvalued.polyfit import (
 from qvalued.polyfit import (
     _EXTRAP_WEIGHTS,
     _alternate,
+    _factor,
     _lattice_directions,
     _propagated_labels,
     _spectral_ranks,
@@ -477,7 +478,7 @@ def _two_branch_field(points):
 def _assert_labels_match_oracle(grid, vals, orders):
     ranks = _spectral_ranks(vals)
     for order in orders:
-        got = _propagated_labels(grid.points, vals, grid.resolution, ranks, order)
+        *_, got = _propagated_labels(grid.points, vals, grid.resolution, ranks, order)
         want, tree = _forest_oracle(grid.points, vals, grid.resolution, ranks, order)
         assert np.array_equal(got, want), (vals.shape, order)
         assert np.array_equal(np.sort(got, axis=1), np.tile(np.arange(vals.shape[1]),
@@ -541,9 +542,10 @@ def test_order_k_propagation_alone_is_exact(fit_grid, q, m):
         cases += list(_second_pass_draws(fit_grid, m))
     for k, vals in cases:
         design = design_matrix(fit_grid.points, np.zeros(2), multi_indices(2, k))
-        labels = _propagated_labels(fit_grid.points, vals, fit_grid.resolution,
-                                    _spectral_ranks(vals), k)
-        obj = _alternate(design, vals, weights, labels, 2.0, FitConfig())[2]
+        *_, labels = _propagated_labels(fit_grid.points, vals, fit_grid.resolution,
+                                        _spectral_ranks(vals), k)
+        obj = _alternate(design, vals, weights, _factor(design, weights), labels, 2.0,
+                         FitConfig())[2]
         mass = float(np.sum(weights * np.einsum("sqm,sqm->s", vals, vals)))
         assert obj <= (100.0 * np.finfo(float).eps) ** 2 * mass
 
@@ -565,6 +567,110 @@ def test_serial_fit_stops_before_propagating(fit_grid, monkeypatch):
     assert res.residual <= 1e-20
     assert calls == []
     assert res.starts == 2 + 1 + FitConfig().restarts
+
+
+def test_fit_stopping_at_the_order_zero_start_grows_no_order_k_forest(fit_grid,
+                                                                      monkeypatch):
+    reach = []
+    original = polyfit._chain_pairings
+
+    def counting(values, cells, chains, frames, extrap):
+        reach.append(chains.shape[1])
+        return original(values, cells, chains, frames, extrap)
+
+    monkeypatch.setattr(polyfit, "_chain_pairings", counting)
+    # two planar sheets far apart: ranked along the dominant first
+    # component, the spectral start swaps them across x = 0, while
+    # nearest-value tracking (order 0) labels them exactly
+    x = fit_grid.points
+    vals = np.stack([np.stack([x[:, 0], 0.2 + 0.05 * x[:, 1]], axis=1),
+                     np.stack([-x[:, 0], np.full(len(x), -0.2)], axis=1)], axis=1)
+    u = SampledQFunction(fit_grid, vals)
+    for k in (1, 2):
+        reach.clear()
+        assert best_fit(u, np.zeros(2), 1.1, k).residual <= 1e-20
+        assert reach == [1], k  # the order-0 forest only
+
+
+@pytest.mark.parametrize("name", ["ball", "two_balls"])
+def test_order_k_propagation_first_yields_the_order_zero_labels(name):
+    grid = PROPAGATION_GRIDS[name]()
+    rng = np.random.default_rng(8)
+    for q, m, k, noise in ((2, 2, 1, 0.0), (3, 1, 2, 0.05), (7, 1, 3, 0.0)):
+        vals = random_qpolynomial(rng, grid.dim, m, q, k).eval(grid.points)
+        vals = vals + noise * rng.normal(size=vals.shape)
+        ranks = _spectral_ranks(vals)
+        (zero,) = _propagated_labels(grid.points, vals, grid.resolution, ranks, 0)
+        first, _ = _propagated_labels(grid.points, vals, grid.resolution, ranks, k)
+        assert np.array_equal(first, zero), (q, m, k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_rank_deficient_fit_is_the_minimum_norm_solution(k):
+    """On one lattice row the 2-D design has dependent columns (y is the
+    constant 0.3 there), and best_fit returns np.linalg.lstsq's
+    minimum-norm coefficients."""
+    h = 1.0 / 16.0
+    x = h * np.arange(-12, 13)
+    pts = np.stack([x, np.full(x.size, 0.3)], axis=1)
+    grid = QuadratureGrid(pts, np.full(x.size, h * h), h)
+    vals = np.random.default_rng(4).normal(size=(x.size, 1, 1))
+    res = best_fit(SampledQFunction(grid, vals), np.zeros(2), 1.0, k)
+    sw = np.sqrt(grid.weights)
+    design = design_matrix(pts, np.zeros(2), multi_indices(2, k))
+    want, _, rank, _ = np.linalg.lstsq(design * sw[:, None], vals[:, 0, 0] * sw,
+                                       rcond=None)
+    assert rank < design.shape[1]
+    assert np.allclose(res.polynomial.coeffs[0, 0], want, rtol=0,
+                       atol=1e-10 * np.abs(want).max())
+    fitted = design @ want
+    assert res.residual == pytest.approx(
+        float(np.sum(grid.weights * (vals[:, 0, 0] - fitted) ** 2)), rel=1e-10)
+
+
+def _lstsq_alternate(design, values, weights, labels, q_exp, cfg):
+    """The alternation with one np.linalg.lstsq solve of the weighted design
+    per iteration: the reference for the factored one."""
+    S, Q, m = values.shape
+    prev_obj, g = math.inf, None
+    for _ in range(cfg.max_iter):
+        w = weights
+        if q_exp != 2.0 and g is not None:
+            w = weights * np.maximum(g, cfg.irls_floor) ** (q_exp - 2.0)
+        rhs = values[np.arange(S)[:, None], labels].reshape(S, Q * m)
+        sw = np.sqrt(w)[:, None]
+        sol = np.linalg.lstsq(design * sw, rhs * sw, rcond=None)[0]
+        new_labels, costs, _ = match_batch(values, (design @ sol).reshape(S, Q, m))
+        g = np.sqrt(costs)
+        obj = float(np.sum(weights * g ** q_exp))
+        same = np.array_equal(new_labels, labels)
+        labels = new_labels
+        if same and abs(prev_obj - obj) <= cfg.fit_tol * obj:
+            return labels, obj
+        prev_obj = obj
+    return labels, prev_obj
+
+
+@pytest.mark.parametrize("q_exp", [1.5, 2.0, 3.0])
+def test_factored_alternation_matches_lstsq_alternation(fit_grid, q_exp):
+    rng = np.random.default_rng(23)
+    weights = fit_grid.weights
+    cases = [(_r15_pair(fit_grid).values, 1)]
+    for q, m, k in ((2, 1, 1), (2, 2, 2), (3, 1, 1)):
+        vals = random_qpolynomial(rng, 2, m, q, k).eval(fit_grid.points)
+        cases.append((vals + 0.05 * rng.normal(size=vals.shape), k))
+    for vals, k in cases:
+        design = design_matrix(fit_grid.points, np.zeros(2), multi_indices(2, k))
+        factor = _factor(design, weights)
+        starts = (_spectral_ranks(vals),
+                  np.argsort(rng.random(vals.shape[:2]), axis=1))
+        for labels in starts:
+            _, got, obj, _, _ = _alternate(design, vals, weights, factor, labels,
+                                           q_exp, FitConfig())
+            want, want_obj = _lstsq_alternate(design, vals, weights, labels, q_exp,
+                                              FitConfig())
+            assert np.array_equal(got, want), (vals.shape, k)
+            assert obj == pytest.approx(want_obj, rel=1e-12, abs=0), (vals.shape, k)
 
 
 def _r15_pair(grid):
