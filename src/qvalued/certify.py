@@ -20,7 +20,8 @@ Exponent chain (all certificates):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .errors import (
     InsufficientSamplesError,
     WeakConstantsError,
 )
+from .geometry import dyadic_ladder
 from .points import match_batch
 from .polyfit import best_fit
 
@@ -36,6 +38,7 @@ __all__ = [
     "DecayHypothesis",
     "Stratification",
     "HolderCertificate",
+    "ScalePair",
     "AuditReport",
     "CertifyOutcome",
     "gamma_select",
@@ -49,6 +52,8 @@ GAMMA_T_MIN = 3
 GAMMA_T_MAX = 64
 DEFAULT_AUDIT_TOL = 0.05
 OFFSET_WINDOW_FLOOR = 3
+MIN_NODES_RADIUS = 8.0  # audit radii span at least this many grid steps
+SOUNDNESS_DEPTH = 4  # rungs below eps in the soundness spot check's ladder
 
 
 @dataclass(frozen=True)
@@ -75,6 +80,16 @@ class DecayHypothesis:
     beta_tildes: tuple = ()
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
+        if self.k < 0:
+            raise ValueError("k must be nonnegative")
+        for name in ("q_exp", "mu", "eps", "beta", "beta1", "beta2", "beta0"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise ValueError("%s must be finite" % name)
+        if not all(math.isfinite(b) for b in self.betas + self.beta_tildes):
+            raise ValueError("stratum constants must be finite")
         if not (0.0 < self.mu < 1.0):
             raise ValueError("mu must lie in (0, 1)")
         if not (0.0 < self.eps < 0.25):
@@ -268,6 +283,27 @@ def certified_exponent_stratified(h: DecayHypothesis, s: Stratification,
 
 
 @dataclass(frozen=True)
+class ScalePair:
+    """One admissible dyadic scale pair (sigma <= rho/2) at an audited center.
+
+    fine is the scaled G-mass at sigma.  The coarse side at beta = 1 is
+    decay * coarse, with decay = (sigma/rho)^(q mu) and coarse the scaled
+    G-mass at rho.  exact marks a fine side below the rounding floor, where
+    there is nothing to contract; calibrating marks the coarse pairs that
+    end_to_end_certify calibrates its constants on.
+    """
+
+    center: tuple
+    sigma: float
+    rho: float
+    fine: float
+    decay: float
+    coarse: float
+    exact: bool
+    calibrating: bool
+
+
+@dataclass(frozen=True)
 class AuditReport:
     which: str
     checked: int
@@ -275,6 +311,7 @@ class AuditReport:
     beta_used: float
     tol: float
     worst_ratio: float = 0.0
+    pairs: tuple = field(default=(), repr=False)  # the ScalePairs judged
 
     @property
     def clean(self):
@@ -294,46 +331,38 @@ def _dist_to(points, x):
 ROUNDING_FLOOR = 1e3 * np.finfo(float).eps
 
 
-def _scaled_masses(u, center, radius, poly, n, k, q_exp):
-    """(scaled G-mass, scaled data mass) on the radius-ball.
-
-    Both carry the radius^(-n-kq) normalization of the premise; the data
-    mass calibrates the rounding floor below which a G-mass is
-    numerically zero rather than small.
-    """
-    sub = u.restrict(center, radius)
+def _g_mass(sub, poly, q_exp):
+    """Unscaled G-mass of a restricted sample against one polynomial."""
     model = poly.eval(sub.grid.points)
     _, costs, _ = match_batch(sub.values, model)
     g = np.sqrt(np.maximum(costs, 0.0))
-    mass = float(np.sum(sub.grid.weights * g ** q_exp))
+    return float(np.sum(sub.grid.weights * g ** q_exp))
+
+
+def _data_mass(sub, q_exp):
+    """Unscaled data mass, which calibrates the rounding floor below which
+    a G-mass is numerically zero rather than small."""
     mags = np.sqrt(np.einsum("sqm,sqm->s", sub.values, sub.values))
-    ref = float(np.sum(sub.grid.weights * (mags + 1e-300) ** q_exp))
-    scale = radius ** (-(n + k * q_exp))
-    return scale * mass, scale * ref
+    return float(np.sum(sub.grid.weights * (mags + 1e-300) ** q_exp))
 
 
-def _pair_ladder(u, rho_top, min_nodes_radius):
-    """Admissible dyadic (sigma, rho) pairs: sigma <= rho/2, both resolvable."""
-    h = u.grid.resolution
-    floor = max(min_nodes_radius * h, 1e-12)
-    radii = []
-    rho = rho_top
-    while rho >= floor:
-        radii.append(rho)
-        rho *= 0.5
-    pairs = [(radii[j], radii[i])  # (sigma, rho), sigma strictly deeper
-             for i in range(len(radii)) for j in range(i + 1, len(radii))]
-    return radii, pairs
+def _audit_ladder(u, rho_top):
+    """Dyadic radii from rho_top down, largest first, each resolvable:
+    at least MIN_NODES_RADIUS grid steps."""
+    floor = max(MIN_NODES_RADIUS * u.grid.resolution, 1e-12)
+    if not rho_top >= floor:
+        return []
+    depth = int(math.log2(rho_top / floor)) + 1
+    return [r for r in dyadic_ladder(rho_top, depth).tolist() if r >= floor]
 
 
-def _limit_fit(u, center, rho_top, k, q_exp, cfg, min_nodes_radius):
+def _limit_fit(u, center, rho_top, k, q_exp, cfg):
     """Comparison polynomial for one center: the best fit at the deepest
     admissible rung, the closest available stand-in for the shrinking-scale
     limit polynomial.  (A top-scale fit would carry scale-eps coefficient
     offsets that contaminate the fine-scale side of the premise.)
     """
-    radii, _ = _pair_ladder(u, rho_top, min_nodes_radius)
-    for rho in reversed(radii):
+    for rho in reversed(_audit_ladder(u, rho_top)):
         try:
             return best_fit(u, center, rho, k, q_exp, cfg).polynomial
         except InsufficientSamplesError:
@@ -341,68 +370,70 @@ def _limit_fit(u, center, rho_top, k, q_exp, cfg, min_nodes_radius):
     raise BelowResolutionError("no rung supports a comparison fit")
 
 
-def _audit_center(u_list, center, lhs_polys, rhs_poly_sets, beta, mu, h,
-                  rho_top, tol, min_nodes_radius, coarse_only=False):
-    """Check the decay premise at one center.
+def _pair_table(us, center, own, fams, rho_top, h):
+    """ScalePairs of the decay premise at one center.
 
-    lhs_polys: one polynomial per component (the center's own comparison).
-    rhs_poly_sets: per component, the family the premise quantifies over on
-    the coarse side; the binding case is the family member with the
-    smallest coarse mass.
-    Returns (checked, violations, worst_ratio) where ratio compares the
-    fine-scale side against beta (sigma/rho)^(q mu) times the coarse side.
+    us and own: the audited components and the center's own comparison
+    polynomial on each (the fine side).  fams: per component, the family the
+    premise quantifies over on the coarse side, whose binding case is the
+    member with the smallest coarse mass; None compares own with itself.
+    Every rung restricts each component once, for own and family alike.
+    Pairs run over rho from the top, then sigma below it.
     """
     n, k, q_exp = h.n, h.k, h.q_exp
-    radii, pairs = _pair_ladder(u_list[0], rho_top, min_nodes_radius)
-    if not pairs:
+    radii = _audit_ladder(us[0], rho_top)
+    if len(radii) < 2:
         raise BelowResolutionError("no admissible scale pairs at this center")
-    if coarse_only:
-        cutoff = radii[max(0, len(radii) // 2 - 1)]
-        pairs = [(s, r) for s, r in pairs if s >= cutoff and r == 2 * s]
-        if not pairs:
-            pairs = [(radii[1], radii[0])] if len(radii) > 1 else []
-    floor_factor = ROUNDING_FLOOR ** min(q_exp, 2.0)
-    lhs_mass = {}
-    rhs_mass = {}
-    data_mass = {}
+    fine, coarse, data = {}, {}, {}
     for rho in radii:
-        pair_sums = [_scaled_masses(u, center, rho, P, n, k, q_exp)
-                     for u, P in zip(u_list, lhs_polys)]
-        lhs_mass[rho] = sum(g for g, _ in pair_sums)
-        data_mass[rho] = sum(r for _, r in pair_sums)
-        if rhs_poly_sets[0] is None:
-            # same comparison polynomial on both sides of the premise
-            rhs_mass[rho] = lhs_mass[rho]
-        else:
-            # the premise must hold against every coarse-side family
-            # member, so compare with the least favorable (smallest) one
-            rhs_mass[rho] = sum(
-                min(_scaled_masses(u, center, rho, P, n, k, q_exp)[0]
-                    for P in fam)
-                for u, fam in zip(u_list, rhs_poly_sets))
-    checked = 0
+        scale = rho ** (-(n + k * q_exp))
+        subs = [u.restrict(center, rho) for u in us]
+        fine[rho] = sum(scale * _g_mass(sub, P, q_exp)
+                        for sub, P in zip(subs, own))
+        data[rho] = sum(scale * _data_mass(sub, q_exp) for sub in subs)
+        coarse[rho] = fine[rho] if fams is None else sum(
+            min(scale * _g_mass(sub, P, q_exp) for P in fam)
+            for sub, fam in zip(subs, fams))
+    floor_factor = ROUNDING_FLOOR ** min(q_exp, 2.0)
+    cutoff = radii[max(0, len(radii) // 2 - 1)]
+    c = tuple(float(x) for x in center)
+    pairs = [
+        ScalePair(c, sigma, rho, fine[sigma],
+                  (sigma / rho) ** (q_exp * h.mu), coarse[rho],
+                  fine[sigma] <= floor_factor * data[sigma],
+                  sigma >= cutoff and rho == 2 * sigma)
+        for i, rho in enumerate(radii) for sigma in radii[i + 1:]
+    ]
+    if not any(p.calibrating for p in pairs):
+        # a short ladder calibrates on its top adjacent pair
+        pairs[0] = replace(pairs[0], calibrating=True)
+    return pairs
+
+
+def _judge(which, pairs, betas, beta_used, tol):
+    """Report on a pair table, judging each pair at its own beta: the ratio
+    of the fine side to beta (sigma/rho)^(q mu) times the coarse side."""
     violations = []
     worst = 0.0
-    for sigma, rho in pairs:
-        lhs = lhs_mass[sigma]
-        rhs = beta * (sigma / rho) ** (q_exp * mu) * rhs_mass[rho]
-        checked += 1
-        if lhs <= floor_factor * data_mass[sigma]:
+    for p, beta in zip(pairs, betas):
+        if p.exact:
             # numerically exact fit at this scale; nothing to contract
             continue
-        ratio = lhs / rhs if rhs > 0 else math.inf
+        rhs = beta * p.decay * p.coarse
+        ratio = p.fine / rhs if rhs > 0 else math.inf
         worst = max(worst, ratio)
         if ratio > 1.0 + tol:
             violations.append({
-                "center": [float(c) for c in center],
-                "sigma": sigma,
-                "rho": rho,
+                "center": list(p.center),
+                "sigma": p.sigma,
+                "rho": p.rho,
                 "ratio": ratio,
             })
-    return checked, violations, worst
+    return AuditReport(which, len(pairs), tuple(violations), beta_used, tol,
+                       worst, tuple(pairs))
 
 
-def _free_centers(u, bad_points, min_nodes_radius, cap=12):
+def _free_centers(u, bad_points, cap=12):
     """Ordinary audit centers: grid nodes keeping clear of the bad sets."""
     pts = u.grid.points
     h = u.grid.resolution
@@ -412,15 +443,18 @@ def _free_centers(u, bad_points, min_nodes_radius, cap=12):
     else:
         d = np.full(pts.shape[0], np.inf)
     # far enough that a nontrivial dyadic ladder fits under dist(x, bad)
-    ok = np.flatnonzero(d >= 6.0 * min_nodes_radius * h)
+    ok = np.flatnonzero(d >= 6.0 * MIN_NODES_RADIUS * h)
     if ok.size == 0:
         raise BelowResolutionError("no free centers clear of the bad sets")
     stride = max(1, ok.size // cap)
     return pts[ok[::stride][:cap]]
 
 
-def audit_hypothesis(us, h, s, which, mu=None, tol=DEFAULT_AUDIT_TOL,
-                     cfg=None, min_nodes_radius=8.0, coarse_only=False,
+def _bad_all(s):
+    return np.vstack([s.base] + list(s.strata)) if s.strata else s.base
+
+
+def audit_hypothesis(us, h, s, which, tol=DEFAULT_AUDIT_TOL, cfg=None,
                      fits=None):
     """Evaluate one part of the decay premise on sampled data.
 
@@ -430,123 +464,70 @@ def audit_hypothesis(us, h, s, which, mu=None, tol=DEFAULT_AUDIT_TOL,
 
     Per center and per admissible dyadic scale pair, both sides of the
     premise are computed by quadrature; ratios above 1 + tol are reported
-    as violations with their location and scales.  `fits` can carry
-    precomputed comparison polynomials keyed by (point tuple, fit radius).
+    as violations with their location and scales.  The report keeps the
+    pair table it judged.  `fits` can carry precomputed comparison
+    polynomials keyed by (point tuple, fit radius).
     """
     u_list = _as_list(us)
-    mu = h.mu if mu is None else mu
     fits = {} if fits is None else fits
+    if which not in ("I", "II", "III"):
+        raise ValueError("which must be I, II, or III")
+    if which == "III" and not h.stratified:
+        raise ValueError("part III exists only for the three-part form")
+    if which == "II" and h.stratified and s.n_strata == 0:
+        raise ValueError("no strata to audit")
 
     def fit_at(center, rho_top):
         key = (tuple(np.round(np.asarray(center, float), 12)), float(rho_top))
         if key not in fits:
-            fits[key] = [
-                _limit_fit(u, center, rho_top, h.k, h.q_exp, cfg,
-                           min_nodes_radius)
-                for u in u_list
-            ]
+            fits[key] = [_limit_fit(u, center, rho_top, h.k, h.q_exp, cfg)
+                         for u in u_list]
         return fits[key]
 
-    bad_all = np.vstack([s.base] + [g for g in s.strata]) if s.strata \
-        else s.base
+    def top(center, bad):
+        # largest audit radius whose ball keeps off the bad set
+        return min(0.25, _dist_to(bad, center)) * 0.999
 
+    every = range(len(u_list))
+    base_fams = [[fit_at(y, h.eps)[i] for y in s.base] for i in every]
+    # jobs: (components, center, per-component family or None, beta, rho_top)
     if which == "I":
-        beta = h.beta0 if h.stratified else (
+        beta_used = h.beta0 if h.stratified else (
             1.0 if h.beta1 is None else h.beta1)
-        centers = s.base
-        rho_top = h.eps
-
-        def task(center):
-            own = fit_at(center, rho_top)
-            return _audit_center(u_list, center, own,
-                                 [None] * len(u_list), beta, mu, h,
-                                 rho_top, tol, min_nodes_radius, coarse_only)
+        jobs = [(every, y, None, beta_used, h.eps) for y in s.base]
+    elif h.stratified and which == "II":
+        beta_used = max(h.betas)
+        jobs = [([i], x1, base_fams, h.betas[i], top(x1, s.base))
+                for i, pts in enumerate(s.strata) for x1 in pts]
     elif which == "II":
-        if h.stratified:
-            if s.n_strata == 0:
-                raise ValueError("no strata to audit")
-            base_fams = [
-                [fit_at(y, h.eps)[i] for y in s.base]
-                for i in range(len(u_list))
-            ]
-            jobs = []
-            for i, pts in enumerate(s.strata):
-                for x1 in pts:
-                    jobs.append((i, x1))
-            beta = max(h.betas)
-
-            def task(job):
-                i, x1 = job
-                dist = _dist_to(s.base, x1)
-                rho_top = min(0.25, dist) * 0.999
-                own = fit_at(x1, min(rho_top, h.eps))
-                lhs = [own[i]]
-                fams = [base_fams[i]]
-                return _audit_center([u_list[i]], x1, lhs, fams, h.betas[i],
-                                     mu, h, rho_top, tol, min_nodes_radius,
-                                     coarse_only)
-
-            return _run_audit(jobs, task, which, beta, tol)
-        beta = 1.0 if h.beta2 is None else h.beta2
+        beta_used = 1.0 if h.beta2 is None else h.beta2
         centers = s.free_points if s.free_points is not None else \
-            _free_centers(u_list[0], s.base, min_nodes_radius)
-        base_fams = [[fit_at(y, h.eps)[i] for y in s.base]
-                     for i in range(len(u_list))]
-
-        def task(center):
-            dist = _dist_to(s.base, center)
-            rho_top = min(0.25, dist) * 0.999
-            own = fit_at(center, min(rho_top, h.eps))
-            return _audit_center(u_list, center, own, base_fams, beta, mu,
-                                 h, rho_top, tol, min_nodes_radius,
-                                 coarse_only)
-    elif which == "III":
-        if not h.stratified:
-            raise ValueError("part III exists only for the three-part form")
-        beta = max(h.beta_tildes)
-        bad = bad_all
-        centers = s.free_points if s.free_points is not None else \
-            _free_centers(u_list[0], bad, min_nodes_radius)
-        base_fams = [[fit_at(y, h.eps)[i] for y in s.base]
-                     for i in range(len(u_list))]
-        strat_fams = [
-            [fit_at(x1, min(min(0.25, _dist_to(s.base, x1)) * 0.999,
-                            h.eps))[i]
-             for pts in s.strata for x1 in pts]
-            for i in range(len(u_list))
-        ]
-        jobs = []
-        for i in range(len(u_list)):
-            for center in centers:
-                jobs.append((i, center))
-
-        def task(job):
-            i, center = job
-            dist = _dist_to(bad, center)
-            rho_top = min(0.25, dist) * 0.999
-            own = fit_at(center, min(rho_top, h.eps))
-            fams = [base_fams[i] + strat_fams[i]]
-            return _audit_center([u_list[i]], center, [own[i]], fams,
-                                 h.beta_tildes[i], mu, h, rho_top, tol,
-                                 min_nodes_radius, coarse_only)
-
-        return _run_audit(jobs, task, which, beta, tol)
+            _free_centers(u_list[0], s.base)
+        jobs = [(every, x, base_fams, beta_used, top(x, s.base))
+                for x in centers]
     else:
-        raise ValueError("which must be I, II, or III")
+        beta_used = max(h.beta_tildes)
+        bad = _bad_all(s)
+        centers = s.free_points if s.free_points is not None else \
+            _free_centers(u_list[0], bad)
+        strat_fams = [
+            [fit_at(x1, min(top(x1, s.base), h.eps))[i]
+             for pts in s.strata for x1 in pts]
+            for i in every
+        ]
+        fams = [b + t for b, t in zip(base_fams, strat_fams)]
+        jobs = [([i], x, fams, h.beta_tildes[i], top(x, bad))
+                for i in every for x in centers]
 
-    return _run_audit(list(centers), task, which, beta, tol)
-
-
-def _run_audit(jobs, task, which, beta, tol):
-    checked = 0
-    violations = []
-    worst = 0.0
-    for job in jobs:
-        c, v, w = task(job)
-        checked += c
-        violations.extend(v)
-        worst = max(worst, w)
-    return AuditReport(which, checked, tuple(violations), beta, tol, worst)
+    pairs, betas = [], []
+    for comps, center, fams, beta, rho_top in jobs:
+        own = fit_at(center, min(rho_top, h.eps))
+        rows = _pair_table(
+            [u_list[i] for i in comps], center, [own[i] for i in comps],
+            None if fams is None else [fams[i] for i in comps], rho_top, h)
+        pairs += rows
+        betas += [beta] * len(rows)
+    return _judge(which, pairs, betas, beta_used, tol)
 
 
 @dataclass(frozen=True)
@@ -562,16 +543,16 @@ class CertifyOutcome:
 
 
 def end_to_end_certify(us, s, k, q_exp, mu_claim, eps=0.2,
-                       tol=DEFAULT_AUDIT_TOL, cfg=None, offset_window=4,
-                       min_nodes_radius=8.0, soundness_depth=4):
+                       tol=DEFAULT_AUDIT_TOL, cfg=None, offset_window=4):
     """Calibrate, audit, and certify in one pass.
 
-    The hypothesis constants are first calibrated on coarse scale pairs
-    (adjacent rungs in the top half of each ladder, padded by the audit
-    tolerance), then the full dyadic range is audited against those
-    constants.  Data whose fine scales decay no better than its coarse
-    scales passes; data that degrades below the claimed modulus at fine
-    scales refuses with the violation list.  A passing certificate is
+    Each part of the premise is audited once, at unit constants, and the
+    pair table of that audit is judged twice.  The constants are calibrated
+    on its coarse pairs (adjacent rungs in the top half of each ladder,
+    padded by the audit tolerance); then every pair is judged against the
+    calibrated constants.  Data whose fine scales decay no better than its
+    coarse scales passes; data that degrades below the claimed modulus at
+    fine scales refuses with the violation list.  A passing certificate is
     spot-checked for soundness: the certified Campanato exponent must not
     exceed the measured decay exponent at the audited centers.
     """
@@ -579,7 +560,7 @@ def end_to_end_certify(us, s, k, q_exp, mu_claim, eps=0.2,
     s.validate()
     n = u_list[0].n
     parts = ("I", "II", "III") if s.n_strata else ("I", "II")
-    base_h = DecayHypothesis(
+    unit = DecayHypothesis(
         n=n, k=k, q_exp=q_exp, mu=mu_claim, eps=eps,
         beta0=1.0 if s.n_strata else None,
         beta1=None if s.n_strata else 1.0,
@@ -588,47 +569,39 @@ def end_to_end_certify(us, s, k, q_exp, mu_claim, eps=0.2,
         beta_tildes=(1.0,) * s.n_strata,
     )
     fits = {}
+    tables = [audit_hypothesis(u_list, unit, s, which, tol=tol, cfg=cfg,
+                               fits=fits).pairs for which in parts]
     calibrated = {}
-    for which in parts:
-        rep = audit_hypothesis(u_list, base_h, s, which, tol=tol, cfg=cfg,
-                               min_nodes_radius=min_nodes_radius,
-                               coarse_only=True, fits=fits)
-        calibrated[which] = max(rep.worst_ratio, 1.0) * (1.0 + tol)
+    for which, pairs in zip(parts, tables):
+        coarse = [p for p in pairs if p.calibrating]
+        worst = _judge(which, coarse, repeat(1.0), 1.0, tol).worst_ratio
+        calibrated[which] = max(worst, 1.0) * (1.0 + tol)
+    audits = tuple(
+        _judge(which, pairs, repeat(calibrated[which]), calibrated[which],
+               tol)
+        for which, pairs in zip(parts, tables))
+    if any(not a.clean for a in audits):
+        return CertifyOutcome(None, audits, True)
     if s.n_strata:
-        h = replace(base_h, beta0=calibrated["I"],
+        h = replace(unit, beta0=calibrated["I"],
                     betas=(calibrated["II"],) * s.n_strata,
                     beta_tildes=(calibrated["III"],) * s.n_strata)
-    else:
-        h = replace(base_h, beta1=calibrated["I"], beta2=calibrated["II"])
-    audits = []
-    refused = False
-    for which in parts:
-        rep = audit_hypothesis(u_list, h, s, which, tol=tol, cfg=cfg,
-                               min_nodes_radius=min_nodes_radius, fits=fits)
-        audits.append(rep)
-        if not rep.clean:
-            refused = True
-    if refused:
-        return CertifyOutcome(None, tuple(audits), True)
-    if s.n_strata:
         cert = certified_exponent_stratified(h, s, offset_window)
     else:
+        h = replace(unit, beta1=calibrated["I"], beta2=calibrated["II"])
         cert = certified_exponent(h)
-    soundness = _soundness_spot_check(u_list, s, cert, k, q_exp, eps,
-                                      cfg, min_nodes_radius, soundness_depth)
+    soundness = _soundness_spot_check(u_list, s, cert, k, q_exp, eps, cfg)
     cert = replace(cert, audit={
         "checked": sum(a.checked for a in audits),
         "violations": [list(a.violations) for a in audits],
     })
-    return CertifyOutcome(cert, tuple(audits), False, soundness)
+    return CertifyOutcome(cert, audits, False, soundness)
 
 
-def _soundness_spot_check(u_list, s, cert, k, q_exp, eps, cfg,
-                          min_nodes_radius, depth):
+def _soundness_spot_check(u_list, s, cert, k, q_exp, eps, cfg):
     """Fraction of audited centers where measured decay meets the
     certificate's exponent; exact-polynomial centers count as sound."""
     from .campanato import decay_exponent
-    from .geometry import dyadic_ladder
 
     centers = [np.asarray(c, float) for c in s.base]
     for pts in s.strata:
@@ -636,10 +609,8 @@ def _soundness_spot_check(u_list, s, cert, k, q_exp, eps, cfg,
     if s.free_points is not None:
         centers.extend(np.asarray(c, float) for c in s.free_points)
     else:
-        bad = np.vstack([s.base] + list(s.strata)) if s.strata else s.base
-        centers.extend(_free_centers(u_list[0], bad, min_nodes_radius,
-                                     cap=6))
-    ladder = dyadic_ladder(eps, depth)
+        centers.extend(_free_centers(u_list[0], _bad_all(s), cap=6))
+    ladder = dyadic_ladder(eps, SOUNDNESS_DEPTH)
     results = []
     for center in centers:
         lam_hats = []

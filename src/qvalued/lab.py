@@ -32,7 +32,6 @@ from .points import (
     SampledQFunction,
     _permutation_table,
     match_batch,
-    metric_g,
     optimal_assignment,
 )
 from .polyfit import FitConfig, best_fit
@@ -852,6 +851,8 @@ def branch_set_detect(u, tol, with_derivative=True):
     derivative term is what separates a genuine branch point from a
     transversal crossing.
     """
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("branch tolerance must be positive and finite")
     if u.q == 1:
         empty = np.empty((0, u.n))
         return BranchSetReport(empty, np.empty(0, dtype=int), np.empty(0))

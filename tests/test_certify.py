@@ -1,8 +1,15 @@
+import dataclasses
 import math
+import sys
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qvalued import certify
 from qvalued.certify import (
     AuditReport,
     DecayHypothesis,
@@ -142,6 +149,21 @@ def test_hypothesis_validation():
                         beta_tildes=())
 
 
+@pytest.mark.parametrize("kw", [
+    {"q_exp": math.nan}, {"q_exp": math.inf}, {"mu": math.nan},
+    {"eps": math.nan}, {"beta": math.inf}, {"beta0": math.nan},
+    {"beta1": math.inf}, {"beta2": math.nan}, {"beta2": math.inf},
+    {"betas": (math.nan,), "beta_tildes": (1.0,)},
+    {"betas": (1.0,), "beta_tildes": (math.inf,)},
+    {"n": 0}, {"k": -3},
+], ids=lambda kw: ",".join("%s=%s" % item for item in kw.items()))
+def test_hypothesis_refuses_malformed_constants(kw):
+    base = dict(n=2, k=1, q_exp=2.0, mu=0.5, beta1=1.0, beta2=1.0)
+    base.update(kw)
+    with pytest.raises(ValueError):
+        DecayHypothesis(**base)
+
+
 def one_stratum():
     return Stratification(base=[[0.0, 0.0]], strata=([[0.5, 0.0]],))
 
@@ -247,6 +269,22 @@ def test_part_three_does_not_depend_on_part_two_fits():
     assert audit_hypothesis(u, h, s, "III", fits=fits) == alone
 
 
+@settings(max_examples=200, deadline=None)
+@given(rho_top=st.floats(1e-4, 1.0), resolution=st.floats(1e-4, 0.1))
+def test_audit_ladder_is_repeated_halving(rho_top, resolution):
+    # reference: halve from the top while the radius stays resolvable
+    floor = max(certify.MIN_NODES_RADIUS * resolution, 1e-12)
+    want = []
+    rho = rho_top
+    while rho >= floor:
+        want.append(rho)
+        rho *= 0.5
+    u = SimpleNamespace(grid=SimpleNamespace(resolution=resolution))
+    got = certify._audit_ladder(u, rho_top)
+    assert got == want
+    assert all(type(r) is float for r in got)
+
+
 def test_end_to_end_certifies_branch_pair(branch_sample):
     s = Stratification(base=[[0.0, 0.0]])
     out = end_to_end_certify(branch_sample, s, k=1, q_exp=2.0, mu_claim=0.5)
@@ -287,3 +325,71 @@ def test_audit_needs_resolvable_pairs():
     h = DecayHypothesis(n=2, k=1, q_exp=2.0, mu=0.5, eps=0.05, beta1=1.0)
     with pytest.raises(BelowResolutionError):
         audit_hypothesis(u, h, Stratification(base=[[0.0, 0.0]]), "I")
+
+
+def two_branch_strata_case():
+    grid = Domain.ball(2, 1.0).sample(1.0 / 80.0)
+    u = SampledQFunction(grid, branch_pair_values(grid.points))
+    s = Stratification(base=[[0.0, 0.0]], strata=([[0.5, 0.0]],),
+                       free_points=[[-0.5, 0.3], [0.1, -0.6]])
+    return u, s
+
+
+@pytest.fixture(scope="module")
+def stratified_run():
+    """One stratified end_to_end_certify, counting the audits it runs and
+    the ball restrictions the certify module makes for audit masses."""
+    u, s = two_branch_strata_case()
+    audits = []
+    restricts = Counter()
+    audit = certify.audit_hypothesis
+    restrict = SampledQFunction.restrict
+
+    def counting_audit(*args, **kwargs):
+        audits.append(args[3])
+        return audit(*args, **kwargs)
+
+    def counting_restrict(self, center, radius):
+        if sys._getframe(1).f_globals["__name__"] == certify.__name__:
+            key = (id(self), tuple(float(c) for c in center), float(radius))
+            restricts[key] += 1
+        return restrict(self, center, radius)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "audit_hypothesis", counting_audit)
+        mp.setattr(SampledQFunction, "restrict", counting_restrict)
+        out = end_to_end_certify(u, s, k=1, q_exp=2.0, mu_claim=0.5)
+    return u, s, out, audits, restricts
+
+
+def test_end_to_end_stratified_parts(stratified_run):
+    u, s, out, _, _ = stratified_run
+    assert out.ok
+    assert [a.which for a in out.audits] == ["I", "II", "III"]
+    assert [a.checked for a in out.audits] == [1, 1, 2]
+    assert [a.beta_used for a in out.audits] == [1.05, 1.05, 1.05]
+    assert out.certificate.audit["checked"] == 4
+    assert out.soundness["fraction"] == 1.0
+    # re-judging the unit-constant tables is auditing at the calibrated ones
+    h = DecayHypothesis(n=2, k=1, q_exp=2.0, mu=0.5,
+                        beta0=out.audits[0].beta_used,
+                        betas=(out.audits[1].beta_used,),
+                        beta_tildes=(out.audits[2].beta_used,))
+    for rep in out.audits:
+        again = audit_hypothesis(u, h, s, rep.which)
+        assert dataclasses.replace(again, pairs=()) == \
+            dataclasses.replace(rep, pairs=())
+        assert again.pairs == rep.pairs
+
+
+def test_end_to_end_traverses_each_part_once(stratified_run):
+    _, _, out, audits, restricts = stratified_run
+    assert audits == ["I", "II", "III"]
+    # every (component, center, rung) of an audited pair is restricted
+    # once for masses, shared by the center's own and family polynomials
+    assert restricts and set(restricts.values()) == {1}
+    rungs = {(p.center, r) for a in out.audits for p in a.pairs
+             for r in (p.sigma, p.rho)}
+    assert {key[1:] for key in restricts} == rungs
+    assert all(len(a.pairs) == a.checked for a in out.audits)
+    assert any(p.calibrating for a in out.audits for p in a.pairs)

@@ -311,6 +311,29 @@ def test_cli_exit_numeric_on_starved_ladder(tmp_path, bp_csv):
     assert rc == 3
 
 
+@pytest.mark.parametrize("change", [
+    {"beta2": math.nan}, {"beta2": math.inf}, {"q": math.nan},
+    {"k": -3}, {"n": 0}, {"betas": [math.nan], "beta_tildes": [1.0],
+                         "beta0": 1.0},
+], ids=lambda c: ",".join("%s=%s" % item for item in c.items()))
+def test_cli_certify_refuses_malformed_hypothesis(tmp_path, change):
+    obj = {"n": 2, "k": 1, "q": 2.0, "mu": 0.5, "beta1": 1.0, "beta2": 1.0}
+    obj.update(change)
+    hyp = tmp_path / "hyp.json"
+    hyp.write_text(json.dumps(obj))
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--in", str(hyp), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["-0.05", "0", "nan", "inf"])
+def test_cli_lab_audit_refuses_bad_tolerance(tmp_path, bp_csv, tol):
+    out = tmp_path / "audit.json"
+    assert main(["lab", "audit", "--in", str(bp_csv[0]), "--out", str(out),
+                 "--tol=" + tol]) == 2
+    assert not out.exists()
+
+
 def test_cli_certify_golden(tmp_path):
     hyp = tmp_path / "hyp.json"
     hyp.write_text(json.dumps(

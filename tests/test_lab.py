@@ -169,6 +169,16 @@ def test_branch_set_three_cases(disk_grid):
     assert lab.branch_set_detect(dup, 0.05).indices.size == disk_grid.size
 
 
+@pytest.mark.parametrize("tol", [0.0, -0.05, math.nan, math.inf])
+def test_branch_set_refuses_bad_tolerance(disk_grid, tol):
+    bp = SampledQFunction.from_function(disk_grid, lab.BranchPower(2, 3).eval, 2, 2)
+    with pytest.raises(ValueError, match="tolerance"):
+        lab.branch_set_detect(bp, tol)
+    single = SampledQFunction(disk_grid, bp.values[:, :1])
+    with pytest.raises(ValueError, match="tolerance"):
+        lab.branch_set_detect(single, tol)
+
+
 # ---------------------------------------------------------------------------
 # decay and frequency
 
