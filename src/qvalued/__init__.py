@@ -31,7 +31,7 @@ from .points import (
     metric_g,
     optimal_assignment,
 )
-from .polyfit import FitConfig, QPolynomial, best_fit, local_excess
+from .polyfit import FitConfig, QPolynomial, best_fit
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "gamma_select",
     "holder_from_campanato",
     "infer_band",
-    "local_excess",
     "metric_g",
     "optimal_assignment",
 ]

@@ -58,7 +58,7 @@ class ExcessProfile:
         return self.radii.shape[0]
 
 
-def excess_profile(u, x0, k, q_exp=2.0, ladder=None, cfg=None):
+def excess_profile(u, x0, k, q_exp=2.0, ladder=None):
     """Local excess per rung of a dyadic radius ladder.
 
     Rungs that fall below the grid resolution (or lose all nodes, or leave
@@ -74,7 +74,7 @@ def excess_profile(u, x0, k, q_exp=2.0, ladder=None, cfg=None):
     truncated = False
     for rho in rungs:
         try:
-            res = best_fit(u, x0, rho, k, q_exp, cfg)
+            res = best_fit(u, x0, rho, k, q_exp)
         except (BelowResolutionError, EmptyIntersectionError,
                 InsufficientSamplesError):
             truncated = True
@@ -100,13 +100,13 @@ class SeminormReport:
         return self.value
 
 
-def campanato_seminorm(u, k, q_exp, lam, centers, ladder, cfg=None):
+def campanato_seminorm(u, k, q_exp, lam, centers, ladder):
     """Supremum of [rho^-lambda E(x0, rho)]^(1/q) over centers and rungs."""
     rows = []
     best = -math.inf
     worst = (None, None)
     for x0 in np.atleast_2d(np.asarray(centers, dtype=float)):
-        prof = excess_profile(u, x0, k, q_exp, ladder, cfg)
+        prof = excess_profile(u, x0, k, q_exp, ladder)
         for rho, exc in zip(prof.radii, prof.excesses):
             scaled = (exc / rho ** lam) ** (1.0 / q_exp)
             rows.append((x0.copy(), float(rho), float(exc), float(scaled)))
@@ -131,7 +131,7 @@ class DecayFit:
         return holder_from_campanato(self.lambda_hat, n, ell, q_exp)
 
 
-def decay_exponent(u, x0, k, q_exp=2.0, ladder=None, cfg=None, min_rungs=4):
+def decay_exponent(u, x0, k, q_exp=2.0, ladder=None, min_rungs=4):
     """Log-log slope of the excess profile.
 
     Rungs whose excess sits at rounding level (relative to the local q-mass)
@@ -139,7 +139,7 @@ def decay_exponent(u, x0, k, q_exp=2.0, ladder=None, cfg=None, min_rungs=4):
     tuple to machine precision and an exact-fit sentinel is returned instead
     of a meaningless slope.
     """
-    prof = excess_profile(u, x0, k, q_exp, ladder, cfg)
+    prof = excess_profile(u, x0, k, q_exp, ladder)
     top = float(np.max(prof.radii))
     mass = u.restrict(prof.center, top).q_mass(q_exp)
     floor = _EXCESS_FLOOR_FACTOR * np.finfo(float).eps * max(mass, 1e-300)
@@ -190,7 +190,7 @@ class CoefficientFlow:
         return 2.0 ** ((n + self.order * q_exp - lam) / q_exp)
 
 
-def coefficient_flow(u, x0, rho0, depth, k, q_exp=2.0, r=None, cfg=None):
+def coefficient_flow(u, x0, rho0, depth, k, q_exp=2.0, r=None):
     """Fitted coefficient tuples along a dyadic ladder at one center.
 
     Per rung, the best degree-k fit is taken and its coefficients through
@@ -204,7 +204,7 @@ def coefficient_flow(u, x0, rho0, depth, k, q_exp=2.0, r=None, cfg=None):
     r = k if r is None else r
     if r > k:
         raise ValueError("tuple order exceeds fit degree")
-    prof = excess_profile(u, x0, k, q_exp, dyadic_ladder(rho0, depth), cfg)
+    prof = excess_profile(u, x0, k, q_exp, dyadic_ladder(rho0, depth))
     tuples = [coefficient_tuple(f.polynomial, r) for f in prof.fits]
     dists = np.array([
         metric_g(a, b) for a, b in zip(tuples[:-1], tuples[1:])
@@ -216,7 +216,7 @@ def coefficient_flow(u, x0, rho0, depth, k, q_exp=2.0, r=None, cfg=None):
                            dists, ratios, tuples[-1], prof.truncated)
 
 
-def derivative_chain_check(u, x0, k, step, rho0, depth, q_exp=2.0, cfg=None):
+def derivative_chain_check(u, x0, k, step, rho0, depth, q_exp=2.0):
     """Compare finite differences of order-(k-1) coefficient limits against
     the order-k limits: the flow's limit tuples should differentiate into
     each other slot by slot.
@@ -229,7 +229,7 @@ def derivative_chain_check(u, x0, k, step, rho0, depth, q_exp=2.0, cfg=None):
         raise ValueError("chain check needs k >= 1")
     x0 = np.asarray(x0, dtype=float).ravel()
     n = x0.shape[0]
-    base = coefficient_flow(u, x0, rho0, depth, k, q_exp, r=k, cfg=cfg)
+    base = coefficient_flow(u, x0, rho0, depth, k, q_exp, r=k)
     idx = base.limit  # joint tuple through order k at x0
     from .polyfit import multi_indices
 
@@ -240,9 +240,9 @@ def derivative_chain_check(u, x0, k, step, rho0, depth, q_exp=2.0, cfg=None):
     skipped = 0
     for axis in range(n):
         flow_p = coefficient_flow(u, x0 + step * _unit(n, axis), rho0, depth,
-                                  k, q_exp, r=k, cfg=cfg)
+                                  k, q_exp, r=k)
         flow_m = coefficient_flow(u, x0 - step * _unit(n, axis), rho0, depth,
-                                  k, q_exp, r=k, cfg=cfg)
+                                  k, q_exp, r=k)
         sp, _ = optimal_assignment(idx, flow_p.limit)
         sm, _ = optimal_assignment(idx, flow_m.limit)
         margin = min(_pairwise_gap(flow_p.limit), _pairwise_gap(flow_m.limit))
@@ -286,7 +286,7 @@ def _pairwise_gap(p):
 
 
 def dyadic_consistency(u, x0, k, q_exp, lam, ladder, seminorm=None,
-                       centers=None, cfg=None):
+                       centers=None):
     """Adjacent-rung polynomial drift against the explicit dyadic bound.
 
     For consecutive rungs rho_j, rho_{j+1} the quadrature of
@@ -299,12 +299,12 @@ def dyadic_consistency(u, x0, k, q_exp, lam, ladder, seminorm=None,
     plus quadrature slack.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
-    prof = excess_profile(u, x0, k, q_exp, ladder, cfg)
+    prof = excess_profile(u, x0, k, q_exp, ladder)
     if seminorm is None:
         if centers is None:
             centers = [x0]
-        seminorm = campanato_seminorm(u, k, q_exp, lam, centers, ladder,
-                                      cfg).value
+        seminorm = campanato_seminorm(u, k, q_exp, lam, centers,
+                                      ladder).value
     constant = 2.0 ** q_exp + 2.0 ** (q_exp - lam)
     ratios = []
     for (rho_big, fit_big), (rho_small, fit_small) in zip(
@@ -326,7 +326,7 @@ def dyadic_consistency(u, x0, k, q_exp, lam, ladder, seminorm=None,
 
 
 def cross_center_check(u, x0, y0, k, q_exp, lam, comparison_constant,
-                       seminorm, cfg=None):
+                       seminorm):
     """Top-order coefficient agreement between fits at two nearby centers.
 
     Top-order coefficients of a degree-k polynomial are center-free, so the
@@ -343,8 +343,8 @@ def cross_center_check(u, x0, y0, k, q_exp, lam, comparison_constant,
     if rho <= 0:
         raise ValueError("centers must be distinct")
     n = x0.shape[0]
-    fx = best_fit(u, x0, 2.0 * rho, k, q_exp, cfg)
-    fy = best_fit(u, y0, 2.0 * rho, k, q_exp, cfg)
+    fx = best_fit(u, x0, 2.0 * rho, k, q_exp)
+    fy = best_fit(u, y0, 2.0 * rho, k, q_exp)
     a = coefficient_tuple(fx.polynomial, k, top_only=True)
     b = coefficient_tuple(fy.polynomial, k, top_only=True)
     lhs = metric_g(a, b) ** q_exp

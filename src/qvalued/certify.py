@@ -136,6 +136,16 @@ class Stratification:
         if self.free_points is not None:
             object.__setattr__(self, "free_points", np.atleast_2d(
                 np.asarray(self.free_points, dtype=float)))
+        for x in self.points():
+            if not np.all(np.isfinite(x)):
+                raise ValueError("point %s is not finite" % x.tolist())
+
+    def points(self):
+        """Every point the stratification names: base, strata, free points."""
+        sets = [self.base, *self.strata]
+        if self.free_points is not None:
+            sets.append(self.free_points)
+        return np.vstack(sets)
 
     def validate(self, min_sep=1e-9):
         """Finite-sample form of the closure condition: stratum points must
@@ -356,7 +366,7 @@ def _audit_ladder(u, rho_top):
     return [r for r in dyadic_ladder(rho_top, depth).tolist() if r >= floor]
 
 
-def _limit_fit(u, center, rho_top, k, q_exp, cfg):
+def _limit_fit(u, center, rho_top, k, q_exp):
     """Comparison polynomial for one center: the best fit at the deepest
     admissible rung, the closest available stand-in for the shrinking-scale
     limit polynomial.  (A top-scale fit would carry scale-eps coefficient
@@ -364,7 +374,7 @@ def _limit_fit(u, center, rho_top, k, q_exp, cfg):
     """
     for rho in reversed(_audit_ladder(u, rho_top)):
         try:
-            return best_fit(u, center, rho, k, q_exp, cfg).polynomial
+            return best_fit(u, center, rho, k, q_exp).polynomial
         except InsufficientSamplesError:
             continue
     raise BelowResolutionError("no rung supports a comparison fit")
@@ -410,7 +420,7 @@ def _pair_table(us, center, own, fams, rho_top, h):
     return pairs
 
 
-def _judge(which, pairs, betas, beta_used, tol):
+def _judge(which, pairs, betas, beta_used):
     """Report on a pair table, judging each pair at its own beta: the ratio
     of the fine side to beta (sigma/rho)^(q mu) times the coarse side."""
     violations = []
@@ -422,15 +432,15 @@ def _judge(which, pairs, betas, beta_used, tol):
         rhs = beta * p.decay * p.coarse
         ratio = p.fine / rhs if rhs > 0 else math.inf
         worst = max(worst, ratio)
-        if ratio > 1.0 + tol:
+        if ratio > 1.0 + DEFAULT_AUDIT_TOL:
             violations.append({
                 "center": list(p.center),
                 "sigma": p.sigma,
                 "rho": p.rho,
                 "ratio": ratio,
             })
-    return AuditReport(which, len(pairs), tuple(violations), beta_used, tol,
-                       worst, tuple(pairs))
+    return AuditReport(which, len(pairs), tuple(violations), beta_used,
+                       DEFAULT_AUDIT_TOL, worst, tuple(pairs))
 
 
 def _free_centers(u, bad_points, cap=12):
@@ -454,8 +464,7 @@ def _bad_all(s):
     return np.vstack([s.base] + list(s.strata)) if s.strata else s.base
 
 
-def audit_hypothesis(us, h, s, which, tol=DEFAULT_AUDIT_TOL, cfg=None,
-                     fits=None):
+def audit_hypothesis(us, h, s, which, fits=None):
     """Evaluate one part of the decay premise on sampled data.
 
     which = "I": contraction at base-set points (joint across components).
@@ -463,10 +472,12 @@ def audit_hypothesis(us, h, s, which, tol=DEFAULT_AUDIT_TOL, cfg=None,
     which = "III": ordinary points against base and stratum families.
 
     Per center and per admissible dyadic scale pair, both sides of the
-    premise are computed by quadrature; ratios above 1 + tol are reported
-    as violations with their location and scales.  The report keeps the
-    pair table it judged.  `fits` can carry precomputed comparison
-    polynomials keyed by (point tuple, fit radius).
+    premise are computed by quadrature; ratios above 1 + DEFAULT_AUDIT_TOL
+    are reported as violations with their location and scales.  The report
+    keeps the pair table it judged.  `fits` can carry precomputed
+    comparison polynomials keyed by (point tuple, fit radius).  A point of
+    `s` with no grid node within one grid step is refused with ValueError
+    before any fit.
     """
     u_list = _as_list(us)
     fits = {} if fits is None else fits
@@ -476,11 +487,17 @@ def audit_hypothesis(us, h, s, which, tol=DEFAULT_AUDIT_TOL, cfg=None,
         raise ValueError("part III exists only for the three-part form")
     if which == "II" and h.stratified and s.n_strata == 0:
         raise ValueError("no strata to audit")
+    for u in u_list:
+        for x in s.points():
+            if _dist_to(u.grid.points, x) > u.grid.resolution:
+                raise ValueError(
+                    "point %s has no grid node within one grid step (h = %g)"
+                    % (x.tolist(), u.grid.resolution))
 
     def fit_at(center, rho_top):
         key = (tuple(np.round(np.asarray(center, float), 12)), float(rho_top))
         if key not in fits:
-            fits[key] = [_limit_fit(u, center, rho_top, h.k, h.q_exp, cfg)
+            fits[key] = [_limit_fit(u, center, rho_top, h.k, h.q_exp)
                          for u in u_list]
         return fits[key]
 
@@ -527,7 +544,7 @@ def audit_hypothesis(us, h, s, which, tol=DEFAULT_AUDIT_TOL, cfg=None,
             None if fams is None else [fams[i] for i in comps], rho_top, h)
         pairs += rows
         betas += [beta] * len(rows)
-    return _judge(which, pairs, betas, beta_used, tol)
+    return _judge(which, pairs, betas, beta_used)
 
 
 @dataclass(frozen=True)
@@ -542,8 +559,7 @@ class CertifyOutcome:
         return not self.refused
 
 
-def end_to_end_certify(us, s, k, q_exp, mu_claim, eps=0.2,
-                       tol=DEFAULT_AUDIT_TOL, cfg=None, offset_window=4):
+def end_to_end_certify(us, s, k, q_exp, mu_claim):
     """Calibrate, audit, and certify in one pass.
 
     Each part of the premise is audited once, at unit constants, and the
@@ -561,7 +577,7 @@ def end_to_end_certify(us, s, k, q_exp, mu_claim, eps=0.2,
     n = u_list[0].n
     parts = ("I", "II", "III") if s.n_strata else ("I", "II")
     unit = DecayHypothesis(
-        n=n, k=k, q_exp=q_exp, mu=mu_claim, eps=eps,
+        n=n, k=k, q_exp=q_exp, mu=mu_claim,
         beta0=1.0 if s.n_strata else None,
         beta1=None if s.n_strata else 1.0,
         beta2=None if s.n_strata else 1.0,
@@ -569,16 +585,15 @@ def end_to_end_certify(us, s, k, q_exp, mu_claim, eps=0.2,
         beta_tildes=(1.0,) * s.n_strata,
     )
     fits = {}
-    tables = [audit_hypothesis(u_list, unit, s, which, tol=tol, cfg=cfg,
-                               fits=fits).pairs for which in parts]
+    tables = [audit_hypothesis(u_list, unit, s, which, fits=fits).pairs
+              for which in parts]
     calibrated = {}
     for which, pairs in zip(parts, tables):
         coarse = [p for p in pairs if p.calibrating]
-        worst = _judge(which, coarse, repeat(1.0), 1.0, tol).worst_ratio
-        calibrated[which] = max(worst, 1.0) * (1.0 + tol)
+        worst = _judge(which, coarse, repeat(1.0), 1.0).worst_ratio
+        calibrated[which] = max(worst, 1.0) * (1.0 + DEFAULT_AUDIT_TOL)
     audits = tuple(
-        _judge(which, pairs, repeat(calibrated[which]), calibrated[which],
-               tol)
+        _judge(which, pairs, repeat(calibrated[which]), calibrated[which])
         for which, pairs in zip(parts, tables))
     if any(not a.clean for a in audits):
         return CertifyOutcome(None, audits, True)
@@ -586,11 +601,11 @@ def end_to_end_certify(us, s, k, q_exp, mu_claim, eps=0.2,
         h = replace(unit, beta0=calibrated["I"],
                     betas=(calibrated["II"],) * s.n_strata,
                     beta_tildes=(calibrated["III"],) * s.n_strata)
-        cert = certified_exponent_stratified(h, s, offset_window)
+        cert = certified_exponent_stratified(h, s)
     else:
         h = replace(unit, beta1=calibrated["I"], beta2=calibrated["II"])
         cert = certified_exponent(h)
-    soundness = _soundness_spot_check(u_list, s, cert, k, q_exp, eps, cfg)
+    soundness = _soundness_spot_check(u_list, s, cert, k, q_exp, unit.eps)
     cert = replace(cert, audit={
         "checked": sum(a.checked for a in audits),
         "violations": [list(a.violations) for a in audits],
@@ -598,17 +613,13 @@ def end_to_end_certify(us, s, k, q_exp, mu_claim, eps=0.2,
     return CertifyOutcome(cert, audits, False, soundness)
 
 
-def _soundness_spot_check(u_list, s, cert, k, q_exp, eps, cfg):
+def _soundness_spot_check(u_list, s, cert, k, q_exp, eps):
     """Fraction of audited centers where measured decay meets the
     certificate's exponent; exact-polynomial centers count as sound."""
     from .campanato import decay_exponent
 
-    centers = [np.asarray(c, float) for c in s.base]
-    for pts in s.strata:
-        centers.extend(np.asarray(c, float) for c in pts)
-    if s.free_points is not None:
-        centers.extend(np.asarray(c, float) for c in s.free_points)
-    else:
+    centers = list(s.points())
+    if s.free_points is None:
         centers.extend(_free_centers(u_list[0], _bad_all(s), cap=6))
     ladder = dyadic_ladder(eps, SOUNDNESS_DEPTH)
     results = []
@@ -616,7 +627,7 @@ def _soundness_spot_check(u_list, s, cert, k, q_exp, eps, cfg):
         lam_hats = []
         for u in u_list:
             try:
-                fitd = decay_exponent(u, center, k, q_exp, ladder, cfg,
+                fitd = decay_exponent(u, center, k, q_exp, ladder,
                                       min_rungs=3)
             except BelowResolutionError:
                 continue

@@ -1,8 +1,8 @@
 """Command-line front end: ingest samples, run analyses, emit reports.
 
 Exit codes: 0 success, 2 input or parse error, 3 numeric failure,
-4 certificate refusal.  All randomness sits behind --seed, so repeated runs
-with the same flags produce byte-identical outputs.
+4 certificate refusal.  Fits draw their random restarts from a fixed
+seed, so repeated runs with the same flags produce byte-identical outputs.
 """
 
 import argparse
@@ -16,7 +16,7 @@ from . import campanato, certify, io, lab
 from .errors import QvaluedError, WeakConstantsError
 from .geometry import Domain, dyadic_ladder
 from .points import SampledQFunction
-from .polyfit import FitConfig, best_fit
+from .polyfit import best_fit
 
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
@@ -46,15 +46,13 @@ def _csv_sibling(out):
 def cmd_fit(args):
     u = _read_samples(args.infile, args.resolution)
     center, radius = _region(args, u)
-    cfg = FitConfig(seed=args.seed)
-    res = best_fit(u, center, radius, args.k, args.q, cfg)
+    res = best_fit(u, center, radius, args.k, args.q)
     io.write_polynomial_json(
         args.out, res.polynomial, residual=res.residual,
         extra={
             "converged": bool(res.converged),
             "iterations": int(res.iterations),
             "starts": int(res.starts),
-            "seed": int(args.seed),
         },
     )
     return 0
@@ -63,10 +61,8 @@ def cmd_fit(args):
 def cmd_excess(args):
     u = _read_samples(args.infile, args.resolution)
     center, radius = _region(args, u)
-    cfg = FitConfig(seed=args.seed)
     prof = campanato.excess_profile(
-        u, center, args.k, args.q,
-        dyadic_ladder(radius, args.ladder_depth - 1), cfg
+        u, center, args.k, args.q, dyadic_ladder(radius, args.ladder_depth - 1)
     )
     io.write_report_json(args.out, {
         "center": prof.center,
@@ -82,10 +78,9 @@ def cmd_excess(args):
 def cmd_seminorm(args):
     u = _read_samples(args.infile, args.resolution)
     center, radius = _region(args, u)
-    cfg = FitConfig(seed=args.seed)
     rep = campanato.campanato_seminorm(
         u, args.k, args.q, args.lam, [center],
-        dyadic_ladder(radius, args.ladder_depth - 1), cfg
+        dyadic_ladder(radius, args.ladder_depth - 1)
     )
     io.write_report_json(args.out, {
         "value": rep.value,
@@ -103,10 +98,8 @@ def cmd_seminorm(args):
 def cmd_exponent(args):
     u = _read_samples(args.infile, args.resolution)
     center, radius = _region(args, u)
-    cfg = FitConfig(seed=args.seed)
     fit = campanato.decay_exponent(
-        u, center, args.k, args.q,
-        dyadic_ladder(radius, args.ladder_depth - 1), cfg
+        u, center, args.k, args.q, dyadic_ladder(radius, args.ladder_depth - 1)
     )
     try:
         alpha = None if fit.exact else fit.holder_alpha(u.n, args.q)
@@ -196,7 +189,6 @@ def _add_common(sub, lam=False):
     sub.add_argument("--q", type=float, default=2.0, help="metric exponent")
     sub.add_argument("--ladder-depth", type=int, default=6,
                      help="number of dyadic rungs")
-    sub.add_argument("--seed", type=int, default=0, help="multi-start seed")
     sub.add_argument("--resolution", type=float,
                      help="override the inferred grid step")
     if lam:

@@ -363,17 +363,12 @@ def a_weighted_constant(domain, resolution, max_depth=10, interior_stride=None):
     grid = domain.sample(resolution)
     h = grid.resolution
     diam = domain.diameter()
-    radii = []
-    for j in range(max_depth + 1):
-        rho = diam * 2.0 ** (-j)
-        if rho < 8.0 * h:
-            break
-        radii.append(rho)
-    if not radii:
+    radii = dyadic_ladder(diam, max_depth)
+    radii = radii[radii >= 8.0 * h]
+    if not radii.size:
         raise BelowResolutionError(
             "no usable radii: diameter %g vs resolution %g" % (diam, h)
         )
-    radii = np.asarray(radii)
 
     centers = [domain.boundary_points()]
     if interior_stride is None:

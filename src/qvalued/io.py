@@ -217,7 +217,11 @@ def write_certificate_json(path, cert):
 
 
 def hypothesis_from_dict(obj):
-    """Build a decay hypothesis from parsed JSON; `q` and `q_exp` both work."""
+    """Build a decay hypothesis from parsed JSON; `q` and `q_exp` both work.
+    A non-integral `n` or `k` is refused with ValueError."""
+    for key in ("n", "k"):
+        if not float(obj[key]).is_integer():
+            raise ValueError("%s must be an integer, got %r" % (key, obj[key]))
     kwargs = {
         "n": int(obj["n"]),
         "k": int(obj["k"]),

@@ -1239,7 +1239,7 @@ class LinearityReport:
 
 
 def linearity_classify(v, tol=1e-8, gate_tol=1e-4, resolution=1.0 / 48.0,
-                       domain=None, cfg=None):
+                       domain=None):
     """Classify a degree-one homogeneous candidate as linear or not.
 
     Gates on the homogeneity deviation over a fixed annulus, then fits a
@@ -1260,8 +1260,8 @@ def linearity_classify(v, tol=1e-8, gate_tol=1e-4, resolution=1.0 / 48.0,
         )
     grid = domain.sample(resolution)
     u = SampledQFunction.from_function(grid, v.eval, v.q, v.m)
-    cfg = FitConfig(restarts=4, zero_constant=True) if cfg is None else cfg
-    fit = best_fit(u, domain.center, domain.radius * 0.98, 1, 2.0, cfg)
+    fit = best_fit(u, domain.center, domain.radius * 0.98, 1, 2.0,
+                   FitConfig(restarts=4, zero_constant=True))
     mass = u.q_mass(2.0)
     rel = math.sqrt(max(fit.residual, 0.0) / max(mass, 1e-300))
     linear = rel <= tol

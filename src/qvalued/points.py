@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BranchAmbiguityError, OracleLimitError
+from .errors import (
+    BelowResolutionError,
+    BranchAmbiguityError,
+    EmptyIntersectionError,
+    OracleLimitError,
+)
 from .geometry import unit_ball_volume
 
 __all__ = [
@@ -436,7 +441,8 @@ def lebesgue_point_profile(u, x0, ladder, q_exp=2.0, value=None):
     """Averaged q-th power distance to the value at x0 per ladder radius.
 
     Returns (radii_used, averages, truncated) where truncated flags ladder
-    rungs dropped for falling below the grid resolution.
+    rungs dropped by `QuadratureGrid.restrict_indices`: at most two grid
+    steps, or holding no node.
     """
     if not isinstance(u, SampledQFunction):
         raise TypeError("profile requires sampled data")
@@ -444,22 +450,18 @@ def lebesgue_point_profile(u, x0, ladder, q_exp=2.0, value=None):
     if value is None:
         value = u.value_at(x0)
     ref = value.branches if isinstance(value, AqPoint) else AqPoint(value).branches
-    h = u.grid.resolution
     omega = unit_ball_volume(u.n)
-    d2 = np.sum((u.grid.points - x0) ** 2, axis=1)
     radii, averages = [], []
     truncated = False
     for rho in np.asarray(ladder, dtype=float):
-        if rho <= 2.0 * h:
+        try:
+            idx = u.grid.restrict_indices(x0, rho)
+        except (BelowResolutionError, EmptyIntersectionError):
             truncated = True
             continue
-        mask = d2 <= rho * rho
-        if not np.any(mask):
-            truncated = True
-            continue
-        vals = u.values[mask]
+        vals = u.values[idx]
         dists = np.sqrt(match_batch(vals, np.broadcast_to(ref, vals.shape))[1])
-        mass = float(np.sum(u.grid.weights[mask] * dists ** q_exp))
+        mass = float(np.sum(u.grid.weights[idx] * dists ** q_exp))
         radii.append(rho)
         averages.append(mass / (omega * rho ** u.n))
     return np.asarray(radii), np.asarray(averages), truncated

@@ -46,7 +46,6 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "best_fit",
-    "local_excess",
     "random_qpolynomial",
     "comparison_constant_ratios",
 ]
@@ -221,13 +220,20 @@ def coefficient_metric(fpoly, gpoly, r=None, rho=1.0, top_only=False):
     return metric_g(a, b)
 
 
+# An alternation stops when its labels repeat and its objective moves by
+# at most _FIT_TOL relative, or after _MAX_ITER iterations.  Reweighting
+# floors the matching distances at _IRLS_FLOOR.
+_FIT_TOL = 1e-12
+_MAX_ITER = 200
+_IRLS_FLOOR = 1e-9
+
+
 @dataclass(frozen=True)
 class FitConfig:
+    """restarts: random labelings after the deterministic starts, drawn from
+    default_rng(0).  zero_constant: pin the order-0 coefficients to zero."""
+
     restarts: int = 8
-    fit_tol: float = 1e-12
-    max_iter: int = 200
-    irls_floor: float = 1e-9
-    seed: int = 0
     zero_constant: bool = False
 
 
@@ -458,7 +464,7 @@ def _propagated_labels(points, values, resolution, start_labels, order=0):
         yield labels
 
 
-def _alternate(design, values, weights, factor, labels, q_exp, cfg):
+def _alternate(design, values, weights, factor, labels, q_exp):
     """Alternate weighted least squares and branch matching from `labels`.
 
     factor = _factor(design, weights) serves every iteration at q_exp = 2
@@ -477,10 +483,10 @@ def _alternate(design, values, weights, factor, labels, q_exp, cfg):
     g = None
     converged = False
     iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         if q_exp != 2.0 and g is not None:
             factor = _factor(
-                design, weights * np.maximum(g, cfg.irls_floor) ** (q_exp - 2.0))
+                design, weights * np.maximum(g, _IRLS_FLOOR) ** (q_exp - 2.0))
         project, basis, _ = factor
         y = project @ flat.take(labels + offsets, axis=0).reshape(S, Q * m)
         new_labels, costs, _ = match_batch(values, (basis @ y).reshape(S, Q, m))
@@ -488,7 +494,7 @@ def _alternate(design, values, weights, factor, labels, q_exp, cfg):
         obj = float(np.sum(weights * g ** q_exp))
         same = np.array_equal(new_labels, labels)
         labels = new_labels
-        if same and abs(prev_obj - obj) <= cfg.fit_tol * max(obj, 1e-300):
+        if same and abs(prev_obj - obj) <= _FIT_TOL * max(obj, 1e-300):
             converged = True
             prev_obj = obj
             break
@@ -550,7 +556,7 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
         ranks = _spectral_ranks(values)
         yield ranks
         yield from _propagated_labels(X, values, sub.grid.resolution, ranks, k)
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(0)
         for _ in range(cfg.restarts):
             draw = rng.random((sub.size, Q))
             yield np.argsort(draw, axis=1)
@@ -564,7 +570,7 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     outcomes = []
     for labels0 in inits():
         outcomes.append(
-            _alternate(design, values, weights, factor, labels0, q_exp, cfg))
+            _alternate(design, values, weights, factor, labels0, q_exp))
         if outcomes[-1][2] <= exact_floor:
             break
 
@@ -573,14 +579,9 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     # picks that one.
     coeffs, _, obj, conv, iters = min(
         outcomes, key=lambda o: (o[2], o[0].tobytes()))
-    full = np.zeros((Q, sub.m, len(multi_indices(center.shape[0], k))))
-    if cfg.zero_constant:
-        all_idx = multi_indices(center.shape[0], k)
-        cols = [i for i, p in enumerate(all_idx) if any(p)]
-        full[:, :, cols] = coeffs
-    else:
-        full = coeffs
-    poly = QPolynomial(center, k, full).canonical_branch_order()
+    if cfg.zero_constant:  # the order-0 slot leads the graded order
+        coeffs = np.concatenate([np.zeros((Q, sub.m, 1)), coeffs], axis=2)
+    poly = QPolynomial(center, k, coeffs).canonical_branch_order()
     return FitResult(poly, obj, conv, iters, scheduled)
 
 
@@ -592,11 +593,6 @@ def _lex_order(values):
     keys.append(np.repeat(np.arange(S), Q))
     order = np.lexsort(keys)
     return order.reshape(S, Q) - np.arange(S)[:, None] * Q
-
-
-def local_excess(u, center, radius, k, q_exp=2.0, cfg=None):
-    """Infimal fitting energy inf_P sum w G(u, P)^q on the restricted ball."""
-    return best_fit(u, center, radius, k, q_exp, cfg).residual
 
 
 def random_qpolynomial(rng, n, m, q, k, scale=1.0, center=None):

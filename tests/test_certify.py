@@ -327,6 +327,49 @@ def test_audit_needs_resolvable_pairs():
         audit_hypothesis(u, h, Stratification(base=[[0.0, 0.0]]), "I")
 
 
+@pytest.mark.parametrize("kw", [
+    {"base": [[math.nan, 0.0]]},
+    {"base": [[0.0, 0.0]], "strata": ([[0.5, math.inf]],)},
+    {"base": [[0.0, 0.0]], "free_points": [[0.1, 0.2], [math.nan, 0.3]]},
+], ids=["base", "stratum", "free"])
+def test_stratification_refuses_non_finite_points(kw):
+    with pytest.raises(ValueError,
+                       match=r"point \[.*(nan|inf).*\] is not finite"):
+        Stratification(**kw)
+
+
+@pytest.mark.parametrize("kw", [
+    {"base": [[5.0, 5.0]]},
+    {"base": [[0.0, 0.0]], "strata": ([[0.5, 0.0], [1.2, 0.0]],)},
+    {"base": [[0.0, 0.0]], "free_points": [[0.99, 0.99]]},
+], ids=["base", "stratum", "free"])
+def test_audit_refuses_points_off_the_grid_before_fitting(kw, monkeypatch):
+    grid = Domain.ball(2, 1.0).sample(1.0 / 16.0)
+    u = SampledQFunction.from_function(
+        grid, lambda p: p[:, 0][:, None, None], q=1, m=1)
+    s = Stratification(**kw)
+    h = DecayHypothesis(n=2, k=1, q_exp=2.0, mu=0.5, beta1=1.0)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before refusing")
+
+    monkeypatch.setattr(certify, "best_fit", no_fit)
+    with pytest.raises(ValueError, match="no grid node within one grid step"):
+        audit_hypothesis(u, h, s, "I")
+
+
+def test_end_to_end_refuses_points_off_the_grid():
+    grid = Domain.ball(2, 1.0).sample(1.0 / 80.0)
+    r = np.linalg.norm(grid.points, axis=1)
+    u = SampledQFunction(grid, (r ** 1.5)[:, None, None])
+    with pytest.raises(ValueError, match=r"point \[5\.0, 5\.0\]"):
+        end_to_end_certify(u, Stratification(base=[[5.0, 5.0]]), k=1,
+                           q_exp=2.0, mu_claim=0.5)
+    with pytest.raises(ValueError, match="nan"):
+        end_to_end_certify(u, Stratification(base=[[math.nan, 0.0]]), k=1,
+                           q_exp=2.0, mu_claim=0.5)
+
+
 def two_branch_strata_case():
     grid = Domain.ball(2, 1.0).sample(1.0 / 80.0)
     u = SampledQFunction(grid, branch_pair_values(grid.points))

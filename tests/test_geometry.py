@@ -171,6 +171,23 @@ def test_a_weighted_improves_with_sampling():
     assert many.value <= few.value * 1.02
 
 
+@pytest.mark.parametrize("dom", [
+    Domain.ball(2, 1.0), Domain.half_ball(2, 0.7), Domain.box(2, 0.45),
+], ids=["ball", "half", "box"])
+@pytest.mark.parametrize("max_depth", [0, 2, 10])
+def test_a_weighted_radii_are_repeated_halving(dom, max_depth):
+    # reference: halve from the diameter while the radius stays at 8h or more
+    h = 1.0 / 24.0
+    want = []
+    for j in range(max_depth + 1):
+        rho = dom.diameter() * 2.0 ** (-j)
+        if rho < 8.0 * h:
+            break
+        want.append(rho)
+    got = a_weighted_constant(dom, h, max_depth=max_depth).radii
+    assert got.tolist() == want
+
+
 def test_a_weighted_needs_resolvable_radii():
     with pytest.raises(BelowResolutionError):
         a_weighted_constant(Domain.ball(2, 1.0), 0.3)

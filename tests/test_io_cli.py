@@ -14,7 +14,7 @@ from qvalued import io, lab
 from qvalued.cli import main
 from qvalued.geometry import Domain
 from qvalued.points import SampledQFunction, metric_g
-from qvalued.polyfit import FitConfig, QPolynomial, best_fit, multi_indices
+from qvalued.polyfit import QPolynomial, best_fit, multi_indices
 
 
 @pytest.fixture(scope="module")
@@ -189,18 +189,18 @@ def test_import_and_two_branch_fit_leave_scipy_optimize_unloaded(tmp_path, bp_cs
 def test_cli_fit_deterministic_replay(tmp_path, bp_csv):
     src, u = bp_csv
     out1, out2 = tmp_path / "fit1.json", tmp_path / "fit2.json"
-    base = ["fit", "--in", str(src), "--k", "1", "--seed", "3"]
+    base = ["fit", "--in", str(src), "--k", "1"]
     assert main(base + ["--out", str(out1)]) == 0
     assert main(base + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     center, radius = io.bounding_ball(u)
-    res = best_fit(u, center, radius, 1, 2.0, FitConfig(seed=3))
+    res = best_fit(u, center, radius, 1, 2.0)
     lib = tmp_path / "lib.json"
     io.write_polynomial_json(
         lib, res.polynomial, residual=res.residual,
         extra={"converged": bool(res.converged),
                "iterations": int(res.iterations),
-               "starts": int(res.starts), "seed": 3},
+               "starts": int(res.starts)},
     )
     assert out1.read_bytes() == lib.read_bytes()
 
@@ -315,6 +315,7 @@ def test_cli_exit_numeric_on_starved_ladder(tmp_path, bp_csv):
     {"beta2": math.nan}, {"beta2": math.inf}, {"q": math.nan},
     {"k": -3}, {"n": 0}, {"betas": [math.nan], "beta_tildes": [1.0],
                          "beta0": 1.0},
+    {"n": 2.7, "k": 1.9}, {"n": 2.5}, {"k": 1.5}, {"k": math.inf},
 ], ids=lambda c: ",".join("%s=%s" % item for item in c.items()))
 def test_cli_certify_refuses_malformed_hypothesis(tmp_path, change):
     obj = {"n": 2, "k": 1, "q": 2.0, "mu": 0.5, "beta1": 1.0, "beta2": 1.0}
@@ -324,6 +325,18 @@ def test_cli_certify_refuses_malformed_hypothesis(tmp_path, change):
     out = tmp_path / "cert.json"
     assert main(["certify", "--in", str(hyp), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_cli_certify_accepts_integral_floats(tmp_path):
+    certs = []
+    for n, k in ((2, 1), (2.0, 1.0)):
+        hyp = tmp_path / "hyp.json"
+        hyp.write_text(json.dumps(
+            {"n": n, "k": k, "q": 2.0, "mu": 0.5, "beta1": 1.0, "beta2": 1.0}))
+        out = tmp_path / ("cert-%s.json" % n)
+        assert main(["certify", "--in", str(hyp), "--out", str(out)]) == 0
+        certs.append(out.read_bytes())
+    assert certs[0] == certs[1]
 
 
 @pytest.mark.parametrize("tol", ["-0.05", "0", "nan", "inf"])

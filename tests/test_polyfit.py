@@ -26,12 +26,14 @@ from qvalued.polyfit import (
     coefficient_tuple,
     comparison_constant_ratios,
     design_matrix,
-    local_excess,
     multi_indices,
     random_qpolynomial,
 )
 from qvalued.polyfit import (
     _EXTRAP_WEIGHTS,
+    _FIT_TOL,
+    _IRLS_FLOOR,
+    _MAX_ITER,
     _alternate,
     _factor,
     _lattice_directions,
@@ -277,7 +279,7 @@ def test_local_excess_zero_on_polynomials(fit_grid):
     rng = np.random.default_rng(10)
     target = random_qpolynomial(rng, 2, 1, 2, 2)
     u = SampledQFunction(fit_grid, target.eval(fit_grid.points))
-    assert local_excess(u, np.zeros(2), 1.1, 2, 2.0) <= 1e-16
+    assert best_fit(u, np.zeros(2), 1.1, 2, 2.0).residual <= 1e-16
 
 
 def test_local_excess_closed_form_and_scaling():
@@ -288,10 +290,10 @@ def test_local_excess_closed_form_and_scaling():
     u_scaled = SampledQFunction(
         grid, ((lam * r) ** 1.5)[:, None, None]
     )
-    e_base = local_excess(u, np.zeros(2), 0.5, 1, 2.0)
+    e_base = best_fit(u, np.zeros(2), 0.5, 1, 2.0).residual
     # affine fits of r^{3/2} over a disk have a closed-form best residual
     assert e_base == pytest.approx(18.0 * math.pi / 245.0 * 0.5 ** 5, rel=0.02)
-    e_scaled = local_excess(u_scaled, np.zeros(2), 0.25, 1, 2.0)
+    e_scaled = best_fit(u_scaled, np.zeros(2), 0.25, 1, 2.0).residual
     assert e_scaled == pytest.approx(e_base / lam ** 2, rel=0.05)
 
 
@@ -544,8 +546,8 @@ def test_order_k_propagation_alone_is_exact(fit_grid, q, m):
         design = design_matrix(fit_grid.points, np.zeros(2), multi_indices(2, k))
         *_, labels = _propagated_labels(fit_grid.points, vals, fit_grid.resolution,
                                         _spectral_ranks(vals), k)
-        obj = _alternate(design, vals, weights, _factor(design, weights), labels, 2.0,
-                         FitConfig())[2]
+        obj = _alternate(design, vals, weights, _factor(design, weights), labels,
+                         2.0)[2]
         mass = float(np.sum(weights * np.einsum("sqm,sqm->s", vals, vals)))
         assert obj <= (100.0 * np.finfo(float).eps) ** 2 * mass
 
@@ -628,15 +630,15 @@ def test_rank_deficient_fit_is_the_minimum_norm_solution(k):
         float(np.sum(grid.weights * (vals[:, 0, 0] - fitted) ** 2)), rel=1e-10)
 
 
-def _lstsq_alternate(design, values, weights, labels, q_exp, cfg):
+def _lstsq_alternate(design, values, weights, labels, q_exp):
     """The alternation with one np.linalg.lstsq solve of the weighted design
     per iteration: the reference for the factored one."""
     S, Q, m = values.shape
     prev_obj, g = math.inf, None
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         w = weights
         if q_exp != 2.0 and g is not None:
-            w = weights * np.maximum(g, cfg.irls_floor) ** (q_exp - 2.0)
+            w = weights * np.maximum(g, _IRLS_FLOOR) ** (q_exp - 2.0)
         rhs = values[np.arange(S)[:, None], labels].reshape(S, Q * m)
         sw = np.sqrt(w)[:, None]
         sol = np.linalg.lstsq(design * sw, rhs * sw, rcond=None)[0]
@@ -645,7 +647,7 @@ def _lstsq_alternate(design, values, weights, labels, q_exp, cfg):
         obj = float(np.sum(weights * g ** q_exp))
         same = np.array_equal(new_labels, labels)
         labels = new_labels
-        if same and abs(prev_obj - obj) <= cfg.fit_tol * obj:
+        if same and abs(prev_obj - obj) <= _FIT_TOL * obj:
             return labels, obj
         prev_obj = obj
     return labels, prev_obj
@@ -666,9 +668,8 @@ def test_factored_alternation_matches_lstsq_alternation(fit_grid, q_exp):
                   np.argsort(rng.random(vals.shape[:2]), axis=1))
         for labels in starts:
             _, got, obj, _, _ = _alternate(design, vals, weights, factor, labels,
-                                           q_exp, FitConfig())
-            want, want_obj = _lstsq_alternate(design, vals, weights, labels, q_exp,
-                                              FitConfig())
+                                           q_exp)
+            want, want_obj = _lstsq_alternate(design, vals, weights, labels, q_exp)
             assert np.array_equal(got, want), (vals.shape, k)
             assert obj == pytest.approx(want_obj, rel=1e-12, abs=0), (vals.shape, k)
 
