@@ -51,7 +51,7 @@ __all__ = [
 GAMMA_T_MIN = 3
 GAMMA_T_MAX = 64
 DEFAULT_AUDIT_TOL = 0.05
-OFFSET_WINDOW_FLOOR = 3
+OFFSET_WINDOW = 4  # dyadic steps a stratum point can hide below the base set
 MIN_NODES_RADIUS = 8.0  # audit radii span at least this many grid steps
 SOUNDNESS_DEPTH = 4  # rungs below eps in the soundness spot check's ladder
 
@@ -246,14 +246,14 @@ def certified_exponent(h: DecayHypothesis) -> HolderCertificate:
                              constant, factors, h.n, h.k, h.q_exp)
 
 
-def certified_exponent_stratified(h: DecayHypothesis, s: Stratification,
-                                  offset_window=4) -> HolderCertificate:
+def certified_exponent_stratified(h: DecayHypothesis,
+                                  s: Stratification) -> HolderCertificate:
     """Certificate from the three-part hypothesis.
 
     One dyadic ratio is shared by every level (the smallest the selections
     allow), so all strata run the same exponent chain; the final exponent
     is the minimum across strata.  The constant additionally pays for the
-    offset window: a stratum point can hide up to `offset_window` dyadic
+    offset window: a stratum point can hide up to OFFSET_WINDOW dyadic
     steps below the scale at which the base set takes over, and each hidden
     step costs one recentering factor.
     """
@@ -261,8 +261,6 @@ def certified_exponent_stratified(h: DecayHypothesis, s: Stratification,
         raise ValueError("three-part hypothesis needs beta0")
     if h.n_strata < 1:
         raise ValueError("need at least one stratum")
-    if offset_window < OFFSET_WINDOW_FLOOR:
-        raise ValueError("offset window below %d" % OFFSET_WINDOW_FLOOR)
     if s.n_strata != h.n_strata:
         raise ValueError("stratification and hypothesis disagree on strata")
     try:
@@ -286,7 +284,7 @@ def certified_exponent_stratified(h: DecayHypothesis, s: Stratification,
     ]
     for i, (b, bt) in enumerate(zip(h.betas, h.beta_tildes)):
         factors.append(("stratum_%d_transfer" % (i + 1), b * bt))
-    factors.append(("offset_window", gamma ** (-offset_window * power)))
+    factors.append(("offset_window", gamma ** (-OFFSET_WINDOW * power)))
     constant = math.prod(v for _, v in factors)
     return HolderCertificate(gamma, lam, mu_prime, mu_tilde, lambda_tilde,
                              constant, tuple(factors), h.n, h.k, h.q_exp)

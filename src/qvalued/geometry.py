@@ -24,6 +24,7 @@ __all__ = [
     "QuadratureGrid",
     "dyadic_ladder",
     "neighbour_table",
+    "squared_distances",
     "unit_ball_volume",
     "a_weighted_constant",
     "AWeightedEstimate",
@@ -86,6 +87,21 @@ def neighbour_table(points, resolution, dirs, depth):
     return table
 
 
+def squared_distances(points, x):
+    """Squared Euclidean distances from each row of `points` to `x`.
+
+    The squared coordinate differences are added column by column in index
+    order: the bytes of np.sum((points - x) ** 2, axis=1), whose reduction
+    over a short axis costs about three times as much.
+    """
+    d = points - x
+    d *= d
+    d2 = d[:, 0]
+    for axis in range(1, d.shape[1]):
+        d2 = d2 + d[:, axis]
+    return d2
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Midpoint-rule nodes: cell centers, weights h^n, and the cell side h."""
@@ -134,7 +150,7 @@ class QuadratureGrid:
                 "restriction radius %g below resolution (h = %g)"
                 % (radius, self.resolution)
             )
-        d2 = np.sum((self.points - center) ** 2, axis=1)
+        d2 = squared_distances(self.points, center)
         idx = np.nonzero(d2 <= radius * radius)[0]
         if idx.size == 0:
             raise EmptyIntersectionError("empty intersection")
@@ -380,7 +396,7 @@ def a_weighted_constant(domain, resolution, max_depth=10, interior_stride=None):
     best_x = centers[0]
     best_rho = radii[0]
     for x in centers:
-        d2 = np.sum((grid.points - x) ** 2, axis=1)
+        d2 = squared_distances(grid.points, x)
         for rho in radii:
             mass = grid.weights[d2 <= rho * rho].sum()
             ratio = mass / rho ** domain.n

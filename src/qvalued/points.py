@@ -22,7 +22,7 @@ from .errors import (
     EmptyIntersectionError,
     OracleLimitError,
 )
-from .geometry import unit_ball_volume
+from .geometry import squared_distances, unit_ball_volume
 
 __all__ = [
     "AqPoint",
@@ -353,7 +353,7 @@ class SampledQFunction:
         return AqPoint(self.values[index])
 
     def nearest_index(self, x):
-        d2 = np.sum((self.grid.points - np.asarray(x, float)) ** 2, axis=1)
+        d2 = squared_distances(self.grid.points, np.asarray(x, float))
         return int(np.argmin(d2))
 
     def value_at(self, x):

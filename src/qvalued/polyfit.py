@@ -15,22 +15,25 @@ one gather of the labelled values and two matrix products.  For exponents
 other than 2 the refit is iteratively reweighted with a floored weight,
 and the design is factored again whenever the weights change.
 
-The alternation is multi-started.  Besides spectral and random labelings,
-starts come from label propagation over the sample lattice: labels composed
-along a maximum-margin spanning forest (quality-guided growing as a
-spanning tree over edges sorted by reliability, Herraez et al. 2002).
+The alternation is multi-started.  The deterministic starts are a
+spectral labeling and labels propagated over the sample lattice: labels
+composed along a maximum-margin spanning forest (quality-guided growing as
+a spanning tree over edges sorted by reliability, Herraez et al. 2002).
 Every lattice edge is weighed by matching one cell against the Newton
 extrapolation of the lattice chain beyond its neighbour, in chunked
 `match_batch` calls; scipy's csgraph takes the forest, and pointer jumping
-composes the pairings down it.  Starts are built lazily, so a fit that
-reaches the rounding floor never computes the starts after it.
+composes the pairings down it.  Random labelings follow only where the
+deterministic starts end at objectives more than the alternation's own
+tolerance apart, as near a branch point; where they agree, further starts
+would only find the same basin again.  Starts are built lazily, so a fit
+that reaches the rounding floor never computes the starts after it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -230,8 +233,9 @@ _IRLS_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class FitConfig:
-    """restarts: random labelings after the deterministic starts, drawn from
-    default_rng(0).  zero_constant: pin the order-0 coefficients to zero."""
+    """restarts: the most random labelings run after the deterministic
+    starts, drawn from default_rng(0); they run only when those starts
+    disagree.  zero_constant: pin the order-0 coefficients to zero."""
 
     restarts: int = 8
     zero_constant: bool = False
@@ -239,11 +243,18 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fit and how it was reached.  `iterations` and `converged` are the
+    winning start's; `starts` counts the scheduled starts, however many
+    ran.  `log` holds one (kind, objective, iterations, converged) entry
+    per start that ran, in order; the kinds are "zero" (Q = 1),
+    "spectral", "order0", "order_k" and "random"."""
+
     polynomial: QPolynomial
     residual: float
     converged: bool
     iterations: int
     starts: int
+    log: tuple = field(repr=False)
 
     def __iter__(self):  # ergonomic unpacking: poly, residual = best_fit(...)
         return iter((self.polynomial, self.residual))
@@ -511,10 +522,11 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     multi-started from sorted, lattice-propagated, and random labelings.
     Starts are built lazily, in that order, and the loop stops at the
     first start whose objective reaches the rounding floor, so later starts
-    (the propagations included) are never computed.  q_exp must be finite
-    and at least 1, k non-negative.  Returns a FitResult; its residual is
-    the attained weighted objective and its `starts` the number of
-    scheduled starts, however many ran.
+    (the propagations included) are never computed.  The cfg.restarts
+    random labelings run only when the deterministic starts end more than
+    _FIT_TOL apart, relative to the least of them; otherwise the fit is
+    their minimum.  q_exp must be finite and at least 1, k non-negative.
+    Returns a FitResult; its residual is the attained weighted objective.
     """
     cfg = cfg or FitConfig()
     if not (math.isfinite(q_exp) and q_exp >= 1.0):
@@ -549,17 +561,29 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     Q = sub.q
     scheduled = 1 if Q == 1 else 2 + (k > 0) + cfg.restarts
 
-    def inits():
+    def deterministic():
         if Q == 1:
-            yield np.zeros((sub.size, 1), dtype=int)
+            yield "zero", np.zeros((sub.size, 1), dtype=int)
             return
         ranks = _spectral_ranks(values)
-        yield ranks
-        yield from _propagated_labels(X, values, sub.grid.resolution, ranks, k)
+        yield "spectral", ranks
+        yield from zip(("order0", "order_k"),
+                       _propagated_labels(X, values, sub.grid.resolution, ranks, k))
+
+    outcomes = []
+    log = []
+
+    def randoms():
+        # Pulled once every deterministic outcome is in.  Starts that end
+        # within the alternation's own tolerance of each other found one
+        # basin from different labelings; random labelings run only where
+        # they disagree.
+        objs = [out[2] for out in outcomes]
+        if max(objs) - min(objs) <= _FIT_TOL * max(min(objs), 1e-300):
+            return
         rng = np.random.default_rng(0)
         for _ in range(cfg.restarts):
-            draw = rng.random((sub.size, Q))
-            yield np.argsort(draw, axis=1)
+            yield "random", np.argsort(rng.random((sub.size, Q)), axis=1)
 
     # An objective this far below the data's quadratic mass can only be
     # rounding noise: the fit is an interpolation and further starts are
@@ -567,11 +591,11 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     mass = float(np.sum(weights * np.einsum("sqm,sqm->s", values, values)))
     exact_floor = (100.0 * np.finfo(float).eps) ** 2 * max(mass, 1e-300)
 
-    outcomes = []
-    for labels0 in inits():
-        outcomes.append(
-            _alternate(design, values, weights, factor, labels0, q_exp))
-        if outcomes[-1][2] <= exact_floor:
+    for kind, labels0 in itertools.chain(deterministic(), randoms()):
+        out = _alternate(design, values, weights, factor, labels0, q_exp)
+        outcomes.append(out)
+        log.append((kind, out[2], out[4], out[3]))
+        if out[2] <= exact_floor:
             break
 
     # Every outcome before one at the floor lies above it, so the least
@@ -582,7 +606,7 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     if cfg.zero_constant:  # the order-0 slot leads the graded order
         coeffs = np.concatenate([np.zeros((Q, sub.m, 1)), coeffs], axis=2)
     poly = QPolynomial(center, k, coeffs).canonical_branch_order()
-    return FitResult(poly, obj, conv, iters, scheduled)
+    return FitResult(poly, obj, conv, iters, scheduled, tuple(log))
 
 
 def _lex_order(values):

@@ -171,7 +171,7 @@ def one_stratum():
 def test_stratified_matches_unstratified_exponent():
     h = DecayHypothesis(n=2, k=1, q_exp=2.0, mu=0.5, beta0=1.0,
                         betas=(1.0,), beta_tildes=(1.0,))
-    cs = certified_exponent_stratified(h, one_stratum(), 4)
+    cs = certified_exponent_stratified(h, one_stratum())
     cu = certified_exponent(golden_hypothesis())
     assert cs.mu_tilde <= cu.mu_tilde
     assert cs.lambda_tilde == cu.lambda_tilde
@@ -185,8 +185,8 @@ def test_stratified_symmetric_pair_equals_single():
                          betas=(1.0, 1.0), beta_tildes=(1.0, 1.0))
     s2 = Stratification(base=[[0.0, 0.0]],
                         strata=([[0.5, 0.0]], [[0.0, 0.5]]))
-    c1 = certified_exponent_stratified(h1, one_stratum(), 4)
-    c2 = certified_exponent_stratified(h2, s2, 4)
+    c1 = certified_exponent_stratified(h1, one_stratum())
+    c2 = certified_exponent_stratified(h2, s2)
     assert c2.mu_tilde == c1.mu_tilde
     assert c2.lambda_tilde == c1.lambda_tilde
 
@@ -194,7 +194,7 @@ def test_stratified_symmetric_pair_equals_single():
 def test_stratified_golden_constant():
     h = DecayHypothesis(n=2, k=1, q_exp=2.0, mu=0.5, beta0=1.0,
                         betas=(1.0,), beta_tildes=(1.0,))
-    c = certified_exponent_stratified(h, one_stratum(), 4)
+    c = certified_exponent_stratified(h, one_stratum())
     assert c.gamma == 2.0 ** -12
     assert abs(c.lambda_tilde - 25.0 / 6.0) <= 1e-15
     # scale comparison * recentering * geometric sum * offset window of
@@ -205,14 +205,10 @@ def test_stratified_golden_constant():
 
 
 def test_stratified_guards():
-    h = DecayHypothesis(n=2, k=1, q_exp=2.0, mu=0.5, beta0=1.0,
-                        betas=(1.0,), beta_tildes=(1.0,))
-    with pytest.raises(ValueError):
-        certified_exponent_stratified(h, one_stratum(), 2)  # window floor
     bad = DecayHypothesis(n=2, k=1, q_exp=2.0, mu=0.5, beta0=1.0,
                           betas=(1e40,), beta_tildes=(1.0,))
     with pytest.raises(WeakConstantsError, match="stratum 1"):
-        certified_exponent_stratified(bad, one_stratum(), 4)
+        certified_exponent_stratified(bad, one_stratum())
     with pytest.raises(ValueError):
         Stratification(base=[[0.0, 0.0]],
                        strata=([[0.0, 0.0]],)).validate()

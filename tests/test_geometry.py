@@ -15,6 +15,7 @@ from qvalued.geometry import (
     QuadratureGrid,
     a_weighted_constant,
     dyadic_ladder,
+    squared_distances,
     unit_ball_volume,
 )
 
@@ -208,3 +209,14 @@ def test_grid_construction_guards():
             QuadratureGrid(np.zeros((2, 2)), np.ones(2), bad)
     with pytest.raises(BelowResolutionError):
         Domain.ball(2, 1.0).sample(1.5)
+
+
+@pytest.mark.parametrize("n, h", [(1, 1.0 / 256.0), (2, 1.0 / 64.0), (3, 1.0 / 16.0)])
+def test_squared_distances_are_the_bytes_of_the_summed_squares(n, h):
+    grid = Domain.ball(n, 1.0).sample(h)
+    rng = np.random.default_rng(n)
+    for x in (rng.uniform(-0.5, 0.5, n), grid.points[7]):
+        want = np.sum((grid.points - x) ** 2, axis=1)
+        assert squared_distances(grid.points, x).tobytes() == want.tobytes()
+        assert np.array_equal(grid.restrict_indices(x, 0.4),
+                              np.nonzero(want <= 0.4 * 0.4)[0])

@@ -571,6 +571,63 @@ def test_serial_fit_stops_before_propagating(fit_grid, monkeypatch):
     assert res.starts == 2 + 1 + FitConfig().restarts
 
 
+def _ungated_fit(u, center, radius, k):
+    """Every start of the schedule before the restart gate, all run: the
+    spectral and propagated starts, then the eight default_rng(0) random
+    labelings.  Returns the least outcome's polynomial and objective."""
+    sub = u.restrict(center, radius)
+    values = np.take_along_axis(
+        sub.values, polyfit._lex_order(sub.values)[:, :, None], axis=1)
+    weights = sub.grid.weights
+    design = design_matrix(sub.grid.points, center, multi_indices(2, k))
+    factor = _factor(design, weights)
+    ranks = _spectral_ranks(values)
+    starts = [ranks, *_propagated_labels(sub.grid.points, values,
+                                         sub.grid.resolution, ranks, k)]
+    rng = np.random.default_rng(0)
+    starts += [np.argsort(rng.random(ranks.shape), axis=1) for _ in range(8)]
+    outcomes = [_alternate(design, values, weights, factor, labels, 2.0)
+                for labels in starts]
+    coeffs, _, obj, _, _ = min(outcomes, key=lambda o: (o[2], o[0].tobytes()))
+    return QPolynomial(center, k, coeffs).canonical_branch_order(), obj
+
+
+@pytest.mark.parametrize("center, ran", [((0.5, 0.0), 3), ((0.0, 0.0), 11)])
+def test_random_restarts_run_only_where_the_deterministic_starts_disagree(
+        center, ran):
+    grid = Domain.ball(2, 1.0).sample(1.0 / 40.0)
+    u = SampledQFunction(grid, _two_branch_field(grid.points))
+    center = np.array(center)
+    res = best_fit(u, center, 0.2, 1)
+    kinds = [entry[0] for entry in res.log]
+    assert kinds == ["spectral", "order0", "order_k"] + ["random"] * (ran - 3)
+    deterministic = [entry[1] for entry in res.log[:3]]
+    # off the branch point the three starts agree and the restarts are
+    # skipped; at the branch point they disagree and all eight run
+    assert (max(deterministic) - min(deterministic)
+            > _FIT_TOL * min(deterministic)) == (ran == 11)
+    assert res.starts == 11
+    poly, obj = _ungated_fit(u, center, 0.2, 1)
+    assert res.polynomial.coeffs.tobytes() == poly.coeffs.tobytes()
+    assert res.residual == obj
+    assert res.residual == min(entry[1] for entry in res.log)
+    assert "log" not in repr(res)
+
+
+def test_exact_fit_logs_the_starts_up_to_the_floor(fit_grid):
+    rng = np.random.default_rng(31)
+    for q, k in ((1, 1), (2, 1), (2, 2), (3, 1)):
+        target = random_qpolynomial(rng, 2, 1, q, k)
+        u = SampledQFunction(fit_grid, target.eval(fit_grid.points))
+        res = best_fit(u, np.zeros(2), 1.1, k)
+        assert res.residual <= 1e-18
+        kinds = [entry[0] for entry in res.log]
+        assert kinds == (["zero"] if q == 1 else
+                         ["spectral", "order0", "order_k"][:len(kinds)]), (q, k)
+        assert res.log[-1][1] == res.residual
+        assert all(entry[3] for entry in res.log)
+
+
 def test_fit_stopping_at_the_order_zero_start_grows_no_order_k_forest(fit_grid,
                                                                       monkeypatch):
     reach = []
