@@ -317,7 +317,6 @@ class AuditReport:
     checked: int
     violations: tuple
     beta_used: float
-    tol: float
     worst_ratio: float = 0.0
     pairs: tuple = field(default=(), repr=False)  # the ScalePairs judged
 
@@ -437,8 +436,8 @@ def _judge(which, pairs, betas, beta_used):
                 "rho": p.rho,
                 "ratio": ratio,
             })
-    return AuditReport(which, len(pairs), tuple(violations), beta_used,
-                       DEFAULT_AUDIT_TOL, worst, tuple(pairs))
+    return AuditReport(which, len(pairs), tuple(violations), beta_used, worst,
+                       tuple(pairs))
 
 
 def _free_centers(u, bad_points, cap=12):

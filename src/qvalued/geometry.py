@@ -4,6 +4,13 @@ Domains are open subsets of R^n supporting membership tests, closed-form
 diameters, and uniform cell sampling.  A grid keeps every axis-aligned cell
 whose center lies inside the domain and assigns it the full cell weight h^n,
 so integrals are plain weighted sums over cell centers.
+
+A grid owns its sample lattice: the neighbour table over the signed
+lattice directions, built once, lazily, on a grid that is no restriction
+and deepened only when a deeper one is asked for.  A restriction keeps a
+link to that grid and the indices of its nodes there, so its lattice is a
+gather of the parent's rows.  Points and weights are read-only, so a
+built lattice cannot go stale.
 """
 
 from __future__ import annotations
@@ -45,6 +52,19 @@ def dyadic_ladder(rho0, depth):
     return rho0 * np.exp2(-np.arange(depth + 1, dtype=float))
 
 
+def _lattice_directions(n):
+    """Signed lattice steps: each unit axis step and, in the leading plane,
+    the two diagonals, each followed by its negative."""
+    half = [tuple(int(i == a) for i in range(n)) for a in range(n)]
+    if n >= 2:
+        half += [(1, 1) + (0,) * (n - 2), (1, -1) + (0,) * (n - 2)]
+    return [d for hd in half for d in (hd, tuple(-x for x in hd))]
+
+
+def _index_dtype(size):
+    return np.int32 if size < 2 ** 31 else np.int64
+
+
 def neighbour_table(points, resolution, dirs, depth):
     """Lattice neighbours by index: table[s, d, j] is the sample one lattice
     step of (j + 1) * dirs[d] away from sample s, or -1 where there is none.
@@ -76,8 +96,7 @@ def neighbour_table(points, resolution, dirs, depth):
     own = linear(keys)
     order = np.argsort(own, kind="stable")
     own_sorted = own[order]
-    table = np.full((S, len(dirs), depth), -1,
-                    dtype=np.int32 if S < 2 ** 31 else np.int64)
+    table = np.full((S, len(dirs), depth), -1, dtype=_index_dtype(S))
     for di, d in enumerate(dirs):
         for j in range(depth):
             target = linear(keys + (j + 1) * np.asarray(d))
@@ -104,15 +123,21 @@ def squared_distances(points, x):
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Midpoint-rule nodes: cell centers, weights h^n, and the cell side h."""
+    """Midpoint-rule nodes: cell centers, weights h^n, and the cell side h.
+
+    `parent` and `parent_index` link a restriction to the grid its lattice
+    is gathered from and to its nodes' indices there.
+    """
 
     points: np.ndarray
     weights: np.ndarray
     resolution: float
+    parent: QuadratureGrid | None = field(default=None, compare=False, repr=False)
+    parent_index: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        wts = np.asarray(self.weights, dtype=float).ravel()
+        pts = np.atleast_2d(np.array(self.points, dtype=float))
+        wts = np.array(self.weights, dtype=float).ravel()
         if pts.shape[0] != wts.shape[0]:
             raise ValueError("points and weights disagree in length")
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
@@ -122,8 +147,17 @@ class QuadratureGrid:
         if not (np.isfinite(self.resolution) and self.resolution > 0):
             raise ValueError("resolution must be positive and finite, got %r"
                              % (self.resolution,))
+        if self.parent is not None:
+            index = np.array(self.parent_index, dtype=np.intp)
+            if index.shape != wts.shape:
+                raise ValueError("a parent link needs one parent index per node")
+            index.setflags(write=False)
+            object.__setattr__(self, "parent_index", index)
+        pts.setflags(write=False)
+        wts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
+        object.__setattr__(self, "_lattice", None)
 
     @property
     def size(self):
@@ -135,6 +169,26 @@ class QuadratureGrid:
 
     def total_weight(self):
         return float(self.weights.sum())
+
+    def lattice(self, depth):
+        """neighbour_table(points, resolution, _lattice_directions(dim),
+        depth), built once and kept.
+
+        A grid that is no restriction builds the table, again only when a
+        deeper one is asked for; a restriction gathers its rows from the
+        parent's table, mapping parent indices to its own and keeping -1.
+        """
+        table = self._lattice
+        if table is None or table.shape[2] < depth:
+            if self.parent is None:
+                table = neighbour_table(self.points, self.resolution,
+                                        _lattice_directions(self.dim), depth)
+            else:
+                inv = np.full(self.parent.size + 1, -1, dtype=_index_dtype(self.size))
+                inv[self.parent_index] = np.arange(self.size)
+                table = inv[self.parent.lattice(depth)[self.parent_index]]
+            object.__setattr__(self, "_lattice", table)
+        return table[:, :, :depth]
 
     def restrict_indices(self, center, radius):
         """Indices of nodes within distance `radius` of `center`.
@@ -157,11 +211,17 @@ class QuadratureGrid:
         return idx
 
     def restrict(self, center, radius):
+        """(sub-grid, idx): the nodes within `radius` of `center`, idx their
+        indices here.  The sub-grid links to this grid's own parent where it
+        has one, so every restriction gathers from one table."""
         idx = self.restrict_indices(center, radius)
-        return (
-            QuadratureGrid(self.points[idx], self.weights[idx], self.resolution),
-            idx,
-        )
+        if self.parent is None:
+            parent, parent_index = self, idx
+        else:
+            parent, parent_index = self.parent, self.parent_index[idx]
+        sub = QuadratureGrid(self.points[idx], self.weights[idx], self.resolution,
+                             parent, parent_index)
+        return sub, idx
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -99,11 +100,23 @@ def _samples_from_arrays(points, values, resolution=None):
     return SampledQFunction(grid, values)
 
 
+def _refuse_ragged_rows(path, width):
+    """Raise naming the first data row of `path` without `width` cells."""
+    with open(path) as fh:
+        fh.readline()  # the header
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if line and line.count(",") + 1 != width:
+                raise ValueError("row %d has %d cells, expected %d"
+                                 % (lineno, line.count(",") + 1, width))
+
+
 def read_samples_csv(path, resolution=None):
     """Load a sampled tuple function; node weights are h^n cell measures.
 
     The grid step h is inferred from the closest pair of distinct coordinate
-    values unless an explicit resolution overrides it.
+    values unless an explicit resolution overrides it.  The rows are parsed
+    by np.loadtxt; a row of the wrong width is refused by its line number.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -111,21 +124,19 @@ def read_samples_csv(path, resolution=None):
             n, m, q = (int(tok) for tok in header.split(","))
         except ValueError:
             raise ValueError("malformed sample header %r" % header) from None
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != n + q * m:
-                raise ValueError(
-                    "row %d has %d cells, expected %d"
-                    % (lineno, len(cells), n + q * m)
-                )
-            rows.append([float(c) for c in cells])
-    if not rows:
+        width = n + q * m
+        try:
+            with warnings.catch_warnings():
+                # an empty body is refused below, by name
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            _refuse_ragged_rows(path, width)
+            raise
+    if not data.size:
         raise ValueError("sample file has no data rows")
-    data = np.asarray(rows)
+    if data.shape[1] != width:
+        _refuse_ragged_rows(path, width)
     return _samples_from_arrays(
         data[:, :n], data[:, n:].reshape(-1, q, m), resolution
     )

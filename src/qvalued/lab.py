@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HomogeneityError, ReflectionTraceError
-from .geometry import Domain, neighbour_table
+from .geometry import Domain
 from .points import (
     _CHUNK_ENTRIES,
     _ENUMERATION_LIMIT,
@@ -807,9 +807,7 @@ def _node_jacobians(u, indices=None):
     before differencing; a missing neighbor degrades to a one-sided
     difference, and an isolated node gets a zero column.
     """
-    axes = np.eye(u.n, dtype=int)
-    table = neighbour_table(u.grid.points, u.grid.resolution,
-                            np.concatenate([axes, -axes]), 1)
+    table = u.grid.lattice(1)  # columns 2d and 2d + 1: steps +e_d and -e_d
     idx = np.arange(u.size) if indices is None else np.asarray(indices, dtype=int)
     vals = u.values
     vc = vals[idx]
@@ -822,8 +820,8 @@ def _node_jacobians(u, indices=None):
 
     out = np.zeros((idx.shape[0], u.q, u.m, u.n))
     for d in range(u.n):
-        plus = table[idx, d, 0]
-        minus = table[idx, u.n + d, 0]
+        plus = table[idx, 2 * d, 0]
+        minus = table[idx, 2 * d + 1, 0]
         ip = np.where(plus >= 0, plus, idx)
         im = np.where(minus >= 0, minus, idx)
         vp = aligned(ip)

@@ -19,14 +19,17 @@ The alternation is multi-started.  The deterministic starts are a
 spectral labeling and labels propagated over the sample lattice: labels
 composed along a maximum-margin spanning forest (quality-guided growing as
 a spanning tree over edges sorted by reliability, Herraez et al. 2002).
-Every lattice edge is weighed by matching one cell against the Newton
-extrapolation of the lattice chain beyond its neighbour, in chunked
-`match_batch` calls; scipy's csgraph takes the forest, and pointer jumping
-composes the pairings down it.  Random labelings follow only where the
-deterministic starts end at objectives more than the alternation's own
-tolerance apart, as near a branch point; where they agree, further starts
-would only find the same basin again.  Starts are built lazily, so a fit
-that reaches the rounding floor never computes the starts after it.
+The lattice is the grid's own neighbour table (`QuadratureGrid.lattice`),
+which a ball restriction gathers from its parent grid's.  Every lattice
+edge is weighed by matching one cell against the Newton extrapolation of
+the lattice chain beyond its neighbour, in chunked `match_batch` calls;
+scipy's csgraph takes the edges as CSR arrays built directly from the
+table and returns the forest, and pointer jumping composes the pairings
+down it.  Random labelings follow only where the deterministic starts end
+at objectives more than the alternation's own tolerance apart, as near a
+branch point; where they agree, further starts would only find the same
+basin again.  Starts are built lazily, so a fit that reaches the rounding
+floor never computes the starts after it.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InsufficientSamplesError, RecenterError
-from .geometry import neighbour_table
 from .points import AqPoint, SampledQFunction, match_batch
 
 __all__ = [
@@ -303,20 +305,6 @@ _EXTRAP_WEIGHTS = {
 }
 
 
-def _lattice_directions(n):
-    """Unit axis steps plus, in the leading plane, the two diagonals; signs
-    are applied at use sites."""
-    dirs = [tuple(int(i == a) for i in range(n)) for a in range(n)]
-    if n >= 2:
-        diag = [0] * n
-        diag[0], diag[1] = 1, 1
-        dirs.append(tuple(diag))
-        diag = list(diag)
-        diag[1] = -1
-        dirs.append(tuple(diag))
-    return dirs
-
-
 # Entries in the largest transient array of one chunk of chain matches:
 # the scratch memory of a propagation stays fixed as the grid grows.
 _TABLE_CHUNK_ENTRIES = 1 << 14
@@ -366,26 +354,28 @@ def _chain_pairings(values, cells, chains, frames, extrap):
     return pairings, lengths, margins
 
 
-def _propagated_labels(points, values, resolution, start_labels, order=0):
+def _propagated_labels(grid, values, start_labels, order=0):
     """Labels composed along a maximum-margin spanning forest of the sample
     lattice (quality-guided unwrapping as a spanning tree over edges sorted
     by reliability: Herraez et al. 2002, Ghiglia & Pritt 1998, ch. 4).
 
-    Every lattice edge {t, t + d} (from `geometry.neighbour_table`) is
-    weighed by matching a cell against the Newton extrapolation of the
-    chain t + d, ..., t + Ld running away from it, L its in-grid run of at
-    most order + 1 cells; the key is (L, relative margin), longer first.
-    Branch restrictions to lattice lines are 1-D polynomials, so with
-    order >= fit degree the prediction is exact for polynomial data, and a
-    small margin flags an ambiguous match, as where branch sheets cross.
-    Of the two directions of an edge the better key is kept (at order 0
-    one direction serves: the pairing only inverts).  csgraph's minimum
-    spanning tree on the key ranks, all distinct, gives the unique
-    heaviest forest.  Each component is rooted where the branches are
-    farthest apart (the first such cell), and the root takes its start
-    labels; one breadth-first order from a virtual node joined to every
-    root gives the parents, and pointer jumping composes the pairings
-    down the forest in log-depth numpy steps.
+    Every lattice edge {t, t + d} (from the grid's own neighbour table,
+    `grid.lattice`) is weighed by matching a cell against the Newton
+    extrapolation of the chain t + d, ..., t + Ld running away from it, L
+    its in-grid run of at most order + 1 cells; the key is (L, relative
+    margin), longer first.  Branch restrictions to lattice lines are 1-D
+    polynomials, so with order >= fit degree the prediction is exact for
+    polynomial data, and a small margin flags an ambiguous match, as where
+    branch sheets cross.  Of the two directions of an edge the better key is
+    kept (at order 0 one direction serves: the pairing only inverts).  The
+    edges, listed by ascending tail, are CSR arrays as they stand, and
+    csgraph's minimum spanning tree on the key ranks, all distinct, gives
+    the unique heaviest forest.  Each component is rooted where the
+    branches are farthest apart (the first such cell), and the root takes
+    its start labels; one breadth-first order from a virtual node joined to
+    every root (the tree's CSR arrays plus one row) gives the parents, and
+    pointer jumping composes the pairings down the forest in log-depth
+    numpy steps.
 
     Order 0 degenerates to nearest-value tracking, the stabler choice for
     rough data.  At order k the chains need branch frames: the order-0
@@ -395,7 +385,7 @@ def _propagated_labels(points, values, resolution, start_labels, order=0):
     One order-0 forest thus serves both starts of a fit, and a caller that
     stops after the first yield never grows the order-k forests.
     """
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import (
         breadth_first_order,
         connected_components,
@@ -404,16 +394,19 @@ def _propagated_labels(points, values, resolution, start_labels, order=0):
 
     S, Q, m = values.shape
     depth = min(order + 1, max(_EXTRAP_WEIGHTS))
-    dirs = [d for hd in _lattice_directions(points.shape[1])
-            for d in (hd, tuple(-x for x in hd))]
-    table = neighbour_table(points, resolution, dirs, depth)
+    table = grid.lattice(depth)
     # undirected edges {tail, head = tail + d}, d over the half directions,
-    # in (cell, direction) order
+    # in (cell, direction) order: row `tail` of a CSR adjacency
     tail, half = np.nonzero(table[:, 0::2, 0] >= 0)
     head = table[tail, 2 * half, 0]
     count = tail.size
-    _, component = connected_components(
-        coo_matrix((np.ones(count), (tail, head)), shape=(S, S)), directed=False)
+    indptr = np.zeros(S + 1, dtype=head.dtype)
+    np.cumsum(np.bincount(tail, minlength=S), out=indptr[1:])
+
+    def graph(data):
+        return csr_matrix((data, head, indptr), shape=(S, S))
+
+    _, component = connected_components(graph(np.ones(count)), directed=False)
     gaps = np.full(S, np.inf)
     for a in range(Q):
         for b in range(a + 1, Q):
@@ -445,12 +438,12 @@ def _propagated_labels(points, values, resolution, start_labels, order=0):
         ranked = np.lexsort((-margin, -length))
         weight = np.empty(count)
         weight[ranked] = np.arange(1, count + 1)  # csgraph drops zero weights
-        tree = minimum_spanning_tree(
-            coo_matrix((weight, (tail, head)), shape=(S, S))).tocoo()
+        tree = minimum_spanning_tree(graph(weight))
         edge = ranked[tree.data.astype(np.intp) - 1]
-        forest = coo_matrix(
-            (np.ones(edge.size + roots.size),
-             (np.r_[tree.row, np.full(roots.size, S)], np.r_[tree.col, roots])),
+        # the tree's rows plus row S, the virtual node, joined to every root
+        forest = csr_matrix(
+            (np.ones(edge.size + roots.size), np.r_[tree.indices, roots],
+             np.r_[tree.indptr, edge.size + roots.size]),
             shape=(S + 1, S + 1))
         _, up = breadth_first_order(forest, S, directed=False, return_predecessors=True)
         up[S] = S
@@ -568,7 +561,7 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
         ranks = _spectral_ranks(values)
         yield "spectral", ranks
         yield from zip(("order0", "order_k"),
-                       _propagated_labels(X, values, sub.grid.resolution, ranks, k))
+                       _propagated_labels(sub.grid, values, ranks, k))
 
     outcomes = []
     log = []

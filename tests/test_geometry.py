@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qvalued import certify, geometry, io
 from qvalued.errors import (
     BelowResolutionError,
     DegenerateDomainError,
@@ -13,11 +14,14 @@ from qvalued.errors import (
 from qvalued.geometry import (
     Domain,
     QuadratureGrid,
+    _lattice_directions,
     a_weighted_constant,
     dyadic_ladder,
+    neighbour_table,
     squared_distances,
     unit_ball_volume,
 )
+from qvalued.points import SampledQFunction
 
 
 @pytest.fixture(scope="module")
@@ -220,3 +224,89 @@ def test_squared_distances_are_the_bytes_of_the_summed_squares(n, h):
         assert squared_distances(grid.points, x).tobytes() == want.tobytes()
         assert np.array_equal(grid.restrict_indices(x, 0.4),
                               np.nonzero(want <= 0.4 * 0.4)[0])
+
+
+def test_grid_arrays_are_private_read_only_copies():
+    pts = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
+    wts = np.ones(3)
+    grid = QuadratureGrid(pts, wts, 0.5)
+    pts[0, 0] = 9.0
+    wts[0] = 9.0
+    assert grid.points[0, 0] == 0.0 and grid.weights[0] == 1.0
+    sub, _ = grid.restrict(np.zeros(2), 1.5)
+    for g in (grid, sub):
+        with pytest.raises(ValueError, match="read-only"):
+            g.points[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            g.weights[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            g.points += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        sub.parent_index[0] = 1
+
+
+def _assert_lattice_is_built_table(grid, depth):
+    want = neighbour_table(grid.points, grid.resolution, _lattice_directions(grid.dim),
+                           depth)
+    got = grid.lattice(depth)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, h", [(1, 1.0 / 64.0), (2, 1.0 / 32.0), (3, 1.0 / 8.0)])
+def test_restriction_lattice_gathers_the_parent_table(n, h):
+    """A restriction's lattice, gathered from its parent's table, is the
+    table built on its own points; deeper requests rebuild, shallower ones
+    slice."""
+    top = Domain.ball(n, 1.0).sample(h)
+    rng = np.random.default_rng(n)
+    center = rng.uniform(-0.3, 0.3, n)
+    sub, idx = top.restrict(center, 0.6)
+    subsub, idx2 = sub.restrict(center + 0.1, 0.35)
+    assert sub.parent is top and np.array_equal(sub.parent_index, idx)
+    assert subsub.parent is top and np.array_equal(subsub.parent_index, idx[idx2])
+    # holds the parent's last node, which a -1 in the parent table must not reach
+    corner, _ = top.restrict(top.points[-1], 0.4)
+    for depth in (2, 1, 5, 3, 4):
+        for grid in (top, sub, subsub, corner):
+            _assert_lattice_is_built_table(grid, depth)
+
+
+def test_lattice_of_a_grid_read_back_from_csv(tmp_path):
+    grid = Domain.annulus(2, 0.3, 1.0).sample(1.0 / 24.0)
+    path = tmp_path / "annulus.csv"
+    io.write_samples_csv(path, SampledQFunction(grid, grid.points[:, None, :1]))
+    back = io.read_samples_csv(path).grid
+    sub, _ = back.restrict([0.5, -0.2], 0.45)
+    for depth in range(1, 6):
+        for g in (back, sub, sub.restrict([0.6, -0.1], 0.2)[0]):
+            _assert_lattice_is_built_table(g, depth)
+
+
+def _two_branch(grid):
+    p = grid.points
+    a = np.linalg.norm(p, axis=1) ** 1.5
+    th = 1.5 * np.arctan2(p[:, 1], p[:, 0])
+    b = np.stack([a * np.cos(th), a * np.sin(th)], axis=-1)
+    return SampledQFunction(grid, np.stack([b, -b], axis=1))
+
+
+def test_certificate_builds_one_table_per_grid(monkeypatch):
+    """Every fit and audit of a certificate gathers its ball's lattice from
+    the one table of the sampled grid.  The grid is the benchmark's,
+    h = 1/80: at h = 1/40 to 1/72 this certificate has no admissible scale
+    pair."""
+    built = []
+    original = geometry.neighbour_table
+
+    def counting(points, *args):
+        built.append(len(points))
+        return original(points, *args)
+
+    monkeypatch.setattr(geometry, "neighbour_table", counting)
+    grid = Domain.ball(2, 1.0).sample(1.0 / 80.0)
+    out = certify.end_to_end_certify(
+        _two_branch(grid), certify.Stratification(base=[[0.0, 0.0]]), k=1,
+        q_exp=2.0, mu_claim=0.5)
+    assert out.ok
+    assert built == [grid.size]

@@ -44,6 +44,32 @@ def test_csv_round_trip_exact(bp_csv):
     assert worst == 0.0
 
 
+def _per_cell_parse(path):
+    """The reader's former row loop, one float() per cell: (points, values)."""
+    with open(path) as fh:
+        n, m, q = (int(tok) for tok in fh.readline().split(","))
+        rows = [[float(c) for c in line.strip().split(",")]
+                for line in fh if line.strip()]
+    data = np.asarray(rows)
+    return data[:, :n], data[:, n:].reshape(-1, q, m)
+
+
+def test_csv_parse_is_byte_equal_to_per_cell_floats(bp_csv, tmp_path):
+    path, _ = bp_csv
+    spelled = tmp_path / "spelled.csv"
+    spelled.write_text(
+        "2,2,1\n"
+        "0.5,-0.25,1e-3,-0\n"
+        "\n"
+        " .75 , 0.125 ,+2.5E+2,4.9e-324\r\n"
+        "1.0000000000000002,0.1,1.7976931348623157e308,-2.2250738585072014e-308\n")
+    for csv in (path, spelled):
+        u = io.read_samples_csv(csv)
+        points, values = _per_cell_parse(csv)
+        assert u.grid.points.tobytes() == points.tobytes()
+        assert u.values.tobytes() == values.tobytes()
+
+
 def test_json_round_trip_exact(bp_csv, tmp_path):
     _, u = bp_csv
     path = tmp_path / "bp.json"
