@@ -390,7 +390,12 @@ def _pair_table(us, center, own, fams, rho_top, h):
     n, k, q_exp = h.n, h.k, h.q_exp
     radii = _audit_ladder(us[0], rho_top)
     if len(radii) < 2:
-        raise BelowResolutionError("no admissible scale pairs at this center")
+        step = us[0].grid.resolution
+        raise BelowResolutionError(
+            "no admissible scale pairs at center %s: rho_top = %g needs "
+            "rho_top/2 >= %gh = %g; the largest admissible h is %g"
+            % ([float(x) for x in center], rho_top, MIN_NODES_RADIUS,
+               MIN_NODES_RADIUS * step, rho_top / (2.0 * MIN_NODES_RADIUS)))
     fine, coarse, data = {}, {}, {}
     for rho in radii:
         scale = rho ** (-(n + k * q_exp))
@@ -568,6 +573,12 @@ def end_to_end_certify(us, s, k, q_exp, mu_claim):
     fine scales refuses with the violation list.  A passing certificate is
     spot-checked for soundness: the certified Campanato exponent must not
     exceed the measured decay exponent at the audited centers.
+
+    Every audited center needs a ladder of two rungs, rho_top/2 >=
+    MIN_NODES_RADIUS h.  At a base point rho_top is eps = 0.2, so the grid
+    step must be h <= eps / 16 = 1/80; a coarser grid raises
+    BelowResolutionError naming the center, rho_top, the floor and the
+    largest admissible h.
     """
     u_list = _as_list(us)
     s.validate()

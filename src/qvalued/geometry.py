@@ -121,19 +121,20 @@ def squared_distances(points, x):
     return d2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Midpoint-rule nodes: cell centers, weights h^n, and the cell side h.
 
     `parent` and `parent_index` link a restriction to the grid its lattice
-    is gathered from and to its nodes' indices there.
+    is gathered from and to its nodes' indices there.  Grids compare and
+    hash by identity; compare their arrays with np.array_equal.
     """
 
     points: np.ndarray
     weights: np.ndarray
     resolution: float
-    parent: QuadratureGrid | None = field(default=None, compare=False, repr=False)
-    parent_index: np.ndarray | None = field(default=None, compare=False, repr=False)
+    parent: QuadratureGrid | None = field(default=None, repr=False)
+    parent_index: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.array(self.points, dtype=float))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -309,17 +309,18 @@ def translate_add(p, f_value):
     return p.translate(f_value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledQFunction:
     """Multi-valued samples on a quadrature grid.
 
     values has shape (S, Q, m): per grid node, Q branch vectors.  Branch
-    order per node carries no meaning.
+    order per node carries no meaning.  Like grids and polynomials, sampled
+    functions compare and hash by identity.
     """
 
     grid: object
     values: np.ndarray
-    source: object = field(default=None, compare=False)
+    source: object = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)

@@ -29,11 +29,15 @@ down it.  Random labelings follow only where the deterministic starts end
 at objectives more than the alternation's own tolerance apart, as near a
 branch point; where they agree, further starts would only find the same
 basin again.  Starts are built lazily, so a fit that reaches the rounding
-floor never computes the starts after it.
+floor never computes the starts after it.  No known result is computed
+twice: a deterministic start whose labels equal an earlier one's reuses
+that start's alternation, and the order-k forests stop at a fixed point,
+a forest that returns the labels that framed it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -55,8 +59,10 @@ __all__ = [
     "comparison_constant_ratios",
 ]
 
+@functools.lru_cache(maxsize=None)
 def multi_indices(n, k):
-    """Multi-indices p with |p| <= k in graded lexicographic order."""
+    """Multi-indices p with |p| <= k in graded lexicographic order, as an
+    immutable tuple of tuples, computed once per (n, k)."""
     out = []
     for total in range(k + 1):
         grade = [p for p in itertools.product(range(total + 1), repeat=n)
@@ -83,9 +89,12 @@ def design_matrix(points, center, indices):
     return cols
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QPolynomial:
-    """Unordered tuple of Q polynomial branches R^n -> R^m, one shared center."""
+    """Unordered tuple of Q polynomial branches R^n -> R^m, one shared center.
+
+    Polynomials compare and hash by identity; coefficient_metric compares
+    their values."""
 
     center: np.ndarray
     degree: int
@@ -248,7 +257,8 @@ class FitResult:
     """A fit and how it was reached.  `iterations` and `converged` are the
     winning start's; `starts` counts the scheduled starts, however many
     ran.  `log` holds one (kind, objective, iterations, converged) entry
-    per start that ran, in order; the kinds are "zero" (Q = 1),
+    per start that ran, in order, a start that shared an earlier one's
+    labels with that one's outcome; the kinds are "zero" (Q = 1),
     "spectral", "order0", "order_k" and "random"."""
 
     polynomial: QPolynomial
@@ -380,10 +390,13 @@ def _propagated_labels(grid, values, start_labels, order=0):
     Order 0 degenerates to nearest-value tracking, the stabler choice for
     rough data.  At order k the chains need branch frames: the order-0
     forest's labels frame the first of _ORDER_K_PASSES further forests,
-    and each forest's labels frame the next.  This is a generator: it
-    yields the order-0 labels and then, for order > 0, the order-k labels.
-    One order-0 forest thus serves both starts of a fit, and a caller that
-    stops after the first yield never grows the order-k forests.
+    and each forest's labels frame the next.  A forest depends only on its
+    frames, so the passes stop early at a fixed point, a forest whose
+    labels equal its frames: every later pass would return them again.
+    This is a generator: it yields the order-0 labels and then, for
+    order > 0, the order-k labels.  One order-0 forest thus serves both
+    starts of a fit, and a caller that stops after the first yield never
+    grows the order-k forests.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import (
@@ -464,7 +477,9 @@ def _propagated_labels(grid, values, start_labels, order=0):
     yield labels
     if depth > 1:
         for _ in range(_ORDER_K_PASSES):
-            labels = grow(depth, labels)
+            frames, labels = labels, grow(depth, labels)
+            if np.array_equal(labels, frames):  # a fixed point of grow
+                break
         yield labels
 
 
@@ -515,10 +530,12 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     multi-started from sorted, lattice-propagated, and random labelings.
     Starts are built lazily, in that order, and the loop stops at the
     first start whose objective reaches the rounding floor, so later starts
-    (the propagations included) are never computed.  The cfg.restarts
-    random labelings run only when the deterministic starts end more than
-    _FIT_TOL apart, relative to the least of them; otherwise the fit is
-    their minimum.  q_exp must be finite and at least 1, k non-negative.
+    (the propagations included) are never computed.  A deterministic start
+    whose labels equal those of one that ran takes that start's outcome
+    without alternating again, and is logged with it; random labelings are
+    always alternated.  The cfg.restarts random labelings run only when
+    the deterministic starts end more than _FIT_TOL apart, relative to the
+    least of them; otherwise the fit is their minimum.  q_exp must be finite and at least 1, k non-negative.
     Returns a FitResult; its residual is the attained weighted objective.
     """
     cfg = cfg or FitConfig()
@@ -565,6 +582,7 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
 
     outcomes = []
     log = []
+    ran = []  # (labels, outcome) of each deterministic start that ran
 
     def randoms():
         # Pulled once every deterministic outcome is in.  Starts that end
@@ -585,7 +603,14 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     exact_floor = (100.0 * np.finfo(float).eps) ** 2 * max(mass, 1e-300)
 
     for kind, labels0 in itertools.chain(deterministic(), randoms()):
-        out = _alternate(design, values, weights, factor, labels0, q_exp)
+        if kind == "random":
+            out = _alternate(design, values, weights, factor, labels0, q_exp)
+        else:
+            # the alternation depends only on its start labels
+            out = next((o for seen, o in ran if np.array_equal(seen, labels0)), None)
+            if out is None:
+                out = _alternate(design, values, weights, factor, labels0, q_exp)
+                ran.append((labels0, out))
         outcomes.append(out)
         log.append((kind, out[2], out[4], out[3]))
         if out[2] <= exact_floor:

@@ -323,6 +323,17 @@ def test_audit_needs_resolvable_pairs():
         audit_hypothesis(u, h, Stratification(base=[[0.0, 0.0]]), "I")
 
 
+def test_coarse_grid_certificate_names_the_resolution_floor():
+    """At eps = 0.2 a base point's ladder needs 0.1 >= 8h, so h <= 1/80."""
+    grid = Domain.ball(2, 1.0).sample(1.0 / 40.0)
+    u = SampledQFunction.from_function(grid, branch_pair_values, q=2, m=2)
+    with pytest.raises(BelowResolutionError, match=(
+            r"at center \[0\.0, 0\.0\]: rho_top = 0\.2 needs rho_top/2 >= "
+            r"8h = 0\.2; the largest admissible h is 0\.0125$")):
+        end_to_end_certify(u, Stratification(base=[[0.0, 0.0]]), k=1, q_exp=2.0,
+                           mu_claim=0.5)
+
+
 @pytest.mark.parametrize("kw", [
     {"base": [[math.nan, 0.0]]},
     {"base": [[0.0, 0.0]], "strata": ([[0.5, math.inf]],)},

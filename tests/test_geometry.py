@@ -22,6 +22,7 @@ from qvalued.geometry import (
     unit_ball_volume,
 )
 from qvalued.points import SampledQFunction
+from qvalued.polyfit import QPolynomial
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +244,16 @@ def test_grid_arrays_are_private_read_only_copies():
             g.points += 1.0
     with pytest.raises(ValueError, match="read-only"):
         sub.parent_index[0] = 1
+
+
+def test_array_dataclasses_compare_and_hash_by_identity():
+    grid = Domain.ball(2, 1.0).sample(0.25)
+    twin = Domain.ball(2, 1.0).sample(0.25)
+    assert np.array_equal(grid.points, twin.points)
+    assert grid == grid and grid != twin
+    poly = QPolynomial(np.zeros(2), 1, np.ones((2, 1, 3)))
+    u = SampledQFunction(grid, poly.eval(grid.points))
+    assert len({grid, twin, poly, u}) == 4
 
 
 def _assert_lattice_is_built_table(grid, depth):

@@ -570,31 +570,41 @@ def test_serial_fit_stops_before_propagating(fit_grid, monkeypatch):
     assert res.starts == 2 + 1 + FitConfig().restarts
 
 
+def _fit_inputs(u, center, radius, k):
+    """best_fit's set-up at q_exp = 2: the ball, its canonically ordered
+    values, the design, its factor and the deterministic start labels."""
+    sub = u.restrict(center, radius)
+    values = np.take_along_axis(
+        sub.values, polyfit._lex_order(sub.values)[:, :, None], axis=1)
+    design = design_matrix(sub.grid.points, center, multi_indices(2, k))
+    ranks = _spectral_ranks(values)
+    starts = [ranks, *_propagated_labels(sub.grid, values, ranks, k)]
+    return sub, values, design, _factor(design, sub.grid.weights), starts
+
+
 def _ungated_fit(u, center, radius, k):
     """Every start of the schedule before the restart gate, all run: the
     spectral and propagated starts, then the eight default_rng(0) random
     labelings.  Returns the least outcome's polynomial and objective."""
-    sub = u.restrict(center, radius)
-    values = np.take_along_axis(
-        sub.values, polyfit._lex_order(sub.values)[:, :, None], axis=1)
+    sub, values, design, factor, starts = _fit_inputs(u, center, radius, k)
     weights = sub.grid.weights
-    design = design_matrix(sub.grid.points, center, multi_indices(2, k))
-    factor = _factor(design, weights)
-    ranks = _spectral_ranks(values)
-    starts = [ranks, *_propagated_labels(sub.grid, values, ranks, k)]
     rng = np.random.default_rng(0)
-    starts += [np.argsort(rng.random(ranks.shape), axis=1) for _ in range(8)]
+    starts += [np.argsort(rng.random(starts[0].shape), axis=1) for _ in range(8)]
     outcomes = [_alternate(design, values, weights, factor, labels, 2.0)
                 for labels in starts]
     coeffs, _, obj, _, _ = min(outcomes, key=lambda o: (o[2], o[0].tobytes()))
     return QPolynomial(center, k, coeffs).canonical_branch_order(), obj
 
 
+def _two_branch_sample():
+    grid = Domain.ball(2, 1.0).sample(1.0 / 40.0)
+    return SampledQFunction(grid, _two_branch_field(grid.points))
+
+
 @pytest.mark.parametrize("center, ran", [((0.5, 0.0), 3), ((0.0, 0.0), 11)])
 def test_random_restarts_run_only_where_the_deterministic_starts_disagree(
         center, ran):
-    grid = Domain.ball(2, 1.0).sample(1.0 / 40.0)
-    u = SampledQFunction(grid, _two_branch_field(grid.points))
+    u = _two_branch_sample()
     center = np.array(center)
     res = best_fit(u, center, 0.2, 1)
     kinds = [entry[0] for entry in res.log]
@@ -610,6 +620,53 @@ def test_random_restarts_run_only_where_the_deterministic_starts_disagree(
     assert res.residual == obj
     assert res.residual == min(entry[1] for entry in res.log)
     assert "log" not in repr(res)
+
+
+def test_deterministic_starts_with_equal_labels_share_one_alternation(monkeypatch):
+    """Off the branch point the spectral, order-0 and order-k labels agree:
+    one alternation serves all three, and the log is the one written by
+    alternating from every deterministic start."""
+    u = _two_branch_sample()
+    center = np.array([0.5, 0.0])
+    sub, values, design, factor, starts = _fit_inputs(u, center, 0.2, 1)
+    want = []
+    for kind, labels in zip(("spectral", "order0", "order_k"), starts):
+        _, _, obj, conv, iters = _alternate(design, values, sub.grid.weights, factor,
+                                            labels, 2.0)
+        want.append((kind, obj, iters, conv))
+    calls = []
+    original = polyfit._alternate
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(polyfit, "_alternate", counting)
+    res = best_fit(u, center, 0.2, 1)
+    assert res.log == tuple(want)
+    assert len(calls) == 1 < len(res.log)
+
+
+def test_order_k_propagation_stops_at_its_fixed_point(monkeypatch):
+    """Where the first order-k forest returns the order-0 labels that framed
+    it, the second is not grown: one forward and one backward depth-2
+    sweep instead of two of each.  The labels are still the oracle's,
+    which grows every forest."""
+    sub, values, _, _, (ranks, *_) = _fit_inputs(
+        _two_branch_sample(), np.array([0.5, 0.0]), 0.2, 1)
+    reach = []
+    original = polyfit._chain_pairings
+
+    def counting(values, cells, chains, frames, extrap):
+        reach.append(chains.shape[1])
+        return original(values, cells, chains, frames, extrap)
+
+    monkeypatch.setattr(polyfit, "_chain_pairings", counting)
+    zero, labels = _propagated_labels(sub.grid, values, ranks, 1)
+    assert reach == [1, 2, 2]
+    assert np.array_equal(labels, zero)
+    want, _ = _forest_oracle(sub.grid.points, values, sub.grid.resolution, ranks, 1)
+    assert np.array_equal(labels, want)
 
 
 def test_exact_fit_logs_the_starts_up_to_the_floor(fit_grid):
