@@ -25,10 +25,6 @@ class InsufficientSamplesError(QvaluedError):
     """Raised when a fit is under-determined on the restricted sample set."""
 
 
-class BranchAmbiguityError(QvaluedError):
-    """Raised when branch matching cannot be done unambiguously."""
-
-
 class RecenterError(QvaluedError):
     """Raised when coefficient tuples with different centers are compared."""
 
@@ -47,7 +43,3 @@ class ExponentBandError(QvaluedError):
 
 class ReflectionTraceError(QvaluedError):
     """Raised when odd reflection is attempted without a vanishing trace."""
-
-
-class HomogeneityError(QvaluedError):
-    """Raised when an operation requires degree-one homogeneity and the input fails it."""

@@ -1,9 +1,9 @@
-"""Bounded domains, midpoint quadrature grids, and measure-density estimates.
+"""Bounded domains, midpoint quadrature grids, and dyadic radius ladders.
 
-Domains are open subsets of R^n supporting membership tests, closed-form
-diameters, and uniform cell sampling.  A grid keeps every axis-aligned cell
-whose center lies inside the domain and assigns it the full cell weight h^n,
-so integrals are plain weighted sums over cell centers.
+Domains are open subsets of R^n supporting membership tests and uniform
+cell sampling.  A grid keeps every axis-aligned cell whose center lies
+inside the domain and assigns it the full cell weight h^n, so integrals are
+plain weighted sums over cell centers.
 
 A grid owns its sample lattice: the neighbour table over the signed
 lattice directions, built once, lazily, on a grid that is no restriction
@@ -16,6 +16,7 @@ built lattice cannot go stale.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +34,6 @@ __all__ = [
     "neighbour_table",
     "squared_distances",
     "unit_ball_volume",
-    "a_weighted_constant",
-    "AWeightedEstimate",
 ]
 
 
@@ -45,10 +44,10 @@ def unit_ball_volume(n):
 
 def dyadic_ladder(rho0, depth):
     """Radii rho0 * 2^-j for j = 0..depth, largest first."""
-    if rho0 <= 0:
-        raise ValueError("ladder base radius must be positive")
-    if depth < 0:
-        raise ValueError("ladder depth must be nonnegative")
+    if not (math.isfinite(rho0) and rho0 > 0):
+        raise ValueError("ladder base radius must be finite and positive")
+    if not isinstance(depth, numbers.Integral) or depth < 0:
+        raise ValueError("ladder depth must be a nonnegative integer")
     return rho0 * np.exp2(-np.arange(depth + 1, dtype=float))
 
 
@@ -282,25 +281,8 @@ class Domain:
     def box(cls, n, half_width, center=None):
         return cls("box", n, center, half_width=float(half_width))
 
-    def diameter(self):
-        if self.kind in ("ball", "half_ball", "annulus"):
-            # A half ball of radius r still spans 2r across the flat face.
-            return 2.0 * self.radius
-        return 2.0 * self.half_width * math.sqrt(self.n)
-
     def is_convex(self):
         return self.kind != "annulus"
-
-    def volume(self):
-        if self.kind == "ball":
-            return unit_ball_volume(self.n) * self.radius ** self.n
-        if self.kind == "half_ball":
-            return unit_ball_volume(self.n) * self.radius ** self.n / 2.0
-        if self.kind == "annulus":
-            return unit_ball_volume(self.n) * (
-                self.radius ** self.n - self.inner_radius ** self.n
-            )
-        return (2.0 * self.half_width) ** self.n
 
     def _bounding_radius(self):
         if self.kind == "box":
@@ -345,122 +327,3 @@ class Domain:
         pts = pts[mask]
         wts = np.full(pts.shape[0], h ** self.n)
         return QuadratureGrid(pts, wts, h)
-
-    def boundary_points(self, count=64):
-        """Deterministic sample of the topological boundary of the closure.
-
-        Dense parametric sampling in the plane; coarse direction sets in
-        higher dimensions (axes and diagonals), which is all the density
-        estimate needs.
-        """
-        c = self.center
-        if self.n == 1:
-            if self.kind == "box":
-                ends = [c[0] - self.half_width, c[0] + self.half_width]
-            elif self.kind == "annulus":
-                ends = [c[0] - self.radius, c[0] - self.inner_radius,
-                        c[0] + self.inner_radius, c[0] + self.radius]
-            elif self.kind == "half_ball":
-                ends = [c[0], c[0] + self.radius]
-            else:
-                ends = [c[0] - self.radius, c[0] + self.radius]
-            return np.asarray(ends, dtype=float).reshape(-1, 1)
-        if self.n == 2:
-            theta = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
-            circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-            if self.kind == "ball":
-                return c + self.radius * circle
-            if self.kind == "annulus":
-                return np.concatenate(
-                    [c + self.radius * circle, c + self.inner_radius * circle]
-                )
-            if self.kind == "half_ball":
-                phi = np.linspace(-math.pi / 2, math.pi / 2, count // 2)
-                arc = c + self.radius * np.stack([np.cos(phi), np.sin(phi)], axis=1)
-                t = np.linspace(-self.radius, self.radius, count // 2)
-                wall = np.stack([np.full_like(t, c[0]), c[1] + t], axis=1)
-                return np.concatenate([arc, wall])
-            # box: walk the four edges
-            t = np.linspace(-self.half_width, self.half_width, count // 4)
-            w = self.half_width
-            edges = [
-                np.stack([t, np.full_like(t, -w)], axis=1),
-                np.stack([t, np.full_like(t, w)], axis=1),
-                np.stack([np.full_like(t, -w), t], axis=1),
-                np.stack([np.full_like(t, w), t], axis=1),
-            ]
-            return c + np.concatenate(edges)
-        dirs = []
-        eye = np.eye(self.n)
-        for i in range(self.n):
-            dirs.extend([eye[i], -eye[i]])
-        for signs in np.ndindex(*([2] * self.n)):
-            v = np.where(np.asarray(signs) > 0, 1.0, -1.0) / math.sqrt(self.n)
-            dirs.append(v)
-        dirs = np.asarray(dirs)
-        if self.kind == "box":
-            return c + self.half_width * np.sign(dirs) * (np.abs(dirs) > 1e-12)
-        out = [c + self.radius * dirs]
-        if self.kind == "annulus":
-            out.append(c + self.inner_radius * dirs)
-        if self.kind == "half_ball":
-            keep = dirs[:, 0] >= 0
-            out = [c + self.radius * dirs[keep]]
-            wall = dirs.copy()
-            wall[:, 0] = 0.0
-            norms = np.linalg.norm(wall, axis=1)
-            wall = wall[norms > 1e-12] / norms[norms > 1e-12, None]
-            out.append(c + self.radius * wall)
-            out.append(c[None, :])
-        return np.concatenate(out)
-
-
-@dataclass(frozen=True)
-class AWeightedEstimate:
-    """Estimated lower density ratio inf |Omega ∩ B_rho(x)| / rho^n."""
-
-    value: float
-    worst_center: np.ndarray
-    worst_radius: float
-    radii: np.ndarray
-
-    def constant(self):
-        return self.value
-
-
-def a_weighted_constant(domain, resolution, max_depth=10, interior_stride=None):
-    """Estimate the measure-density constant of a domain.
-
-    Sweeps dyadic radii from the diameter down (staying several cells above
-    the grid step) and centers drawn from the closure: every sampled boundary
-    point plus a strided subset of interior grid centers.  Returns the
-    smallest observed ratio |Omega ∩ B_rho(x)| / rho^n, an estimate only;
-    quadrature error near the small-radius end is O(h/rho).
-    """
-    grid = domain.sample(resolution)
-    h = grid.resolution
-    diam = domain.diameter()
-    radii = dyadic_ladder(diam, max_depth)
-    radii = radii[radii >= 8.0 * h]
-    if not radii.size:
-        raise BelowResolutionError(
-            "no usable radii: diameter %g vs resolution %g" % (diam, h)
-        )
-
-    centers = [domain.boundary_points()]
-    if interior_stride is None:
-        interior_stride = max(1, grid.size // 256)
-    centers.append(grid.points[::interior_stride])
-    centers = np.concatenate(centers)
-
-    best = math.inf
-    best_x = centers[0]
-    best_rho = radii[0]
-    for x in centers:
-        d2 = squared_distances(grid.points, x)
-        for rho in radii:
-            mass = grid.weights[d2 <= rho * rho].sum()
-            ratio = mass / rho ** domain.n
-            if ratio < best:
-                best, best_x, best_rho = ratio, x, rho
-    return AWeightedEstimate(float(best), np.asarray(best_x), float(best_rho), radii)

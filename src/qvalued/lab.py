@@ -5,10 +5,9 @@ plane with exact values and Jacobians: branch powers of z, tuples of linear
 maps, degree-one homogeneous fields, superpositions with a single-valued
 harmonic, and a two-valued wall pair whose trace vanishes on {x1 = 0} so it
 can be oddly reflected.  The second half measures such functions: frequency
-functions, symmetric-part decay, discrete branch sets, singular boundary
-kernels, radial-derivative bounds of Hardt-Simon type, homogeneity and
-translation-invariance tests, linearity classification, and a discrete
-harmonicity audit.
+functions, symmetric-part decay, discrete branch sets, radial-derivative
+bounds of Hardt-Simon type at a wall point, and a discrete harmonicity
+audit.
 
 Quadrature throughout is polar: Gauss-Legendre in the radius (optionally
 sqrt-stretched, which turns an r^(-1/2) endpoint singularity back into a
@@ -23,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HomogeneityError, ReflectionTraceError
-from .geometry import Domain
+from .errors import ReflectionTraceError
 from .points import (
     _CHUNK_ENTRIES,
     _ENUMERATION_LIMIT,
@@ -34,7 +32,6 @@ from .points import (
     match_batch,
     optimal_assignment,
 )
-from .polyfit import FitConfig, best_fit
 
 __all__ = [
     "AnalyticQFunction",
@@ -44,36 +41,17 @@ __all__ = [
     "SumOf",
     "WallPair",
     "OddReflection",
-    "PlanarExtension",
-    "PulledBack",
-    "Scaled",
     "odd_reflection",
     "average_symmetric_split",
     "make_function",
-    "generator_library",
-    "pairwise_separation",
-    "SeparationReport",
-    "BlowupCandidate",
-    "rescale_blowup",
-    "renormalize_blowup",
-    "splitting_lower_bound",
-    "SplittingReport",
     "branch_set_detect",
     "BranchSetReport",
     "good_decay_check",
     "GoodDecayReport",
     "frequency_function",
     "FrequencyReport",
-    "boundary_estimate_check",
-    "kernel_self_test",
-    "KernelReport",
     "hardt_simon_check",
     "RadialDerivativeReport",
-    "homogeneity_deviation",
-    "translation_invariance_set",
-    "InvarianceReport",
-    "linearity_classify",
-    "LinearityReport",
     "laplacian_defect",
     "harmonicity_order",
     "HarmonicAudit",
@@ -137,18 +115,6 @@ def _mass(f, center, radius, nr=48, nt=256, phi=None, inner=0.0):
     return float(np.sum(w * _squared_values(f.eval(pts))))
 
 
-def kernel_self_test(nr=96, nt=64):
-    """Quadrature control for the singular boundary kernel.
-
-    Integrates |x|^(2-n-3/2) over the half-radius disk in the plane and
-    returns (value, closed_form); the closed form is 2 pi sqrt(2).
-    """
-    pts, w, r = disk_rule(np.zeros(2), 0.5, nr=nr, nt=nt, stretch=True)
-    value = float(np.sum(w * r ** (2.0 - 3.5)))
-    return value, 2.0 * math.pi * math.sqrt(2.0)
-
-
-# ---------------------------------------------------------------------------
 # analytic Q-valued functions
 
 
@@ -181,9 +147,6 @@ class AnalyticQFunction:
 
     def __call__(self, points):
         return self.eval(points)
-
-    def translate(self, offset):
-        return PulledBack(self, np.asarray(offset, dtype=float), 1.0)
 
 
 class BranchPower(AnalyticQFunction):
@@ -374,82 +337,6 @@ class WallPair(AnalyticQFunction):
         return out
 
 
-class PulledBack(AnalyticQFunction):
-    """source(offset + ratio x), the affine pullback used by rescalings."""
-
-    def __init__(self, source, offset, ratio):
-        self.source = source
-        self.offset = np.asarray(offset, dtype=float).ravel()
-        self.ratio = float(ratio)
-        self.q, self.m, self.n = source.q, source.m, source.n
-
-    def eval(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.source.eval(self.offset[None, :] + self.ratio * pts)
-
-    def jacobian(self, points, step=None):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.ratio * self.source.jacobian(self.offset[None, :] + self.ratio * pts)
-
-
-class Scaled(AnalyticQFunction):
-    """factor * source, branchwise."""
-
-    def __init__(self, source, factor):
-        self.source = source
-        self.factor = float(factor)
-        self.q, self.m, self.n = source.q, source.m, source.n
-
-    def eval(self, points):
-        return self.factor * self.source.eval(points)
-
-    def jacobian(self, points, step=None):
-        return self.factor * self.source.jacobian(points)
-
-
-class _AffineShift(AnalyticQFunction):
-    """source minus the single-valued affine map x -> c + L (x - z)."""
-
-    def __init__(self, source, const, lin, about=None):
-        self.source = source
-        self.const = np.asarray(const, dtype=float).ravel()
-        self.lin = np.asarray(lin, dtype=float)
-        self.about = (
-            np.zeros(source.n) if about is None else np.asarray(about, dtype=float).ravel()
-        )
-        self.q, self.m, self.n = source.q, source.m, source.n
-
-    def eval(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ell = self.const[None, :] + (pts - self.about[None, :]) @ self.lin.T
-        return self.source.eval(pts) - ell[:, None, :]
-
-    def jacobian(self, points, step=None):
-        return self.source.jacobian(points) - self.lin[None, None, :, :]
-
-
-class PlanarExtension(AnalyticQFunction):
-    """A lower-dimensional source extended constantly in the new coordinates."""
-
-    def __init__(self, source, n):
-        if n <= source.n:
-            raise ValueError("extension needs more coordinates than the source")
-        self.source = source
-        self.q, self.m = source.q, source.m
-        self.n = int(n)
-
-    def eval(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.source.eval(pts[:, : self.source.n])
-
-    def jacobian(self, points, step=None):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        inner = self.source.jacobian(pts[:, : self.source.n])
-        out = np.zeros((pts.shape[0], self.q, self.m, self.n))
-        out[:, :, :, : self.source.n] = inner
-        return out
-
-
 class OddReflection(AnalyticQFunction):
     """F = f on {x1 >= 0} and F(x) = -f(-x1, x2, ...) on {x1 < 0}.
 
@@ -577,223 +464,6 @@ def make_function(kind, **params):
             )
         )
     raise ValueError("unknown lab function kind %r" % (kind,))
-
-
-def generator_library():
-    """Named library of pairwise-distinct lab functions for smoke tests."""
-    entries = [
-        ("branch_2_1", BranchPower(2, 1)),
-        ("branch_2_3", BranchPower(2, 3)),
-        ("branch_2_5", BranchPower(2, 5)),
-        ("branch_3_4", BranchPower(3, 4)),
-        ("branch_2_3_scalar", BranchPower(2, 3, m=1)),
-        ("branch_2_1_scalar", BranchPower(2, 1, m=1)),
-        ("wall_pair", WallPair()),
-        ("wall_pair_near", WallPair(d=0.25)),
-        ("linear_wall", LinearTuple.wall([1.0, -1.0])),
-        ("linear_wall_steep", LinearTuple.wall([2.0, -2.0])),
-        ("shifted_branch", SumOf(
-            BranchPower(2, 3),
-            lambda pts: np.stack([pts[:, 0] ** 2 - pts[:, 1] ** 2,
-                                  2.0 * pts[:, 0] * pts[:, 1]], axis=1),
-            lambda pts: np.stack(
-                [np.stack([2.0 * pts[:, 0], -2.0 * pts[:, 1]], axis=1),
-                 np.stack([2.0 * pts[:, 1], 2.0 * pts[:, 0]], axis=1)], axis=1),
-        )),
-    ]
-    return tuple(entries)
-
-
-@dataclass(frozen=True)
-class SeparationReport:
-    pairs: tuple
-    distances: tuple
-    minimum: float
-
-
-def pairwise_separation(entries=None, center=(0.35, 0.12), radius=0.12, nr=12, nt=32):
-    """Integrated matching distance between all same-signature library pairs.
-
-    Returns the smallest L2 separation over a fixed subball; a unique
-    continuation smoke test asserts it stays well away from zero.
-    """
-    if entries is None:
-        entries = generator_library()
-    pts, w, _ = disk_rule(np.asarray(center, dtype=float), radius, nr=nr, nt=nt)
-    evals = [(name, f, f.eval(pts)) for name, f in entries]
-    pairs, dists = [], []
-    for i in range(len(evals)):
-        for j in range(i + 1, len(evals)):
-            ni, fi, vi = evals[i]
-            nj, fj, vj = evals[j]
-            if fi.q != fj.q or fi.m != fj.m:
-                continue
-            d2 = float(np.sum(w * match_batch(vi, vj)[1]))
-            pairs.append((ni, nj))
-            dists.append(math.sqrt(max(d2, 0.0)))
-    dists_t = tuple(dists)
-    return SeparationReport(tuple(pairs), dists_t, min(dists_t) if dists_t else math.inf)
-
-
-# ---------------------------------------------------------------------------
-# blow-up candidates on the unit half disk
-
-
-@dataclass(frozen=True)
-class BlowupCandidate:
-    """Boundary candidate on the unit half disk: components plus a wall trace.
-
-    `components` are Q_i-valued functions; `kappa` is the single-valued trace
-    data, given per component as a constant vector, a callable z -> (m,), or a
-    q = 1 polynomial (None means zero trace).  `fine_class` is the integer
-    passthrough parameter of the ambient family; it is validated and stored,
-    nothing more.
-    """
-
-    components: tuple
-    kappa: object = None
-    fine_class: int = 3
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
-            raise ValueError("candidate needs at least one component")
-        object.__setattr__(self, "components", comps)
-        if int(self.fine_class) < 3:
-            raise ValueError("fine class passthrough must be an integer >= 3")
-        object.__setattr__(self, "fine_class", int(self.fine_class))
-
-    @property
-    def n_components(self):
-        return len(self.components)
-
-    def domain(self):
-        return Domain.half_ball(2, 1.0)
-
-    def kappa_at(self, z):
-        """Trace values at a wall point, one (m_i,) vector per component."""
-        z = np.asarray(z, dtype=float).ravel()
-        out = []
-        for i, comp in enumerate(self.components):
-            if self.kappa is None:
-                out.append(np.zeros(comp.m))
-                continue
-            item = self.kappa[i]
-            if item is None:
-                out.append(np.zeros(comp.m))
-            elif hasattr(item, "eval_point"):
-                out.append(np.asarray(item.eval_point(z).branches[0], dtype=float))
-            elif callable(item):
-                out.append(np.asarray(item(z), dtype=float).ravel())
-            else:
-                arr = np.asarray(item, dtype=float).ravel()
-                out.append(np.broadcast_to(arr, (comp.m,)).astype(float))
-        return out
-
-    def total_mass(self, nr=64, nt=128):
-        return sum(_mass(c, np.zeros(2), 1.0, nr=nr, nt=nt, phi=_HALF)
-                   for c in self.components)
-
-
-def _require_wall_point(z):
-    z = np.asarray(z, dtype=float).ravel()
-    if z.shape[0] != 2 or abs(z[0]) > 1e-9:
-        raise ValueError("expected a planar point on the wall {x1 = 0}")
-    return z
-
-
-def rescale_blowup(v, z, sigma, nr=64, nt=128):
-    """Rescaling v_{z, sigma} = v(z + sigma .) / ||v(z + sigma .)||_{L2}.
-
-    z must lie on the wall and sigma in (0, (3/8)(1 - |z|)]; returns the new
-    candidate together with the normalizing L2 norm.
-    """
-    z = _require_wall_point(z)
-    bound = 0.375 * (1.0 - np.linalg.norm(z))
-    if not 0.0 < sigma <= bound + 1e-12:
-        raise ValueError("rescaling radius outside (0, (3/8)(1 - |z|)]")
-    moved = [PulledBack(c, z, sigma) for c in v.components]
-    norm2 = sum(_mass(c, np.zeros(2), 1.0, nr=nr, nt=nt, phi=_HALF) for c in moved)
-    norm = math.sqrt(max(norm2, 0.0))
-    if norm < 1e-150:
-        raise ValueError("candidate vanishes near the rescaling center")
-    comps = tuple(Scaled(c, 1.0 / norm) for c in moved)
-    kappa = None
-    if v.kappa is not None:
-        kappa = [
-            (lambda zz, idx=i: v.kappa_at(z + sigma * np.asarray(zz, dtype=float))[idx] / norm)
-            for i in range(v.n_components)
-        ]
-    return BlowupCandidate(comps, kappa, v.fine_class), norm
-
-
-def renormalize_blowup(v, nr=64, nt=128):
-    """The map v -> (v - l_v) / ||v - l_v|| with l_v the average jet at 0.
-
-    Each component loses the affine map built from its branch-average value
-    and Jacobian at the origin; returns (candidate, norm).
-    """
-    origin = np.zeros((1, 2))
-    shifted = []
-    jets = []
-    for comp in v.components:
-        const = comp.eval(origin)[0].mean(axis=0)
-        lin = comp.jacobian(origin)[0].mean(axis=0)
-        jets.append((const, lin))
-        shifted.append(_AffineShift(comp, const, lin))
-    norm2 = sum(_mass(c, np.zeros(2), 1.0, nr=nr, nt=nt, phi=_HALF) for c in shifted)
-    norm = math.sqrt(max(norm2, 0.0))
-    if norm < 1e-150:
-        raise ValueError("renormalization of an affine candidate")
-    comps = tuple(Scaled(c, 1.0 / norm) for c in shifted)
-
-    def trace_fn(idx):
-        const, lin = jets[idx]
-
-        def fn(zz):
-            zz = np.asarray(zz, dtype=float).ravel()
-            return (v.kappa_at(zz)[idx] - const - lin @ zz) / norm
-
-        return fn
-
-    kappa = [trace_fn(i) for i in range(v.n_components)]
-    return BlowupCandidate(comps, kappa, v.fine_class), norm
-
-
-@dataclass(frozen=True)
-class SplittingReport:
-    ratios: tuple
-    minimum: float
-
-
-def splitting_lower_bound(candidates, nr=64, nt=128, jet_tol=1e-8):
-    """Empirical outer-mass constant: min over candidates of the share of L2
-    mass outside the half ball of radius 1/2.
-
-    Candidates must be centered (vanishing average jet at 0).  The minimum is
-    a reported estimate of the splitting constant, never a certified one.
-    """
-    ratios = []
-    origin = np.zeros((1, 2))
-    for cand in candidates:
-        if isinstance(cand, AnalyticQFunction):
-            cand = BlowupCandidate((cand,))
-        for comp in cand.components:
-            const = comp.eval(origin)[0].mean(axis=0)
-            lin = comp.jacobian(origin)[0].mean(axis=0)
-            if np.linalg.norm(const) > jet_tol or np.linalg.norm(lin) > jet_tol:
-                raise ValueError(
-                    "splitting bound requires centered candidates "
-                    "(vanishing average jet at 0)"
-                )
-        total = cand.total_mass(nr=nr, nt=nt)
-        if total <= 0.0:
-            raise ValueError("splitting bound on a vanishing candidate")
-        inner = sum(
-            _mass(c, np.zeros(2), 0.5, nr=nr, nt=nt, phi=_HALF) for c in cand.components
-        )
-        ratios.append(max(0.0, 1.0 - inner / total))
-    return SplittingReport(tuple(ratios), min(ratios))
 
 
 # ---------------------------------------------------------------------------
@@ -994,15 +664,14 @@ def frequency_function(u, x0, ladder, nr=48, nt_disk=256, nt_circle=1024, floor=
 
 
 # ---------------------------------------------------------------------------
-# boundary kernel and radial-derivative bounds
+# radial-derivative bounds at the wall
 
 
-@dataclass(frozen=True)
-class KernelReport:
-    lhs: float
-    rhs: float
-    ratio: float
-    vacuous: bool
+def _require_wall_point(z):
+    z = np.asarray(z, dtype=float).ravel()
+    if z.shape[0] != 2 or abs(z[0]) > 1e-9:
+        raise ValueError("expected a planar point on the wall {x1 = 0}")
+    return z
 
 
 def _check_kernel_range(z, rho):
@@ -1013,35 +682,6 @@ def _check_kernel_range(z, rho):
     return z
 
 
-def boundary_estimate_check(v, z, rho, nr=96, nt=128, floor=1e-24):
-    """Singular-kernel boundary bound at a wall point z.
-
-    LHS integrates the matching distance of v to its trace value at z against
-    the kernel |x - z|^(-n - 3/2) over the half-radius half disk; RHS is the
-    squared distance at scale rho, weighted by rho^(-n - 3/2).  The two sides
-    carry different dimensions, so the ratio is an empirical constant whose
-    scale behavior is measured, not assumed.
-    """
-    if isinstance(v, AnalyticQFunction):
-        v = BlowupCandidate((v,))
-    z = _check_kernel_range(z, rho)
-    kap = v.kappa_at(z)
-    lhs = 0.0
-    rhs_mass = 0.0
-    pts_l, w_l, r_l = disk_rule(z, 0.5 * rho, nr=nr, nt=nt, phi=_HALF, stretch=True)
-    pts_r, w_r, _ = disk_rule(z, rho, nr=nr, nt=nt, phi=_HALF)
-    for comp, kz in zip(v.components, kap):
-        diff = comp.eval(pts_l) - kz[None, None, :]
-        gdist = np.sqrt(np.sum(diff * diff, axis=(1, 2)))
-        lhs += float(np.sum(w_l * gdist * r_l ** (-2.0 - 1.5)))
-        diff = comp.eval(pts_r) - kz[None, None, :]
-        rhs_mass += float(np.sum(w_r * np.sum(diff * diff, axis=(1, 2))))
-    rhs = rho ** (-2.0 - 1.5) * rhs_mass
-    vacuous = lhs <= floor and rhs <= floor
-    ratio = 0.0 if vacuous else lhs / max(rhs, 1e-300)
-    return KernelReport(lhs, rhs, ratio, vacuous)
-
-
 @dataclass(frozen=True)
 class RadialDerivativeReport:
     lhs: float
@@ -1050,11 +690,11 @@ class RadialDerivativeReport:
     excluded: int
 
 
-def _radial_lhs_analytic(comp, z, rho, nr, nt):
+def _radial_lhs_analytic(v, z, rho, nr, nt):
     pts, w, r = disk_rule(z, 0.5 * rho, nr=nr, nt=nt, phi=_HALF, stretch=True)
-    vals = comp.eval(pts)
-    jac = comp.jacobian(pts)
-    va = comp.eval(z[None, :])[0].mean(axis=0)
+    vals = v.eval(pts)
+    jac = v.jacobian(pts)
+    va = v.eval(z[None, :])[0].mean(axis=0)
     rel = pts - z[None, :]
     pred = np.einsum("sqmn,sn->sqm", jac, rel)
     f = vals - va[None, None, :]
@@ -1062,25 +702,25 @@ def _radial_lhs_analytic(comp, z, rho, nr, nt):
     return float(np.sum(w * dev * r ** (-4.0)))
 
 
-def _radial_rhs_analytic(comp, z, rho, nr, nt):
+def _radial_rhs_analytic(v, z, rho, nr, nt):
     pts, w, _ = disk_rule(z, rho, nr=nr, nt=nt, phi=_HALF)
-    vals = comp.eval(pts)
-    va = comp.eval(z[None, :])[0].mean(axis=0)
-    dva = comp.jacobian(z[None, :])[0].mean(axis=0)
+    vals = v.eval(pts)
+    va = v.eval(z[None, :])[0].mean(axis=0)
+    dva = v.jacobian(z[None, :])[0].mean(axis=0)
     ell = va[None, :] + (pts - z[None, :]) @ dva.T
     diff = vals - ell[:, None, :]
     return float(np.sum(w * np.sum(diff * diff, axis=(1, 2))))
 
 
-def _radial_sampled(comp, z, rho, nphi, nsta, gap_tol):
-    """Ray-station finite differences for sampled components.
+def _radial_sampled(v, z, rho, nphi, nsta, gap_tol):
+    """Ray-station finite differences for sampled data.
 
     Stations along each ray are spaced at least two grid cells apart so that
     nearest-node snapping cannot collapse a difference; returns
     (lhs, rhs_mass, excluded ray count).  Rays with an ambiguous branch
     matching at any station are dropped entirely.
     """
-    h = comp.grid.resolution
+    h = v.grid.resolution
     step = max(2.0 * h, 0.5 * rho / max(int(nsta), 2))
     stations = np.arange(1, int(0.5 * rho / step) + 1) * step
     if stations.shape[0] < 2:
@@ -1090,11 +730,11 @@ def _radial_sampled(comp, z, rho, nphi, nsta, gap_tol):
     phis = _HALF[0] + (np.arange(nphi) + 0.5) * (_HALF[1] - _HALF[0]) / nphi
     dphi = (_HALF[1] - _HALF[0]) / nphi
     x, wgl = np.polynomial.legendre.leggauss(nsta)
-    va = comp.value_at(z).average()
-    avg_plus = comp.value_at(z + np.array([2.0 * h, 0.0])).average()
+    va = v.value_at(z).average()
+    avg_plus = v.value_at(z + np.array([2.0 * h, 0.0])).average()
     dva1 = (avg_plus - va) / (2.0 * h)
-    avg_up = comp.value_at(z + np.array([0.0, 2.0 * h])).average()
-    avg_dn = comp.value_at(z - np.array([0.0, 2.0 * h])).average()
+    avg_up = v.value_at(z + np.array([0.0, 2.0 * h])).average()
+    avg_dn = v.value_at(z - np.array([0.0, 2.0 * h])).average()
     dva = np.stack([dva1, (avg_up - avg_dn) / (4.0 * h)], axis=1)
     lhs = 0.0
     rhs_mass = 0.0
@@ -1104,7 +744,7 @@ def _radial_sampled(comp, z, rho, nphi, nsta, gap_tol):
         branches = []
         ambiguous = False
         for r in stations:
-            p = comp.value_at(z + r * e)
+            p = v.value_at(z + r * e)
             gaps = [
                 np.linalg.norm(p.branches[i] - p.branches[j])
                 for i, j in itertools.combinations(range(p.q), 2)
@@ -1133,7 +773,7 @@ def _radial_sampled(comp, z, rho, nphi, nsta, gap_tol):
         for r, wr in zip(r_r, w_r):
             if r < h:
                 continue
-            p = comp.value_at(z + r * e)
+            p = v.value_at(z + r * e)
             ell = va + dva @ (r * e)
             diff = p.branches - ell[None, :]
             rhs_mass += r * wr * dphi * float(np.sum(diff * diff))
@@ -1141,143 +781,24 @@ def _radial_sampled(comp, z, rho, nphi, nsta, gap_tol):
 
 
 def hardt_simon_check(v, z, rho, nr=64, nt=128, nphi=48, nsta=24, gap_tol=1e-8):
-    """Radial-derivative bound: LHS integrates R^(2-n) |d/dR ((v - v_a(z))/R)|^2
-    over the half-radius half disk, RHS is rho^(-n-2) times the squared
-    distance to the average-jet affine map at scale rho.
+    """Radial-derivative bound for one function v at a wall point z.
 
-    Analytic components use the chain rule; sampled components use finite
-    differences along rays, with branch-ambiguous rays excluded and counted.
+    LHS integrates R^(2-n) |d/dR ((v - v_a(z))/R)|^2 over the half-radius
+    half disk, RHS is rho^(-n-2) times the squared distance to the
+    average-jet affine map at scale rho.  A SampledQFunction is differenced
+    along rays, with branch-ambiguous rays excluded and counted; any other
+    v is analytic and uses the chain rule.
     """
-    if isinstance(v, (AnalyticQFunction, SampledQFunction)):
-        v = BlowupCandidate((v,))
     z = _check_kernel_range(z, rho)
-    lhs = 0.0
-    rhs_mass = 0.0
-    excluded = 0
-    for comp in v.components:
-        if isinstance(comp, SampledQFunction):
-            part_l, part_r, exc = _radial_sampled(comp, z, rho, nphi, nsta, gap_tol)
-            lhs += part_l
-            rhs_mass += part_r
-            excluded += exc
-        else:
-            lhs += _radial_lhs_analytic(comp, z, rho, nr, nt)
-            rhs_mass += _radial_rhs_analytic(comp, z, rho, nr, nt)
+    if isinstance(v, SampledQFunction):
+        lhs, rhs_mass, excluded = _radial_sampled(v, z, rho, nphi, nsta, gap_tol)
+    else:
+        lhs = _radial_lhs_analytic(v, z, rho, nr, nt)
+        rhs_mass = _radial_rhs_analytic(v, z, rho, nr, nt)
+        excluded = 0
     rhs = rho ** (-4.0) * rhs_mass
     ratio = lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf)
     return RadialDerivativeReport(lhs, rhs, ratio, excluded)
-
-
-# ---------------------------------------------------------------------------
-# homogeneity, invariance, linearity
-
-
-def homogeneity_deviation(v, inner, outer, center=None, nr=48, nt=256, half=False):
-    """L2 size of d/dR (v/R) over an annulus; zero exactly on degree-one
-    homogeneous fields about the center."""
-    if not 0.0 < inner < outer:
-        raise ValueError("annulus needs 0 < inner < outer")
-    c = np.zeros(v.n) if center is None else np.asarray(center, dtype=float).ravel()
-    phi = _HALF if half else None
-    pts, w, r = disk_rule(c, outer, nr=nr, nt=nt, phi=phi, inner=inner)
-    vals = v.eval(pts)
-    jac = v.jacobian(pts)
-    rel = pts - c[None, :]
-    pred = np.einsum("sqmn,sn->sqm", jac, rel)
-    dev = np.sum((pred - vals) ** 2, axis=(1, 2))
-    return math.sqrt(max(float(np.sum(w * dev * r ** (-4.0))), 0.0))
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    directions: np.ndarray
-    deviations: np.ndarray
-    dimension: int
-    tol: float
-
-
-def translation_invariance_set(v, directions=None, shifts=(0.05, 0.1, 0.2),
-                               tol=1e-9, samples=100, seed=0):
-    """Estimate the wall-parallel directions along which v is invariant.
-
-    Sweeps sampled base points by +-shift along each candidate direction and
-    records the largest matching distance; directions below tol count toward
-    the invariance dimension.
-    """
-    n = v.n
-    if directions is None:
-        directions = np.eye(n)[1:]
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    rng = np.random.default_rng(seed)
-    low = np.full(n, -0.6)
-    high = np.full(n, 0.6)
-    low[0] = 0.08
-    pts = rng.uniform(low, high, size=(samples, n))
-    base = v.eval(pts)
-    devs = np.empty(directions.shape[0])
-    for i, e in enumerate(directions):
-        worst = 0.0
-        for t in shifts:
-            for sign in (1.0, -1.0):
-                moved = v.eval(pts + sign * t * e[None, :])
-                worst = max(worst, float(np.sqrt(match_batch(base, moved)[1].max())))
-        devs[i] = worst
-    dim = int(np.sum(devs <= tol))
-    return InvarianceReport(directions, devs, dim, tol)
-
-
-@dataclass(frozen=True)
-class LinearityReport:
-    linear: bool
-    residual: float
-    slopes: np.ndarray
-    wall_form: bool
-    wall_slopes: object
-    deviation: float
-
-
-def linearity_classify(v, tol=1e-8, gate_tol=1e-4, resolution=1.0 / 48.0,
-                       domain=None):
-    """Classify a degree-one homogeneous candidate as linear or not.
-
-    Gates on the homogeneity deviation over a fixed annulus, then fits a
-    degree-1 tuple with the constant slots pinned to zero; linear means the
-    relative fit residual stays under tol.  When the wall trace vanishes the
-    slopes collapse to the form sum_j [[a_j x^1]] and are reported as such.
-    """
-    domain = Domain.half_ball(2, 1.0) if domain is None else domain
-    half = domain.kind == "half_ball"
-    scale2 = _mass(v, domain.center, 0.8, nr=32, nt=128,
-                   phi=_HALF if half else None, inner=0.3)
-    scale = math.sqrt(max(scale2, 0.0))
-    dev = homogeneity_deviation(v, 0.3, 0.8, center=domain.center, half=half)
-    if dev > gate_tol * max(scale, 1e-12):
-        raise HomogeneityError(
-            "not degree-one homogeneous on the test annulus "
-            "(deviation %.3g against scale %.3g)" % (dev, scale)
-        )
-    grid = domain.sample(resolution)
-    u = SampledQFunction.from_function(grid, v.eval, v.q, v.m)
-    fit = best_fit(u, domain.center, domain.radius * 0.98, 1, 2.0,
-                   FitConfig(restarts=4, zero_constant=True))
-    mass = u.q_mass(2.0)
-    rel = math.sqrt(max(fit.residual, 0.0) / max(mass, 1e-300))
-    linear = rel <= tol
-    poly = fit.polynomial
-    cols = [i for i, p in enumerate(poly.indices) if sum(p) == 1]
-    order = sorted(range(len(cols)), key=lambda i: poly.indices[cols[i]].index(1))
-    slopes = np.stack([poly.coeffs[:, :, cols[i]] for i in order], axis=2)
-    wall = np.zeros((9, v.n))
-    wall[:, 1] = np.linspace(-0.8, 0.8, 9)
-    trace = float(np.sqrt(_squared_values(v.eval(wall)).max()))
-    wall_slopes = None
-    wall_form = False
-    if linear and v.m == 1 and trace <= 1e-8 * max(scale, 1.0):
-        off_axis = float(np.abs(slopes[:, :, 1:]).max()) if v.n > 1 else 0.0
-        if off_axis <= 1e-8 * max(1.0, float(np.abs(slopes).max())):
-            wall_form = True
-            wall_slopes = slopes[:, 0, 0].copy()
-    return LinearityReport(linear, rel, slopes, wall_form, wall_slopes, dev)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     BelowResolutionError,
-    BranchAmbiguityError,
     EmptyIntersectionError,
     OracleLimitError,
 )
@@ -30,10 +29,7 @@ __all__ = [
     "brute_force_metric",
     "optimal_assignment",
     "match_batch",
-    "order_branches",
-    "translate_add",
     "SampledQFunction",
-    "numeric_derivative",
     "lebesgue_point_profile",
 ]
 
@@ -288,27 +284,6 @@ def match_batch(a, b):
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def order_branches(u):
-    """Scalar sampled data with branches sorted descending at every node.
-
-    Only SampledQFunction carries a meaningful branch order (AqPoint storage
-    is canonical), so that is the only input accepted.  Each node's tuple is
-    unchanged as a value; the selections u_1 >= ... >= u_Q become honest
-    single-valued functions.
-    """
-    if not isinstance(u, SampledQFunction):
-        raise TypeError("order_branches requires sampled data")
-    if u.m != 1:
-        raise ValueError("order_branches requires m = 1")
-    ordered = np.sort(u.values[:, :, 0], axis=1)[:, ::-1]
-    return SampledQFunction(u.grid, ordered[:, :, None], source=u.source)
-
-
-def translate_add(p, f_value):
-    """Add a single vector to every branch; models u + single-valued f."""
-    return p.translate(f_value)
-
-
 @dataclass(frozen=True, eq=False)
 class SampledQFunction:
     """Multi-valued samples on a quadrature grid.
@@ -390,52 +365,6 @@ class SampledQFunction:
         for i, x in enumerate(grid.points):
             vals[i] = np.asarray(fn(x), dtype=float).reshape(q, m)
         return cls(grid, vals)
-
-
-def _evaluate(u, x):
-    """Tuple value from either a sampled or an analytically backed source."""
-    if hasattr(u, "eval_point"):
-        return u.eval_point(x)
-    if isinstance(u, SampledQFunction):
-        if u.source is not None and hasattr(u.source, "eval_point"):
-            return u.source.eval_point(x)
-        return u.value_at(x)
-    raise TypeError("cannot evaluate %r at a point" % type(u))
-
-
-def numeric_derivative(u, x0, h, gap_tol=None):
-    """Branchwise Jacobians at x0 by central differences with branch tracking.
-
-    Pre: branches at x0 separable; otherwise the pairing of neighbor values
-    to center branches is meaningless and a BranchAmbiguityError is raised.
-    Returns an array of shape (Q, m, n), row i the Jacobian of the branch
-    matched to center branch i (branches in the center tuple's canonical
-    order).
-    """
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n = x0.shape[0]
-    center = _evaluate(u, x0)
-    q, m = center.q, center.m
-    scale = max(center.norm(), 1.0)
-    if gap_tol is None:
-        gap_tol = 1e-6 * scale
-    if q > 1:
-        gaps = _cost_matrix(center.branches, center.branches)
-        np.fill_diagonal(gaps, np.inf)
-        if math.sqrt(gaps.min()) <= gap_tol:
-            raise BranchAmbiguityError(
-                "branch point: derivative matching ambiguous"
-            )
-    jac = np.empty((q, m, n))
-    for j in range(n):
-        step = np.zeros(n)
-        step[j] = h
-        plus = _evaluate(u, x0 + step)
-        minus = _evaluate(u, x0 - step)
-        sp, _ = optimal_assignment(center, plus)
-        sm, _ = optimal_assignment(center, minus)
-        jac[:, :, j] = (plus.branches[sp] - minus.branches[sm]) / (2.0 * h)
-    return jac
 
 
 def lebesgue_point_profile(u, x0, ladder, q_exp=2.0, value=None):

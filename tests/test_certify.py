@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 
 from qvalued import certify
 from qvalued.certify import (
-    AuditReport,
     DecayHypothesis,
-    HolderCertificate,
     Stratification,
     audit_hypothesis,
     certified_exponent,

@@ -1,4 +1,4 @@
-"""Tests for domains, quadrature grids, and the density-constant estimate."""
+"""Tests for domains, quadrature grids, and dyadic ladders."""
 
 import math
 
@@ -15,7 +15,6 @@ from qvalued.geometry import (
     Domain,
     QuadratureGrid,
     _lattice_directions,
-    a_weighted_constant,
     dyadic_ladder,
     neighbour_table,
     squared_distances,
@@ -42,6 +41,18 @@ def test_dyadic_ladder():
         dyadic_ladder(-1.0, 3)
     with pytest.raises(ValueError):
         dyadic_ladder(1.0, -1)
+
+
+@pytest.mark.parametrize("rho0, depth", [
+    (math.nan, 2), (math.inf, 2), (0.5, 2.5), (0.5, 2.0),
+])
+def test_dyadic_ladder_refuses_non_finite_base_or_non_integral_depth(rho0, depth):
+    with pytest.raises(ValueError, match="ladder"):
+        dyadic_ladder(rho0, depth)
+
+
+def test_dyadic_ladder_accepts_numpy_integer_depth():
+    assert list(dyadic_ladder(0.8, np.int64(2))) == [0.8, 0.4, 0.2]
 
 
 def test_unit_box_exact_cells():
@@ -142,61 +153,6 @@ def test_contains_strict_interior():
     dom = Domain.half_ball(2, 1.0)
     mask = dom.contains([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5], [0.999, 0.0]])
     assert list(mask) == [True, False, False, True]
-
-
-def test_boundary_points_on_closure():
-    ball = Domain.ball(2, 1.0).boundary_points()
-    assert np.allclose(np.linalg.norm(ball, axis=1), 1.0)
-    ring = np.linalg.norm(Domain.annulus(2, 0.5, 1.0).boundary_points(), axis=1)
-    assert set(np.round(ring, 12)) == {0.5, 1.0}
-    half = Domain.half_ball(2, 1.0).boundary_points()
-    on_arc = np.isclose(np.linalg.norm(half, axis=1), 1.0) & (half[:, 0] >= 0)
-    on_wall = np.isclose(half[:, 0], 0.0) & (np.abs(half[:, 1]) <= 1.0)
-    assert np.all(on_arc | on_wall)
-    box = Domain.box(2, 1.0).boundary_points()
-    assert np.allclose(np.abs(box).max(axis=1), 1.0)
-
-
-def test_a_weighted_ball_closed_form():
-    # worst case is a boundary center at rho = diam, giving pi / 4
-    est = a_weighted_constant(Domain.ball(2, 1.0), 1.0 / 128.0)
-    assert est.value == pytest.approx(math.pi / 4.0, rel=0.03)
-    assert est.worst_radius == pytest.approx(2.0)
-
-
-def test_a_weighted_half_disk_positive():
-    est = a_weighted_constant(Domain.half_ball(2, 1.0), 1.0 / 64.0)
-    assert est.value > 0.1
-    assert est.constant() == est.value
-
-
-def test_a_weighted_improves_with_sampling():
-    dom = Domain.ball(2, 1.0)
-    few = a_weighted_constant(dom, 1.0 / 64.0, max_depth=2)
-    many = a_weighted_constant(dom, 1.0 / 64.0, max_depth=6)
-    assert many.value <= few.value * 1.02
-
-
-@pytest.mark.parametrize("dom", [
-    Domain.ball(2, 1.0), Domain.half_ball(2, 0.7), Domain.box(2, 0.45),
-], ids=["ball", "half", "box"])
-@pytest.mark.parametrize("max_depth", [0, 2, 10])
-def test_a_weighted_radii_are_repeated_halving(dom, max_depth):
-    # reference: halve from the diameter while the radius stays at 8h or more
-    h = 1.0 / 24.0
-    want = []
-    for j in range(max_depth + 1):
-        rho = dom.diameter() * 2.0 ** (-j)
-        if rho < 8.0 * h:
-            break
-        want.append(rho)
-    got = a_weighted_constant(dom, h, max_depth=max_depth).radii
-    assert got.tolist() == want
-
-
-def test_a_weighted_needs_resolvable_radii():
-    with pytest.raises(BelowResolutionError):
-        a_weighted_constant(Domain.ball(2, 1.0), 0.3)
 
 
 def test_grid_construction_guards():

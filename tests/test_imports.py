@@ -1,12 +1,16 @@
-"""Static checks on the package source, parsed with `ast`."""
+"""Static checks on the package and test sources, parsed with `ast`, and a
+star import of every module that declares `__all__`."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qvalued"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "qvalued"
 MODULES = sorted(SRC.glob("*.py"))
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_module_imports(tree):
@@ -25,24 +29,47 @@ def unused_module_imports(tree):
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            read.update(e.value for e in ast.walk(node.value)
-                        if isinstance(e, ast.Constant))
+    for node in all_assignments(tree):
+        read.update(e.value for e in ast.walk(node.value)
+                    if isinstance(e, ast.Constant))
     return sorted((line, name) for name, line in bound.items()
                   if name not in read)
 
 
+def all_assignments(tree):
+    """Module-level assignments to `__all__`."""
+    return [node for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)]
+
+
+EXPORTING = [
+    "qvalued" if p.stem == "__init__" else "qvalued." + p.stem
+    for p in MODULES if all_assignments(ast.parse(p.read_text()))
+]
+
+
 def test_sources_found():
     assert "certify.py" in [p.name for p in MODULES]
+    assert "test_imports.py" in [p.name for p in TEST_MODULES]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert unused_module_imports(tree) == []
+
+
+def test_exporting_modules_found():
+    assert {"qvalued", "qvalued.lab", "qvalued.points"} <= set(EXPORTING)
+
+
+@pytest.mark.parametrize("name", EXPORTING)
+def test_star_import_resolves_every_all_name(name):
+    namespace = {}
+    exec("from %s import *" % name, namespace)
+    assert set(importlib.import_module(name).__all__) <= set(namespace)
 
 
 def test_checker_flags_an_unused_import():

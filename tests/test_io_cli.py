@@ -414,6 +414,15 @@ def test_cli_excess_and_seminorm(tmp_path, bp_csv):
     assert json.load(open(out2))["value"] > 0
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_cli_seminorm_refuses_non_finite_lambda(tmp_path, bp_csv, lam):
+    src, _ = bp_csv
+    out = tmp_path / "sn.json"
+    assert main(["seminorm", "--in", str(src), "--out", str(out),
+                 "--ladder-depth", "4", "--lambda", lam]) == 2
+    assert not out.exists()
+
+
 def test_cli_lab_audit(tmp_path, bp_csv):
     src, _ = bp_csv
     out = tmp_path / "audit.json"

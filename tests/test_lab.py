@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qvalued import lab
-from qvalued.errors import HomogeneityError, ReflectionTraceError
+from qvalued.errors import ReflectionTraceError
 from qvalued.geometry import Domain
 from qvalued.points import SampledQFunction, metric_g
 
@@ -35,17 +35,6 @@ class _SlowPair(lab.AnalyticQFunction):
         return np.stack([r[:, None], -r[:, None]], axis=1)
 
 
-class _ConePair(lab.AnalyticQFunction):
-    """{|x|, -|x|}: homogeneous degree one but not linear."""
-
-    q, m, n = 2, 1, 2
-
-    def eval(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        r = np.linalg.norm(pts, axis=1)
-        return np.stack([r[:, None], -r[:, None]], axis=1)
-
-
 def _const_single(c):
     return (lambda pts: np.full((pts.shape[0], 1), c),
             lambda pts: np.zeros((pts.shape[0], 1, 2)))
@@ -53,12 +42,6 @@ def _const_single(c):
 
 # ---------------------------------------------------------------------------
 # quadrature and library basics
-
-
-def test_kernel_self_test_matches_closed_form():
-    value, exact = lab.kernel_self_test()
-    assert exact == pytest.approx(2.0 * math.pi * math.sqrt(2.0))
-    assert value == pytest.approx(exact, rel=1e-10)
 
 
 def test_disk_rule_polynomial_exact():
@@ -323,58 +306,7 @@ def test_matched_second_difference_memory_independent_of_sample_count():
 
 
 # ---------------------------------------------------------------------------
-# homogeneity, invariance, linearity
-
-
-def test_homogeneity_deviation_oracle():
-    # for the 3/2-power pair the closed form over the annulus is sqrt(pi (b-a))
-    a, b = 0.2, 0.7
-    dev = lab.homogeneity_deviation(lab.BranchPower(2, 3), a, b)
-    assert dev == pytest.approx(math.sqrt(math.pi * (b - a)), rel=1e-10)
-    lin = lab.LinearTuple.wall([1.0, -1.0])
-    assert lab.homogeneity_deviation(lin, a, b) < 1e-10
-    shifted = lab.SumOf(lin, *_const_single(0.3))
-    assert lab.homogeneity_deviation(shifted, a, b) > 0.1
-
-
-def test_translation_invariance_dimensions():
-    rep = lab.translation_invariance_set(lab.LinearTuple.wall([1.0, -1.0], n=3))
-    assert rep.dimension == 2
-    rep2 = lab.translation_invariance_set(lab.PlanarExtension(lab.BranchPower(2, 3), 3))
-    assert rep2.dimension == 1
-    rep3 = lab.translation_invariance_set(lab.BranchPower(2, 3))
-    assert rep3.dimension == 0
-
-
-def test_linearity_classify_cases():
-    rep = lab.linearity_classify(lab.LinearTuple.wall([1.5, -1.5]))
-    assert rep.linear and rep.wall_form
-    assert np.sort(rep.wall_slopes) == pytest.approx([-1.5, 1.5], abs=1e-10)
-    assert abs(rep.wall_slopes.sum()) < 1e-10
-    cone = lab.linearity_classify(_ConePair())
-    assert not cone.linear and cone.residual > 0.1
-    with pytest.raises(HomogeneityError):
-        lab.linearity_classify(lab.BranchPower(2, 3))
-
-
-# ---------------------------------------------------------------------------
-# boundary kernel and radial-derivative bounds
-
-
-def test_boundary_kernel_vacuous_and_scaling():
-    const = lab.SumOf(lab.LinearTuple(np.zeros((2, 1, 2))), *_const_single(1.0))
-    cand = lab.BlowupCandidate((const,), kappa=[np.array([1.0])])
-    rep = lab.boundary_estimate_check(cand, np.zeros(2), 0.3)
-    assert rep.vacuous and rep.ratio == 0.0
-    # for the linear wall tuple the quadrature ratio scales exactly like 1/rho
-    lin = lab.BlowupCandidate((lab.LinearTuple.wall([1.0, -1.0]),))
-    r1 = lab.boundary_estimate_check(lin, np.zeros(2), 0.3)
-    r2 = lab.boundary_estimate_check(lin, np.zeros(2), 0.15)
-    assert 0.3 * r1.ratio == pytest.approx(0.15 * r2.ratio, rel=1e-3)
-    with pytest.raises(ValueError):
-        lab.boundary_estimate_check(lin, np.zeros(2), 0.5)
-    with pytest.raises(ValueError):
-        lab.boundary_estimate_check(lin, np.array([0.3, 0.0]), 0.1)
+# radial-derivative bounds
 
 
 def test_hardt_simon_homogeneous_lhs_zero():
@@ -404,60 +336,3 @@ def test_hardt_simon_sampled_matches_analytic_rhs(half_grid):
     assert sampled.lhs > 0.0 and sampled.excluded == 0
     dup = SampledQFunction(half_grid, np.repeat(u.values[:, :1], 2, axis=1))
     assert lab.hardt_simon_check(dup, z, 0.25, gap_tol=1e-6).excluded > 0
-
-
-# ---------------------------------------------------------------------------
-# blow-up candidates and transformations
-
-
-def test_blowup_validation():
-    with pytest.raises(ValueError):
-        lab.BlowupCandidate(())
-    with pytest.raises(ValueError):
-        lab.BlowupCandidate((lab.WallPair(),), fine_class=2)
-    cand = lab.BlowupCandidate((lab.WallPair(),), fine_class=5)
-    assert cand.fine_class == 5 and cand.n_components == 1
-    assert cand.domain().kind == "half_ball"
-
-
-def test_rescale_and_renormalize_unit_mass():
-    cand = lab.BlowupCandidate((lab.WallPair(),))
-    rescaled, norm = lab.rescale_blowup(cand, np.zeros(2), 0.25)
-    assert norm > 0.0
-    assert rescaled.total_mass() == pytest.approx(1.0, rel=1e-10)
-    renorm, norm2 = lab.renormalize_blowup(cand)
-    assert renorm.total_mass() == pytest.approx(1.0, rel=1e-10)
-    comp = renorm.components[0]
-    origin = np.zeros((1, 2))
-    assert np.abs(comp.eval(origin)[0].mean(axis=0)).max() < 1e-12
-    assert np.abs(comp.jacobian(origin)[0].mean(axis=0)).max() < 1e-12
-    with pytest.raises(ValueError):
-        lab.rescale_blowup(cand, np.zeros(2), 0.5)
-    with pytest.raises(ValueError):
-        lab.rescale_blowup(cand, np.array([0.2, 0.0]), 0.1)
-
-
-def test_renormalize_adjusts_trace():
-    shifted = lab.SumOf(lab.WallPair(), *_const_single(0.4))
-    cand = lab.BlowupCandidate((shifted,), kappa=[np.array([0.4])])
-    renorm, norm = lab.renormalize_blowup(cand)
-    z = np.array([0.0, 0.3])
-    # original trace 0.4 minus the removed constant jet 0.4, then normalized
-    assert np.abs(renorm.kappa_at(z)[0]).max() < 1e-12
-
-
-def test_splitting_lower_bound_oracle():
-    lin = lab.BlowupCandidate((lab.LinearTuple.wall([1.0, -1.0]),))
-    rep = lab.splitting_lower_bound([lin, lab.BlowupCandidate((lab.WallPair(),))])
-    # degree-one data puts exactly 1/16 of its mass inside the half ball
-    assert rep.ratios[0] == pytest.approx(15.0 / 16.0, rel=1e-12)
-    assert 0.0 < rep.minimum <= rep.ratios[0]
-    uncentered = lab.SumOf(lab.WallPair(), *_const_single(1.0))
-    with pytest.raises(ValueError):
-        lab.splitting_lower_bound([lab.BlowupCandidate((uncentered,))])
-
-
-def test_pairwise_separation_smoke():
-    rep = lab.pairwise_separation()
-    assert rep.minimum > 1e-3
-    assert len(rep.pairs) == len(rep.distances) >= 10

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qvalued.errors import BranchAmbiguityError, OracleLimitError
+from qvalued.errors import OracleLimitError
 from qvalued.geometry import Domain, QuadratureGrid, dyadic_ladder
 from qvalued.points import (
     AqPoint,
@@ -17,10 +17,7 @@ from qvalued.points import (
     lebesgue_point_profile,
     match_batch,
     metric_g,
-    numeric_derivative,
     optimal_assignment,
-    order_branches,
-    translate_add,
 )
 from qvalued.points import _best_pairings, _permutation_table
 
@@ -231,35 +228,6 @@ def test_optimal_assignment_lexmin_on_ties():
 
 
 # ---------------------------------------------------------------------------
-# branch arithmetic helpers
-
-
-def test_translate_add_shifts_average():
-    g = AqPoint([[-2.0], [2.0]])
-    shifted = translate_add(g, [3.0])
-    assert shifted == AqPoint([[1.0], [5.0]])
-    assert shifted.average()[0] == pytest.approx(3.0)
-    assert translate_add(g, [0.0]) == g
-
-
-def test_order_branches():
-    grid = QuadratureGrid(np.zeros((2, 1)) + [[0.0], [0.5]],
-                          np.array([1.0, 1.0]), 0.5)
-    u = SampledQFunction(grid, np.array([[[3.0], [-1.0], [2.0]],
-                                         [[1.0], [1.0], [0.0]]]))
-    ordered = order_branches(u)
-    assert list(ordered.values[0, :, 0]) == [3.0, 2.0, -1.0]
-    assert list(ordered.values[1, :, 0]) == [1.0, 1.0, 0.0]
-    for i in range(2):
-        assert metric_g(ordered.point(i), u.point(i)) == 0.0
-    again = order_branches(ordered)
-    assert np.array_equal(again.values, ordered.values)
-    wide = SampledQFunction(grid, np.zeros((2, 1, 2)))
-    with pytest.raises(ValueError, match="m = 1"):
-        order_branches(wide)
-
-
-# ---------------------------------------------------------------------------
 # sampled functions
 
 
@@ -295,47 +263,6 @@ def test_value_at_picks_nearest(disk_grid):
     got = u.value_at([0.5, 0.0])
     x_node = disk_grid.points[u.nearest_index([0.5, 0.0]), 0]
     assert metric_g(got, AqPoint([[x_node], [-x_node]])) == 0.0
-
-
-def test_numeric_derivative_linear_tuples():
-    grid = Domain.ball(2, 1.0).sample(1.0 / 64.0)
-    vals = np.stack([grid.points[:, :1], -grid.points[:, :1]], axis=1)
-    u = SampledQFunction(grid, vals)
-    jac = numeric_derivative(u, [0.5, 0.2], h=1.0 / 64.0)
-    # rows follow the canonical (ascending) branch order at the center
-    assert jac == pytest.approx(
-        np.array([[[-1.0, 0.0]], [[1.0, 0.0]]]), abs=1e-10
-    )
-    single = SampledQFunction(grid, (2.0 * grid.points[:, 0]
-                                     + 3.0 * grid.points[:, 1])[:, None, None])
-    jac1 = numeric_derivative(single, [0.1, -0.2], h=1.0 / 64.0)
-    assert jac1 == pytest.approx(np.array([[[2.0, 3.0]]]), abs=1e-10)
-
-
-def test_numeric_derivative_branch_point_refuses():
-    from qvalued.lab import LinearTuple
-
-    u = LinearTuple.wall([1.0, -1.0])
-    with pytest.raises(BranchAmbiguityError, match="ambiguous"):
-        numeric_derivative(u, [0.0, 0.3], h=1.0 / 64.0)
-    # on a cell-centered grid the wall sits between nodes; a gap tolerance
-    # at the cell scale still flags the near-collision
-    grid = Domain.ball(2, 1.0).sample(1.0 / 64.0)
-    vals = np.stack([grid.points[:, :1], -grid.points[:, :1]], axis=1)
-    s = SampledQFunction(grid, vals)
-    with pytest.raises(BranchAmbiguityError):
-        numeric_derivative(s, [0.0, 0.3], h=1.0 / 64.0, gap_tol=0.02)
-
-
-def test_numeric_derivative_branch_power_closed_form():
-    from qvalued.lab import BranchPower
-
-    f = BranchPower(2, 3, m=1)
-    jac = numeric_derivative(f, [1.0, 0.0], h=1e-4)
-    # branches of Re z^{3/2} have gradient (±3/2, 0) at z = 1
-    assert jac == pytest.approx(
-        np.array([[[-1.5, 0.0]], [[1.5, 0.0]]]), abs=1e-6
-    )
 
 
 def test_lebesgue_profile_constant_and_lipschitz(disk_grid):
