@@ -25,6 +25,10 @@ class InsufficientSamplesError(QvaluedError):
     """Raised when a fit is under-determined on the restricted sample set."""
 
 
+class BranchAmbiguityError(QvaluedError):
+    """Raised when branch matching cannot be done unambiguously."""
+
+
 class RecenterError(QvaluedError):
     """Raised when coefficient tuples with different centers are compared."""
 

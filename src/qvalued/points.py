@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     BelowResolutionError,
+    BranchAmbiguityError,
     EmptyIntersectionError,
     OracleLimitError,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "optimal_assignment",
     "match_batch",
     "SampledQFunction",
+    "numeric_derivative",
     "lebesgue_point_profile",
 ]
 
@@ -365,6 +367,52 @@ class SampledQFunction:
         for i, x in enumerate(grid.points):
             vals[i] = np.asarray(fn(x), dtype=float).reshape(q, m)
         return cls(grid, vals)
+
+
+def _evaluate(u, x):
+    """Tuple value from either a sampled or an analytically backed source."""
+    if hasattr(u, "eval_point"):
+        return u.eval_point(x)
+    if isinstance(u, SampledQFunction):
+        if u.source is not None and hasattr(u.source, "eval_point"):
+            return u.source.eval_point(x)
+        return u.value_at(x)
+    raise TypeError("cannot evaluate %r at a point" % type(u))
+
+
+def numeric_derivative(u, x0, h, gap_tol=None):
+    """Branchwise Jacobians at x0 by central differences with branch tracking.
+
+    Pre: branches at x0 separable; otherwise the pairing of neighbor values
+    to center branches is meaningless and a BranchAmbiguityError is raised.
+    Returns an array of shape (Q, m, n), row i the Jacobian of the branch
+    matched to center branch i (branches in the center tuple's canonical
+    order).
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.shape[0]
+    center = _evaluate(u, x0)
+    q, m = center.q, center.m
+    scale = max(center.norm(), 1.0)
+    if gap_tol is None:
+        gap_tol = 1e-6 * scale
+    if q > 1:
+        gaps = _cost_matrix(center.branches, center.branches)
+        np.fill_diagonal(gaps, np.inf)
+        if math.sqrt(gaps.min()) <= gap_tol:
+            raise BranchAmbiguityError(
+                "branch point: derivative matching ambiguous"
+            )
+    jac = np.empty((q, m, n))
+    for j in range(n):
+        step = np.zeros(n)
+        step[j] = h
+        plus = _evaluate(u, x0 + step)
+        minus = _evaluate(u, x0 - step)
+        sp, _ = optimal_assignment(center, plus)
+        sm, _ = optimal_assignment(center, minus)
+        jac[:, :, j] = (plus.branches[sp] - minus.branches[sm]) / (2.0 * h)
+    return jac
 
 
 def lebesgue_point_profile(u, x0, ladder, q_exp=2.0, value=None):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qvalued.errors import OracleLimitError
+from qvalued.errors import BranchAmbiguityError, OracleLimitError
 from qvalued.geometry import Domain, QuadratureGrid, dyadic_ladder
 from qvalued.points import (
     AqPoint,
@@ -17,6 +17,7 @@ from qvalued.points import (
     lebesgue_point_profile,
     match_batch,
     metric_g,
+    numeric_derivative,
     optimal_assignment,
 )
 from qvalued.points import _best_pairings, _permutation_table
@@ -263,6 +264,47 @@ def test_value_at_picks_nearest(disk_grid):
     got = u.value_at([0.5, 0.0])
     x_node = disk_grid.points[u.nearest_index([0.5, 0.0]), 0]
     assert metric_g(got, AqPoint([[x_node], [-x_node]])) == 0.0
+
+
+def test_numeric_derivative_linear_tuples():
+    grid = Domain.ball(2, 1.0).sample(1.0 / 64.0)
+    vals = np.stack([grid.points[:, :1], -grid.points[:, :1]], axis=1)
+    u = SampledQFunction(grid, vals)
+    jac = numeric_derivative(u, [0.5, 0.2], h=1.0 / 64.0)
+    # rows follow the canonical (ascending) branch order at the center
+    assert jac == pytest.approx(
+        np.array([[[-1.0, 0.0]], [[1.0, 0.0]]]), abs=1e-10
+    )
+    single = SampledQFunction(grid, (2.0 * grid.points[:, 0]
+                                     + 3.0 * grid.points[:, 1])[:, None, None])
+    jac1 = numeric_derivative(single, [0.1, -0.2], h=1.0 / 64.0)
+    assert jac1 == pytest.approx(np.array([[[2.0, 3.0]]]), abs=1e-10)
+
+
+def test_numeric_derivative_branch_point_refuses():
+    from qvalued.lab import LinearTuple
+
+    u = LinearTuple.wall([1.0, -1.0])
+    with pytest.raises(BranchAmbiguityError, match="ambiguous"):
+        numeric_derivative(u, [0.0, 0.3], h=1.0 / 64.0)
+    # on a cell-centered grid the wall sits between nodes; a gap tolerance
+    # at the cell scale still flags the near-collision
+    grid = Domain.ball(2, 1.0).sample(1.0 / 64.0)
+    vals = np.stack([grid.points[:, :1], -grid.points[:, :1]], axis=1)
+    s = SampledQFunction(grid, vals)
+    with pytest.raises(BranchAmbiguityError):
+        numeric_derivative(s, [0.0, 0.3], h=1.0 / 64.0, gap_tol=0.02)
+
+
+def test_numeric_derivative_branch_power_closed_form():
+    from qvalued.lab import BranchPower
+
+    f = BranchPower(2, 3, m=1)
+    jac = numeric_derivative(f, [1.0, 0.0], h=1e-4)
+    # branches of Re z^{3/2} have gradient (±3/2, 0) at z = 1
+    assert jac == pytest.approx(
+        np.array([[[-1.5, 0.0]], [[1.5, 0.0]]]), abs=1e-6
+    )
 
 
 def test_lebesgue_profile_constant_and_lipschitz(disk_grid):
