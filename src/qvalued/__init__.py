@@ -18,7 +18,6 @@ from .certify import (
     Stratification,
     audit_hypothesis,
     certified_exponent,
-    certified_exponent_stratified,
     end_to_end_certify,
     gamma_select,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "brute_force_metric",
     "campanato_seminorm",
     "certified_exponent",
-    "certified_exponent_stratified",
     "decay_exponent",
     "dyadic_ladder",
     "end_to_end_certify",

@@ -22,6 +22,7 @@ from .errors import (
     ExponentBandError,
     InsufficientSamplesError,
 )
+from .geometry import _ladder_radii
 from .polyfit import best_fit
 
 __all__ = [
@@ -59,11 +60,9 @@ def excess_profile(u, x0, k, q_exp=2.0, ladder=None):
     missing or empty ladder, or a radius that is not finite and positive,
     is refused with ValueError.
     """
-    rungs = np.asarray([] if ladder is None else ladder, dtype=float)
+    rungs = _ladder_radii([] if ladder is None else ladder)
     if rungs.ndim != 1 or rungs.size == 0:
         raise ValueError("ladder must be a non-empty 1-D sequence of radii")
-    if not np.all(np.isfinite(rungs) & (rungs > 0)):
-        raise ValueError("ladder radii must be finite and positive")
     x0 = np.asarray(x0, dtype=float).ravel()
     radii, excesses, fits = [], [], []
     truncated = False

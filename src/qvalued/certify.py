@@ -43,7 +43,6 @@ __all__ = [
     "CertifyOutcome",
     "gamma_select",
     "certified_exponent",
-    "certified_exponent_stratified",
     "audit_hypothesis",
     "end_to_end_certify",
 ]
@@ -54,6 +53,7 @@ DEFAULT_AUDIT_TOL = 0.05
 OFFSET_WINDOW = 4  # dyadic steps a stratum point can hide below the base set
 MIN_NODES_RADIUS = 8.0  # audit radii span at least this many grid steps
 SOUNDNESS_DEPTH = 4  # rungs below eps in the soundness spot check's ladder
+MIN_SEPARATION = 1e-9  # closest a stratum point may come to the base set
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,7 @@ class DecayHypothesis:
     form (N component functions, bad set plus per-component strata): beta0
     on the bad set, then (betas[i], beta_tildes[i]) per stratum.  beta caps
     the sup of the comparison polynomials, eps the top comparison scale.
+    Constants of both forms together, or strata without beta0, are refused.
     """
 
     n: int
@@ -100,6 +101,13 @@ class DecayHypothesis:
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError("%s must be positive" % name)
+        two = [f for f in ("beta1", "beta2") if getattr(self, f)]  # given constants
+        three = [f for f in ("beta0", "betas", "beta_tildes") if getattr(self, f)]
+        if two and three:
+            raise ValueError("two-part constants %s mixed with three-part constants %s"
+                             % (two, three))
+        if three and self.beta0 is None:
+            raise ValueError("three-part constants %s need beta0" % three)
         if len(self.betas) != len(self.beta_tildes):
             raise ValueError("betas and beta_tildes must pair up")
         if any(b <= 0 for b in self.betas + self.beta_tildes):
@@ -147,13 +155,14 @@ class Stratification:
             sets.append(self.free_points)
         return np.vstack(sets)
 
-    def validate(self, min_sep=1e-9):
+    def validate(self):
         """Finite-sample form of the closure condition: stratum points must
-        keep off the base set, else the two levels are not distinguishable."""
+        keep MIN_SEPARATION off the base set, else the two levels are not
+        distinguishable."""
         for i, s in enumerate(self.strata):
             d = np.linalg.norm(
                 s[:, None, :] - self.base[None, :, :], axis=2)
-            if d.size and d.min() < min_sep:
+            if d.size and d.min() < MIN_SEPARATION:
                 raise ValueError(
                     "stratum %d touches the base bad set" % (i + 1))
         return self
@@ -223,56 +232,34 @@ def _exponent_chain(n, k, q_exp, mu, gamma):
 
 
 def certified_exponent(h: DecayHypothesis) -> HolderCertificate:
-    """Certificate from the two-part hypothesis.
+    """Certificate from a two-part or a three-part hypothesis.
 
-    The constant is assembled as a product of the explicit proof-chain
-    factors, each logged by name: ball-comparison at ratio up to 4,
-    recentering overhead, the geometric scale sum, and the off-set
-    transfer constant.
-    """
-    beta1 = 1.0 if h.beta1 is None else h.beta1
-    beta2 = 1.0 if h.beta2 is None else h.beta2
-    gamma = gamma_select(h.n, h.k, h.q_exp, beta1, h.mu)
-    lam, mu_prime, mu_tilde, lambda_tilde = _exponent_chain(
-        h.n, h.k, h.q_exp, h.mu, gamma)
-    factors = (
-        ("scale_comparison", 4.0 ** (h.n + h.k * h.q_exp)),
-        ("recentering", 2.0 ** (h.n + h.k * h.q_exp + h.q_exp * mu_prime)),
-        ("geometric_sum", 4.0 / 3.0),
-        ("off_set_transfer", beta2),
-    )
-    constant = math.prod(v for _, v in factors)
-    return HolderCertificate(gamma, lam, mu_prime, mu_tilde, lambda_tilde,
-                             constant, factors, h.n, h.k, h.q_exp)
-
-
-def certified_exponent_stratified(h: DecayHypothesis,
-                                  s: Stratification) -> HolderCertificate:
-    """Certificate from the three-part hypothesis.
-
-    One dyadic ratio is shared by every level (the smallest the selections
-    allow), so all strata run the same exponent chain; the final exponent
-    is the minimum across strata.  The constant additionally pays for the
-    offset window: a stratum point can hide up to OFFSET_WINDOW dyadic
-    steps below the scale at which the base set takes over, and each hidden
+    The constant is the product of the proof-chain factors, each logged by
+    name: ball-comparison at ratio up to 4, recentering overhead, the
+    geometric scale sum, then the transfer constants.  gamma is the
+    smallest selection over the levels: beta1 (two-part), or beta0 and each
+    betas[i] (three-part, at least one stratum).  The three-part constant
+    also pays for the offset window: a stratum point can hide up to
+    OFFSET_WINDOW dyadic steps below the base set's scale, and each hidden
     step costs one recentering factor.
     """
-    if h.beta0 is None:
-        raise ValueError("three-part hypothesis needs beta0")
-    if h.n_strata < 1:
-        raise ValueError("need at least one stratum")
-    if s.n_strata != h.n_strata:
-        raise ValueError("stratification and hypothesis disagree on strata")
-    try:
-        gamma = gamma_select(h.n, h.k, h.q_exp, h.beta0, h.mu)
-    except WeakConstantsError:
-        raise WeakConstantsError("hypothesis constants too weak (base set)")
-    for i, b in enumerate(h.betas):
+    if h.stratified:
+        if h.n_strata < 1:
+            raise ValueError("need at least one stratum")
+        levels = [(" (base set)", h.beta0)] + [
+            (" (stratum %d)" % (i + 1), b) for i, b in enumerate(h.betas)]
+        transfers = [("base_transfer", h.beta0)] + [
+            ("stratum_%d_transfer" % (i + 1), b * bt)
+            for i, (b, bt) in enumerate(zip(h.betas, h.beta_tildes))]
+    else:
+        levels = [("", 1.0 if h.beta1 is None else h.beta1)]
+        transfers = [("off_set_transfer", 1.0 if h.beta2 is None else h.beta2)]
+    gamma = 1.0
+    for where, beta in levels:
         try:
-            gamma = min(gamma, gamma_select(h.n, h.k, h.q_exp, b, h.mu))
+            gamma = min(gamma, gamma_select(h.n, h.k, h.q_exp, beta, h.mu))
         except WeakConstantsError:
-            raise WeakConstantsError(
-                "hypothesis constants too weak (stratum %d)" % (i + 1))
+            raise WeakConstantsError("hypothesis constants too weak" + where) from None
     lam, mu_prime, mu_tilde, lambda_tilde = _exponent_chain(
         h.n, h.k, h.q_exp, h.mu, gamma)
     power = h.n + h.k * h.q_exp + h.q_exp * mu_prime
@@ -280,11 +267,9 @@ def certified_exponent_stratified(h: DecayHypothesis,
         ("scale_comparison", 4.0 ** (h.n + h.k * h.q_exp)),
         ("recentering", 2.0 ** power),
         ("geometric_sum", 4.0 / 3.0),
-        ("base_transfer", h.beta0),
-    ]
-    for i, (b, bt) in enumerate(zip(h.betas, h.beta_tildes)):
-        factors.append(("stratum_%d_transfer" % (i + 1), b * bt))
-    factors.append(("offset_window", gamma ** (-OFFSET_WINDOW * power)))
+    ] + transfers
+    if h.stratified:
+        factors.append(("offset_window", gamma ** (-OFFSET_WINDOW * power)))
     constant = math.prod(v for _, v in factors)
     return HolderCertificate(gamma, lam, mu_prime, mu_tilde, lambda_tilde,
                              constant, tuple(factors), h.n, h.k, h.q_exp)
@@ -609,10 +594,9 @@ def end_to_end_certify(us, s, k, q_exp, mu_claim):
         h = replace(unit, beta0=calibrated["I"],
                     betas=(calibrated["II"],) * s.n_strata,
                     beta_tildes=(calibrated["III"],) * s.n_strata)
-        cert = certified_exponent_stratified(h, s)
     else:
         h = replace(unit, beta1=calibrated["I"], beta2=calibrated["II"])
-        cert = certified_exponent(h)
+    cert = certified_exponent(h)
     soundness = _soundness_spot_check(u_list, s, cert, k, q_exp, unit.eps)
     cert = replace(cert, audit={
         "checked": sum(a.checked for a in audits),

@@ -1,8 +1,11 @@
 """Command-line front end: ingest samples, run analyses, emit reports.
 
-Exit codes: 0 success, 2 input or parse error, 3 numeric failure,
-4 certificate refusal.  Fits draw their random restarts from a fixed
-seed, so repeated runs with the same flags produce byte-identical outputs.
+`certify` certifies a two-part or a three-part hypothesis file, whichever
+its keys give.  `lab generate` builds its four function kinds directly from
+the flags.  Exit codes: 0 success, 2 input or parse error, 3 numeric
+failure, 4 certificate refusal.  Fits draw their random restarts from a
+fixed seed, so repeated runs with the same flags produce byte-identical
+outputs.
 """
 
 import argparse
@@ -126,19 +129,15 @@ def cmd_certify(args):
 
 
 def _lab_function(args):
-    kind = args.kind
-    params = {}
-    if kind == "branch_power":
-        params = {"q": args.Q, "p": args.p, "m": args.m}
-    elif kind == "linear_tuple":
+    if args.kind == "branch_power":
+        return lab.BranchPower(args.Q, args.p, args.m)
+    if args.kind == "linear_tuple":
         if not args.coeffs:
             raise ValueError("linear_tuple needs --coeffs")
-        params = {"coeffs": [float(tok) for tok in args.coeffs.split(",")]}
-    elif kind in ("wall_pair", "reflected_wall_pair"):
-        params = {"d": args.d}
-        if kind == "wall_pair":
-            params["m"] = args.m
-    return lab.make_function(kind, **params)
+        return lab.LinearTuple.wall([float(tok) for tok in args.coeffs.split(",")])
+    if args.kind == "wall_pair":
+        return lab.WallPair(args.d, m=args.m)
+    return lab.odd_reflection(lab.WallPair(args.d))
 
 
 def cmd_lab_generate(args):

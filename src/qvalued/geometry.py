@@ -51,6 +51,14 @@ def dyadic_ladder(rho0, depth):
     return rho0 * np.exp2(-np.arange(depth + 1, dtype=float))
 
 
+def _ladder_radii(ladder):
+    """A ladder's radii as a float array; ValueError unless finite and positive."""
+    rungs = np.asarray(ladder, dtype=float)
+    if not np.all(np.isfinite(rungs) & (rungs > 0)):
+        raise ValueError("ladder radii must be finite and positive")
+    return rungs
+
+
 def _lattice_directions(n):
     """Signed lattice steps: each unit axis step and, in the leading plane,
     the two diagonals, each followed by its negative."""

@@ -4,6 +4,7 @@ Writers are atomic (temp file in the target directory, then rename) and emit
 shortest round-trip decimals, so equal inputs give byte-identical files.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -229,7 +230,15 @@ def write_certificate_json(path, cert):
 
 def hypothesis_from_dict(obj):
     """Build a decay hypothesis from parsed JSON; `q` and `q_exp` both work.
-    A non-integral `n` or `k` is refused with ValueError."""
+    An unknown key, both `q` and `q_exp`, a non-integral `n` or `k`, or
+    constants DecayHypothesis refuses (two-part mixed with three-part ones,
+    say) are refused with ValueError naming the keys."""
+    known = {f.name for f in dataclasses.fields(DecayHypothesis)} | {"q"}
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise ValueError("unknown hypothesis keys %s" % unknown)
+    if "q" in obj and "q_exp" in obj:
+        raise ValueError("hypothesis gives both 'q' and 'q_exp'")
     for key in ("n", "k"):
         if not float(obj[key]).is_integer():
             raise ValueError("%s must be an integer, got %r" % (key, obj[key]))

@@ -11,7 +11,8 @@ audit.
 
 Quadrature throughout is polar: Gauss-Legendre in the radius (optionally
 sqrt-stretched, which turns an r^(-1/2) endpoint singularity back into a
-polynomial) times a uniform midpoint rule in the angle.
+polynomial) times a uniform midpoint rule in the angle.  Quadrature sizes,
+tolerances and floors are the module constants below, not arguments.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReflectionTraceError
+from .geometry import _ladder_radii
 from .points import (
     _CHUNK_ENTRIES,
     _ENUMERATION_LIMIT,
@@ -43,7 +45,6 @@ __all__ = [
     "OddReflection",
     "odd_reflection",
     "average_symmetric_split",
-    "make_function",
     "branch_set_detect",
     "BranchSetReport",
     "good_decay_check",
@@ -60,34 +61,41 @@ __all__ = [
 ]
 
 _HALF = (-0.5 * math.pi, 0.5 * math.pi)
+_CIRCLE_NT = 1024  # circle_rule nodes
+_JACOBIAN_STEP = 1e-6  # central-difference step of the fallback Jacobians
+_TRACE_TOL = 1e-8  # largest wall value odd_reflection accepts as zero trace
+_DECAY_TOL = 0.05  # good_decay_check: ratios above 1 + this are violations
+_DECAY_FLOOR_REL = 1e-12  # good_decay_check: vacuous below this share of the mass
+_FREQUENCY_FLOOR = 1e-13  # frequency_function: relative floor of the denominator
+# hardt_simon_check: analytic disk rule sizes, sampled ray and station counts,
+# and the branch gap below which a sampled ray is ambiguous
+_RADIAL_NR, _RADIAL_NT, _RADIAL_NPHI, _RADIAL_NSTA = 64, 128, 48, 24
+_RADIAL_GAP_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
 # polar quadrature
 
 
-def disk_rule(center, radius, nr=48, nt=256, phi=None, inner=0.0, stretch=False):
+def disk_rule(center, radius, nr=48, nt=256, phi=None, stretch=False):
     """Product rule on a disk sector: returns (points, weights, radii).
 
     `phi` is the angular interval (full circle by default, where the midpoint
-    rule coincides with the periodic trapezoid rule).  `inner > 0` gives an
-    annulus.  `stretch` substitutes r = R u^2, exact for integrands with an
-    r^(-1/2) radial singularity; it requires inner = 0.
+    rule coincides with the periodic trapezoid rule).  `stretch` substitutes
+    r = R u^2, exact for integrands with an r^(-1/2) radial singularity.
     """
     center = np.asarray(center, dtype=float).ravel()
-    if radius <= inner or radius <= 0:
-        raise ValueError("disk rule needs 0 <= inner < radius")
+    if radius <= 0:
+        raise ValueError("disk rule needs a positive radius")
     lo, hi = phi if phi is not None else (0.0, 2.0 * math.pi)
     x, w = np.polynomial.legendre.leggauss(int(nr))
     if stretch:
-        if inner > 0:
-            raise ValueError("sqrt stretch only applies to a full sector")
         u = 0.5 * (x + 1.0)
         r = radius * u * u
         dr = radius * u * w  # includes the Jacobian 2u and the GL half-width
     else:
-        r = inner + 0.5 * (radius - inner) * (x + 1.0)
-        dr = 0.5 * (radius - inner) * w
+        r = 0.5 * radius * (x + 1.0)
+        dr = 0.5 * radius * w
     theta = lo + (np.arange(int(nt)) + 0.5) * (hi - lo) / int(nt)
     wt = (hi - lo) / int(nt)
     rr = np.repeat(r, int(nt))
@@ -97,12 +105,12 @@ def disk_rule(center, radius, nr=48, nt=256, phi=None, inner=0.0, stretch=False)
     return pts, weights, rr
 
 
-def circle_rule(center, radius, nt=1024):
+def circle_rule(center, radius):
     """Uniform nodes on a circle with arc-length weights."""
     center = np.asarray(center, dtype=float).ravel()
-    theta = np.arange(int(nt)) * 2.0 * math.pi / int(nt)
+    theta = np.arange(_CIRCLE_NT) * 2.0 * math.pi / _CIRCLE_NT
     pts = center[None, :] + radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    w = np.full(int(nt), 2.0 * math.pi * radius / int(nt))
+    w = np.full(_CIRCLE_NT, 2.0 * math.pi * radius / _CIRCLE_NT)
     return pts, w
 
 
@@ -110,8 +118,18 @@ def _squared_values(vals):
     return np.sum(vals * vals, axis=(1, 2))
 
 
-def _mass(f, center, radius, nr=48, nt=256, phi=None, inner=0.0):
-    pts, w, _ = disk_rule(center, radius, nr=nr, nt=nt, phi=phi, inner=inner)
+def _central_differences(fn, pts, n):
+    """Central differences of fn along each of the n axes, stacked last."""
+    cols = []
+    for e in np.eye(n) * _JACOBIAN_STEP:
+        plus = np.asarray(fn(pts + e), dtype=float)
+        minus = np.asarray(fn(pts - e), dtype=float)
+        cols.append((plus - minus) / (2.0 * _JACOBIAN_STEP))
+    return np.stack(cols, axis=-1)
+
+
+def _mass(f, center, radius):
+    pts, w, _ = disk_rule(center, radius)
     return float(np.sum(w * _squared_values(f.eval(pts))))
 
 
@@ -133,14 +151,9 @@ class AnalyticQFunction:
     def eval(self, points):
         raise NotImplementedError
 
-    def jacobian(self, points, step=1e-6):
+    def jacobian(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        cols = []
-        for d in range(self.n):
-            e = np.zeros(self.n)
-            e[d] = step
-            cols.append((self.eval(pts + e) - self.eval(pts - e)) / (2.0 * step))
-        return np.stack(cols, axis=-1)
+        return _central_differences(self.eval, pts, self.n)
 
     def eval_point(self, x):
         return AqPoint(self.eval(np.asarray(x, dtype=float)[None, :])[0])
@@ -181,7 +194,7 @@ class BranchPower(AnalyticQFunction):
             comps.append(rad * np.sin(phi))
         return np.stack(comps, axis=2)
 
-    def jacobian(self, points, step=None):
+    def jacobian(self, points):
         r, th = self._polar(points)
         with np.errstate(divide="ignore", invalid="ignore"):
             rad = np.where(r > 0.0, r ** (self.alpha - 1.0), 0.0)
@@ -208,10 +221,11 @@ class LinearTuple(AnalyticQFunction):
         self.q, self.m, self.n = arr.shape
 
     @classmethod
-    def wall(cls, coeffs, n=2, zero_sum=True):
-        """The wall form sum_j [[a_j x^1]] of scalar slopes a_j."""
+    def wall(cls, coeffs, n=2):
+        """The wall form sum_j [[a_j x^1]] of scalar slopes a_j, which sum to
+        zero."""
         a = np.asarray(coeffs, dtype=float).ravel()
-        if zero_sum and abs(a.sum()) > 1e-12:
+        if abs(a.sum()) > 1e-12:
             raise ValueError("wall slopes must sum to zero")
         slopes = np.zeros((a.shape[0], 1, n))
         slopes[:, 0, 0] = a
@@ -221,7 +235,7 @@ class LinearTuple(AnalyticQFunction):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.einsum("qmn,sn->sqm", self.slopes, pts)
 
-    def jacobian(self, points, step=None):
+    def jacobian(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.broadcast_to(
             self.slopes[None], (pts.shape[0],) + self.slopes.shape
@@ -269,19 +283,12 @@ class SumOf(AnalyticQFunction):
             add = add[:, None]
         return self.base.eval(pts) + add[:, None, :]
 
-    def jacobian(self, points, step=1e-6):
+    def jacobian(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.single_jacobian is not None:
             sj = np.asarray(self.single_jacobian(pts), dtype=float)
         else:
-            cols = []
-            for d in range(self.n):
-                e = np.zeros(self.n)
-                e[d] = step
-                plus = np.asarray(self.single(pts + e), dtype=float)
-                minus = np.asarray(self.single(pts - e), dtype=float)
-                cols.append((plus - minus) / (2.0 * step))
-            sj = np.stack(cols, axis=-1)
+            sj = _central_differences(self.single, pts, self.n)
             if sj.ndim == 2:
                 sj = sj[:, None, :]
         return self.base.jacobian(pts) + sj[:, None, :, :]
@@ -325,7 +332,7 @@ class WallPair(AnalyticQFunction):
             out[:, 1, 1] = -w.imag
         return out
 
-    def jacobian(self, points, step=None):
+    def jacobian(self, points):
         _, wp = self._w(points)
         out = np.empty((wp.shape[0], 2, self.m, 2))
         out[:, 0, 0, 0] = wp.real
@@ -340,22 +347,19 @@ class WallPair(AnalyticQFunction):
 class OddReflection(AnalyticQFunction):
     """F = f on {x1 >= 0} and F(x) = -f(-x1, x2, ...) on {x1 < 0}.
 
-    Construction checks that the source trace on the wall vanishes; a clean
+    Construction checks that the source trace vanishes, to _TRACE_TOL, at the
+    origin (n = 1) or at 18 wall points with x2 in [-0.85, 0.85]; a clean
     odd extension does not exist otherwise.
     """
 
-    def __init__(self, source, trace_points=None, trace_tol=1e-8):
+    def __init__(self, source):
         self.source = source
         self.q, self.m, self.n = source.q, source.m, source.n
-        if trace_points is None:
-            if self.n == 1:
-                trace_points = np.zeros((1, 1))
-            else:
-                trace_points = np.zeros((18, self.n))
-                trace_points[:, 1] = np.linspace(-0.85, 0.85, 18)
-        vals = source.eval(np.atleast_2d(np.asarray(trace_points, dtype=float)))
-        worst = float(np.sqrt(_squared_values(vals).max()))
-        if worst > trace_tol:
+        trace_points = np.zeros((1 if self.n == 1 else 18, self.n))
+        if self.n > 1:
+            trace_points[:, 1] = np.linspace(-0.85, 0.85, 18)
+        worst = float(np.sqrt(_squared_values(source.eval(trace_points)).max()))
+        if worst > _TRACE_TOL:
             raise ReflectionTraceError(
                 "reflection requires zero trace (wall deviation %.3g)" % worst
             )
@@ -375,7 +379,7 @@ class OddReflection(AnalyticQFunction):
             out[~mask] = -self.source.eval(self._mirror(pts[~mask]))
         return out
 
-    def jacobian(self, points, step=None):
+    def jacobian(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         mask = pts[:, 0] >= 0.0
         out = np.empty((pts.shape[0], self.q, self.m, self.n))
@@ -389,9 +393,9 @@ class OddReflection(AnalyticQFunction):
         return out
 
 
-def odd_reflection(f, trace_points=None, trace_tol=1e-8):
+def odd_reflection(f):
     """Odd extension of a zero-trace half-space function across {x1 = 0}."""
-    return OddReflection(f, trace_points=trace_points, trace_tol=trace_tol)
+    return OddReflection(f)
 
 
 class _AverageOf(AnalyticQFunction):
@@ -403,7 +407,7 @@ class _AverageOf(AnalyticQFunction):
     def eval(self, points):
         return self.source.eval(points).mean(axis=1, keepdims=True)
 
-    def jacobian(self, points, step=None):
+    def jacobian(self, points):
         return self.source.jacobian(points).mean(axis=1, keepdims=True)
 
 
@@ -416,7 +420,7 @@ class _SymmetricOf(AnalyticQFunction):
         vals = self.source.eval(points)
         return vals - vals.mean(axis=1, keepdims=True)
 
-    def jacobian(self, points, step=None):
+    def jacobian(self, points):
         jac = self.source.jacobian(points)
         return jac - jac.mean(axis=1, keepdims=True)
 
@@ -434,36 +438,6 @@ def average_symmetric_split(u):
             SampledQFunction(u.grid, u.values - mean),
         )
     return _AverageOf(u), _SymmetricOf(u)
-
-
-def make_function(kind, **params):
-    """Factory behind the command line: build a lab function by name."""
-    if kind == "branch_power":
-        return BranchPower(
-            int(params.get("q", 2)), int(params.get("p", 3)), int(params.get("m", 2))
-        )
-    if kind == "linear_tuple":
-        if "coeffs" in params:
-            return LinearTuple.wall(
-                params["coeffs"], int(params.get("n", 2)),
-                zero_sum=bool(params.get("zero_sum", True)),
-            )
-        return LinearTuple(params["slopes"])
-    if kind == "wall_pair":
-        return WallPair(
-            float(params.get("d", 0.5)),
-            float(params.get("amplitude", 1.0)),
-            int(params.get("m", 1)),
-        )
-    if kind == "reflected_wall_pair":
-        return odd_reflection(
-            WallPair(
-                float(params.get("d", 0.5)),
-                float(params.get("amplitude", 1.0)),
-                m=1,
-            )
-        )
-    raise ValueError("unknown lab function kind %r" % (kind,))
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +485,7 @@ class BranchSetReport:
     gaps: np.ndarray
 
 
-def branch_set_detect(u, tol, with_derivative=True):
+def branch_set_detect(u, tol):
     """Discrete branch set: nodes whose closest branch pair is within tol in
     value and matched first derivative combined.
 
@@ -530,25 +504,13 @@ def branch_set_detect(u, tol, with_derivative=True):
     for i, j in pair_ids:
         vgap2 = np.minimum(vgap2, np.sum((vals[:, i] - vals[:, j]) ** 2, axis=1))
     cand = np.nonzero(vgap2 < tol * tol)[0]
-    if not with_derivative:
-        keep = cand
-        gaps = np.sqrt(vgap2[keep])
-    else:
-        if cand.size:
-            jac = _node_jacobians(u, cand)
-            dgap2 = np.full(cand.shape[0], np.inf)
-            for i, j in pair_ids:
-                dgap2 = np.minimum(
-                    dgap2, np.sum((jac[:, i] - jac[:, j]) ** 2, axis=(1, 2))
-                )
-            total = vgap2[cand] + dgap2
-            sel = total < tol * tol
-            keep = cand[sel]
-            gaps = np.sqrt(total[sel])
-        else:
-            keep = cand
-            gaps = np.empty(0)
-    return BranchSetReport(u.grid.points[keep], keep, gaps)
+    jac = _node_jacobians(u, cand)
+    dgap2 = np.full(cand.shape[0], np.inf)
+    for i, j in pair_ids:
+        dgap2 = np.minimum(dgap2, np.sum((jac[:, i] - jac[:, j]) ** 2, axis=(1, 2)))
+    total = vgap2[cand] + dgap2
+    sel = total < tol * tol
+    return BranchSetReport(u.grid.points[cand[sel]], cand[sel], np.sqrt(total[sel]))
 
 
 # ---------------------------------------------------------------------------
@@ -564,14 +526,15 @@ class GoodDecayReport:
     violations: tuple
 
 
-def good_decay_check(u, x0, pairs, tol=0.05, nr=48, nt=256, floor_rel=1e-12):
+def good_decay_check(u, x0, pairs):
     """Symmetric-part decay test at a putative branch point.
 
     For each pair (sigma, rho) with sigma <= rho, compares
     sigma^(-n) mass_s(sigma) against (sigma/rho)^(2(1+1/Q)) rho^(-n)
-    mass_s(rho), where mass_s is the squared L2 mass of the symmetric part.
-    Pairs with both masses at rounding level are vacuous; a report whose
-    pairs are all vacuous counts as a pass.
+    mass_s(rho), where mass_s is the squared L2 mass of the symmetric part;
+    ratios above 1 + _DECAY_TOL are violations.  Pairs with both masses
+    below _DECAY_FLOOR_REL times the full mass at rho are vacuous; a report
+    whose pairs are all vacuous counts as a pass.
     """
     pairs = [(float(s), float(r)) for s, r in pairs]
     if not pairs:
@@ -584,21 +547,16 @@ def good_decay_check(u, x0, pairs, tol=0.05, nr=48, nt=256, floor_rel=1e-12):
     n = u.n
     exponent = 2.0 * (1.0 + 1.0 / u.q)
 
-    def mass_s(r):
-        if isinstance(us, SampledQFunction):
-            return us.restrict(x0, r).q_mass(2.0)
-        return _mass(us, x0, r, nr=nr, nt=nt)
-
-    def mass_full(r):
-        if isinstance(u, SampledQFunction):
-            return u.restrict(x0, r).q_mass(2.0)
-        return _mass(u, x0, r, nr=nr, nt=nt)
+    def mass(f, r):
+        if isinstance(f, SampledQFunction):
+            return f.restrict(x0, r).q_mass(2.0)
+        return _mass(f, x0, r)
 
     ratios = np.empty(len(pairs))
     vac = np.zeros(len(pairs), dtype=bool)
     for i, (s, r) in enumerate(pairs):
-        ms, mr = mass_s(s), mass_s(r)
-        floor = floor_rel * (mass_full(r) + 1e-300)
+        ms, mr = mass(us, s), mass(us, r)
+        floor = _DECAY_FLOOR_REL * (mass(u, r) + 1e-300)
         if ms <= floor and mr <= floor:
             ratios[i] = np.nan
             vac[i] = True
@@ -608,7 +566,7 @@ def good_decay_check(u, x0, pairs, tol=0.05, nr=48, nt=256, floor_rel=1e-12):
     violations = tuple(
         (pairs[i][0], pairs[i][1], float(ratios[i]))
         for i in range(len(pairs))
-        if not vac[i] and ratios[i] > 1.0 + tol
+        if not vac[i] and ratios[i] > 1.0 + _DECAY_TOL
     )
     return GoodDecayReport(tuple(pairs), ratios, exponent, bool(vac.all()), violations)
 
@@ -620,43 +578,42 @@ class FrequencyReport:
     skipped: tuple
 
 
-def frequency_function(u, x0, ladder, nr=48, nt_disk=256, nt_circle=1024, floor=1e-13):
+def frequency_function(u, x0, ladder):
     """Frequency N(rho) = rho * Dirichlet(B_rho) / boundary L2 mass at x0.
 
     Planar only; the boundary integral is a trapezoid rule on the circle.
-    Rungs whose denominator sits at rounding level are skipped and reported.
+    Rungs whose denominator sits at rounding level (_FREQUENCY_FLOOR) are
+    skipped and reported.  A radius that is not finite and positive is
+    refused with ValueError.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
-    radii = np.asarray(list(ladder), dtype=float)
-    values = np.full(radii.shape[0], np.nan)
-    skipped = []
+    radii = _ladder_radii(list(ladder))
+    if u.n != 2:
+        raise ValueError("frequency function is implemented for the plane only")
     if isinstance(u, SampledQFunction):
-        if u.n != 2:
-            raise ValueError("frequency function is implemented for the plane only")
         jac = _node_jacobians(u)
         dens = np.sum(jac * jac, axis=(1, 2, 3))
         sq = np.sum(u.values ** 2, axis=(1, 2))
         rads = np.linalg.norm(u.grid.points - x0[None, :], axis=1)
         h = u.grid.resolution
-        for i, rho in enumerate(radii):
+
+        def integrals(rho):  # Dirichlet energy, then the shell's mass / h
             inside = rads < rho
-            dirich = float(np.sum(u.grid.weights[inside] * dens[inside]))
             shell = np.abs(rads - rho) <= 0.5 * h
-            bdry = float(np.sum(u.grid.weights[shell] * sq[shell])) / h
-            if bdry <= floor * max(1.0, rho * dirich):
-                skipped.append(float(rho))
-                continue
-            values[i] = rho * dirich / bdry
-        return FrequencyReport(radii, values, tuple(skipped))
-    if u.n != 2:
-        raise ValueError("frequency function is implemented for the plane only")
+            return (float(np.sum(u.grid.weights[inside] * dens[inside])),
+                    float(np.sum(u.grid.weights[shell] * sq[shell])) / h)
+    else:
+        def integrals(rho):  # Dirichlet energy, then the circle's mass
+            pts, w, _ = disk_rule(x0, rho)
+            jac = u.jacobian(pts)
+            dirich = float(np.sum(w * np.sum(jac * jac, axis=(1, 2, 3))))
+            cpts, cw = circle_rule(x0, rho)
+            return dirich, float(np.sum(cw * _squared_values(u.eval(cpts))))
+    values = np.full(radii.shape[0], np.nan)
+    skipped = []
     for i, rho in enumerate(radii):
-        pts, w, _ = disk_rule(x0, rho, nr=nr, nt=nt_disk)
-        jac = u.jacobian(pts)
-        dirich = float(np.sum(w * np.sum(jac * jac, axis=(1, 2, 3))))
-        cpts, cw = circle_rule(x0, rho, nt=nt_circle)
-        bdry = float(np.sum(cw * _squared_values(u.eval(cpts))))
-        if bdry <= floor * max(1.0, rho * dirich):
+        dirich, bdry = integrals(rho)
+        if bdry <= _FREQUENCY_FLOOR * max(1.0, rho * dirich):
             skipped.append(float(rho))
             continue
         values[i] = rho * dirich / bdry
@@ -690,8 +647,8 @@ class RadialDerivativeReport:
     excluded: int
 
 
-def _radial_lhs_analytic(v, z, rho, nr, nt):
-    pts, w, r = disk_rule(z, 0.5 * rho, nr=nr, nt=nt, phi=_HALF, stretch=True)
+def _radial_lhs_analytic(v, z, rho):
+    pts, w, r = disk_rule(z, 0.5 * rho, _RADIAL_NR, _RADIAL_NT, _HALF, stretch=True)
     vals = v.eval(pts)
     jac = v.jacobian(pts)
     va = v.eval(z[None, :])[0].mean(axis=0)
@@ -702,8 +659,8 @@ def _radial_lhs_analytic(v, z, rho, nr, nt):
     return float(np.sum(w * dev * r ** (-4.0)))
 
 
-def _radial_rhs_analytic(v, z, rho, nr, nt):
-    pts, w, _ = disk_rule(z, rho, nr=nr, nt=nt, phi=_HALF)
+def _radial_rhs_analytic(v, z, rho):
+    pts, w, _ = disk_rule(z, rho, _RADIAL_NR, _RADIAL_NT, _HALF)
     vals = v.eval(pts)
     va = v.eval(z[None, :])[0].mean(axis=0)
     dva = v.jacobian(z[None, :])[0].mean(axis=0)
@@ -712,24 +669,25 @@ def _radial_rhs_analytic(v, z, rho, nr, nt):
     return float(np.sum(w * np.sum(diff * diff, axis=(1, 2))))
 
 
-def _radial_sampled(v, z, rho, nphi, nsta, gap_tol):
+def _radial_sampled(v, z, rho):
     """Ray-station finite differences for sampled data.
 
-    Stations along each ray are spaced at least two grid cells apart so that
-    nearest-node snapping cannot collapse a difference; returns
-    (lhs, rhs_mass, excluded ray count).  Rays with an ambiguous branch
-    matching at any station are dropped entirely.
+    _RADIAL_NPHI rays, with stations along each spaced at least two grid
+    cells apart so that nearest-node snapping cannot collapse a difference;
+    returns (lhs, rhs_mass, excluded ray count).  Rays with an ambiguous
+    branch matching (a gap below _RADIAL_GAP_TOL) at any station are
+    dropped entirely.
     """
     h = v.grid.resolution
-    step = max(2.0 * h, 0.5 * rho / max(int(nsta), 2))
+    step = max(2.0 * h, 0.5 * rho / _RADIAL_NSTA)
     stations = np.arange(1, int(0.5 * rho / step) + 1) * step
     if stations.shape[0] < 2:
         raise ValueError(
             "rho too small for ray differencing at resolution %g" % h
         )
-    phis = _HALF[0] + (np.arange(nphi) + 0.5) * (_HALF[1] - _HALF[0]) / nphi
-    dphi = (_HALF[1] - _HALF[0]) / nphi
-    x, wgl = np.polynomial.legendre.leggauss(nsta)
+    phis = _HALF[0] + (np.arange(_RADIAL_NPHI) + 0.5) * (_HALF[1] - _HALF[0]) / _RADIAL_NPHI
+    dphi = (_HALF[1] - _HALF[0]) / _RADIAL_NPHI
+    x, wgl = np.polynomial.legendre.leggauss(_RADIAL_NSTA)
     va = v.value_at(z).average()
     avg_plus = v.value_at(z + np.array([2.0 * h, 0.0])).average()
     dva1 = (avg_plus - va) / (2.0 * h)
@@ -749,7 +707,7 @@ def _radial_sampled(v, z, rho, nphi, nsta, gap_tol):
                 np.linalg.norm(p.branches[i] - p.branches[j])
                 for i, j in itertools.combinations(range(p.q), 2)
             ]
-            if gaps and min(gaps) < gap_tol:
+            if gaps and min(gaps) < _RADIAL_GAP_TOL:
                 ambiguous = True
                 break
             branches.append(p.branches - va[None, :])
@@ -780,7 +738,7 @@ def _radial_sampled(v, z, rho, nphi, nsta, gap_tol):
     return lhs, rhs_mass, excluded
 
 
-def hardt_simon_check(v, z, rho, nr=64, nt=128, nphi=48, nsta=24, gap_tol=1e-8):
+def hardt_simon_check(v, z, rho):
     """Radial-derivative bound for one function v at a wall point z.
 
     LHS integrates R^(2-n) |d/dR ((v - v_a(z))/R)|^2 over the half-radius
@@ -791,10 +749,10 @@ def hardt_simon_check(v, z, rho, nr=64, nt=128, nphi=48, nsta=24, gap_tol=1e-8):
     """
     z = _check_kernel_range(z, rho)
     if isinstance(v, SampledQFunction):
-        lhs, rhs_mass, excluded = _radial_sampled(v, z, rho, nphi, nsta, gap_tol)
+        lhs, rhs_mass, excluded = _radial_sampled(v, z, rho)
     else:
-        lhs = _radial_lhs_analytic(v, z, rho, nr, nt)
-        rhs_mass = _radial_rhs_analytic(v, z, rho, nr, nt)
+        lhs = _radial_lhs_analytic(v, z, rho)
+        rhs_mass = _radial_rhs_analytic(v, z, rho)
         excluded = 0
     rhs = rho ** (-4.0) * rhs_mass
     ratio = lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf)

@@ -22,7 +22,7 @@ from .errors import (
     EmptyIntersectionError,
     OracleLimitError,
 )
-from .geometry import squared_distances, unit_ball_volume
+from .geometry import _ladder_radii, squared_distances, unit_ball_volume
 
 __all__ = [
     "AqPoint",
@@ -41,6 +41,7 @@ _BRUTE_FORCE_LIMIT = 8
 _ENUMERATION_LIMIT = 6
 # pairing terms match_batch holds at once: rows per chunk = this // (Q! Q)
 _CHUNK_ENTRIES = 1 << 20
+_TIE_TOL = 1e-12  # optimal_assignment: pairings this close (relative) to the optimum tie
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,11 +149,11 @@ def brute_force_metric(s, t):
     return math.sqrt(max(totals.min(), 0.0))
 
 
-def optimal_assignment(s, t, tol=1e-12):
+def optimal_assignment(s, t):
     """Optimal pairing (as an index array sigma with b[sigma[i]] matched to
     a[i]) together with the distance.
 
-    Among pairings whose cost ties the optimum within `tol` relative, the
+    Among pairings whose cost ties the optimum within _TIE_TOL relative, the
     lexicographically smallest index array is returned, which keeps
     downstream branch tracking deterministic.
     """
@@ -163,7 +164,7 @@ def optimal_assignment(s, t, tol=1e-12):
     cost = _cost_matrix(a, b)
     rows, cols = linear_sum_assignment(cost)
     best = cost[rows, cols].sum()
-    slack = tol * (1.0 + best)
+    slack = _TIE_TOL * (1.0 + best)
     sigma = np.empty(q, dtype=int)
     rows_left = list(range(q))
     cols_left = list(range(q))
@@ -297,7 +298,6 @@ class SampledQFunction:
 
     grid: object
     values: np.ndarray
-    source: object = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -340,7 +340,7 @@ class SampledQFunction:
 
     def restrict(self, center, radius):
         sub, idx = self.grid.restrict(center, radius)
-        return SampledQFunction(sub, self.values[idx], source=self.source)
+        return SampledQFunction(sub, self.values[idx])
 
     def q_mass(self, q_exp=2.0):
         """Weighted integral of |u|^q over the grid."""
@@ -370,12 +370,10 @@ class SampledQFunction:
 
 
 def _evaluate(u, x):
-    """Tuple value from either a sampled or an analytically backed source."""
+    """Tuple value of an analytic function, or of sampled data's nearest node."""
     if hasattr(u, "eval_point"):
         return u.eval_point(x)
     if isinstance(u, SampledQFunction):
-        if u.source is not None and hasattr(u.source, "eval_point"):
-            return u.source.eval_point(x)
         return u.value_at(x)
     raise TypeError("cannot evaluate %r at a point" % type(u))
 
@@ -420,7 +418,8 @@ def lebesgue_point_profile(u, x0, ladder, q_exp=2.0, value=None):
 
     Returns (radii_used, averages, truncated) where truncated flags ladder
     rungs dropped by `QuadratureGrid.restrict_indices`: at most two grid
-    steps, or holding no node.
+    steps, or holding no node.  A radius that is not finite and positive is
+    refused with ValueError.
     """
     if not isinstance(u, SampledQFunction):
         raise TypeError("profile requires sampled data")
@@ -431,7 +430,7 @@ def lebesgue_point_profile(u, x0, ladder, q_exp=2.0, value=None):
     omega = unit_ball_volume(u.n)
     radii, averages = [], []
     truncated = False
-    for rho in np.asarray(ladder, dtype=float):
+    for rho in _ladder_radii(ladder):
         try:
             idx = u.grid.restrict_indices(x0, rho)
         except (BelowResolutionError, EmptyIntersectionError):

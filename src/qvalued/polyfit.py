@@ -192,45 +192,39 @@ class QPolynomial:
         return replace(self, coeffs=self.coeffs[key])
 
 
-def _tuple_slice(poly, r, rho, top_only):
-    idx = poly.indices
-    keep = [i for i, p in enumerate(idx)
-            if (sum(p) == r if top_only else sum(p) <= r)]
-    if not keep:
-        raise ValueError("no coefficients of order %d" % r)
-    scale = np.array([rho ** sum(idx[i]) for i in keep])
-    block = poly.coeffs[:, :, keep] * scale[None, None, :]
-    return block.reshape(poly.q, -1)
-
-
-def coefficient_tuple(poly, r=None, rho=1.0, top_only=False):
+def coefficient_tuple(poly, r=None, rho=1.0):
     """Coefficients through order r as one unordered tuple.
 
     All (component, multi-index) slots of a branch stay together, so the
     matching metric on these tuples uses one joint branch pairing.  Slots
-    are scaled by rho^|p|.  With top_only, only order-r slots are kept;
-    those are center-independent and comparable across centers.
+    are scaled by rho^|p|.
     """
     r = poly.degree if r is None else r
     if r > poly.degree:
         raise ValueError("order %d exceeds degree %d" % (r, poly.degree))
-    return AqPoint(_tuple_slice(poly, r, rho, top_only))
+    idx = poly.indices
+    keep = [i for i, p in enumerate(idx) if sum(p) <= r]
+    if not keep:
+        raise ValueError("no coefficients of order %d" % r)
+    scale = np.array([rho ** sum(idx[i]) for i in keep])
+    block = poly.coeffs[:, :, keep] * scale[None, None, :]
+    return AqPoint(block.reshape(poly.q, -1))
 
 
-def coefficient_metric(fpoly, gpoly, r=None, rho=1.0, top_only=False):
+def coefficient_metric(fpoly, gpoly, r=None, rho=1.0):
     """Matching distance between two polynomials' coefficient tuples.
 
-    Requires an identical center unless only top-order slots are compared;
-    otherwise the tuples live in different charts ("recenter first").
+    Requires an identical center; otherwise the tuples live in different
+    charts ("recenter first").
     """
     from .points import metric_g
 
     if fpoly.degree != gpoly.degree or fpoly.q != gpoly.q or fpoly.m != gpoly.m:
         raise ValueError("polynomials must share degree, Q, and m")
-    if not top_only and not np.array_equal(fpoly.center, gpoly.center):
+    if not np.array_equal(fpoly.center, gpoly.center):
         raise RecenterError("recenter first")
-    a = coefficient_tuple(fpoly, r, rho, top_only)
-    b = coefficient_tuple(gpoly, r, rho, top_only)
+    a = coefficient_tuple(fpoly, r, rho)
+    b = coefficient_tuple(gpoly, r, rho)
     return metric_g(a, b)
 
 
@@ -246,10 +240,9 @@ _IRLS_FLOOR = 1e-9
 class FitConfig:
     """restarts: the most random labelings run after the deterministic
     starts, drawn from default_rng(0); they run only when those starts
-    disagree.  zero_constant: pin the order-0 coefficients to zero."""
+    disagree."""
 
     restarts: int = 8
-    zero_constant: bool = False
 
 
 @dataclass(frozen=True)
@@ -558,8 +551,6 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
         order = _lex_order(sub.values)
         values = np.take_along_axis(sub.values, order[:, :, None], axis=1)
     indices = multi_indices(center.shape[0], k)
-    if cfg.zero_constant:
-        indices = tuple(p for p in indices if any(p))
     K = len(indices)
     if sub.size < K:
         raise InsufficientSamplesError(
@@ -621,8 +612,6 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     # picks that one.
     coeffs, _, obj, conv, iters = min(
         outcomes, key=lambda o: (o[2], o[0].tobytes()))
-    if cfg.zero_constant:  # the order-0 slot leads the graded order
-        coeffs = np.concatenate([np.zeros((Q, sub.m, 1)), coeffs], axis=2)
     poly = QPolynomial(center, k, coeffs).canonical_branch_order()
     return FitResult(poly, obj, conv, iters, scheduled, tuple(log))
 
@@ -637,20 +626,24 @@ def _lex_order(values):
     return order.reshape(S, Q) - np.arange(S)[:, None] * Q
 
 
-def random_qpolynomial(rng, n, m, q, k, scale=1.0, center=None):
-    """Polynomial tuple with independent normal coefficients; test fodder."""
+def random_qpolynomial(rng, n, m, q, k, center=None):
+    """Polynomial tuple with independent standard normal coefficients; test fodder."""
     center = np.zeros(n) if center is None else np.asarray(center, float)
     K = len(multi_indices(n, k))
-    coeffs = rng.normal(0.0, scale, size=(q, m, K))
+    coeffs = rng.normal(0.0, 1.0, size=(q, m, K))
     return QPolynomial(center, k, coeffs)
 
 
+_RATIO_MIN_WEIGHT = 0.2  # least weight of a node subset in comparison_constant_ratios
+_RATIO_RESOLUTION = 1.0 / 32  # grid step of its unit ball
+
+
 def comparison_constant_ratios(instances, seed=0, n=2, m=1, k=2, q_exp=2.0,
-                               q_branches=2, min_weight=0.2, resolution=1.0 / 32):
+                               q_branches=2):
     """Sample the coefficient-vs-integral comparison ratio.
 
     For random polynomial pairs (F, G) and random node subsets E of the unit
-    ball with weight at least min_weight, computes
+    ball with weight at least _RATIO_MIN_WEIGHT, computes
 
         G(a, b)^q / integral_E G(F, G)^q
 
@@ -662,16 +655,15 @@ def comparison_constant_ratios(instances, seed=0, n=2, m=1, k=2, q_exp=2.0,
     rng = np.random.default_rng(seed)
     from .geometry import Domain
 
-    grid = Domain.ball(n, 1.0).sample(resolution)
+    grid = Domain.ball(n, 1.0).sample(_RATIO_RESOLUTION)
     total = grid.total_weight()
-    if min_weight >= total:
-        raise ValueError("min_weight exceeds the ball's quadrature mass")
     ratios = np.empty(instances)
     for i in range(instances):
         F = random_qpolynomial(rng, n, m, q_branches, k)
         G = random_qpolynomial(rng, n, m, q_branches, k)
-        frac = rng.uniform(min_weight / total, 1.0)
-        count = max(int(round(frac * grid.size)), int(math.ceil(min_weight / grid.weights[0])))
+        frac = rng.uniform(_RATIO_MIN_WEIGHT / total, 1.0)
+        count = max(int(round(frac * grid.size)),
+                    int(math.ceil(_RATIO_MIN_WEIGHT / grid.weights[0])))
         count = min(count, grid.size)
         subset = rng.choice(grid.size, size=count, replace=False)
         fv = F.eval(grid.points[subset])

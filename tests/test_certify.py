@@ -15,7 +15,6 @@ from qvalued.certify import (
     Stratification,
     audit_hypothesis,
     certified_exponent,
-    certified_exponent_stratified,
     end_to_end_certify,
     gamma_select,
 )
@@ -162,14 +161,10 @@ def test_hypothesis_refuses_malformed_constants(kw):
         DecayHypothesis(**base)
 
 
-def one_stratum():
-    return Stratification(base=[[0.0, 0.0]], strata=([[0.5, 0.0]],))
-
-
 def test_stratified_matches_unstratified_exponent():
     h = DecayHypothesis(n=2, k=1, q_exp=2.0, mu=0.5, beta0=1.0,
                         betas=(1.0,), beta_tildes=(1.0,))
-    cs = certified_exponent_stratified(h, one_stratum())
+    cs = certified_exponent(h)
     cu = certified_exponent(golden_hypothesis())
     assert cs.mu_tilde <= cu.mu_tilde
     assert cs.lambda_tilde == cu.lambda_tilde
@@ -181,10 +176,8 @@ def test_stratified_symmetric_pair_equals_single():
                          betas=(1.0,), beta_tildes=(1.0,))
     h2 = DecayHypothesis(n=2, k=1, q_exp=2.0, mu=0.5, beta0=1.0,
                          betas=(1.0, 1.0), beta_tildes=(1.0, 1.0))
-    s2 = Stratification(base=[[0.0, 0.0]],
-                        strata=([[0.5, 0.0]], [[0.0, 0.5]]))
-    c1 = certified_exponent_stratified(h1, one_stratum())
-    c2 = certified_exponent_stratified(h2, s2)
+    c1 = certified_exponent(h1)
+    c2 = certified_exponent(h2)
     assert c2.mu_tilde == c1.mu_tilde
     assert c2.lambda_tilde == c1.lambda_tilde
 
@@ -192,7 +185,7 @@ def test_stratified_symmetric_pair_equals_single():
 def test_stratified_golden_constant():
     h = DecayHypothesis(n=2, k=1, q_exp=2.0, mu=0.5, beta0=1.0,
                         betas=(1.0,), beta_tildes=(1.0,))
-    c = certified_exponent_stratified(h, one_stratum())
+    c = certified_exponent(h)
     assert c.gamma == 2.0 ** -12
     assert abs(c.lambda_tilde - 25.0 / 6.0) <= 1e-15
     # scale comparison * recentering * geometric sum * offset window of
@@ -206,7 +199,7 @@ def test_stratified_guards():
     bad = DecayHypothesis(n=2, k=1, q_exp=2.0, mu=0.5, beta0=1.0,
                           betas=(1e40,), beta_tildes=(1.0,))
     with pytest.raises(WeakConstantsError, match="stratum 1"):
-        certified_exponent_stratified(bad, one_stratum())
+        certified_exponent(bad)
     with pytest.raises(ValueError):
         Stratification(base=[[0.0, 0.0]],
                        strata=([[0.0, 0.0]],)).validate()

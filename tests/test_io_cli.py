@@ -118,7 +118,7 @@ def test_polynomial_round_trip(tmp_path):
     assert back.degree == k
     assert np.array_equal(back.center, poly.center)
     assert np.array_equal(back.coeffs, poly.coeffs)
-    assert json.load(open(path))["residual"] == 0.5
+    assert json.loads(path.read_text())["residual"] == 0.5
     with pytest.raises(ValueError, match="exceeds degree"):
         io.polynomial_from_dict({
             "n": 2, "m": 1, "Q": 1, "k": 1, "center": [0.0, 0.0],
@@ -136,6 +136,28 @@ def test_hypothesis_parsing():
         "betas": [1.0], "beta_tildes": [2.0],
     })
     assert h2.stratified and h2.n_strata == 1
+
+
+@pytest.mark.parametrize("obj, keys", [
+    ({"n": 2, "k": 1, "mu": 0.5, "beta_1": 50.0}, ["beta_1"]),
+    ({"n": 2, "k": 1, "q": 2.0, "q_exp": 3.0, "mu": 0.5}, ["q", "q_exp"]),
+    ({"n": 2, "k": 1, "mu": 0.5, "beta1": 1.0, "beta0": 1.0, "betas": [1.0],
+      "beta_tildes": [1.0]}, ["beta1", "beta0", "betas", "beta_tildes"]),
+    ({"n": 2, "k": 1, "mu": 0.5, "betas": [50.0], "beta_tildes": [70.0]},
+     ["betas", "beta_tildes"]),
+], ids=["unknown-key", "q-and-q_exp", "two-and-three-part", "strata-without-beta0"])
+def test_malformed_hypothesis_file_refused_naming_keys(tmp_path, capsys, obj, keys):
+    # each of these used to certify silently, with a key ignored
+    with pytest.raises(ValueError) as exc:
+        io.hypothesis_from_dict(obj)
+    assert all(repr(key) in str(exc.value) for key in keys)
+    hyp = tmp_path / "hyp.json"
+    hyp.write_text(json.dumps(obj))
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--in", str(hyp), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert all(repr(key) in err for key in keys)
 
 
 def test_domain_round_trip():
@@ -160,7 +182,7 @@ def test_atomic_writes_leave_no_partials(tmp_path):
     io.write_profile_csv(tmp_path / "p.csv", [0.5, 0.25], [1.0, 2.0])
     names = sorted(f.name for f in tmp_path.iterdir())
     assert names == ["p.csv", "r.json"]
-    assert json.load(open(tmp_path / "r.json"))["a"] == [1.0, None]
+    assert json.loads((tmp_path / "r.json").read_text())["a"] == [1.0, None]
     lines = (tmp_path / "p.csv").read_text().splitlines()
     assert lines[0] == "rho,value" and lines[1] == "0.5,1.0"
 
@@ -191,6 +213,40 @@ def test_cli_generate_runs_as_module(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().splitlines()[0] == "2,1,2"
+
+
+@pytest.mark.parametrize("kind, f", [
+    ("wall_pair", lab.WallPair(0.3)),
+    ("reflected_wall_pair", lab.odd_reflection(lab.WallPair(0.3))),
+])
+def test_cli_lab_generate_wall_kinds_sample_the_library_function(tmp_path, kind, f):
+    out = tmp_path / "samples.json"
+    assert main(["lab", "generate", "--kind", kind, "--d", "0.3",
+                 "--resolution", "0.0625", "--out", str(out)]) == 0
+    u = io.read_samples_json(out)
+    assert np.array_equal(u.grid.points, Domain.ball(2, 1.0).sample(0.0625).points)
+    assert np.array_equal(u.values, f.eval(u.grid.points))
+
+
+def test_cli_lab_generate_linear_tuple_needs_zero_sum_coeffs(tmp_path):
+    out = tmp_path / "lin.csv"
+    base = ["lab", "generate", "--kind", "linear_tuple", "--resolution", "0.125",
+            "--out", str(out)]
+    assert main(base) == 2
+    assert main(base + ["--coeffs", "1.0,-0.5"]) == 2
+    assert not out.exists()
+    assert main(base + ["--coeffs", "1.0,-1.0"]) == 0
+    assert out.read_text().splitlines()[0] == "2,1,2"  # n, m, Q
+
+
+def test_cli_lab_generate_branch_power_branch_count(tmp_path):
+    out = tmp_path / "bp3.csv"
+    assert main(["lab", "generate", "--kind", "branch_power", "--Q", "3",
+                 "--p", "4", "--resolution", "0.125", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == "2,1,3"
+    with pytest.raises(SystemExit) as exc:
+        main(["lab", "generate", "--kind", "spiral", "--out", str(out)])
+    assert exc.value.code == 2
 
 
 def test_import_and_two_branch_fit_leave_scipy_optimize_unloaded(tmp_path, bp_csv):
@@ -238,7 +294,7 @@ def test_cli_fit_exact_polynomial_residual(tmp_path):
     assert rc == 0
     out = tmp_path / "fit.json"
     assert main(["fit", "--in", str(src), "--out", str(out), "--k", "1"]) == 0
-    report = json.load(open(out))
+    report = json.loads(out.read_text())
     assert report["residual"] <= 1e-16
     poly = io.polynomial_from_dict(report)
     assert poly.degree == 1 and poly.q == 2
@@ -380,11 +436,37 @@ def test_cli_certify_golden(tmp_path):
     ))
     out = tmp_path / "cert.json"
     assert main(["certify", "--in", str(hyp), "--out", str(out)]) == 0
-    cert = json.load(open(out))
+    cert = json.loads(out.read_text())
     assert cert["lambda_tilde"] == pytest.approx(25.0 / 6.0, abs=1e-12)
     assert cert["gamma"] == 2.0 ** -12
     assert cert["mu_prime"] == pytest.approx(1.0 / 12.0, abs=1e-15)
     assert cert["C"] > 0 and len(cert["factors"]) >= 3
+
+
+def test_cli_certify_three_part_hypothesis(tmp_path):
+    # the two-part formula used to certify this file, ignoring its strata
+    hyp = tmp_path / "hyp.json"
+    hyp.write_text(json.dumps({"n": 2, "k": 1, "q": 2.0, "mu": 0.5, "beta0": 1.0,
+                               "betas": [50.0], "beta_tildes": [70.0]}))
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--in", str(hyp), "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    assert cert["gamma"] == 2.0 ** -17
+    assert cert["lambda_tilde"] == pytest.approx(70.0 / 17.0, abs=1e-12)
+    factors = dict(cert["factors"])
+    assert [name for name, _ in cert["factors"]] == [
+        "scale_comparison", "recentering", "geometric_sum", "base_transfer",
+        "stratum_1_transfer", "offset_window"]
+    assert factors["stratum_1_transfer"] == 3500.0
+
+
+def test_cli_certify_refuses_three_part_hypothesis_without_strata(tmp_path, capsys):
+    hyp = tmp_path / "hyp.json"
+    hyp.write_text(json.dumps({"n": 2, "k": 1, "q": 2.0, "mu": 0.5, "beta0": 1.0}))
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--in", str(hyp), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "need at least one stratum" in capsys.readouterr().err
 
 
 def test_cli_exponent_report(tmp_path, bp_csv):
@@ -392,7 +474,7 @@ def test_cli_exponent_report(tmp_path, bp_csv):
     out = tmp_path / "exp.json"
     assert main(["exponent", "--in", str(src), "--out", str(out),
                  "--k", "1", "--ladder-depth", "6"]) == 0
-    report = json.load(open(out))
+    report = json.loads(out.read_text())
     assert 4.5 <= report["lambda_hat"] <= 5.6
     assert 0.4 <= report["alpha_hat"] <= 0.65
     csv_lines = (tmp_path / "exp.csv").read_text().splitlines()
@@ -405,13 +487,13 @@ def test_cli_excess_and_seminorm(tmp_path, bp_csv):
     out = tmp_path / "ex.json"
     assert main(["excess", "--in", str(src), "--out", str(out), "--k", "1",
                  "--ladder-depth", "4"]) == 0
-    report = json.load(open(out))
+    report = json.loads(out.read_text())
     assert len(report["radii"]) >= 3
     assert (tmp_path / "ex.csv").exists()
     out2 = tmp_path / "sn.json"
     assert main(["seminorm", "--in", str(src), "--out", str(out2), "--k", "1",
                  "--ladder-depth", "4", "--lambda", "5.0"]) == 0
-    assert json.load(open(out2))["value"] > 0
+    assert json.loads(out2.read_text())["value"] > 0
 
 
 @pytest.mark.parametrize("lam", ["nan", "inf"])
@@ -428,7 +510,7 @@ def test_cli_lab_audit(tmp_path, bp_csv):
     out = tmp_path / "audit.json"
     assert main(["lab", "audit", "--in", str(src), "--out", str(out),
                  "--tol", "0.5"]) == 0
-    report = json.load(open(out))
+    report = json.loads(out.read_text())
     assert report["branch_set"]["count"] >= 1
     values = [v for v in report["frequency"]["values"] if v is not None]
     assert values and all(0.0 <= v <= 3.0 for v in values)

@@ -341,6 +341,16 @@ def test_lebesgue_profile_truncates_below_resolution(disk_grid):
     assert truncated and list(radii) == [0.5]
 
 
+@pytest.mark.parametrize("ladder", [
+    [0.5, math.nan, -0.25], [0.5, -0.25], [0.5, 0.0], [math.inf],
+])
+def test_lebesgue_profile_refuses_non_finite_or_non_positive_radius(disk_grid, ladder):
+    # such rungs used to be dropped silently as truncated
+    const = SampledQFunction(disk_grid, np.zeros((disk_grid.size, 1, 1)))
+    with pytest.raises(ValueError, match="finite and positive"):
+        lebesgue_point_profile(const, [0.0, 0.0], ladder)
+
+
 def test_from_function_paths_agree():
     grid = QuadratureGrid(np.array([[0.1, 0.0], [0.2, 0.3], [-0.4, 0.1]]),
                           np.ones(3), 0.1)
