@@ -60,9 +60,7 @@ def excess_profile(u, x0, k, q_exp=2.0, ladder=None):
     missing or empty ladder, or a radius that is not finite and positive,
     is refused with ValueError.
     """
-    rungs = _ladder_radii([] if ladder is None else ladder)
-    if rungs.ndim != 1 or rungs.size == 0:
-        raise ValueError("ladder must be a non-empty 1-D sequence of radii")
+    rungs = _ladder_radii(ladder)
     x0 = np.asarray(x0, dtype=float).ravel()
     radii, excesses, fits = [], [], []
     truncated = False

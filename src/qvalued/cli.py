@@ -2,10 +2,10 @@
 
 `certify` certifies a two-part or a three-part hypothesis file, whichever
 its keys give.  `lab generate` builds its four function kinds directly from
-the flags.  Exit codes: 0 success, 2 input or parse error, 3 numeric
-failure, 4 certificate refusal.  Fits draw their random restarts from a
-fixed seed, so repeated runs with the same flags produce byte-identical
-outputs.
+the flags, and refuses a kind flag that the chosen kind does not read.
+Exit codes: 0 success, 2 input or parse error, 3 numeric failure, 4
+certificate refusal.  Fits draw their random restarts from a fixed seed,
+so repeated runs with the same flags produce byte-identical outputs.
 """
 
 import argparse
@@ -128,16 +128,33 @@ def cmd_certify(args):
     return 0
 
 
+# the kind flags each `lab generate --kind` reads, with their defaults
+_LAB_FLAGS = {
+    "branch_power": {"Q": 2, "p": 3, "m": 1},
+    "linear_tuple": {"coeffs": None},
+    "wall_pair": {"d": 0.5, "m": 1},
+    "reflected_wall_pair": {"d": 0.5},
+}
+
+
 def _lab_function(args):
+    reads = _LAB_FLAGS[args.kind]
+    given = vars(args)
+    stray = [flag for flag in ("Q", "p", "m", "d", "coeffs")
+             if flag in given and flag not in reads]
+    if stray:
+        raise ValueError("--kind %s does not read %s"
+                         % (args.kind, ", ".join("--" + flag for flag in stray)))
+    flags = {flag: given.get(flag, default) for flag, default in reads.items()}
     if args.kind == "branch_power":
-        return lab.BranchPower(args.Q, args.p, args.m)
+        return lab.BranchPower(flags["Q"], flags["p"], flags["m"])
     if args.kind == "linear_tuple":
-        if not args.coeffs:
+        if not flags["coeffs"]:
             raise ValueError("linear_tuple needs --coeffs")
-        return lab.LinearTuple.wall([float(tok) for tok in args.coeffs.split(",")])
+        return lab.LinearTuple.wall([float(tok) for tok in flags["coeffs"].split(",")])
     if args.kind == "wall_pair":
-        return lab.WallPair(args.d, m=args.m)
-    return lab.odd_reflection(lab.WallPair(args.d))
+        return lab.WallPair(flags["d"], m=flags["m"])
+    return lab.odd_reflection(lab.WallPair(flags["d"]))
 
 
 def cmd_lab_generate(args):
@@ -232,11 +249,19 @@ def build_parser():
     g.add_argument("--kind", required=True,
                    choices=["branch_power", "linear_tuple", "wall_pair",
                             "reflected_wall_pair"])
-    g.add_argument("--Q", type=int, default=2, help="branch count")
-    g.add_argument("--p", type=int, default=3, help="power numerator")
-    g.add_argument("--m", type=int, default=1, help="target dimension")
-    g.add_argument("--d", type=float, default=0.5, help="branch point offset")
-    g.add_argument("--coeffs", help="comma-separated wall slopes")
+    # a kind refuses the kind flags it does not read, so these are left
+    # unset unless given and take their defaults from _LAB_FLAGS
+    g.add_argument("--Q", type=int, default=argparse.SUPPRESS,
+                   help="branch count (branch_power; default 2)")
+    g.add_argument("--p", type=int, default=argparse.SUPPRESS,
+                   help="power numerator (branch_power; default 3)")
+    g.add_argument("--m", type=int, default=argparse.SUPPRESS,
+                   help="target dimension (branch_power, wall_pair; default 1)")
+    g.add_argument("--d", type=float, default=argparse.SUPPRESS,
+                   help="branch point offset (wall_pair, reflected_wall_pair; "
+                        "default 0.5)")
+    g.add_argument("--coeffs", default=argparse.SUPPRESS,
+                   help="comma-separated wall slopes (linear_tuple)")
     g.add_argument("--domain", help="domain config JSON")
     g.add_argument("--resolution", type=float, help="grid step")
     g.add_argument("--out", required=True, help="sample file (.csv or .json)")

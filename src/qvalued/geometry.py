@@ -52,8 +52,11 @@ def dyadic_ladder(rho0, depth):
 
 
 def _ladder_radii(ladder):
-    """A ladder's radii as a float array; ValueError unless finite and positive."""
+    """A ladder's radii as a float array; ValueError unless a non-empty 1-D
+    sequence of finite, positive radii."""
     rungs = np.asarray(ladder, dtype=float)
+    if rungs.ndim != 1 or rungs.size == 0:
+        raise ValueError("ladder must be a non-empty 1-D sequence of radii")
     if not np.all(np.isfinite(rungs) & (rungs > 0)):
         raise ValueError("ladder radii must be finite and positive")
     return rungs

@@ -583,11 +583,11 @@ def frequency_function(u, x0, ladder):
 
     Planar only; the boundary integral is a trapezoid rule on the circle.
     Rungs whose denominator sits at rounding level (_FREQUENCY_FLOOR) are
-    skipped and reported.  A radius that is not finite and positive is
-    refused with ValueError.
+    skipped and reported.  An empty ladder, or a radius that is not finite
+    and positive, is refused with ValueError.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
-    radii = _ladder_radii(list(ladder))
+    radii = _ladder_radii(ladder)
     if u.n != 2:
         raise ValueError("frequency function is implemented for the plane only")
     if isinstance(u, SampledQFunction):

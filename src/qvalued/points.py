@@ -2,9 +2,10 @@
 
 An AqPoint is an unordered Q-tuple of vectors in R^m.  The distance between
 two such tuples is the smallest root-sum-of-squares over all pairings of
-their branches, computed with an exact assignment solver.  The space is a
-metric space, not a vector space: branch arithmetic only makes sense after
-fixing a pairing.
+their branches, computed exactly: by an assignment solver, by enumerating
+the pairings of a few branches, or, for scalar values, by sorting.  The
+space is a metric space, not a vector space: branch arithmetic only makes
+sense after fixing a pairing.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ __all__ = [
 ]
 
 _BRUTE_FORCE_LIMIT = 8
-# match_batch enumerates all Q! pairings up to this Q and solves one
-# assignment per sample above it
+# match_batch enumerates all Q! pairings up to this Q; above it, it sorts
+# scalar values and solves one assignment per sample of vector values
 _ENUMERATION_LIMIT = 6
 # pairing terms match_batch holds at once: rows per chunk = this // (Q! Q)
 _CHUNK_ENTRIES = 1 << 20
@@ -239,18 +240,39 @@ def match_batch(a, b):
     Q = _ENUMERATION_LIMIT every pairing is enumerated in lexicographic
     order, in row chunks of at most _CHUNK_ENTRIES terms, and an exact tie
     goes to the lexicographically smallest pairing, as in
-    optimal_assignment.  Above it each sample gets one exact assignment
-    solve, and the margin is the gap to the cheapest pairing one
+    optimal_assignment.  Above it, scalar values (m = 1) are paired by
+    rank, the t-th smallest branch of a[s] with the t-th smallest of b[s]:
+    by the rearrangement inequality that pairing is optimal, and an exact
+    tie goes to the stable sort, equal values ranked by branch index.
+    Vector values above it get one exact assignment solve per sample.
+    Above the limit the margin is the gap to the cheapest pairing one
     transposition away from the optimum, clamped at 0 against rounding.
     For Q = 1 the margin is 0.  Q = 2 takes its two pairings in closed
     form, each branch distance summed over components in index order;
-    scipy is imported only above _ENUMERATION_LIMIT.
+    scipy is imported only for vector values above _ENUMERATION_LIMIT.
+    Values that are not finite, or whose squared distances overflow, are
+    refused with ValueError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 3 or a.shape != b.shape:
         raise ValueError("match_batch needs two (S, Q, m) arrays of one shape")
-    S, Q, _ = a.shape
+    # non-finite input makes every pairing cost of its sample non-finite,
+    # and the largest cost too (NaN propagates through max): one check of
+    # the costs refuses it, and _match raises no warning on the way
+    labels, sq_cost, margin = _match(a, b)
+    if not math.isfinite(sq_cost.max(initial=0.0)):
+        raise ValueError(_NON_FINITE)
+    return labels, sq_cost, margin
+
+
+_NON_FINITE = "match_batch needs finite values with finite squared distances"
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _match(a, b):
+    """match_batch on validated arrays, non-finite costs passed through."""
+    S, Q, m = a.shape
     if Q == 2:
         # the two pairings in closed form, on contiguous (m, S) columns per
         # branch: the totals, ties and labels of the enumeration below,
@@ -270,12 +292,18 @@ def match_batch(a, b):
     if Q == 1:
         return np.zeros((S, 1), dtype=int), d2[:, 0, 0], np.zeros(S)
     if Q > _ENUMERATION_LIMIT:
-        from scipy.optimize import linear_sum_assignment
-
         # cols[s, r]: the branch of b paired with a's branch r
         cols = np.empty((S, Q), dtype=int)
-        for s in range(S):
-            cols[s] = linear_sum_assignment(d2[s])[1]
+        if m == 1:
+            np.put_along_axis(cols, np.argsort(a[:, :, 0], axis=1, kind="stable"),
+                              np.argsort(b[:, :, 0], axis=1, kind="stable"), axis=1)
+        else:
+            if not np.isfinite(d2).all():  # scipy refuses these in its own words
+                raise ValueError(_NON_FINITE)
+            from scipy.optimize import linear_sum_assignment
+
+            for s in range(S):
+                cols[s] = linear_sum_assignment(d2[s])[1]
         labels = np.argsort(cols, axis=1)
         sq_cost = np.take_along_axis(d2, cols[:, :, None], axis=2)[:, :, 0].sum(axis=1)
         return labels, sq_cost, _swap_margins(d2, labels)
@@ -418,8 +446,8 @@ def lebesgue_point_profile(u, x0, ladder, q_exp=2.0, value=None):
 
     Returns (radii_used, averages, truncated) where truncated flags ladder
     rungs dropped by `QuadratureGrid.restrict_indices`: at most two grid
-    steps, or holding no node.  A radius that is not finite and positive is
-    refused with ValueError.
+    steps, or holding no node.  An empty ladder, or a radius that is not
+    finite and positive, is refused with ValueError.
     """
     if not isinstance(u, SampledQFunction):
         raise TypeError("profile requires sampled data")

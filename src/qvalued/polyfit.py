@@ -666,8 +666,10 @@ def comparison_constant_ratios(instances, seed=0, n=2, m=1, k=2, q_exp=2.0,
                     int(math.ceil(_RATIO_MIN_WEIGHT / grid.weights[0])))
         count = min(count, grid.size)
         subset = rng.choice(grid.size, size=count, replace=False)
-        fv = F.eval(grid.points[subset])
-        gv = G.eval(grid.points[subset])
+        # F and G share center, degree and points, so one design serves both
+        D = design_matrix(grid.points[subset], F.center, F.indices)
+        fv = np.einsum("sk,qmk->sqm", D, F.coeffs)
+        gv = np.einsum("sk,qmk->sqm", D, G.coeffs)
         dists = np.sqrt(match_batch(fv, gv)[1])
         integral = float(np.sum(grid.weights[subset] * dists ** q_exp))
         top = coefficient_metric(F, G) ** q_exp

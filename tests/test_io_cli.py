@@ -249,10 +249,26 @@ def test_cli_lab_generate_branch_power_branch_count(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("kind, flags", [
+    ("wall_pair", ["--Q", "5", "--p", "9", "--coeffs", "1,2"]),
+    ("reflected_wall_pair", ["--m", "1"]),
+    ("linear_tuple", ["--d", "0.3", "--coeffs", "1,-1"]),
+    ("branch_power", ["--d", "0.5"]),
+])
+def test_cli_lab_generate_refuses_flags_its_kind_does_not_read(tmp_path, capsys,
+                                                              kind, flags):
+    out = tmp_path / "samples.csv"
+    assert main(["lab", "generate", "--kind", kind, "--resolution", "0.125",
+                 "--out", str(out)] + flags) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "does not read" in err and flags[0] in err
+
+
 def test_import_and_two_branch_fit_leave_scipy_optimize_unloaded(tmp_path, bp_csv):
-    """Only matching above six branches and the single-pair metrics need
-    scipy's assignment solver, so importing the package and its CLI and a
-    Q = 2 `fit` never load scipy.optimize."""
+    """Only matching vector values above six branches and the single-pair
+    metrics need scipy's assignment solver, so importing the package and
+    its CLI and a Q = 2 `fit` never load scipy.optimize."""
     src, _ = bp_csv
     code = (
         "import sys, qvalued, qvalued.cli\n"

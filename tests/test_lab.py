@@ -229,6 +229,15 @@ def test_frequency_refuses_non_finite_or_non_positive_radius(disk_grid, ladder):
             lab.frequency_function(v, np.zeros(2), ladder)
 
 
+@pytest.mark.parametrize("ladder", [[], np.array(0.5)])
+def test_frequency_refuses_an_empty_ladder(disk_grid, ladder):
+    f = lab.BranchPower(2, 3)
+    u = SampledQFunction.from_function(disk_grid, f.eval, 2, 2)
+    for v in (u, f):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            lab.frequency_function(v, np.zeros(2), ladder)
+
+
 # ---------------------------------------------------------------------------
 # wall pair, reflection, harmonicity audit
 

@@ -152,7 +152,7 @@ def test_match_batch_is_an_optimal_pairing(S, q, m, data):
     for s in range(S):
         want = metric_g(a[s], b[s]) ** 2
         assert sq_cost[s] == pytest.approx(want, rel=1e-12, abs=0)
-        if q <= 6:
+        if q <= 6 or (m == 1 and q <= 8):  # scalar values above 6 are sorted
             assert sq_cost[s] == pytest.approx(brute_force_metric(a[s], b[s]) ** 2,
                                                rel=1e-12, abs=0)
 
@@ -189,12 +189,13 @@ def test_match_batch_two_branches_is_the_enumeration(S, m, integer, data):
     assert np.all(got[0][tied] == [0, 1])
 
 
-@pytest.mark.parametrize("q", [7, 8])
-def test_match_batch_margin_above_enumeration_is_the_best_swap(q):
+@pytest.mark.parametrize("q, m", [(7, 2), (8, 2), (7, 1), (8, 1)],
+                         ids=["7", "8", "7-scalar", "8-scalar"])
+def test_match_batch_margin_above_enumeration_is_the_best_swap(q, m):
     """Above Q = 6 the margin is the gap to the cheapest pairing one
     transposition away from the returned one."""
     rng = np.random.default_rng(q)
-    a, b = rng.normal(size=(2, 400, q, 2))
+    a, b = rng.normal(size=(2, 400, q, m))
     labels, sq_cost, margin = match_batch(a, b)
     d2 = _pair_costs(a, b)
     for s in range(len(a)):
@@ -208,6 +209,33 @@ def test_match_batch_margin_above_enumeration_is_the_best_swap(q):
         want = max(min(swapped) - own, 0.0)
         assert margin[s] == pytest.approx(want, rel=0, abs=1e-12 * sq_cost[s])
     assert np.all(margin > 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([7, 8, 10]), st.data())
+def test_match_batch_pairs_scalar_ties_by_stable_rank(S, q, data):
+    """Above Q = 6, scalar values pair by rank, equal values ranked by
+    branch index: b's t-th branch in that order gets a's t-th.  Small
+    integers make ties exact."""
+    a, b = data.draw(arrays(float, (2, S, q, 1), elements=st.integers(-2, 2)))
+    labels, _, _ = match_batch(a, b)
+    for s in range(S):
+        rank_a = sorted(range(q), key=lambda i: (a[s, i, 0], i))
+        rank_b = sorted(range(q), key=lambda j: (b[s, j, 0], j))
+        want = dict(zip(rank_b, rank_a))
+        assert labels[s].tolist() == [want[j] for j in range(q)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("q", [2, 3, 7])
+def test_match_batch_refuses_non_finite_values(q, m, bad):
+    # warnings are errors in this suite, so a warning on the way fails too
+    a, b = np.random.default_rng(q).normal(size=(2, 5, q, m))
+    a[3, q - 1, m - 1] = bad
+    for x, y in ((a, b), (b, a), (a, a)):
+        with pytest.raises(ValueError, match="finite"):
+            match_batch(x, y)
 
 
 def test_match_batch_chunks_agree_with_metric():
@@ -348,6 +376,13 @@ def test_lebesgue_profile_refuses_non_finite_or_non_positive_radius(disk_grid, l
     # such rungs used to be dropped silently as truncated
     const = SampledQFunction(disk_grid, np.zeros((disk_grid.size, 1, 1)))
     with pytest.raises(ValueError, match="finite and positive"):
+        lebesgue_point_profile(const, [0.0, 0.0], ladder)
+
+
+@pytest.mark.parametrize("ladder", [[], np.array(0.5)])
+def test_lebesgue_profile_refuses_an_empty_ladder(disk_grid, ladder):
+    const = SampledQFunction(disk_grid, np.zeros((disk_grid.size, 1, 1)))
+    with pytest.raises(ValueError, match="non-empty 1-D"):
         lebesgue_point_profile(const, [0.0, 0.0], ladder)
 
 

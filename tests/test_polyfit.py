@@ -328,11 +328,12 @@ _PERMUTATIONS = {}
 def _pairing(a, b):
     """(pairing, sq_cost, margin) of a against b, each a (Q, m) array, with
     the pairing totals summed in index order.  Up to Q = 6 every pairing is
-    enumerated and an exact tie goes to the lexicographically smallest;
-    above it the pairing is scipy's assignment, as match_batch's is (an
-    enumeration would pick another of several tied optima), and the margin
+    enumerated and an exact tie goes to the lexicographically smallest.
+    Above it scalar values pair by rank, equal values ranked by branch
+    index, and vector values take scipy's assignment, as match_batch's do
+    (an enumeration would pick another of several tied optima); the margin
     is the least change of the total under one transposition."""
-    Q = a.shape[0]
+    Q, m = a.shape
     diff = a[:, None, :] - b[None, :, :]
     d2 = np.einsum("abm,abm->ab", diff, diff)
     branch = np.arange(Q)
@@ -343,8 +344,14 @@ def _pairing(a, b):
         totals = d2[perms, branch].sum(axis=1)
         pick = int(np.argmin(totals))
         return perms[pick], totals[pick], np.partition(totals, 1)[1] - totals[pick]
-    rows, cols = linear_sum_assignment(d2)
-    p = rows[np.argsort(cols)]
+    if m == 1:
+        p = np.empty(Q, dtype=int)
+        p[sorted(range(Q), key=lambda j: (b[j, 0], j))] = sorted(
+            range(Q), key=lambda i: (a[i, 0], i))
+        rows, cols = branch, np.argsort(p)
+    else:
+        rows, cols = linear_sum_assignment(d2)
+        p = rows[np.argsort(cols)]
     change = min(d2[p[i], j] + d2[p[j], i] - d2[p[i], i] - d2[p[j], j]
                  for i, j in itertools.combinations(range(Q), 2))
     return p, d2[rows, cols].sum(), max(change, 0.0)
