@@ -28,7 +28,6 @@ from .points import (
     SampledQFunction,
     brute_force_metric,
     metric_g,
-    optimal_assignment,
 )
 from .polyfit import FitConfig, QPolynomial, best_fit
 
@@ -58,5 +57,4 @@ __all__ = [
     "holder_from_campanato",
     "infer_band",
     "metric_g",
-    "optimal_assignment",
 ]

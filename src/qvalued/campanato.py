@@ -47,9 +47,6 @@ class ExcessProfile:
     truncated: bool
     fits: tuple
 
-    def __len__(self):
-        return self.radii.shape[0]
-
 
 def excess_profile(u, x0, k, q_exp=2.0, ladder=None):
     """Local excess per rung of a dyadic radius ladder.
@@ -87,9 +84,6 @@ class SeminormReport:
     worst_center: np.ndarray
     worst_radius: float
     table: tuple  # (center, rho, excess, scaled) rows
-
-    def __float__(self):
-        return self.value
 
 
 def campanato_seminorm(u, k, q_exp, lam, centers, ladder):

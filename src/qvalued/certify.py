@@ -331,13 +331,6 @@ def _g_mass(sub, poly, q_exp):
     return float(np.sum(sub.grid.weights * g ** q_exp))
 
 
-def _data_mass(sub, q_exp):
-    """Unscaled data mass, which calibrates the rounding floor below which
-    a G-mass is numerically zero rather than small."""
-    mags = np.sqrt(np.einsum("sqm,sqm->s", sub.values, sub.values))
-    return float(np.sum(sub.grid.weights * (mags + 1e-300) ** q_exp))
-
-
 def _audit_ladder(u, rho_top):
     """Dyadic radii from rho_top down, largest first, each resolvable:
     at least MIN_NODES_RADIUS grid steps."""
@@ -387,7 +380,7 @@ def _pair_table(us, center, own, fams, rho_top, h):
         subs = [u.restrict(center, rho) for u in us]
         fine[rho] = sum(scale * _g_mass(sub, P, q_exp)
                         for sub, P in zip(subs, own))
-        data[rho] = sum(scale * _data_mass(sub, q_exp) for sub in subs)
+        data[rho] = sum(scale * sub.q_mass(q_exp) for sub in subs)
         coarse[rho] = fine[rho] if fams is None else sum(
             min(scale * _g_mass(sub, P, q_exp) for P in fam)
             for sub, fam in zip(subs, fams))

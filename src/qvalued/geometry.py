@@ -292,9 +292,6 @@ class Domain:
     def box(cls, n, half_width, center=None):
         return cls("box", n, center, half_width=float(half_width))
 
-    def is_convex(self):
-        return self.kind != "annulus"
-
     def _bounding_radius(self):
         if self.kind == "box":
             return self.half_width

@@ -1,7 +1,10 @@
 """File formats for sampled tuples, polynomials, certificates, and reports.
 
-Writers are atomic (temp file in the target directory, then rename) and emit
-shortest round-trip decimals, so equal inputs give byte-identical files.
+Sampled tuples are read and written.  Hypotheses and domain configs are
+only read.  Polynomials, certificates, reports and profiles are only
+written: no command reads them back.  Writers are atomic (temp file in the
+target directory, then rename) and emit shortest round-trip decimals, so
+equal inputs give byte-identical files.
 """
 
 import dataclasses
@@ -16,7 +19,6 @@ import numpy as np
 from .certify import DecayHypothesis
 from .geometry import Domain, QuadratureGrid
 from .points import SampledQFunction
-from .polyfit import QPolynomial, multi_indices
 
 
 def _atomic_write(path, text):
@@ -125,6 +127,8 @@ def read_samples_csv(path, resolution=None):
             n, m, q = (int(tok) for tok in header.split(","))
         except ValueError:
             raise ValueError("malformed sample header %r" % header) from None
+        if min(n, m, q) < 1:
+            raise ValueError("sample header %r needs n, m, Q >= 1" % header)
         width = n + q * m
         try:
             with warnings.catch_warnings():
@@ -195,18 +199,6 @@ def polynomial_to_dict(poly):
     }
 
 
-def polynomial_from_dict(obj):
-    n, m, q, k = (int(obj[key]) for key in ("n", "m", "Q", "k"))
-    idx = {p: col for col, p in enumerate(multi_indices(n, k))}
-    coeffs = np.zeros((q, m, len(idx)))
-    for entry in obj["coeffs"]:
-        p = tuple(int(v) for v in entry["p"])
-        if p not in idx:
-            raise ValueError("multi-index %s exceeds degree %d" % (p, k))
-        coeffs[int(entry["i"]) - 1, int(entry["j"]) - 1, idx[p]] = float(entry["a"])
-    return QPolynomial(np.asarray(obj["center"], dtype=float), k, coeffs)
-
-
 def write_polynomial_json(path, poly, residual=None, extra=None):
     obj = polynomial_to_dict(poly)
     if residual is not None:
@@ -214,10 +206,6 @@ def write_polynomial_json(path, poly, residual=None, extra=None):
     if extra:
         obj.update(extra)
     write_report_json(path, obj)
-
-
-def read_polynomial_json(path):
-    return polynomial_from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +258,6 @@ def write_profile_csv(path, radii, values, labels=("rho", "value")):
     for rho, val in zip(np.asarray(radii, float), np.asarray(values, float)):
         lines.append("%s,%s" % (repr(float(rho)), repr(float(val))))
     _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def domain_to_dict(domain, resolution=None):
-    obj = {"kind": domain.kind, "n": domain.n, "center": domain.center}
-    if domain.kind == "annulus":
-        obj["inner_radius"] = domain.inner_radius
-        obj["outer_radius"] = domain.radius
-    elif domain.kind == "box":
-        obj["half_width"] = domain.half_width
-    else:
-        obj["radius"] = domain.radius
-    if resolution is not None:
-        obj["resolution"] = float(resolution)
-    return obj
 
 
 def domain_from_dict(obj):

@@ -2,12 +2,11 @@
 
 The first half of this module is a small library of Q-valued functions on the
 plane with exact values and Jacobians: branch powers of z, tuples of linear
-maps, degree-one homogeneous fields, superpositions with a single-valued
-harmonic, and a two-valued wall pair whose trace vanishes on {x1 = 0} so it
-can be oddly reflected.  The second half measures such functions: frequency
-functions, symmetric-part decay, discrete branch sets, radial-derivative
-bounds of Hardt-Simon type at a wall point, and a discrete harmonicity
-audit.
+maps, degree-one homogeneous fields, and a two-valued wall pair whose trace
+vanishes on {x1 = 0} so it can be oddly reflected.  The second half
+measures such functions: frequency functions, symmetric-part decay,
+discrete branch sets, radial-derivative bounds of Hardt-Simon type at a
+wall point (analytic functions only), and a discrete harmonicity audit.
 
 Quadrature throughout is polar: Gauss-Legendre in the radius (optionally
 sqrt-stretched, which turns an r^(-1/2) endpoint singularity back into a
@@ -32,7 +31,6 @@ from .points import (
     SampledQFunction,
     _permutation_table,
     match_batch,
-    optimal_assignment,
 )
 
 __all__ = [
@@ -40,7 +38,6 @@ __all__ = [
     "BranchPower",
     "LinearTuple",
     "HomogeneousProfile",
-    "SumOf",
     "WallPair",
     "OddReflection",
     "odd_reflection",
@@ -67,10 +64,7 @@ _TRACE_TOL = 1e-8  # largest wall value odd_reflection accepts as zero trace
 _DECAY_TOL = 0.05  # good_decay_check: ratios above 1 + this are violations
 _DECAY_FLOOR_REL = 1e-12  # good_decay_check: vacuous below this share of the mass
 _FREQUENCY_FLOOR = 1e-13  # frequency_function: relative floor of the denominator
-# hardt_simon_check: analytic disk rule sizes, sampled ray and station counts,
-# and the branch gap below which a sampled ray is ambiguous
-_RADIAL_NR, _RADIAL_NT, _RADIAL_NPHI, _RADIAL_NSTA = 64, 128, 48, 24
-_RADIAL_GAP_TOL = 1e-8
+_RADIAL_NR, _RADIAL_NT = 64, 128  # hardt_simon_check: disk rule sizes
 
 
 # ---------------------------------------------------------------------------
@@ -261,37 +255,6 @@ class HomogeneousProfile(AnalyticQFunction):
         safe = np.where(r > 0.0, r, 1.0)
         g = np.asarray(self.profile(pts / safe[:, None]), dtype=float)
         return np.where(r[:, None, None] > 0.0, r[:, None, None] * g, 0.0)
-
-
-class SumOf(AnalyticQFunction):
-    """base plus a single-valued field added to every branch.
-
-    `single` maps (S, n) to (S, m); pass `single_jacobian` mapping (S, n) to
-    (S, m, n) when a closed form exists, otherwise it is differenced.
-    """
-
-    def __init__(self, base, single, single_jacobian=None):
-        self.base = base
-        self.single = single
-        self.single_jacobian = single_jacobian
-        self.q, self.m, self.n = base.q, base.m, base.n
-
-    def eval(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        add = np.asarray(self.single(pts), dtype=float)
-        if add.ndim == 1:
-            add = add[:, None]
-        return self.base.eval(pts) + add[:, None, :]
-
-    def jacobian(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.single_jacobian is not None:
-            sj = np.asarray(self.single_jacobian(pts), dtype=float)
-        else:
-            sj = _central_differences(self.single, pts, self.n)
-            if sj.ndim == 2:
-                sj = sj[:, None, :]
-        return self.base.jacobian(pts) + sj[:, None, :, :]
 
 
 class WallPair(AnalyticQFunction):
@@ -644,7 +607,6 @@ class RadialDerivativeReport:
     lhs: float
     rhs: float
     ratio: float
-    excluded: int
 
 
 def _radial_lhs_analytic(v, z, rho):
@@ -669,94 +631,22 @@ def _radial_rhs_analytic(v, z, rho):
     return float(np.sum(w * np.sum(diff * diff, axis=(1, 2))))
 
 
-def _radial_sampled(v, z, rho):
-    """Ray-station finite differences for sampled data.
-
-    _RADIAL_NPHI rays, with stations along each spaced at least two grid
-    cells apart so that nearest-node snapping cannot collapse a difference;
-    returns (lhs, rhs_mass, excluded ray count).  Rays with an ambiguous
-    branch matching (a gap below _RADIAL_GAP_TOL) at any station are
-    dropped entirely.
-    """
-    h = v.grid.resolution
-    step = max(2.0 * h, 0.5 * rho / _RADIAL_NSTA)
-    stations = np.arange(1, int(0.5 * rho / step) + 1) * step
-    if stations.shape[0] < 2:
-        raise ValueError(
-            "rho too small for ray differencing at resolution %g" % h
-        )
-    phis = _HALF[0] + (np.arange(_RADIAL_NPHI) + 0.5) * (_HALF[1] - _HALF[0]) / _RADIAL_NPHI
-    dphi = (_HALF[1] - _HALF[0]) / _RADIAL_NPHI
-    x, wgl = np.polynomial.legendre.leggauss(_RADIAL_NSTA)
-    va = v.value_at(z).average()
-    avg_plus = v.value_at(z + np.array([2.0 * h, 0.0])).average()
-    dva1 = (avg_plus - va) / (2.0 * h)
-    avg_up = v.value_at(z + np.array([0.0, 2.0 * h])).average()
-    avg_dn = v.value_at(z - np.array([0.0, 2.0 * h])).average()
-    dva = np.stack([dva1, (avg_up - avg_dn) / (4.0 * h)], axis=1)
-    lhs = 0.0
-    rhs_mass = 0.0
-    excluded = 0
-    for phi in phis:
-        e = np.array([math.cos(phi), math.sin(phi)])
-        branches = []
-        ambiguous = False
-        for r in stations:
-            p = v.value_at(z + r * e)
-            gaps = [
-                np.linalg.norm(p.branches[i] - p.branches[j])
-                for i, j in itertools.combinations(range(p.q), 2)
-            ]
-            if gaps and min(gaps) < _RADIAL_GAP_TOL:
-                ambiguous = True
-                break
-            branches.append(p.branches - va[None, :])
-        if ambiguous:
-            excluded += 1
-            continue
-        aligned = []
-        for b in branches:
-            if aligned:
-                sigma, _ = optimal_assignment(aligned[-1], b)
-                b = b[sigma]
-            aligned.append(b)
-        for i in range(len(aligned) - 1):
-            r0, r1 = stations[i], stations[i + 1]
-            g = (aligned[i + 1] / r1 - aligned[i] / r0) / (r1 - r0)
-            rm = 0.5 * (r0 + r1)
-            lhs += rm * step * dphi * float(np.sum(g * g))
-        # RHS stations on (0, rho]: plain value sampling, no differencing
-        r_r = 0.5 * rho * (x + 1.0)
-        w_r = 0.5 * rho * wgl
-        for r, wr in zip(r_r, w_r):
-            if r < h:
-                continue
-            p = v.value_at(z + r * e)
-            ell = va + dva @ (r * e)
-            diff = p.branches - ell[None, :]
-            rhs_mass += r * wr * dphi * float(np.sum(diff * diff))
-    return lhs, rhs_mass, excluded
-
-
 def hardt_simon_check(v, z, rho):
     """Radial-derivative bound for one function v at a wall point z.
 
     LHS integrates R^(2-n) |d/dR ((v - v_a(z))/R)|^2 over the half-radius
     half disk, RHS is rho^(-n-2) times the squared distance to the
-    average-jet affine map at scale rho.  A SampledQFunction is differenced
-    along rays, with branch-ambiguous rays excluded and counted; any other
-    v is analytic and uses the chain rule.
+    average-jet affine map at scale rho.  v is analytic: both sides use
+    its exact values and Jacobians, by the chain rule.  Sampled data is
+    refused with TypeError.
     """
-    z = _check_kernel_range(z, rho)
     if isinstance(v, SampledQFunction):
-        lhs, rhs_mass, excluded = _radial_sampled(v, z, rho)
-    else:
-        lhs = _radial_lhs_analytic(v, z, rho)
-        rhs_mass = _radial_rhs_analytic(v, z, rho)
-        excluded = 0
-    rhs = rho ** (-4.0) * rhs_mass
+        raise TypeError("hardt_simon_check needs an analytic function, not sampled data")
+    z = _check_kernel_range(z, rho)
+    lhs = _radial_lhs_analytic(v, z, rho)
+    rhs = rho ** (-4.0) * _radial_rhs_analytic(v, z, rho)
     ratio = lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf)
-    return RadialDerivativeReport(lhs, rhs, ratio, excluded)
+    return RadialDerivativeReport(lhs, rhs, ratio)
 
 
 # ---------------------------------------------------------------------------

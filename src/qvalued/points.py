@@ -29,7 +29,6 @@ __all__ = [
     "AqPoint",
     "metric_g",
     "brute_force_metric",
-    "optimal_assignment",
     "match_batch",
     "SampledQFunction",
     "numeric_derivative",
@@ -42,7 +41,7 @@ _BRUTE_FORCE_LIMIT = 8
 _ENUMERATION_LIMIT = 6
 # pairing terms match_batch holds at once: rows per chunk = this // (Q! Q)
 _CHUNK_ENTRIES = 1 << 20
-_TIE_TOL = 1e-12  # optimal_assignment: pairings this close (relative) to the optimum tie
+_NON_FINITE = "matching needs finite values with finite squared distances"
 
 
 @functools.lru_cache(maxsize=None)
@@ -80,23 +79,9 @@ class AqPoint:
     def m(self):
         return self.branches.shape[1]
 
-    @classmethod
-    def zero(cls, q, m=1):
-        return cls(np.zeros((q, m)))
-
     def norm(self):
         """Distance to the Q-fold zero tuple; no matching needed."""
         return float(np.linalg.norm(self.branches))
-
-    def average(self):
-        return self.branches.mean(axis=0)
-
-    def symmetric_part(self):
-        """The tuple with its branch average subtracted from every branch."""
-        return AqPoint(self.branches - self.average())
-
-    def translate(self, v):
-        return AqPoint(self.branches + np.asarray(v, dtype=float))
 
     def __eq__(self, other):
         if not isinstance(other, AqPoint):
@@ -127,13 +112,19 @@ def _cost_matrix(a, b):
 
 
 def metric_g(s, t):
-    """Matching distance: min over pairings of the root-sum-of-squares."""
+    """Matching distance: min over pairings of the root-sum-of-squares.
+
+    Values that are not finite, or whose squared branch distances overflow,
+    are refused with ValueError, as match_batch refuses them."""
     from scipy.optimize import linear_sum_assignment
 
     a, b = _branch_arrays(s, t)
+    with np.errstate(invalid="ignore", over="ignore"):
+        cost = _cost_matrix(a, b)
+    if not np.isfinite(cost).all():
+        raise ValueError(_NON_FINITE)
     if a.shape[0] == 1:
         return float(np.linalg.norm(a[0] - b[0]))
-    cost = _cost_matrix(a, b)
     rows, cols = linear_sum_assignment(cost)
     return math.sqrt(max(cost[rows, cols].sum(), 0.0))
 
@@ -148,53 +139,6 @@ def brute_force_metric(s, t):
     cost = _cost_matrix(a, b)
     totals = cost[np.arange(q), perms].sum(axis=1)
     return math.sqrt(max(totals.min(), 0.0))
-
-
-def optimal_assignment(s, t):
-    """Optimal pairing (as an index array sigma with b[sigma[i]] matched to
-    a[i]) together with the distance.
-
-    Among pairings whose cost ties the optimum within _TIE_TOL relative, the
-    lexicographically smallest index array is returned, which keeps
-    downstream branch tracking deterministic.
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    a, b = _branch_arrays(s, t)
-    q = a.shape[0]
-    cost = _cost_matrix(a, b)
-    rows, cols = linear_sum_assignment(cost)
-    best = cost[rows, cols].sum()
-    slack = _TIE_TOL * (1.0 + best)
-    sigma = np.empty(q, dtype=int)
-    rows_left = list(range(q))
-    cols_left = list(range(q))
-    budget = best
-    for i in list(rows_left):
-        # Greedily pin the smallest column that still admits an optimal
-        # completion on the remaining minor.
-        chosen = None
-        for j in sorted(cols_left):
-            rl = [r for r in rows_left if r != i]
-            cl = [c for c in cols_left if c != j]
-            if rl:
-                sub = cost[np.ix_(rl, cl)]
-                rr, cc = linear_sum_assignment(sub)
-                rest = sub[rr, cc].sum()
-            else:
-                rest = 0.0
-            if cost[i, j] + rest <= budget + slack:
-                chosen = j
-                budget -= cost[i, j]
-                break
-        if chosen is None:  # numerical safety net; fall back to solver's pick
-            chosen = cols[rows.tolist().index(i)]
-            budget -= cost[i, chosen]
-        sigma[i] = chosen
-        rows_left.remove(i)
-        cols_left.remove(chosen)
-    total = cost[np.arange(q), sigma].sum()
-    return sigma, math.sqrt(max(total, 0.0))
 
 
 def _best_pairings(d2, perms):
@@ -239,11 +183,11 @@ def match_batch(a, b):
     between the best and the runner-up pairing cost.  Up to
     Q = _ENUMERATION_LIMIT every pairing is enumerated in lexicographic
     order, in row chunks of at most _CHUNK_ENTRIES terms, and an exact tie
-    goes to the lexicographically smallest pairing, as in
-    optimal_assignment.  Above it, scalar values (m = 1) are paired by
-    rank, the t-th smallest branch of a[s] with the t-th smallest of b[s]:
-    by the rearrangement inequality that pairing is optimal, and an exact
-    tie goes to the stable sort, equal values ranked by branch index.
+    goes to the lexicographically smallest labels[s].  Above it, scalar
+    values (m = 1) are paired by rank, the t-th smallest branch of a[s]
+    with the t-th smallest of b[s]: by the rearrangement inequality that
+    pairing is optimal, and an exact tie goes to the stable sort, equal
+    values ranked by branch index.
     Vector values above it get one exact assignment solve per sample.
     Above the limit the margin is the gap to the cheapest pairing one
     transposition away from the optimum, clamped at 0 against rounding.
@@ -264,9 +208,6 @@ def match_batch(a, b):
     if not math.isfinite(sq_cost.max(initial=0.0)):
         raise ValueError(_NON_FINITE)
     return labels, sq_cost, margin
-
-
-_NON_FINITE = "match_batch needs finite values with finite squared distances"
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -331,8 +272,8 @@ class SampledQFunction:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim == 2:
             vals = vals[:, :, None]
-        if vals.ndim != 3:
-            raise ValueError("values must have shape (S, Q, m)")
+        if vals.ndim != 3 or vals.shape[1] < 1 or vals.shape[2] < 1:
+            raise ValueError("values must have shape (S, Q, m) with Q, m >= 1")
         if vals.shape[0] != self.grid.size:
             raise ValueError("sample count disagrees with grid size")
         if not np.all(np.isfinite(vals)):
@@ -435,8 +376,8 @@ def numeric_derivative(u, x0, h, gap_tol=None):
         step[j] = h
         plus = _evaluate(u, x0 + step)
         minus = _evaluate(u, x0 - step)
-        sp, _ = optimal_assignment(center, plus)
-        sm, _ = optimal_assignment(center, minus)
+        sp = match_batch(plus.branches[None], center.branches[None])[0][0]
+        sm = match_batch(minus.branches[None], center.branches[None])[0][0]
         jac[:, :, j] = (plus.branches[sp] - minus.branches[sm]) / (2.0 * h)
     return jac
 
@@ -446,11 +387,14 @@ def lebesgue_point_profile(u, x0, ladder, q_exp=2.0, value=None):
 
     Returns (radii_used, averages, truncated) where truncated flags ladder
     rungs dropped by `QuadratureGrid.restrict_indices`: at most two grid
-    steps, or holding no node.  An empty ladder, or a radius that is not
-    finite and positive, is refused with ValueError.
+    steps, or holding no node.  An empty ladder, a radius that is not
+    finite and positive, or a q_exp that is not finite and at least 1 is
+    refused with ValueError.
     """
     if not isinstance(u, SampledQFunction):
         raise TypeError("profile requires sampled data")
+    if not (math.isfinite(q_exp) and q_exp >= 1.0):
+        raise ValueError("q_exp must be finite and at least 1, got %r" % q_exp)
     x0 = np.asarray(x0, dtype=float).ravel()
     if value is None:
         value = u.value_at(x0)

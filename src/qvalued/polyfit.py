@@ -141,20 +141,6 @@ class QPolynomial:
     def eval_point(self, x):
         return AqPoint(self.eval(np.asarray(x, float)[None, :])[0])
 
-    def derivative(self, axis):
-        """Branchwise partial derivative along one axis, degree reduced by 1."""
-        k = max(self.degree - 1, 0)
-        src = {p: i for i, p in enumerate(self.indices)}
-        tgt = multi_indices(self.n, k)
-        out = np.zeros((self.q, self.m, len(tgt)))
-        for col, p in enumerate(tgt):
-            shifted = list(p)
-            shifted[axis] += 1
-            j = src.get(tuple(shifted))
-            if j is not None:
-                out[:, :, col] = self.coeffs[:, :, j]
-        return QPolynomial(self.center, k, out)
-
     def recenter(self, new_center):
         """Exact Taylor shift of the center; values are unchanged."""
         new_center = np.asarray(new_center, dtype=float).ravel()
@@ -173,18 +159,6 @@ class QPolynomial:
                 mono = math.prod(d ** ri for d, ri in zip(delta, r) if ri) if any(r) else 1.0
                 out[:, :, col] += self.coeffs[:, :, j] * mono / fact[rcol]
         return QPolynomial(new_center, self.degree, out)
-
-    def rescale(self, x0, rho):
-        """Polynomial x -> P(x0 + rho x), centered at the origin.
-
-        With x0 equal to the current center this multiplies each a_p by
-        rho^|p| exactly; otherwise the center is first shifted.
-        """
-        base = self if np.array_equal(np.asarray(x0, float).ravel(), self.center) \
-            else self.recenter(x0)
-        scale = np.array([rho ** sum(p) for p in base.indices])
-        return QPolynomial(np.zeros(self.n), self.degree,
-                           base.coeffs * scale[None, None, :])
 
     def canonical_branch_order(self):
         flat = self.coeffs.reshape(self.q, -1)
@@ -260,9 +234,6 @@ class FitResult:
     iterations: int
     starts: int
     log: tuple = field(repr=False)
-
-    def __iter__(self):  # ergonomic unpacking: poly, residual = best_fit(...)
-        return iter((self.polynomial, self.residual))
 
 
 def _factor(design, weights):

@@ -87,13 +87,6 @@ def test_weight_positivity_cap(disk_grid):
     assert np.all(disk_grid.weights <= h * h)
 
 
-def test_convexity_flags():
-    assert Domain.half_ball(2, 1.0).is_convex()
-    assert Domain.ball(3, 1.0).is_convex()
-    assert Domain.box(2, 1.0).is_convex()
-    assert not Domain.annulus(2, 0.5, 1.0).is_convex()
-
-
 def test_degenerate_domains():
     with pytest.raises(DegenerateDomainError):
         Domain.ball(2, 0.0)

@@ -44,6 +44,46 @@ def all_assignments(tree):
                     for t in node.targets)]
 
 
+def private_definitions(tree):
+    """(line, name) of each private name (one leading underscore) that a
+    module-level assignment, def or class binds."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def names_read(tree):
+    """Names a module reads: loaded names, attribute names, and names it
+    imports from another module."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_private_names(trees):
+    """(module, line, name) of each private module-level name that no
+    module of `trees`, a {module: tree} dict, reads."""
+    read = set().union(*(names_read(tree) for tree in trees.values()))
+    return sorted((module, line, name) for module, tree in trees.items()
+                  for line, name in private_definitions(tree) if name not in read)
+
+
 EXPORTING = [
     "qvalued" if p.stem == "__init__" else "qvalued." + p.stem
     for p in MODULES if all_assignments(ast.parse(p.read_text()))
@@ -83,3 +123,31 @@ def test_checker_flags_an_unused_import():
         "def f():\n"
         "    return np.zeros(1) + pi\n")
     assert unused_module_imports(tree) == [(2, "os"), (4, "inf")]
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    assert unread_private_names(trees) == []
+
+
+def test_checker_flags_an_unread_private_name():
+    trees = {
+        "a": ast.parse(
+            "_USED, _SHARED, _VIA_ATTR = 1, 2, 3\n"
+            "_LEFT = 4\n"
+            "_X, _Y = 5, 6\n"
+            "def _helper():\n"
+            "    return _USED + _X\n"
+            "class _Gone:\n"
+            "    __slots__ = ()\n"
+            "def public():\n"
+            "    return _helper()\n"),
+        "b": ast.parse(
+            "from . import a\n"
+            "from .a import _SHARED\n"
+            "_Y = 7\n"
+            "def f():\n"
+            "    return a._VIA_ATTR + _SHARED\n"),
+    }
+    assert unread_private_names(trees) == [
+        ("a", 2, "_LEFT"), ("a", 3, "_Y"), ("a", 6, "_Gone"), ("b", 3, "_Y")]

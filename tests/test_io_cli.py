@@ -80,6 +80,15 @@ def test_json_round_trip_exact(bp_csv, tmp_path):
     assert v.grid.resolution == u.grid.resolution
 
 
+@pytest.mark.parametrize("header", ["2,1,0", "2,0,1"])
+def test_cli_refuses_a_sample_header_without_branches_or_components(tmp_path, capsys, header):
+    # "2,1,0" used to fail inside numpy with "cannot reshape array of size 0"
+    src = tmp_path / "empty.csv"
+    src.write_text(header + "\n0.0,0.0\n0.5,0.0\n")
+    assert main(["fit", "--in", str(src), "--out", str(tmp_path / "o.json")]) == 2
+    assert "needs n, m, Q >= 1" in capsys.readouterr().err
+
+
 def test_csv_malformed_rows(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("2,1,2\n0.0,0.0,1.0\n")
@@ -110,20 +119,19 @@ def test_resolution_inference_and_override(tmp_path):
 def test_polynomial_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     k = 2
-    coeffs = rng.normal(size=(3, 2, len(multi_indices(2, k))))
+    idx = multi_indices(2, k)
+    coeffs = rng.normal(size=(3, 2, len(idx)))
     poly = QPolynomial(np.array([0.1, -0.2]), k, coeffs)
     path = tmp_path / "poly.json"
     io.write_polynomial_json(path, poly, residual=0.5)
-    back = io.read_polynomial_json(path)
-    assert back.degree == k
-    assert np.array_equal(back.center, poly.center)
-    assert np.array_equal(back.coeffs, poly.coeffs)
-    assert json.loads(path.read_text())["residual"] == 0.5
-    with pytest.raises(ValueError, match="exceeds degree"):
-        io.polynomial_from_dict({
-            "n": 2, "m": 1, "Q": 1, "k": 1, "center": [0.0, 0.0],
-            "coeffs": [{"i": 1, "j": 1, "p": [2, 0], "a": 1.0}],
-        })
+    obj = json.loads(path.read_text())
+    assert (obj["n"], obj["m"], obj["Q"], obj["k"]) == (2, 2, 3, k)
+    assert obj["center"] == [0.1, -0.2] and obj["residual"] == 0.5
+    assert len(obj["coeffs"]) == coeffs.size  # zero coefficients included
+    back = np.zeros_like(coeffs)
+    for entry in obj["coeffs"]:
+        back[entry["i"] - 1, entry["j"] - 1, idx.index(tuple(entry["p"]))] = entry["a"]
+    assert np.array_equal(back, poly.coeffs)
 
 
 def test_hypothesis_parsing():
@@ -160,19 +168,25 @@ def test_malformed_hypothesis_file_refused_naming_keys(tmp_path, capsys, obj, ke
     assert all(repr(key) in err for key in keys)
 
 
-def test_domain_round_trip():
+def test_domain_round_trip(tmp_path):
     cases = [
-        Domain.ball(2, 1.0),
-        Domain.half_ball(3, 0.5),
-        Domain.annulus(2, 0.25, 1.0),
-        Domain.box(2, 0.8, center=[0.1, 0.2]),
+        ({"kind": "ball", "n": 2, "radius": 1.0, "resolution": 0.125},
+         Domain.ball(2, 1.0), 0.125),
+        ({"kind": "half_ball", "n": 3, "radius": 0.5},
+         Domain.half_ball(3, 0.5), None),
+        ({"kind": "annulus", "n": 2, "inner_radius": 0.25, "outer_radius": 1.0},
+         Domain.annulus(2, 0.25, 1.0), None),
+        ({"kind": "box", "n": 2, "half_width": 0.8, "center": [0.1, 0.2]},
+         Domain.box(2, 0.8, center=[0.1, 0.2]), None),
     ]
-    for dom in cases:
-        back, res = io.domain_from_dict(io.domain_to_dict(dom, 0.125))
-        assert back.kind == dom.kind and back.n == dom.n
-        assert np.array_equal(back.center, dom.center)
-        assert back.extent == dom.extent
-        assert res == 0.125
+    path = tmp_path / "domain.json"
+    for obj, want, want_res in cases:
+        path.write_text(json.dumps(obj))
+        dom, res = io.read_domain_json(path)
+        assert (dom.kind, dom.n, dom.radius, dom.inner_radius, dom.half_width) == (
+            want.kind, want.n, want.radius, want.inner_radius, want.half_width)
+        assert np.array_equal(dom.center, want.center)
+        assert res == want_res
     with pytest.raises(ValueError, match="unknown domain kind"):
         io.domain_from_dict({"kind": "torus", "n": 2})
 
@@ -312,8 +326,7 @@ def test_cli_fit_exact_polynomial_residual(tmp_path):
     assert main(["fit", "--in", str(src), "--out", str(out), "--k", "1"]) == 0
     report = json.loads(out.read_text())
     assert report["residual"] <= 1e-16
-    poly = io.polynomial_from_dict(report)
-    assert poly.degree == 1 and poly.q == 2
+    assert report["k"] == 1 and report["Q"] == 2
 
 
 def test_cli_exit_codes(tmp_path, bp_csv):

@@ -1,5 +1,6 @@
 """Tests for tuple values, the matching metric, and sampled data."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from qvalued.points import (
     match_batch,
     metric_g,
     numeric_derivative,
-    optimal_assignment,
 )
 from qvalued.points import _best_pairings, _permutation_table
 
@@ -97,8 +97,8 @@ def test_metric_axioms(s_branches, data):
 @given(_tuples())
 def test_norm_decomposition(branches):
     w = AqPoint(branches)
-    ws = w.symmetric_part()
-    wa = w.average()
+    wa = w.branches.mean(axis=0)
+    ws = AqPoint(w.branches - wa)
     lhs = w.norm() ** 2
     rhs = ws.norm() ** 2 + w.q * float(wa @ wa)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -118,16 +118,18 @@ def test_canonical_storage_is_permutation_invariant():
 def test_norm_is_distance_to_zero_tuple():
     p = AqPoint([[3.0, 0.0], [0.0, 4.0]])
     assert p.norm() == pytest.approx(5.0)
-    assert metric_g(p, AqPoint.zero(2, 2)) == pytest.approx(5.0)
+    assert metric_g(p, AqPoint(np.zeros((2, 2)))) == pytest.approx(5.0)
 
 
-def test_optimal_assignment_reports_matching():
-    # second coordinates force the cross pairing despite first-coordinate order
-    s = AqPoint([[0.0, 0.0], [0.1, 10.0]])
-    t = AqPoint([[0.0, 10.0], [0.1, 0.0]])
-    sigma, dist = optimal_assignment(s, t)
-    assert list(sigma) == [1, 0]
-    assert dist == pytest.approx(math.sqrt(0.02))
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("q", [1, 2, 7])
+def test_metric_g_refuses_non_finite_values(q, bad):
+    # warnings are errors in this suite, so a warning on the way fails too
+    a, b = np.random.default_rng(q).normal(size=(2, q, 2))
+    a[q - 1, 1] = bad
+    for x, y in ((a, b), (b, a), (a, a)):
+        with pytest.raises(ValueError, match="finite values"):
+            metric_g(x, y)
 
 
 def _pair_costs(a, b):
@@ -163,9 +165,12 @@ def test_match_batch_breaks_exact_ties_lexicographically(S, q, m, data):
     # small integers make every pairing cost exact, so ties are exact
     a, b = data.draw(arrays(float, (2, S, q, m), elements=st.integers(-2, 2)))
     labels, _, _ = match_batch(b, a)
+    d2 = _pair_costs(a, b)
     for s in range(S):
-        sigma, _ = optimal_assignment(a[s], b[s])
-        assert np.array_equal(labels[s], sigma)
+        # labels[s, i] is the branch of b[s] paired with a[s, i]
+        want = min(itertools.permutations(range(q)),
+                   key=lambda p: (sum(d2[s, i, j] for i, j in enumerate(p)), p))
+        assert labels[s].tolist() == list(want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -247,15 +252,6 @@ def test_match_batch_chunks_agree_with_metric():
     assert np.allclose(sq_cost, want, rtol=1e-12, atol=0)
 
 
-def test_optimal_assignment_lexmin_on_ties():
-    # both pairings cost the same; the lexicographically smaller one wins
-    s = AqPoint([[0.0], [1.0]])
-    t = AqPoint([[0.5], [0.5]])
-    sigma, dist = optimal_assignment(s, t)
-    assert list(sigma) == [0, 1]
-    assert dist == pytest.approx(math.sqrt(0.5))
-
-
 # ---------------------------------------------------------------------------
 # sampled functions
 
@@ -270,6 +266,13 @@ def test_sampled_shape_validation(disk_grid):
         SampledQFunction(disk_grid, np.zeros((3, 2, 1)))
     u = SampledQFunction(disk_grid, np.zeros((disk_grid.size, 2)))
     assert u.m == 1 and u.q == 2 and u.n == 2
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 1), (2, 0)], ids=["Q0", "Q0-m1", "m0"])
+def test_sampled_refuses_no_branches_or_components(disk_grid, shape):
+    # Q = 0 data used to be built, and best_fit then divided by zero
+    with pytest.raises(ValueError, match="Q, m >= 1"):
+        SampledQFunction(disk_grid, np.zeros((disk_grid.size,) + shape))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -352,7 +355,7 @@ def test_lebesgue_profile_branch_power_decay(disk_grid):
     r3 = np.linalg.norm(disk_grid.points, axis=1) ** 1.5
     u = SampledQFunction(disk_grid, np.stack([r3, -r3], axis=1))
     radii, avgs, truncated = lebesgue_point_profile(
-        u, [0.0, 0.0], dyadic_ladder(0.4, 2), value=AqPoint.zero(2)
+        u, [0.0, 0.0], dyadic_ladder(0.4, 2), value=AqPoint(np.zeros((2, 1)))
     )
     assert not truncated
     # closed form: (pi rho^2)^-1 * int 2 r^3 = (4/5) rho^3
@@ -384,6 +387,14 @@ def test_lebesgue_profile_refuses_an_empty_ladder(disk_grid, ladder):
     const = SampledQFunction(disk_grid, np.zeros((disk_grid.size, 1, 1)))
     with pytest.raises(ValueError, match="non-empty 1-D"):
         lebesgue_point_profile(const, [0.0, 0.0], ladder)
+
+
+@pytest.mark.parametrize("q_exp", [math.nan, math.inf, -1.0, 0.5])
+def test_lebesgue_profile_refuses_a_bad_exponent(disk_grid, q_exp):
+    # NaN used to give NaN averages, -1 inf with a warning, and inf zeros
+    const = SampledQFunction(disk_grid, np.ones((disk_grid.size, 1, 1)))
+    with pytest.raises(ValueError, match="q_exp must be finite and at least 1"):
+        lebesgue_point_profile(const, [0.0, 0.0], [0.5, 0.25], q_exp=q_exp)
 
 
 def test_from_function_paths_agree():

@@ -94,53 +94,18 @@ def test_eval_matches_manual_path():
 
 
 def test_coefficients_are_derivatives_at_center():
-    rng = np.random.default_rng(2)
-    poly = random_qpolynomial(rng, 2, 1, 2, 2, center=np.array([0.3, 0.4]))
-    idx = poly.indices
-    d10 = poly.derivative(0)
-    d01 = poly.derivative(1)
-    at_c = poly.center[None, :]
-    assert np.allclose(d10.eval(at_c)[0, :, 0],
-                       poly.coeffs[:, 0, idx.index((1, 0))])
-    assert np.allclose(d01.eval(at_c)[0, :, 0],
-                       poly.coeffs[:, 0, idx.index((0, 1))])
-    d20 = d10.derivative(0)
-    assert np.allclose(d20.eval(at_c)[0, :, 0],
-                       poly.coeffs[:, 0, idx.index((2, 0))])
-
-
-def test_rescale_rules():
-    rng = np.random.default_rng(3)
-    poly = random_qpolynomial(rng, 2, 1, 2, 1)
-    same = poly.rescale(poly.center, 1.0)
-    assert np.array_equal(same.coeffs, poly.coeffs)
-    doubled = poly.rescale(poly.center, 2.0)
-    idx = poly.indices
+    # a unit coefficient a_p alone evaluates to (x - c)^p / p!, whose p-th
+    # partial derivative at the center c is 1
+    center = np.array([0.3, 0.4])
+    idx = multi_indices(2, 3)
+    x = np.random.default_rng(2).uniform(-1, 1, (7, 2))
     for col, p in enumerate(idx):
-        factor = 2.0 ** sum(p)
-        assert np.allclose(doubled.coeffs[:, :, col],
-                           factor * poly.coeffs[:, :, col])
-
-
-def test_rescale_evaluation_identity():
-    rng = np.random.default_rng(4)
-    poly = random_qpolynomial(rng, 2, 2, 2, 3, center=np.array([0.1, 0.2]))
-    x0 = np.array([0.25, -0.4])
-    rho = 0.37
-    scaled = poly.rescale(x0, rho)
-    for x in rng.uniform(-1, 1, (100, 2)):
-        lhs = scaled.eval(x[None, :])[0]
-        rhs = poly.eval((x0 + rho * x)[None, :])[0]
-        assert metric_g(AqPoint(lhs), AqPoint(rhs)) < 1e-12
-
-
-def test_rescale_composes_exactly():
-    rng = np.random.default_rng(5)
-    poly = random_qpolynomial(rng, 2, 1, 3, 2)
-    x0 = np.array([0.3, 0.1])
-    once = poly.rescale(x0, 0.6 * 0.5)
-    twice = poly.rescale(x0, 0.6).rescale(np.zeros(2), 0.5)
-    assert np.allclose(once.coeffs, twice.coeffs, atol=1e-15)
+        coeffs = np.zeros((1, 1, len(idx)))
+        coeffs[0, 0, col] = 1.0
+        got = QPolynomial(center, 3, coeffs).eval(x)[:, 0, 0]
+        want = (np.prod((x - center) ** np.array(p), axis=1)
+                / math.prod(math.factorial(pj) for pj in p))
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
 
 
 def test_recenter_preserves_values():
