@@ -326,7 +326,7 @@ ROUNDING_FLOOR = 1e3 * np.finfo(float).eps
 def _g_mass(sub, poly, q_exp):
     """Unscaled G-mass of a restricted sample against one polynomial."""
     model = poly.eval(sub.grid.points)
-    _, costs, _ = match_batch(sub.values, model)
+    _, costs = match_batch(sub.values, model)
     g = np.sqrt(np.maximum(costs, 0.0))
     return float(np.sum(sub.grid.weights * g ** q_exp))
 

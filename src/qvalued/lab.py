@@ -422,7 +422,7 @@ def _node_jacobians(u, indices=None):
     def aligned(at):
         """Values at nodes `at`, branches reordered to best match vc."""
         near = vals[at]
-        labels, _, _ = match_batch(near, vc)
+        labels, _ = match_batch(near, vc)
         return np.take_along_axis(near, labels[:, :, None], axis=1)
 
     out = np.zeros((idx.shape[0], u.q, u.m, u.n))

@@ -6,6 +6,11 @@ their branches, computed exactly: by an assignment solver, by enumerating
 the pairings of a few branches, or, for scalar values, by sorting.  The
 space is a metric space, not a vector space: branch arithmetic only makes
 sense after fixing a pairing.
+
+Batches of tuples are matched by one kernel with two entries: match_batch
+returns the pairings and their costs, and match_margins adds how far each
+pairing is from the next best one.  Only label propagation reads that
+margin, so every other caller skips the work of finding a runner-up.
 """
 
 from __future__ import annotations
@@ -30,16 +35,17 @@ __all__ = [
     "metric_g",
     "brute_force_metric",
     "match_batch",
+    "match_margins",
     "SampledQFunction",
     "numeric_derivative",
     "lebesgue_point_profile",
 ]
 
 _BRUTE_FORCE_LIMIT = 8
-# match_batch enumerates all Q! pairings up to this Q; above it, it sorts
+# matching enumerates all Q! pairings up to this Q; above it, it sorts
 # scalar values and solves one assignment per sample of vector values
 _ENUMERATION_LIMIT = 6
-# pairing terms match_batch holds at once: rows per chunk = this // (Q! Q)
+# pairing terms matching holds at once: rows per chunk = this // (Q! Q)
 _CHUNK_ENTRIES = 1 << 20
 _NON_FINITE = "matching needs finite values with finite squared distances"
 
@@ -114,19 +120,21 @@ def _cost_matrix(a, b):
 def metric_g(s, t):
     """Matching distance: min over pairings of the root-sum-of-squares.
 
-    Values that are not finite, or whose squared branch distances overflow,
-    are refused with ValueError, as match_batch refuses them."""
+    Values that are not finite, or whose squared branch distances or
+    matching cost overflow, are refused with ValueError, as match_batch
+    refuses them."""
     from scipy.optimize import linear_sum_assignment
 
     a, b = _branch_arrays(s, t)
     with np.errstate(invalid="ignore", over="ignore"):
         cost = _cost_matrix(a, b)
-    if not np.isfinite(cost).all():
-        raise ValueError(_NON_FINITE)
-    if a.shape[0] == 1:
-        return float(np.linalg.norm(a[0] - b[0]))
-    rows, cols = linear_sum_assignment(cost)
-    return math.sqrt(max(cost[rows, cols].sum(), 0.0))
+        _refuse_overflow(cost.max())
+        if a.shape[0] == 1:
+            return float(np.linalg.norm(a[0] - b[0]))
+        rows, cols = linear_sum_assignment(cost)
+        total = cost[rows, cols].sum()
+    _refuse_overflow(total)
+    return math.sqrt(max(total, 0.0))
 
 
 def brute_force_metric(s, t):
@@ -141,13 +149,16 @@ def brute_force_metric(s, t):
     return math.sqrt(max(totals.min(), 0.0))
 
 
-def _best_pairings(d2, perms):
-    """Per row of d2: (cheapest pairing, its total, the gap to the runner-up).
-    totals[:, p] sums d2[:, perms[p, i], i] over i in index order; perms[0],
-    the identity, serves as arange(Q)."""
+def _best_pairings(d2, perms, margin):
+    """Per row of d2: the cheapest pairing and its total, and with `margin`
+    the gap to the runner-up.  totals[:, p] sums d2[:, perms[p, i], i] over
+    i in index order; perms[0], the identity, serves as arange(Q)."""
     totals = d2[:, perms, perms[0]].sum(axis=2)
-    low = np.partition(totals, 1, axis=1)
-    return perms[totals.argmin(axis=1)], low[:, 0], low[:, 1] - low[:, 0]
+    best = totals.argmin(axis=1)
+    sq_cost = np.take_along_axis(totals, best[:, None], axis=1)[:, 0]
+    if not margin:
+        return perms[best], sq_cost
+    return perms[best], sq_cost, np.partition(totals, 1, axis=1)[:, 1] - sq_cost
 
 
 def _swap_margins(d2, labels):
@@ -174,45 +185,72 @@ def _column_distance(x, y):
     return total
 
 
-def match_batch(a, b):
-    """Optimal branch pairing of a[s] with b[s] for every sample s.
+def _pair_distances(a, b):
+    """d2[s, i, j] = |a[s, i] - b[s, j]|^2 for (S, Q, m) arrays."""
+    diff = a[:, :, None, :] - b[:, None, :, :]
+    return np.einsum("sabm,sabm->sab", diff, diff)
 
-    a and b have shape (S, Q, m).  Returns (labels, sq_cost, margin):
-    labels[s, i] is the branch of a[s] matched to b[s, i], sq_cost[s] the
-    squared matching distance G(a[s], b[s])^2, and margin[s] the gap
-    between the best and the runner-up pairing cost.  Up to
-    Q = _ENUMERATION_LIMIT every pairing is enumerated in lexicographic
-    order, in row chunks of at most _CHUNK_ENTRIES terms, and an exact tie
-    goes to the lexicographically smallest labels[s].  Above it, scalar
-    values (m = 1) are paired by rank, the t-th smallest branch of a[s]
-    with the t-th smallest of b[s]: by the rearrangement inequality that
-    pairing is optimal, and an exact tie goes to the stable sort, equal
-    values ranked by branch index.
-    Vector values above it get one exact assignment solve per sample.
-    Above the limit the margin is the gap to the cheapest pairing one
-    transposition away from the optimum, clamped at 0 against rounding.
-    For Q = 1 the margin is 0.  Q = 2 takes its two pairings in closed
-    form, each branch distance summed over components in index order;
-    scipy is imported only for vector values above _ENUMERATION_LIMIT.
-    Values that are not finite, or whose squared distances overflow, are
-    refused with ValueError.
-    """
+
+def _refuse_overflow(bound):
+    """ValueError unless `bound` is finite.  NaN input reaches the bounds
+    matching checks through max and sums, which propagate it."""
+    if not math.isfinite(bound):
+        raise ValueError(_NON_FINITE)
+
+
+def _batch_arrays(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 3 or a.shape != b.shape:
-        raise ValueError("match_batch needs two (S, Q, m) arrays of one shape")
-    # non-finite input makes every pairing cost of its sample non-finite,
-    # and the largest cost too (NaN propagates through max): one check of
-    # the costs refuses it, and _match raises no warning on the way
-    labels, sq_cost, margin = _match(a, b)
-    if not math.isfinite(sq_cost.max(initial=0.0)):
-        raise ValueError(_NON_FINITE)
-    return labels, sq_cost, margin
+        raise ValueError("matching needs two (S, Q, m) arrays of one shape")
+    return a, b
+
+
+def match_batch(a, b):
+    """Optimal branch pairing of a[s] with b[s] for every sample s.
+
+    a and b have shape (S, Q, m).  Returns (labels, sq_cost): labels[s, i]
+    is the branch of a[s] matched to b[s, i], and sq_cost[s] the squared
+    matching distance G(a[s], b[s])^2.  Up to Q = _ENUMERATION_LIMIT every
+    pairing is enumerated in lexicographic order, in row chunks of at most
+    _CHUNK_ENTRIES terms, and an exact tie goes to the lexicographically
+    smallest labels[s].  Above it, scalar values (m = 1) are paired by
+    rank, the t-th smallest branch of a[s] with the t-th smallest of b[s]:
+    by the rearrangement inequality that pairing is optimal, and an exact
+    tie goes to the stable sort, equal values ranked by branch index.
+    Vector values above it get one exact assignment solve per sample.
+    Q = 2 takes its two pairings in closed form, each branch distance
+    summed over components in index order; scipy is imported only for
+    vector values above _ENUMERATION_LIMIT.
+
+    Values that are not finite, or whose squared branch distances overflow
+    (values about 1e154 apart), are refused with ValueError, as metric_g
+    refuses them; so is a sample whose matching cost overflows.
+
+    The cost is all that fitting, masses and profiles read; match_margins
+    adds the margin that only label propagation reads.
+    """
+    return _match(*_batch_arrays(a, b), margin=False)
+
+
+def match_margins(a, b):
+    """match_batch's (labels, sq_cost) and the margin of each pairing.
+
+    margin[s] is the gap between the best and the runner-up pairing cost
+    up to Q = _ENUMERATION_LIMIT, and above it the gap to the cheapest
+    pairing one transposition away from the optimum, clamped at 0 against
+    rounding.  For Q = 1 the margin is 0.  Label propagation weighs its
+    lattice edges by these margins; no other caller reads them, and they
+    cost a partial sort or a pass over all transpositions per sample.
+    """
+    return _match(*_batch_arrays(a, b), margin=True)
 
 
 @np.errstate(invalid="ignore", over="ignore")
-def _match(a, b):
-    """match_batch on validated arrays, non-finite costs passed through."""
+def _match(a, b, margin):
+    """The kernel of match_batch, with match_margins' margins when
+    `margin` is set, on (S, Q, m) arrays of one shape.  Input that matching
+    refuses is refused here, with no warning on the way."""
     S, Q, m = a.shape
     if Q == 2:
         # the two pairings in closed form, on contiguous (m, S) columns per
@@ -223,37 +261,61 @@ def _match(a, b):
         bt = b.transpose(1, 2, 0).copy()
         keep = _column_distance(at[0], bt[0]) + _column_distance(at[1], bt[1])
         swap = _column_distance(at[1], bt[0]) + _column_distance(at[0], bt[1])
+        worst = np.maximum(keep, swap)
+        # both pairing totals finite, so the four squared distances too
+        _refuse_overflow(worst.max(initial=0.0))
         crossed = swap < keep
         best = np.minimum(keep, swap)
         labels = np.stack([crossed, ~crossed], axis=1).astype(int)
-        return labels, best, np.maximum(keep, swap) - best
-    diff = a[:, :, None, :] - b[:, None, :, :]
-    d2 = np.einsum("sabm,sabm->sab", diff, diff)
-    del diff  # m times the size of d2; free it before the pairing work
-    if Q == 1:
-        return np.zeros((S, 1), dtype=int), d2[:, 0, 0], np.zeros(S)
-    if Q > _ENUMERATION_LIMIT:
+        if not margin:
+            return labels, best
+        return labels, best, worst - best
+    if Q > _ENUMERATION_LIMIT and m == 1:
+        x, y = a[:, :, 0], b[:, :, 0]
+        rank_a = np.argsort(x, axis=1, kind="stable")
+        rank_b = np.argsort(y, axis=1, kind="stable")
         # cols[s, r]: the branch of b paired with a's branch r
         cols = np.empty((S, Q), dtype=int)
-        if m == 1:
-            np.put_along_axis(cols, np.argsort(a[:, :, 0], axis=1, kind="stable"),
-                              np.argsort(b[:, :, 0], axis=1, kind="stable"), axis=1)
-        else:
-            if not np.isfinite(d2).all():  # scipy refuses these in its own words
-                raise ValueError(_NON_FINITE)
-            from scipy.optimize import linear_sum_assignment
+        np.put_along_axis(cols, rank_a, rank_b, axis=1)
+        labels = np.argsort(cols, axis=1)
+        sq_cost = ((x - np.take_along_axis(y, cols, axis=1)) ** 2).sum(axis=1)
+        # on the line the farthest pair of branches joins opposite extremes
+        low_a, high_a = np.take_along_axis(x, rank_a[:, [0, -1]], axis=1).T
+        low_b, high_b = np.take_along_axis(y, rank_b[:, [0, -1]], axis=1).T
+        far = np.maximum(high_a - low_b, high_b - low_a)
+        _refuse_overflow((far * far).max(initial=0.0))
+        _refuse_overflow(sq_cost.max(initial=0.0))
+        if not margin:
+            return labels, sq_cost
+        return labels, sq_cost, _swap_margins(_pair_distances(a, b), labels)
+    d2 = _pair_distances(a, b)
+    # checked before the solve: scipy refuses non-finite costs in its own words
+    _refuse_overflow(d2.max(initial=0.0))
+    if Q == 1:
+        found = (np.zeros((S, 1), dtype=int), d2[:, 0, 0])
+        return found + (np.zeros(S),) if margin else found
+    if Q > _ENUMERATION_LIMIT:
+        from scipy.optimize import linear_sum_assignment
 
-            for s in range(S):
-                cols[s] = linear_sum_assignment(d2[s])[1]
+        cols = np.empty((S, Q), dtype=int)
+        for s in range(S):
+            cols[s] = linear_sum_assignment(d2[s])[1]
         labels = np.argsort(cols, axis=1)
         sq_cost = np.take_along_axis(d2, cols[:, :, None], axis=2)[:, :, 0].sum(axis=1)
-        return labels, sq_cost, _swap_margins(d2, labels)
-    perms = _permutation_table(Q)
-    if S * perms.size <= _CHUNK_ENTRIES:
-        return _best_pairings(d2, perms)
-    step = max(_CHUNK_ENTRIES // perms.size, 1)
-    parts = [_best_pairings(d2[lo:lo + step], perms) for lo in range(0, S, step)]
-    return tuple(np.concatenate(col) for col in zip(*parts))
+        found = (labels, sq_cost)
+        if margin:
+            found += (_swap_margins(d2, labels),)
+    else:
+        perms = _permutation_table(Q)
+        if S * perms.size <= _CHUNK_ENTRIES:
+            found = _best_pairings(d2, perms, margin)
+        else:
+            step = max(_CHUNK_ENTRIES // perms.size, 1)
+            parts = [_best_pairings(d2[lo:lo + step], perms, margin)
+                     for lo in range(0, S, step)]
+            found = tuple(np.concatenate(col) for col in zip(*parts))
+    _refuse_overflow(found[1].max(initial=0.0))
+    return found
 
 
 @dataclass(frozen=True, eq=False)

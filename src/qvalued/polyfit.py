@@ -22,7 +22,7 @@ a spanning tree over edges sorted by reliability, Herraez et al. 2002).
 The lattice is the grid's own neighbour table (`QuadratureGrid.lattice`),
 which a ball restriction gathers from its parent grid's.  Every lattice
 edge is weighed by matching one cell against the Newton extrapolation of
-the lattice chain beyond its neighbour, in chunked `match_batch` calls;
+the lattice chain beyond its neighbour, in chunked `match_margins` calls;
 scipy's csgraph takes the edges as CSR arrays built directly from the
 table and returns the forest, and pointer jumping composes the pairings
 down it.  Random labelings follow only where the deterministic starts end
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InsufficientSamplesError, RecenterError
-from .points import AqPoint, SampledQFunction, match_batch
+from .points import AqPoint, SampledQFunction, match_batch, match_margins
 
 __all__ = [
     "multi_indices",
@@ -306,7 +306,8 @@ def _chain_pairings(values, cells, chains, frames, extrap):
     Row i predicts values[cells[i]] from the chain chains[i] (cell indices,
     -1 off the grid), its in-grid run L taken in the branch frames `frames`
     (values[c][frames[c]] for chain cell c), and matches it with
-    `match_batch` in row chunks of at most _TABLE_CHUNK_ENTRIES values.
+    `match_margins` in row chunks of at most _TABLE_CHUNK_ENTRIES values:
+    the only matching whose margin the library reads.
     Returns int8 pairings P with values[cell][P[j]] matched to
     values[first chain cell][j], int8 run lengths, and relative margins
     gap / (sq_cost + gap) (0 where both vanish).
@@ -319,7 +320,7 @@ def _chain_pairings(values, cells, chains, frames, extrap):
     step = max(_TABLE_CHUNK_ENTRIES // (max(depth, Q) * Q * m), 1)
     for lo in range(0, N, step):
         run = chains[lo:lo + step]
-        labs, cost, gap = match_batch(
+        labs, cost, gap = match_margins(
             values[cells[lo:lo + step]],
             _extrapolate(extrap, values[run[..., None], frames[run]], lengths[lo:lo + step]))
         # from the chain's frames back to its first cell's raw branches
@@ -472,7 +473,7 @@ def _alternate(design, values, weights, factor, labels, q_exp):
                 design, weights * np.maximum(g, _IRLS_FLOOR) ** (q_exp - 2.0))
         project, basis, _ = factor
         y = project @ flat.take(labels + offsets, axis=0).reshape(S, Q * m)
-        new_labels, costs, _ = match_batch(values, (basis @ y).reshape(S, Q, m))
+        new_labels, costs = match_batch(values, (basis @ y).reshape(S, Q, m))
         g = np.sqrt(np.maximum(costs, 0.0))
         obj = float(np.sum(weights * g ** q_exp))
         same = np.array_equal(new_labels, labels)
@@ -628,6 +629,10 @@ def comparison_constant_ratios(instances, seed=0, n=2, m=1, k=2, q_exp=2.0,
 
     grid = Domain.ball(n, 1.0).sample(_RATIO_RESOLUTION)
     total = grid.total_weight()
+    # every F and G shares the center, degree and nodes, so one design on
+    # the whole grid serves all; its rows are computed row by row, so a
+    # subset's rows equal those of a design built on the subset alone
+    full = design_matrix(grid.points, np.zeros(n), multi_indices(n, k))
     ratios = np.empty(instances)
     for i in range(instances):
         F = random_qpolynomial(rng, n, m, q_branches, k)
@@ -637,8 +642,7 @@ def comparison_constant_ratios(instances, seed=0, n=2, m=1, k=2, q_exp=2.0,
                     int(math.ceil(_RATIO_MIN_WEIGHT / grid.weights[0])))
         count = min(count, grid.size)
         subset = rng.choice(grid.size, size=count, replace=False)
-        # F and G share center, degree and points, so one design serves both
-        D = design_matrix(grid.points[subset], F.center, F.indices)
+        D = full[subset]
         fv = np.einsum("sk,qmk->sqm", D, F.coeffs)
         gv = np.einsum("sk,qmk->sqm", D, G.coeffs)
         dists = np.sqrt(match_batch(fv, gv)[1])

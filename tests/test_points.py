@@ -17,6 +17,7 @@ from qvalued.points import (
     brute_force_metric,
     lebesgue_point_profile,
     match_batch,
+    match_margins,
     metric_g,
     numeric_derivative,
 )
@@ -144,7 +145,7 @@ def test_match_batch_is_an_optimal_pairing(S, q, m, data):
     values = arrays(float, (2, S, q, m),
                     elements=st.floats(-100, 100, allow_nan=False))
     a, b = data.draw(values)
-    labels, sq_cost, margin = match_batch(a, b)
+    labels, sq_cost, margin = match_margins(a, b)
     assert labels.shape == (S, q) and sq_cost.shape == margin.shape == (S,)
     assert np.array_equal(np.sort(labels, axis=1), np.tile(np.arange(q), (S, 1)))
     d2 = _pair_costs(a, b)
@@ -164,7 +165,7 @@ def test_match_batch_is_an_optimal_pairing(S, q, m, data):
 def test_match_batch_breaks_exact_ties_lexicographically(S, q, m, data):
     # small integers make every pairing cost exact, so ties are exact
     a, b = data.draw(arrays(float, (2, S, q, m), elements=st.integers(-2, 2)))
-    labels, _, _ = match_batch(b, a)
+    labels, _ = match_batch(b, a)
     d2 = _pair_costs(a, b)
     for s in range(S):
         # labels[s, i] is the branch of b[s] paired with a[s, i]
@@ -186,9 +187,12 @@ def test_match_batch_two_branches_is_the_enumeration(S, m, integer, data):
     d2 = diff[..., 0] * diff[..., 0]
     for c in range(1, m):
         d2 = d2 + diff[..., c] * diff[..., c]
-    got = match_batch(a, b)
-    want = _best_pairings(d2, _permutation_table(2))
+    got = match_margins(a, b)
+    want = _best_pairings(d2, _permutation_table(2), margin=True)
     for x, y in zip(got, want):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    for x, y in zip(match_batch(a, b), _best_pairings(d2, _permutation_table(2),
+                                                      margin=False)):
         assert x.dtype == y.dtype and np.array_equal(x, y)
     tied = d2[:, 0, 0] + d2[:, 1, 1] == d2[:, 1, 0] + d2[:, 0, 1]
     assert np.all(got[0][tied] == [0, 1])
@@ -201,7 +205,7 @@ def test_match_batch_margin_above_enumeration_is_the_best_swap(q, m):
     transposition away from the returned one."""
     rng = np.random.default_rng(q)
     a, b = rng.normal(size=(2, 400, q, m))
-    labels, sq_cost, margin = match_batch(a, b)
+    labels, sq_cost, margin = match_margins(a, b)
     d2 = _pair_costs(a, b)
     for s in range(len(a)):
         own = d2[s, labels[s], np.arange(q)].sum()
@@ -223,7 +227,7 @@ def test_match_batch_pairs_scalar_ties_by_stable_rank(S, q, data):
     branch index: b's t-th branch in that order gets a's t-th.  Small
     integers make ties exact."""
     a, b = data.draw(arrays(float, (2, S, q, 1), elements=st.integers(-2, 2)))
-    labels, _, _ = match_batch(a, b)
+    labels, _ = match_batch(a, b)
     for s in range(S):
         rank_a = sorted(range(q), key=lambda i: (a[s, i, 0], i))
         rank_b = sorted(range(q), key=lambda j: (b[s, j, 0], j))
@@ -239,17 +243,89 @@ def test_match_batch_refuses_non_finite_values(q, m, bad):
     a, b = np.random.default_rng(q).normal(size=(2, 5, q, m))
     a[3, q - 1, m - 1] = bad
     for x, y in ((a, b), (b, a), (a, a)):
-        with pytest.raises(ValueError, match="finite"):
-            match_batch(x, y)
+        for match in (match_batch, match_margins):
+            with pytest.raises(ValueError, match="finite"):
+                match(x, y)
+
+
+@pytest.mark.parametrize("q, m", [(2, 2), (3, 2), (7, 1), (7, 2)],
+                         ids=["2", "3", "7-scalar", "7"])
+def test_matching_refuses_overflowing_squared_distances(q, m):
+    """Finite values whose squared branch distances overflow are refused by
+    both matching entries and by metric_g, even where the best pairing
+    costs 0; values whose squares stay finite are matched."""
+    a = np.zeros((2, q, m))
+    a[:, :, 0] = np.arange(q)
+    a[1, q - 1, 0] = 1e200
+    for match in (match_batch, match_margins):
+        with pytest.raises(ValueError, match="finite squared distances"):
+            match(a, a)
+    with pytest.raises(ValueError, match="finite squared distances"):
+        metric_g(a[1], a[1])
+    a[1, q - 1, 0] = 1e100
+    for match in (match_batch, match_margins):
+        assert np.array_equal(match(a, a)[1], [0.0, 0.0])
+    assert metric_g(a[1], a[1]) == 0.0
+    # every squared distance finite, the matching cost not
+    far = np.zeros((1, q, m))
+    far[:, :, 0] = 1.3e154
+    for match in (match_batch, match_margins):
+        with pytest.raises(ValueError, match="finite squared distances"):
+            match(a[:1], far)
+    with pytest.raises(ValueError, match="finite squared distances"):
+        metric_g(a[0], far[0])
 
 
 def test_match_batch_chunks_agree_with_metric():
     # Q = 6 over more rows than one chunk of pairing terms holds
     rng = np.random.default_rng(3)
     a, b = rng.normal(size=(2, 3000, 6, 2))
-    _, sq_cost, _ = match_batch(a, b)
+    _, sq_cost = match_batch(a, b)
     want = [metric_g(x, y) ** 2 for x, y in zip(a, b)]
     assert np.allclose(sq_cost, want, rtol=1e-12, atol=0)
+    assert match_margins(a, b)[1].tobytes() == sq_cost.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 8), st.integers(1, 3), st.booleans(),
+       st.data())
+def test_match_batch_is_match_margins_without_the_margin(S, q, m, integer, data):
+    """The cost-only entry returns the margin entry's labels and costs bit
+    for bit; small integers make pairing costs tie exactly."""
+    elements = (st.integers(-2, 2) if integer
+                else st.floats(-100, 100, allow_nan=False))
+    a, b = data.draw(arrays(float, (2, S, q, m), elements=elements))
+    got = match_batch(a, b)
+    want = match_margins(a, b)
+    assert len(got) == 2 and len(want) == 3
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_cost_only_matching_computes_no_margin(monkeypatch):
+    """Comparison ratios, fits and profiles run with the margin kernels
+    refused: only label propagation asks for margins, and it asks
+    match_margins."""
+    from qvalued import points
+    from qvalued.polyfit import best_fit, comparison_constant_ratios, random_qpolynomial
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a margin was computed for a cost-only match")
+
+    monkeypatch.setattr(points, "_swap_margins", refuse)
+    assert np.all(np.isfinite(comparison_constant_ratios(4, q_branches=7)))
+    grid = Domain.ball(2, 1.0).sample(1.0 / 16.0)
+    target = random_qpolynomial(np.random.default_rng(2), 2, 1, 3, 1)
+    u = SampledQFunction(grid, target.eval(grid.points))
+    assert best_fit(u, np.zeros(2), 1.1, 1).polynomial.q == 3
+    radii, _, _ = lebesgue_point_profile(u, np.zeros(2), dyadic_ladder(0.5, 3))
+    assert radii.size
+    # up to six branches the best pairing needs no partial sort
+    monkeypatch.setattr(np, "partition", refuse)
+    a, b = np.random.default_rng(5).normal(size=(2, 20, 4, 2))
+    match_batch(a, b)
+    with pytest.raises(AssertionError, match="margin"):
+        match_margins(a, b)
 
 
 # ---------------------------------------------------------------------------

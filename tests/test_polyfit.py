@@ -273,6 +273,39 @@ def test_comparison_ratio_stream_is_deterministic_prefix():
     assert np.all(np.isfinite(long)) and np.all(long > 0)
 
 
+def _per_instance_ratios(instances, seed, m, k, q_branches):
+    """comparison_constant_ratios at n = 2, q = 2 with one design matrix per
+    instance, built on that instance's node subset: the reference for the
+    design shared across instances."""
+    rng = np.random.default_rng(seed)
+    grid = Domain.ball(2, 1.0).sample(polyfit._RATIO_RESOLUTION)
+    least = polyfit._RATIO_MIN_WEIGHT
+    ratios = np.empty(instances)
+    for i in range(instances):
+        F = random_qpolynomial(rng, 2, m, q_branches, k)
+        G = random_qpolynomial(rng, 2, m, q_branches, k)
+        frac = rng.uniform(least / grid.total_weight(), 1.0)
+        count = max(int(round(frac * grid.size)),
+                    int(math.ceil(least / grid.weights[0])))
+        subset = rng.choice(grid.size, size=min(count, grid.size), replace=False)
+        D = design_matrix(grid.points[subset], F.center, F.indices)
+        fv = np.einsum("sk,qmk->sqm", D, F.coeffs)
+        gv = np.einsum("sk,qmk->sqm", D, G.coeffs)
+        dists = np.sqrt(match_batch(fv, gv)[1])
+        integral = float(np.sum(grid.weights[subset] * dists ** 2.0))
+        ratios[i] = coefficient_metric(F, G) ** 2.0 / integral
+    return ratios
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("q", [2, 4, 7])
+def test_comparison_ratios_share_one_design_bit_for_bit(q, m, k):
+    got = comparison_constant_ratios(3, seed=7, m=m, k=k, q_branches=q)
+    want = _per_instance_ratios(3, 7, m, k, q)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_random_qpolynomial_seeded():
     a = random_qpolynomial(np.random.default_rng(5), 2, 1, 2, 2)
     b = random_qpolynomial(np.random.default_rng(5), 2, 1, 2, 2)
@@ -726,7 +759,7 @@ def _lstsq_alternate(design, values, weights, labels, q_exp):
         rhs = values[np.arange(S)[:, None], labels].reshape(S, Q * m)
         sw = np.sqrt(w)[:, None]
         sol = np.linalg.lstsq(design * sw, rhs * sw, rcond=None)[0]
-        new_labels, costs, _ = match_batch(values, (design @ sol).reshape(S, Q, m))
+        new_labels, costs = match_batch(values, (design @ sol).reshape(S, Q, m))
         g = np.sqrt(costs)
         obj = float(np.sum(weights * g ** q_exp))
         same = np.array_equal(new_labels, labels)
