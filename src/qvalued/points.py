@@ -10,7 +10,12 @@ sense after fixing a pairing.
 Batches of tuples are matched by one kernel with two entries: match_batch
 returns the pairings and their costs, and match_margins adds how far each
 pairing is from the next best one.  Only label propagation reads that
-margin, so every other caller skips the work of finding a runner-up.
+margin, so every other caller skips the work of finding a runner-up.  Up
+to six branches the kernel works on branch-major (Q, m, S) copies of its
+inputs, so each numpy step runs along the long sample axis: one (Q, Q, S)
+block of squared branch distances, each summed over components in index
+order, and one (Q!, S) table of pairing totals, each summed over branches
+in index order, whose first least row per column wins.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ _BRUTE_FORCE_LIMIT = 8
 # matching enumerates all Q! pairings up to this Q; above it, it sorts
 # scalar values and solves one assignment per sample of vector values
 _ENUMERATION_LIMIT = 6
-# pairing terms matching holds at once: rows per chunk = this // (Q! Q)
+# pairing terms matching holds at once: columns per chunk = this // (Q! Q)
 _CHUNK_ENTRIES = 1 << 20
 _NON_FINITE = "matching needs finite values with finite squared distances"
 
@@ -149,18 +154,6 @@ def brute_force_metric(s, t):
     return math.sqrt(max(totals.min(), 0.0))
 
 
-def _best_pairings(d2, perms, margin):
-    """Per row of d2: the cheapest pairing and its total, and with `margin`
-    the gap to the runner-up.  totals[:, p] sums d2[:, perms[p, i], i] over
-    i in index order; perms[0], the identity, serves as arange(Q)."""
-    totals = d2[:, perms, perms[0]].sum(axis=2)
-    best = totals.argmin(axis=1)
-    sq_cost = np.take_along_axis(totals, best[:, None], axis=1)[:, 0]
-    if not margin:
-        return perms[best], sq_cost
-    return perms[best], sq_cost, np.partition(totals, 1, axis=1)[:, 1] - sq_cost
-
-
 def _swap_margins(d2, labels):
     """Per row of d2: the gap from the pairing `labels` to the cheapest
     pairing one transposition away, clamped at 0.  Swapping the partners
@@ -175,14 +168,44 @@ def _swap_margins(d2, labels):
 
 
 def _column_distance(x, y):
-    """Squared distances between (m, S) component columns, per sample,
+    """Squared distances between (..., m, S) component columns, per sample,
     summed over components in index order."""
     diff = x - y
     diff *= diff
-    total = diff[0]
-    for c in range(1, diff.shape[0]):
-        total += diff[c]
+    total = diff[..., 0, :]
+    for c in range(1, diff.shape[-2]):
+        total += diff[..., c, :]
     return total
+
+
+def _enumerated_pairings(at, bt, perms, margin):
+    """Per sample column of (Q, m, S) branch columns: the cheapest of the
+    pairings `perms` and its total, and with `margin` the gap to the
+    runner-up.  With d2[i, j] = |a_i - b_j|^2 as one (Q, Q, S) block,
+    totals[p] adds d2[perms[p, i], i] over i in index order (a reduction
+    over a middle axis runs in index order); the first least total wins,
+    so an exact tie goes to the smallest perms row."""
+    Q = perms.shape[1]
+    d2 = _column_distance(at[:, None], bt[None, :])
+    _refuse_overflow(d2.max(initial=0.0))
+    # one (Q!, Q, S) gather rather than Q (Q!, S) ones: a call's largest
+    # array then outweighs the rest, so the allocator keeps its heap
+    # between calls instead of trimming and faulting it back in
+    totals = d2.reshape(Q * Q, -1)[perms * Q + np.arange(Q)].sum(axis=1)
+    best = totals.argmin(axis=0)
+    sq_cost = totals.min(axis=0)
+    labels = perms.take(best, axis=0)
+    if not margin:
+        return labels, sq_cost
+    return labels, sq_cost, _runner_up(totals, best) - sq_cost
+
+
+def _runner_up(totals, best):
+    """Per column s of (P, S) pairing totals: the least total once row
+    best[s], the winner, is set aside, so the winner's own total again
+    where another pairing ties it.  Overwrites the winners in `totals`."""
+    totals[best, np.arange(best.size)] = np.inf
+    return totals.min(axis=0)
 
 
 def _pair_distances(a, b):
@@ -211,17 +234,21 @@ def match_batch(a, b):
 
     a and b have shape (S, Q, m).  Returns (labels, sq_cost): labels[s, i]
     is the branch of a[s] matched to b[s, i], and sq_cost[s] the squared
-    matching distance G(a[s], b[s])^2.  Up to Q = _ENUMERATION_LIMIT every
-    pairing is enumerated in lexicographic order, in row chunks of at most
-    _CHUNK_ENTRIES terms, and an exact tie goes to the lexicographically
-    smallest labels[s].  Above it, scalar values (m = 1) are paired by
-    rank, the t-th smallest branch of a[s] with the t-th smallest of b[s]:
-    by the rearrangement inequality that pairing is optimal, and an exact
-    tie goes to the stable sort, equal values ranked by branch index.
+    matching distance G(a[s], b[s])^2.  Up to Q = _ENUMERATION_LIMIT the
+    samples are copied once into branch-major (Q, m, S) columns and every
+    pairing is enumerated in lexicographic order, in column chunks of at
+    most _CHUNK_ENTRIES pairing terms: each branch distance is summed over
+    components in index order, each pairing total over b's branches in
+    index order, and an exact tie goes to the first least total, the
+    lexicographically smallest labels[s].  Above it, scalar values (m = 1)
+    are paired by rank, the t-th smallest branch of a[s] with the t-th
+    smallest of b[s]: by the rearrangement inequality that pairing is
+    optimal, and an exact tie goes to the stable sort, equal values ranked
+    by branch index.
     Vector values above it get one exact assignment solve per sample.
-    Q = 2 takes its two pairings in closed form, each branch distance
-    summed over components in index order; scipy is imported only for
-    vector values above _ENUMERATION_LIMIT.
+    Q = 2 takes its two pairings in closed form on the same columns, with
+    the same sums and tie rule; scipy is imported only for vector values
+    above _ENUMERATION_LIMIT.
 
     Values that are not finite, or whose squared branch distances overflow
     (values about 1e154 apart), are refused with ValueError, as metric_g
@@ -237,11 +264,14 @@ def match_margins(a, b):
     """match_batch's (labels, sq_cost) and the margin of each pairing.
 
     margin[s] is the gap between the best and the runner-up pairing cost
-    up to Q = _ENUMERATION_LIMIT, and above it the gap to the cheapest
-    pairing one transposition away from the optimum, clamped at 0 against
-    rounding.  For Q = 1 the margin is 0.  Label propagation weighs its
-    lattice edges by these margins; no other caller reads them, and they
-    cost a partial sort or a pass over all transpositions per sample.
+    up to Q = _ENUMERATION_LIMIT, 0 where two pairings tie at the least
+    cost; the runner-up is the least total of the (Q!, S) table once each
+    column's winner is set aside.  Above it the margin is the gap to the
+    cheapest pairing one transposition away from the optimum, clamped at 0
+    against rounding.  For Q = 1 the margin is 0.  Label propagation weighs
+    its lattice edges by these margins; no other caller reads them, and
+    they cost a second pass over the pairing totals or over all
+    transpositions per sample.
     """
     return _match(*_batch_arrays(a, b), margin=True)
 
@@ -252,24 +282,34 @@ def _match(a, b, margin):
     `margin` is set, on (S, Q, m) arrays of one shape.  Input that matching
     refuses is refused here, with no warning on the way."""
     S, Q, m = a.shape
-    if Q == 2:
-        # the two pairings in closed form, on contiguous (m, S) columns per
-        # branch: the totals, ties and labels of the enumeration below,
-        # without its 4-D difference array and per-row sort (the einsum
-        # there sums up to two components in the same order)
+    if 2 <= Q <= _ENUMERATION_LIMIT:
+        # branch-major (Q, m, S) columns: every step below runs along the
+        # long sample axis, none along a short row of Q or Q! entries
         at = a.transpose(1, 2, 0).copy()
         bt = b.transpose(1, 2, 0).copy()
-        keep = _column_distance(at[0], bt[0]) + _column_distance(at[1], bt[1])
-        swap = _column_distance(at[1], bt[0]) + _column_distance(at[0], bt[1])
-        worst = np.maximum(keep, swap)
-        # both pairing totals finite, so the four squared distances too
-        _refuse_overflow(worst.max(initial=0.0))
-        crossed = swap < keep
-        best = np.minimum(keep, swap)
-        labels = np.stack([crossed, ~crossed], axis=1).astype(int)
-        if not margin:
-            return labels, best
-        return labels, best, worst - best
+        if Q == 2:
+            # the two pairings in closed form: the totals, ties and labels
+            # of the enumeration, without its (Q!, S) table and argmin
+            keep = _column_distance(at[0], bt[0]) + _column_distance(at[1], bt[1])
+            swap = _column_distance(at[1], bt[0]) + _column_distance(at[0], bt[1])
+            worst = np.maximum(keep, swap)
+            # both pairing totals finite, so the four squared distances too
+            _refuse_overflow(worst.max(initial=0.0))
+            crossed = swap < keep
+            best = np.minimum(keep, swap)
+            labels = np.stack([crossed, ~crossed], axis=1).astype(int)
+            if not margin:
+                return labels, best
+            return labels, best, worst - best
+        perms = _permutation_table(Q)
+        step = max(_CHUNK_ENTRIES // perms.size, 1)
+        parts = [_enumerated_pairings(at[..., lo:lo + step], bt[..., lo:lo + step],
+                                      perms, margin)
+                 for lo in range(0, max(S, 1), step)]
+        found = (parts[0] if len(parts) == 1
+                 else tuple(np.concatenate(col) for col in zip(*parts)))
+        _refuse_overflow(found[1].max(initial=0.0))
+        return found
     if Q > _ENUMERATION_LIMIT and m == 1:
         x, y = a[:, :, 0], b[:, :, 0]
         rank_a = np.argsort(x, axis=1, kind="stable")
@@ -294,28 +334,17 @@ def _match(a, b, margin):
     if Q == 1:
         found = (np.zeros((S, 1), dtype=int), d2[:, 0, 0])
         return found + (np.zeros(S),) if margin else found
-    if Q > _ENUMERATION_LIMIT:
-        from scipy.optimize import linear_sum_assignment
+    from scipy.optimize import linear_sum_assignment
 
-        cols = np.empty((S, Q), dtype=int)
-        for s in range(S):
-            cols[s] = linear_sum_assignment(d2[s])[1]
-        labels = np.argsort(cols, axis=1)
-        sq_cost = np.take_along_axis(d2, cols[:, :, None], axis=2)[:, :, 0].sum(axis=1)
-        found = (labels, sq_cost)
-        if margin:
-            found += (_swap_margins(d2, labels),)
-    else:
-        perms = _permutation_table(Q)
-        if S * perms.size <= _CHUNK_ENTRIES:
-            found = _best_pairings(d2, perms, margin)
-        else:
-            step = max(_CHUNK_ENTRIES // perms.size, 1)
-            parts = [_best_pairings(d2[lo:lo + step], perms, margin)
-                     for lo in range(0, S, step)]
-            found = tuple(np.concatenate(col) for col in zip(*parts))
-    _refuse_overflow(found[1].max(initial=0.0))
-    return found
+    cols = np.empty((S, Q), dtype=int)
+    for s in range(S):
+        cols[s] = linear_sum_assignment(d2[s])[1]
+    labels = np.argsort(cols, axis=1)
+    sq_cost = np.take_along_axis(d2, cols[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+    _refuse_overflow(sq_cost.max(initial=0.0))
+    if not margin:
+        return labels, sq_cost
+    return labels, sq_cost, _swap_margins(d2, labels)
 
 
 @dataclass(frozen=True, eq=False)

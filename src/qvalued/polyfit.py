@@ -13,7 +13,8 @@ factored once per fit by a thin SVD, cut at np.linalg.lstsq's default
 rank, and every start and iteration reuses that factor: an iteration is
 one gather of the labelled values and two matrix products.  For exponents
 other than 2 the refit is iteratively reweighted with a floored weight,
-and the design is factored again whenever the weights change.
+the design is factored again whenever the weights change, and since
+reweighting need not descend, a start ends at its least-objective iterate.
 
 The alternation is multi-started.  The deterministic starts are a
 spectral labeling and labels propagated over the sample lattice: labels
@@ -300,21 +301,33 @@ def _extrapolate(extrap, chains, lengths):
     return pred
 
 
-def _chain_pairings(values, cells, chains, frames, extrap):
+def _run_lengths(chains):
+    """In-grid run of each row of (N, depth) chains (cell indices, -1 off
+    the grid): its count of leading in-grid cells, as int8."""
+    inside = chains[:, 0] >= 0
+    lengths = inside.astype(np.int8)
+    for j in range(1, chains.shape[1]):
+        inside &= chains[:, j] >= 0
+        lengths += inside
+    return lengths
+
+
+def _chain_pairings(values, frames, cells, chains, lengths, extrap):
     """Match each cell against the prediction of its lattice chain.
 
     Row i predicts values[cells[i]] from the chain chains[i] (cell indices,
-    -1 off the grid), its in-grid run L taken in the branch frames `frames`
-    (values[c][frames[c]] for chain cell c), and matches it with
-    `match_margins` in row chunks of at most _TABLE_CHUNK_ENTRIES values:
-    the only matching whose margin the library reads.
+    -1 off the grid), its in-grid run lengths[i] taken in the branch frames
+    `frames` (values[c][frames[c]] for chain cell c, gathered once for the
+    whole grid), and matches it with `match_margins` in row chunks of at
+    most _TABLE_CHUNK_ENTRIES values: the only matching whose margin the
+    library reads.
     Returns int8 pairings P with values[cell][P[j]] matched to
-    values[first chain cell][j], int8 run lengths, and relative margins
-    gap / (sq_cost + gap) (0 where both vanish).
+    values[first chain cell][j], and relative margins gap / (sq_cost + gap)
+    (0 where both vanish).
     """
     N, depth = chains.shape
     Q, m = values.shape[1:]
-    lengths = np.cumprod(chains >= 0, axis=1).sum(axis=1).astype(np.int8)
+    framed = np.take_along_axis(values, frames[..., None], axis=1)
     pairings = np.empty((N, Q), dtype=np.int8)
     margins = np.zeros(N)
     step = max(_TABLE_CHUNK_ENTRIES // (max(depth, Q) * Q * m), 1)
@@ -322,11 +335,11 @@ def _chain_pairings(values, cells, chains, frames, extrap):
         run = chains[lo:lo + step]
         labs, cost, gap = match_margins(
             values[cells[lo:lo + step]],
-            _extrapolate(extrap, values[run[..., None], frames[run]], lengths[lo:lo + step]))
+            _extrapolate(extrap, framed[run], lengths[lo:lo + step]))
         # from the chain's frames back to its first cell's raw branches
         np.put_along_axis(pairings[lo:lo + step], frames[run[:, 0]], labs, axis=1)
         np.divide(gap, cost + gap, out=margins[lo:lo + step], where=cost + gap > 0)
-    return pairings, lengths, margins
+    return pairings, margins
 
 
 def _propagated_labels(grid, values, start_labels, order=0):
@@ -396,17 +409,29 @@ def _propagated_labels(grid, values, start_labels, order=0):
     extrap = np.zeros((depth + 1, depth))
     for length in range(1, depth + 1):
         extrap[length, :length] = _EXTRAP_WEIGHTS[length]
+    # the chains of every edge, forward from its tail and, at order k, then
+    # backward from its head, and their runs: they depend only on the
+    # lattice, so every grow reads them; order 0 reads the first cell of
+    # each forward chain
+    cells, chains = tail, table[tail, 2 * half]
+    if depth > 1:
+        cells = np.concatenate([tail, head])
+        chains = np.concatenate([chains, table[head, 2 * half + 1]])
+    runs = _run_lengths(chains)
 
     def grow(reach, frames):
         """Labels composed along the forest of chains of at most `reach`
-        cells, framed by `frames`."""
-        pairing, length, margin = _chain_pairings(
-            values, tail, table[tail, 2 * half, :reach], frames,
-            extrap[:reach + 1, :reach])
-        child, parent = tail, head
-        if reach > 1:
-            back = _chain_pairings(values, head, table[head, 2 * half + 1], frames,
-                                   extrap)
+        cells, framed by `frames`: order 0 (reach 1) reads the forward
+        chains, order k both directions, in one call."""
+        if reach == 1:
+            length = np.ones(count, dtype=np.int8)
+            pairing, margin = _chain_pairings(values, frames, tail, chains[:count, :1],
+                                              length, extrap[:2, :1])
+            child, parent = tail, head
+        else:
+            both, margins = _chain_pairings(values, frames, cells, chains, runs, extrap)
+            pairing, length, margin = both[:count], runs[:count], margins[:count]
+            back = both[count:], runs[count:], margins[count:]
             flip = (back[1] > length) | ((back[1] == length) & (back[2] > margin))
             pairing = np.where(flip[:, None], back[0], pairing)
             length = np.where(flip, back[1], length)
@@ -458,6 +483,10 @@ def _alternate(design, values, weights, factor, labels, q_exp):
     start ends.  At other exponents the least squares are iteratively
     reweighted by floored powers w g^(q_exp - 2) of the matching distances
     g, and the design is factored again each time those weights change.
+    Reweighting need not lower the objective from one iteration to the
+    next, so there the start ends at its iterate of least objective (the
+    first of equal ones), with the coefficients of the factor that produced
+    it; at q_exp = 2 it ends at its last iterate.
     Returns (coeffs, labels, objective, converged, iterations).
     """
     S, Q, m = values.shape
@@ -465,26 +494,29 @@ def _alternate(design, values, weights, factor, labels, q_exp):
     offsets = np.arange(0, S * Q, Q)[:, None]
     prev_obj = math.inf
     g = None
+    kept = None  # (objective, y, solve, labels) of the iterate the start ends at
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
         if q_exp != 2.0 and g is not None:
             factor = _factor(
                 design, weights * np.maximum(g, _IRLS_FLOOR) ** (q_exp - 2.0))
-        project, basis, _ = factor
+        project, basis, solve = factor
         y = project @ flat.take(labels + offsets, axis=0).reshape(S, Q * m)
         new_labels, costs = match_batch(values, (basis @ y).reshape(S, Q, m))
         g = np.sqrt(np.maximum(costs, 0.0))
         obj = float(np.sum(weights * g ** q_exp))
+        if kept is None or q_exp == 2.0 or obj < kept[0]:
+            kept = (obj, y, solve, new_labels)
         same = np.array_equal(new_labels, labels)
         labels = new_labels
         if same and abs(prev_obj - obj) <= _FIT_TOL * max(obj, 1e-300):
             converged = True
-            prev_obj = obj
             break
         prev_obj = obj
-    coeffs = (factor[2] @ y).reshape(-1, Q, m).transpose(1, 2, 0)  # (Q, m, K)
-    return coeffs, labels, prev_obj, converged, iterations
+    obj, y, solve, labels = kept
+    coeffs = (solve @ y).reshape(-1, Q, m).transpose(1, 2, 0)  # (Q, m, K)
+    return coeffs, labels, obj, converged, iterations
 
 
 def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):

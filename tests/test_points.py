@@ -21,7 +21,7 @@ from qvalued.points import (
     metric_g,
     numeric_derivative,
 )
-from qvalued.points import _best_pairings, _permutation_table
+from qvalued.points import _permutation_table
 
 
 def _tuples(q=st.integers(1, 4), m=st.integers(1, 3)):
@@ -139,6 +139,29 @@ def _pair_costs(a, b):
     return ((a[:, :, None, :] - b[:, None, :, :]) ** 2).sum(axis=3)
 
 
+def _index_order_costs(a, b):
+    """_pair_costs with the components summed in index order."""
+    diff = a[:, :, None, :] - b[:, None, :, :]
+    d2 = diff[..., 0] * diff[..., 0]
+    for c in range(1, a.shape[2]):
+        d2 = d2 + diff[..., c] * diff[..., c]
+    return d2
+
+
+def _row_major_pairings(d2, margin):
+    """Reference enumeration along rows of (S, Q, Q) distances d2: every
+    pairing's total, summed over b's branches in index order, then the
+    first least total and, with `margin`, a partial sort for the
+    runner-up.  perms[0], the identity, serves as arange(Q)."""
+    perms = _permutation_table(d2.shape[1])
+    totals = d2[:, perms, perms[0]].sum(axis=2)
+    best = totals.argmin(axis=1)
+    sq_cost = np.take_along_axis(totals, best[:, None], axis=1)[:, 0]
+    if not margin:
+        return perms[best], sq_cost
+    return perms[best], sq_cost, np.partition(totals, 1, axis=1)[:, 1] - sq_cost
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 10), st.integers(1, 3), st.data())
 def test_match_batch_is_an_optimal_pairing(S, q, m, data):
@@ -183,19 +206,69 @@ def test_match_batch_two_branches_is_the_enumeration(S, m, integer, data):
     elements = (st.integers(-2, 2) if integer
                 else st.floats(-100, 100, allow_nan=False, allow_subnormal=False))
     a, b = data.draw(arrays(float, (2, S, 2, m), elements=elements))
-    diff = a[:, :, None, :] - b[:, None, :, :]
-    d2 = diff[..., 0] * diff[..., 0]
-    for c in range(1, m):
-        d2 = d2 + diff[..., c] * diff[..., c]
+    d2 = _index_order_costs(a, b)
     got = match_margins(a, b)
-    want = _best_pairings(d2, _permutation_table(2), margin=True)
-    for x, y in zip(got, want):
+    for x, y in zip(got, _row_major_pairings(d2, margin=True)):
         assert x.dtype == y.dtype and np.array_equal(x, y)
-    for x, y in zip(match_batch(a, b), _best_pairings(d2, _permutation_table(2),
-                                                      margin=False)):
+    for x, y in zip(match_batch(a, b), _row_major_pairings(d2, margin=False)):
         assert x.dtype == y.dtype and np.array_equal(x, y)
     tied = d2[:, 0, 0] + d2[:, 1, 1] == d2[:, 1, 0] + d2[:, 0, 1]
     assert np.all(got[0][tied] == [0, 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.integers(3, 6), st.integers(1, 2), st.booleans(),
+       st.data())
+def test_match_batch_enumeration_is_the_row_major_reference(S, q, m, integer, data):
+    """Up to six branches both entries equal the row-major enumeration bit
+    for bit: labels, costs, margins and the lexicographic tie rule (small
+    integers make ties exact)."""
+    elements = (st.integers(-2, 2) if integer
+                else st.floats(-100, 100, allow_nan=False, allow_subnormal=False))
+    a, b = data.draw(arrays(float, (2, S, q, m), elements=elements))
+    d2 = _index_order_costs(a, b)
+    for match, margin in ((match_batch, False), (match_margins, True)):
+        got, want = match(a, b), _row_major_pairings(d2, margin)
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("integer", [False, True], ids=["floats", "ties"])
+def test_match_batch_chunked_columns_equal_one_chunk(monkeypatch, integer):
+    """A Q = 6 batch of more columns than one chunk of pairing terms holds
+    (S Q! > _CHUNK_ENTRIES) equals the same batch matched in one chunk."""
+    from qvalued import points
+
+    rng = np.random.default_rng(6)
+    S = points._CHUNK_ENTRIES // 720 + 100
+    a, b = (rng.integers(-1, 2, size=(2, S, 6, 2)).astype(float) if integer
+            else rng.normal(size=(2, S, 6, 2)))
+    chunked = [match_batch(a, b), match_margins(a, b)]
+    monkeypatch.setattr(points, "_CHUNK_ENTRIES", S * 720 * 6)
+    whole = [match_batch(a, b), match_margins(a, b)]
+    for got, want in zip(chunked, whole):
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 6])
+def test_match_batch_three_components_sum_in_index_order(q):
+    """With three components each branch distance is summed over them in
+    index order and the pairing total over b's branches in index order,
+    bit for bit; the distance agrees with the brute-force oracle."""
+    rng = np.random.default_rng(q)
+    a, b = rng.normal(size=(2, 60, q, 3))
+    labels, sq_cost, _ = match_margins(a, b)
+    assert np.array_equal(match_batch(a, b)[0], labels)
+    d2 = _index_order_costs(a, b)
+    for s in range(len(a)):
+        total = d2[s, labels[s, 0], 0]
+        for i in range(1, q):
+            total = total + d2[s, labels[s, i], i]
+        assert sq_cost[s] == total
+        assert math.sqrt(sq_cost[s]) == pytest.approx(
+            brute_force_metric(a[s], b[s]), rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("q, m", [(7, 2), (8, 2), (7, 1), (8, 1)],
@@ -320,8 +393,8 @@ def test_cost_only_matching_computes_no_margin(monkeypatch):
     assert best_fit(u, np.zeros(2), 1.1, 1).polynomial.q == 3
     radii, _, _ = lebesgue_point_profile(u, np.zeros(2), dyadic_ladder(0.5, 3))
     assert radii.size
-    # up to six branches the best pairing needs no partial sort
-    monkeypatch.setattr(np, "partition", refuse)
+    # up to six branches the best pairing needs no runner-up
+    monkeypatch.setattr(points, "_runner_up", refuse)
     a, b = np.random.default_rng(5).normal(size=(2, 20, 4, 2))
     match_batch(a, b)
     with pytest.raises(AssertionError, match="margin"):
