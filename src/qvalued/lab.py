@@ -24,14 +24,7 @@ import numpy as np
 
 from .errors import ReflectionTraceError
 from .geometry import _ladder_radii
-from .points import (
-    _CHUNK_ENTRIES,
-    _ENUMERATION_LIMIT,
-    AqPoint,
-    SampledQFunction,
-    _permutation_table,
-    match_batch,
-)
+from .points import AqPoint, SampledQFunction, match_batch
 
 __all__ = [
     "AnalyticQFunction",
@@ -663,28 +656,24 @@ class HarmonicAudit:
 def _matched_second_difference(vc, vm, vp):
     """Per-sample second difference minimizing over branch pairings.
 
-    Chooses, for each sample, the pair of permutations applied to the two
-    neighbors that minimizes the summed squared second difference; this is
-    the discrete analog of following each locally smooth sheet.  Samples
-    go through in chunks that hold at most _CHUNK_ENTRIES terms (the
-    differences, their squares and the pairing costs), so peak memory does
-    not grow with the sample count.
+    Chooses, for each sample, the pair of permutations (sigma, tau) applied
+    to the two neighbors that minimizes the summed squared second
+    difference vm[sigma] - 2 vc + vp[tau]; this is the discrete analog of
+    following each locally smooth sheet.  For each sigma, in lexicographic
+    order, match_batch pairs vp with 2 vc - vm[sigma], whose matching cost
+    is that sum minimized over tau; a sigma replaces the kept one only where
+    it is strictly cheaper, and match_batch's tie rule keeps the first tau,
+    so an exact tie goes to the lexicographically first (sigma, tau).
     """
-    S, q, m = vc.shape
-    if q == 1:
-        return vm - 2.0 * vc + vp
-    if q > _ENUMERATION_LIMIT:
-        raise ValueError("branch matching tables stop at Q = %d" % _ENUMERATION_LIMIT)
-    perms = _permutation_table(q)
-    k = perms.shape[0]
-    step = max(_CHUNK_ENTRIES // (k * k * (2 * q * m + 1)), 1)
-    out = np.empty((S, q, m))
-    for lo in range(0, S, step):
-        c, sm, sp = vc[lo:lo + step], vm[lo:lo + step, perms], vp[lo:lo + step, perms]
-        diff = sm[:, :, None, :, :] - 2.0 * c[:, None, None, :, :] + sp[:, None, :, :, :]
-        cost = np.sum(diff * diff, axis=(3, 4)).reshape(c.shape[0], k * k)
-        pick = np.argmin(cost, axis=1)
-        out[lo:lo + step] = diff.reshape(c.shape[0], k * k, q, m)[np.arange(c.shape[0]), pick]
+    best = np.full(vc.shape[0], np.inf)
+    out = np.empty(vc.shape)
+    for sigma in itertools.permutations(range(vc.shape[1])):
+        sm = vm[:, list(sigma)]
+        labels, cost = match_batch(vp, 2.0 * vc - sm)
+        take = cost < best
+        best[take] = cost[take]
+        sp = np.take_along_axis(vp[take], labels[take, :, None], axis=1)
+        out[take] = sm[take] - 2.0 * vc[take] + sp
     return out
 
 

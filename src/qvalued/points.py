@@ -2,15 +2,16 @@
 
 An AqPoint is an unordered Q-tuple of vectors in R^m.  The distance between
 two such tuples is the smallest root-sum-of-squares over all pairings of
-their branches, computed exactly: by an assignment solver, by enumerating
-the pairings of a few branches, or, for scalar values, by sorting.  The
+their branches, computed exactly: by enumerating the pairings of a few
+branches, by sorting scalar values, or by an assignment solver.  The
 space is a metric space, not a vector space: branch arithmetic only makes
 sense after fixing a pairing.
 
-Batches of tuples are matched by one kernel with two entries: match_batch
-returns the pairings and their costs, and match_margins adds how far each
-pairing is from the next best one.  Only label propagation reads that
-margin, so every other caller skips the work of finding a runner-up.  Up
+All matching in the package goes through one kernel with two entries:
+match_batch returns the pairings and their costs, and match_margins adds
+how far each pairing is from the next best one; metric_g is match_batch
+on a batch of one pair.  Only label propagation reads the margin, so
+every other caller skips the work of finding a runner-up.  Up
 to six branches the kernel works on branch-major (Q, m, S) copies of its
 inputs, so each numpy step runs along the long sample axis: one (Q, Q, S)
 block of squared branch distances, each summed over components in index
@@ -110,8 +111,10 @@ class AqPoint:
 
 
 def _branch_arrays(s, t):
-    a = s.branches if isinstance(s, AqPoint) else np.atleast_2d(np.asarray(s, float))
-    b = t.branches if isinstance(t, AqPoint) else np.atleast_2d(np.asarray(t, float))
+    """(Q, m) branch rows of two tuples, each an AqPoint or values that
+    AqPoint reads as one: a 1-D list holds Q scalar branches."""
+    a = (s if isinstance(s, AqPoint) else AqPoint(s)).branches
+    b = (t if isinstance(t, AqPoint) else AqPoint(t)).branches
     if a.shape != b.shape:
         raise ValueError("tuples must share Q and m")
     return a, b
@@ -123,23 +126,13 @@ def _cost_matrix(a, b):
 
 
 def metric_g(s, t):
-    """Matching distance: min over pairings of the root-sum-of-squares.
+    """Matching distance: min over pairings of the root-sum-of-squares,
+    the square root of match_batch's cost for the one pair (s, t).
 
     Values that are not finite, or whose squared branch distances or
-    matching cost overflow, are refused with ValueError, as match_batch
-    refuses them."""
-    from scipy.optimize import linear_sum_assignment
-
+    matching cost overflow, are refused with ValueError by match_batch."""
     a, b = _branch_arrays(s, t)
-    with np.errstate(invalid="ignore", over="ignore"):
-        cost = _cost_matrix(a, b)
-        _refuse_overflow(cost.max())
-        if a.shape[0] == 1:
-            return float(np.linalg.norm(a[0] - b[0]))
-        rows, cols = linear_sum_assignment(cost)
-        total = cost[rows, cols].sum()
-    _refuse_overflow(total)
-    return math.sqrt(max(total, 0.0))
+    return math.sqrt(match_batch(a[None], b[None])[1][0])
 
 
 def brute_force_metric(s, t):
@@ -251,8 +244,8 @@ def match_batch(a, b):
     above _ENUMERATION_LIMIT.
 
     Values that are not finite, or whose squared branch distances overflow
-    (values about 1e154 apart), are refused with ValueError, as metric_g
-    refuses them; so is a sample whose matching cost overflows.
+    (values about 1e154 apart), are refused with ValueError; so is a
+    sample whose matching cost overflows.
 
     The cost is all that fitting, masses and profiles read; match_margins
     adds the margin that only label propagation reads.

@@ -591,11 +591,12 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
         for _ in range(cfg.restarts):
             yield "random", np.argsort(rng.random((sub.size, Q)), axis=1)
 
-    # An objective this far below the data's quadratic mass can only be
-    # rounding noise: the fit is an interpolation and further starts are
-    # pointless.
-    mass = float(np.sum(weights * np.einsum("sqm,sqm->s", values, values)))
-    exact_floor = (100.0 * np.finfo(float).eps) ** 2 * max(mass, 1e-300)
+    # An objective this far below the data's q_exp-th power mass can only
+    # be rounding noise: the fit is an interpolation and further starts
+    # are pointless.  At q_exp = 2 the power is exactly 1.
+    mass = float(np.sum(weights * np.einsum("sqm,sqm->s", values, values)
+                        ** (0.5 * q_exp)))
+    exact_floor = (100.0 * np.finfo(float).eps) ** q_exp * max(mass, 1e-300)
 
     for kind, labels0 in itertools.chain(deterministic(), randoms()):
         if kind == "random":
@@ -665,7 +666,8 @@ def comparison_constant_ratios(instances, seed=0, n=2, m=1, k=2, q_exp=2.0,
     # the whole grid serves all; its rows are computed row by row, so a
     # subset's rows equal those of a design built on the subset alone
     full = design_matrix(grid.points, np.zeros(n), multi_indices(n, k))
-    ratios = np.empty(instances)
+    integrals = np.empty(instances)
+    tuples = np.empty((2, instances, q_branches, m * full.shape[1]))
     for i in range(instances):
         F = random_qpolynomial(rng, n, m, q_branches, k)
         G = random_qpolynomial(rng, n, m, q_branches, k)
@@ -678,7 +680,6 @@ def comparison_constant_ratios(instances, seed=0, n=2, m=1, k=2, q_exp=2.0,
         fv = np.einsum("sk,qmk->sqm", D, F.coeffs)
         gv = np.einsum("sk,qmk->sqm", D, G.coeffs)
         dists = np.sqrt(match_batch(fv, gv)[1])
-        integral = float(np.sum(grid.weights[subset] * dists ** q_exp))
-        top = coefficient_metric(F, G) ** q_exp
-        ratios[i] = top / integral
-    return ratios
+        integrals[i] = np.sum(grid.weights[subset] * dists ** q_exp)
+        tuples[:, i] = coefficient_tuple(F).branches, coefficient_tuple(G).branches
+    return np.sqrt(match_batch(*tuples)[1]) ** q_exp / integrals

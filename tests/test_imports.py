@@ -130,6 +130,42 @@ def test_every_private_module_name_is_read_in_the_package():
     assert unread_private_names(trees) == []
 
 
+def private_points_imports(tree):
+    """(line, name) of each private name imported from the sibling module
+    `points`, by `from .points import _x` or read as `points._x`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "points":
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and isinstance(node.value, ast.Name) and node.value.id == "points"):
+            found.append((node.lineno, node.attr))
+    return found
+
+
+def test_matching_lives_in_points():
+    """No module but points reaches into its private names, such as the
+    enumeration limit or the chunk size, and only points names scipy's
+    assignment solver: all matching goes through its kernel."""
+    for path in MODULES:
+        if path.stem == "points":
+            continue
+        text = path.read_text()
+        assert private_points_imports(ast.parse(text)) == [], path.name
+        assert "linear_sum_assignment" not in text, path.name
+
+
+def test_checker_flags_a_private_points_import():
+    tree = ast.parse(
+        "from . import points\n"
+        "from .points import _LIMIT, match_batch\n"
+        "from .geometry import _ladder_radii\n"
+        "def f():\n"
+        "    return points._CHUNK + points.match_batch\n")
+    assert private_points_imports(tree) == [(2, "_LIMIT"), (5, "_CHUNK")]
+
+
 def test_checker_flags_an_unread_private_name():
     trees = {
         "a": ast.parse(

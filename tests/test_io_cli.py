@@ -280,14 +280,15 @@ def test_cli_lab_generate_refuses_flags_its_kind_does_not_read(tmp_path, capsys,
 
 
 def test_import_and_two_branch_fit_leave_scipy_optimize_unloaded(tmp_path, bp_csv):
-    """Only matching vector values above six branches and the single-pair
-    metrics need scipy's assignment solver, so importing the package and
-    its CLI and a Q = 2 `fit` never load scipy.optimize."""
+    """Only matching vector values above six branches needs scipy's
+    assignment solver, so importing the package and its CLI, a Q = 2 `fit`
+    and a Q = 2 `metric_g` never load scipy.optimize."""
     src, _ = bp_csv
     code = (
         "import sys, qvalued, qvalued.cli\n"
         "print('scipy.optimize' in sys.modules)\n"
         "assert qvalued.cli.main(%r) == 0\n"
+        "assert qvalued.metric_g([[0.0, 1.0], [2.0, 3.0]], [[2.0, 3.0], [0.0, 1.0]]) == 0.0\n"
         "print('scipy.optimize' in sys.modules)\n"
         % ["fit", "--in", str(src), "--k", "1", "--out", str(tmp_path / "fit.json")])
     proc = subprocess.run(

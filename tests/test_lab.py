@@ -1,5 +1,6 @@
 """Tests for the harmonic test-function library and its diagnostics."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvalued import lab
+from qvalued import lab, points
 from qvalued.errors import ReflectionTraceError
 from qvalued.geometry import Domain
 from qvalued.points import SampledQFunction, metric_g
@@ -296,13 +297,39 @@ def test_branch_power_harmonic_away_from_origin():
         assert order >= 1.8
 
 
-def test_matched_second_difference_chunks_agree(monkeypatch):
-    rng = np.random.default_rng(8)
-    vc, vm, vp = (rng.normal(size=(10, 3, 2)) for _ in range(3))
-    whole = lab._matched_second_difference(vc, vm, vp)
-    # 3! * 3! * (2 * 3 * 2 + 1) = 468 terms per sample: two samples a chunk
-    monkeypatch.setattr(lab, "_CHUNK_ENTRIES", 1000)
-    assert np.array_equal(lab._matched_second_difference(vc, vm, vp), whole)
+def _reference_second_difference(vc, vm, vp):
+    """The joint enumeration: every (sigma, tau) pair of permutations of the
+    two neighbors, the flat first argmin of the summed squared second
+    difference per sample."""
+    q = vc.shape[1]
+    perms = np.array(list(itertools.permutations(range(q))))
+    k = perms.shape[0]
+    sm, sp = vm[:, perms], vp[:, perms]
+    diff = sm[:, :, None, :, :] - 2.0 * vc[:, None, None, :, :] + sp[:, None, :, :, :]
+    cost = np.sum(diff * diff, axis=(3, 4)).reshape(vc.shape[0], k * k)
+    pick = np.argmin(cost, axis=1)
+    return diff.reshape(vc.shape[0], k * k, q, vc.shape[2])[np.arange(vc.shape[0]), pick]
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_matched_second_difference_equals_the_joint_enumeration(q, m):
+    rng = np.random.default_rng(10 * q + m)
+    # normal values, and small integers whose pairings tie exactly
+    for vc, vm, vp in ([rng.normal(size=(40, q, m)) for _ in range(3)],
+                       [rng.integers(-2, 3, size=(40, q, m)).astype(float)
+                        for _ in range(3)]):
+        assert np.array_equal(lab._matched_second_difference(vc, vm, vp),
+                              _reference_second_difference(vc, vm, vp))
+
+
+def test_matched_second_difference_follows_seven_smooth_sheets():
+    rng = np.random.default_rng(12)
+    vc = rng.normal(size=(3, 7, 1))
+    delta = rng.normal(scale=1e-3, size=vc.shape)
+    vm = np.stack([v[rng.permutation(7)] for v in vc - delta])
+    vp = np.stack([v[rng.permutation(7)] for v in vc + delta])
+    assert np.abs(lab._matched_second_difference(vc, vm, vp)).max() <= 1e-12
 
 
 def test_matched_second_difference_memory_independent_of_sample_count():
@@ -316,7 +343,7 @@ def test_matched_second_difference_memory_independent_of_sample_count():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] < lab._CHUNK_ENTRIES * 8
+    assert peaks[1] - peaks[0] < points._CHUNK_ENTRIES * 8
 
 
 # ---------------------------------------------------------------------------

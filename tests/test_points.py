@@ -73,6 +73,15 @@ def test_oracle_equivalence_random():
         assert abs(metric_g(s, t) - brute_force_metric(s, t)) <= 1e-12
 
 
+def test_metric_reads_a_flat_list_as_scalar_branches_like_aqpoint():
+    # [1, 2] holds two scalar branches, in either form and mixed
+    assert metric_g([1.0, 2.0], [2.0, 1.0]) == 0.0
+    assert metric_g(AqPoint([1.0, 2.0]), [2.0, 1.0]) == 0.0
+    assert metric_g([0.0, 1.0], AqPoint([0.5, 0.4])) == pytest.approx(
+        math.sqrt(0.41), abs=1e-15)
+    assert brute_force_metric([1.0, 2.0], AqPoint([2.0, 1.0])) == 0.0
+
+
 def test_metric_shape_mismatch():
     with pytest.raises(ValueError, match="share Q and m"):
         metric_g(AqPoint([[1.0]]), AqPoint([[1.0], [2.0]]))

@@ -688,6 +688,18 @@ def test_exact_fit_logs_the_starts_up_to_the_floor(fit_grid):
         assert all(entry[3] for entry in res.log)
 
 
+@pytest.mark.parametrize("q_exp", [1.0, 1.5])
+def test_exact_fit_below_q2_stops_at_the_spectral_start(fit_grid, q_exp):
+    """The rounding floor is in the units of the q_exp objective: at q_exp
+    below 2 an exact fit stops after one start instead of alternating
+    from every start on rounding noise."""
+    target = random_qpolynomial(np.random.default_rng(2), 2, 1, 3, 1)
+    for scale in (1e-3, 1.0, 1e3):
+        u = SampledQFunction(fit_grid, scale * target.eval(fit_grid.points))
+        res = best_fit(u, np.zeros(2), 1.1, 1, q_exp)
+        assert [entry[0] for entry in res.log] == ["spectral"], scale
+
+
 def test_fit_stopping_at_the_order_zero_start_grows_no_order_k_forest(fit_grid,
                                                                       monkeypatch):
     reach = []
