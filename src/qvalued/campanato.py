@@ -23,7 +23,7 @@ from .errors import (
     InsufficientSamplesError,
 )
 from .geometry import _ladder_radii
-from .polyfit import best_fit
+from .polyfit import best_fit, exact_floor
 
 __all__ = [
     "ExcessProfile",
@@ -35,8 +35,6 @@ __all__ = [
     "holder_from_campanato",
     "infer_band",
 ]
-
-_EXCESS_FLOOR_FACTOR = 100.0
 
 
 @dataclass(frozen=True)
@@ -122,15 +120,15 @@ class DecayFit:
 def decay_exponent(u, x0, k, q_exp=2.0, ladder=None, min_rungs=4):
     """Log-log slope of the excess profile.
 
-    Rungs whose excess sits at rounding level (relative to the local q-mass)
-    are dropped; if every rung is there, the data is an exact polynomial
-    tuple to machine precision and an exact-fit sentinel is returned instead
-    of a meaningless slope.
+    Rungs whose excess is at or below best_fit's rounding floor for the
+    q-mass of the top rung's ball (`polyfit.exact_floor`) are dropped; if
+    every rung is there, the data is an exact polynomial tuple to machine
+    precision and an exact-fit sentinel is returned instead of a
+    meaningless slope.
     """
     prof = excess_profile(u, x0, k, q_exp, ladder)
     top = float(np.max(prof.radii))
-    mass = u.restrict(prof.center, top).q_mass(q_exp)
-    floor = _EXCESS_FLOOR_FACTOR * np.finfo(float).eps * max(mass, 1e-300)
+    floor = exact_floor(u.restrict(prof.center, top).q_mass(q_exp), q_exp)
     keep = prof.excesses > floor
     if not np.any(keep):
         return DecayFit(math.inf, 1.0, prof.radii, prof.excesses, True, floor)

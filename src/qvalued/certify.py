@@ -31,7 +31,7 @@ from .errors import (
     WeakConstantsError,
 )
 from .geometry import dyadic_ladder
-from .points import match_batch
+from .points import matched_mass
 from .polyfit import best_fit
 
 __all__ = [
@@ -63,8 +63,8 @@ class DecayHypothesis:
     Two-part form (single function, one bad set): beta1 is the contraction
     constant on the bad set, beta2 the transfer constant off it.  Three-part
     form (N component functions, bad set plus per-component strata): beta0
-    on the bad set, then (betas[i], beta_tildes[i]) per stratum.  beta caps
-    the sup of the comparison polynomials, eps the top comparison scale.
+    on the bad set, then (betas[i], beta_tildes[i]) per stratum.  eps is
+    the top comparison scale.
     Constants of both forms together, or strata without beta0, are refused.
     """
 
@@ -73,7 +73,6 @@ class DecayHypothesis:
     q_exp: float
     mu: float
     eps: float = 0.2
-    beta: float = 1.0
     beta1: float | None = None
     beta2: float | None = None
     beta0: float | None = None
@@ -85,7 +84,7 @@ class DecayHypothesis:
             raise ValueError("n must be at least 1")
         if self.k < 0:
             raise ValueError("k must be nonnegative")
-        for name in ("q_exp", "mu", "eps", "beta", "beta1", "beta2", "beta0"):
+        for name in ("q_exp", "mu", "eps", "beta1", "beta2", "beta0"):
             v = getattr(self, name)
             if v is not None and not math.isfinite(v):
                 raise ValueError("%s must be finite" % name)
@@ -97,7 +96,7 @@ class DecayHypothesis:
             raise ValueError("eps must lie in (0, 1/4)")
         if self.q_exp < 1.0:
             raise ValueError("q_exp must be at least 1")
-        for name in ("beta", "beta1", "beta2", "beta0"):
+        for name in ("beta1", "beta2", "beta0"):
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError("%s must be positive" % name)
@@ -160,8 +159,7 @@ class Stratification:
         keep MIN_SEPARATION off the base set, else the two levels are not
         distinguishable."""
         for i, s in enumerate(self.strata):
-            d = np.linalg.norm(
-                s[:, None, :] - self.base[None, :, :], axis=2)
+            d = _set_distances(s, self.base)
             if d.size and d.min() < MIN_SEPARATION:
                 raise ValueError(
                     "stratum %d touches the base bad set" % (i + 1))
@@ -314,21 +312,17 @@ def _as_list(us):
     return list(us) if isinstance(us, (list, tuple)) else [us]
 
 
-def _dist_to(points, x):
-    if points.shape[0] == 0:
-        return math.inf
-    return float(np.min(np.linalg.norm(points - np.asarray(x, float), axis=1)))
+def _set_distances(points, targets):
+    """Distance from each row of `points` to the nearest row of `targets`,
+    inf where `targets` is empty."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if targets.size == 0:
+        return np.full(points.shape[0], np.inf)
+    diff = points[:, None, :] - targets[None, :, :]
+    return np.linalg.norm(diff, axis=2).min(axis=1)
 
 
 ROUNDING_FLOOR = 1e3 * np.finfo(float).eps
-
-
-def _g_mass(sub, poly, q_exp):
-    """Unscaled G-mass of a restricted sample against one polynomial."""
-    model = poly.eval(sub.grid.points)
-    _, costs = match_batch(sub.values, model)
-    g = np.sqrt(np.maximum(costs, 0.0))
-    return float(np.sum(sub.grid.weights * g ** q_exp))
 
 
 def _audit_ladder(u, rho_top):
@@ -378,11 +372,15 @@ def _pair_table(us, center, own, fams, rho_top, h):
     for rho in radii:
         scale = rho ** (-(n + k * q_exp))
         subs = [u.restrict(center, rho) for u in us]
-        fine[rho] = sum(scale * _g_mass(sub, P, q_exp)
-                        for sub, P in zip(subs, own))
+        fine[rho] = sum(
+            scale * matched_mass(sub.grid.weights, sub.values,
+                                 P.eval(sub.grid.points), q_exp)
+            for sub, P in zip(subs, own))
         data[rho] = sum(scale * sub.q_mass(q_exp) for sub in subs)
         coarse[rho] = fine[rho] if fams is None else sum(
-            min(scale * _g_mass(sub, P, q_exp) for P in fam)
+            min(scale * matched_mass(sub.grid.weights, sub.values,
+                                     P.eval(sub.grid.points), q_exp)
+                for P in fam)
             for sub, fam in zip(subs, fams))
     floor_factor = ROUNDING_FLOOR ** min(q_exp, 2.0)
     cutoff = radii[max(0, len(radii) // 2 - 1)]
@@ -427,11 +425,7 @@ def _free_centers(u, bad_points, cap=12):
     """Ordinary audit centers: grid nodes keeping clear of the bad sets."""
     pts = u.grid.points
     h = u.grid.resolution
-    if bad_points.size:
-        d = np.min(np.linalg.norm(
-            pts[:, None, :] - bad_points[None, :, :], axis=2), axis=1)
-    else:
-        d = np.full(pts.shape[0], np.inf)
+    d = _set_distances(pts, bad_points)
     # far enough that a nontrivial dyadic ladder fits under dist(x, bad)
     ok = np.flatnonzero(d >= 6.0 * MIN_NODES_RADIUS * h)
     if ok.size == 0:
@@ -469,7 +463,7 @@ def audit_hypothesis(us, h, s, which, fits=None):
         raise ValueError("no strata to audit")
     for u in u_list:
         for x in s.points():
-            if _dist_to(u.grid.points, x) > u.grid.resolution:
+            if _set_distances(x, u.grid.points)[0] > u.grid.resolution:
                 raise ValueError(
                     "point %s has no grid node within one grid step (h = %g)"
                     % (x.tolist(), u.grid.resolution))
@@ -483,7 +477,7 @@ def audit_hypothesis(us, h, s, which, fits=None):
 
     def top(center, bad):
         # largest audit radius whose ball keeps off the bad set
-        return min(0.25, _dist_to(bad, center)) * 0.999
+        return min(0.25, float(_set_distances(center, bad)[0])) * 0.999
 
     every = range(len(u_list))
     base_fams = [[fit_at(y, h.eps)[i] for y in s.base] for i in every]

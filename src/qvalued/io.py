@@ -160,12 +160,19 @@ def write_samples_json(path, u):
 
 
 def read_samples_json(path):
+    """Load samples written by write_samples_json; points whose width is
+    not the header's n, or values whose shape is not (S, Q, m), are
+    refused with ValueError."""
     obj = read_json(path)
     values = np.asarray(obj["values"], dtype=float)
     expected = (int(obj["Q"]), int(obj["m"]))
     if values.ndim != 3 or values.shape[1:] != expected:
         raise ValueError("values shape %s does not match header" % (values.shape,))
-    return _samples_from_arrays(obj["points"], values, obj.get("resolution"))
+    points = np.atleast_2d(np.asarray(obj["points"], dtype=float))
+    if points.shape[1] != int(obj["n"]):
+        raise ValueError("points have %d coordinates but the header says n = %d"
+                         % (points.shape[1], int(obj["n"])))
+    return _samples_from_arrays(points, values, obj.get("resolution"))
 
 
 # ---------------------------------------------------------------------------

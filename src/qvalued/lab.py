@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ReflectionTraceError
 from .geometry import _ladder_radii
-from .points import AqPoint, SampledQFunction, match_batch
+from .points import AqPoint, SampledQFunction, branch_gaps, match_batch
 
 __all__ = [
     "AnalyticQFunction",
@@ -451,20 +451,9 @@ def branch_set_detect(u, tol):
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("branch tolerance must be positive and finite")
-    if u.q == 1:
-        empty = np.empty((0, u.n))
-        return BranchSetReport(empty, np.empty(0, dtype=int), np.empty(0))
-    vals = u.values
-    pair_ids = list(itertools.combinations(range(u.q), 2))
-    vgap2 = np.full(u.size, np.inf)
-    for i, j in pair_ids:
-        vgap2 = np.minimum(vgap2, np.sum((vals[:, i] - vals[:, j]) ** 2, axis=1))
+    vgap2 = branch_gaps(u.values)
     cand = np.nonzero(vgap2 < tol * tol)[0]
-    jac = _node_jacobians(u, cand)
-    dgap2 = np.full(cand.shape[0], np.inf)
-    for i, j in pair_ids:
-        dgap2 = np.minimum(dgap2, np.sum((jac[:, i] - jac[:, j]) ** 2, axis=(1, 2)))
-    total = vgap2[cand] + dgap2
+    total = vgap2[cand] + branch_gaps(_node_jacobians(u, cand))
     sel = total < tol * tol
     return BranchSetReport(u.grid.points[cand[sel]], cand[sel], np.sqrt(total[sel]))
 

@@ -42,6 +42,9 @@ __all__ = [
     "brute_force_metric",
     "match_batch",
     "match_margins",
+    "canonical_order",
+    "branch_gaps",
+    "matched_mass",
     "SampledQFunction",
     "numeric_derivative",
     "lebesgue_point_profile",
@@ -62,10 +65,13 @@ def _permutation_table(q):
     return np.array(list(itertools.permutations(range(q))), dtype=int)
 
 
-def _canonical(branches):
-    """Rows sorted lexicographically, first coordinate most significant."""
-    key = np.lexsort(branches.T[::-1])
-    return branches[key]
+def canonical_order(values):
+    """Per sample of (S, Q, m) values, the branch order that sorts its rows
+    lexicographically, first component most significant, an exact tie kept
+    in branch order: values[s, order[s]] is the canonical tuple.  One
+    lexsort along the branch axis of the (m, S, Q) component keys, last key
+    most significant; for scalar values it is the stable argsort."""
+    return np.lexsort(values.transpose(2, 0, 1)[::-1], axis=-1)
 
 
 class AqPoint:
@@ -79,7 +85,7 @@ class AqPoint:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("branches must form a (Q, m) array with Q, m >= 1")
-        arr = _canonical(arr)
+        arr = arr[canonical_order(arr[None])[0]]
         arr.setflags(write=False)
         object.__setattr__(self, "branches", arr)
 
@@ -120,11 +126,6 @@ def _branch_arrays(s, t):
     return a, b
 
 
-def _cost_matrix(a, b):
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
-
-
 def metric_g(s, t):
     """Matching distance: min over pairings of the root-sum-of-squares,
     the square root of match_batch's cost for the one pair (s, t).
@@ -142,7 +143,7 @@ def brute_force_metric(s, t):
     if q > _BRUTE_FORCE_LIMIT:
         raise OracleLimitError("oracle limit: Q = %d exceeds %d" % (q, _BRUTE_FORCE_LIMIT))
     perms = _permutation_table(q)
-    cost = _cost_matrix(a, b)
+    cost = _pair_distances(a[None], b[None])[0]
     totals = cost[np.arange(q), perms].sum(axis=1)
     return math.sqrt(max(totals.min(), 0.0))
 
@@ -202,9 +203,27 @@ def _runner_up(totals, best):
 
 
 def _pair_distances(a, b):
-    """d2[s, i, j] = |a[s, i] - b[s, j]|^2 for (S, Q, m) arrays."""
+    """d2[s, i, j] = |a[s, i] - b[s, j]|^2 for (S, Q, m) arrays: every
+    branch-to-branch squared distance outside the enumeration's columns."""
     diff = a[:, :, None, :] - b[:, None, :, :]
     return np.einsum("sabm,sabm->sab", diff, diff)
+
+
+def branch_gaps(values):
+    """Squared distance between the closest two branches of each sample of
+    (S, Q, ...) values, trailing axes read as one vector; inf where Q = 1."""
+    S, Q = values.shape[:2]
+    flat = values.reshape(S, Q, math.prod(values.shape[2:]))
+    d2 = _pair_distances(flat, flat)
+    d2[:, np.arange(Q), np.arange(Q)] = np.inf
+    return d2.min(axis=(1, 2), initial=np.inf)
+
+
+def matched_mass(weights, values, model, q_exp):
+    """sum_s weights[s] G(values[s], model[s])^q_exp for (S, Q, m) values
+    and models of one shape."""
+    dists = np.sqrt(match_batch(values, model)[1])
+    return float(np.sum(weights * dists ** q_exp))
 
 
 def _refuse_overflow(bound):
@@ -396,30 +415,20 @@ class SampledQFunction:
         return SampledQFunction(sub, self.values[idx])
 
     def q_mass(self, q_exp=2.0):
-        """Weighted integral of |u|^q over the grid."""
-        mags = np.sqrt(np.einsum("sqm,sqm->s", self.values, self.values))
-        return float(np.sum(self.grid.weights * mags ** q_exp))
+        """Weighted integral of |u|^q over the grid, |u|^2 summed over each
+        node's branches and components; its power is exactly 1 at q = 2."""
+        sq = np.einsum("sqm,sqm->s", self.values, self.values)
+        return float(np.sum(self.grid.weights * sq ** (0.5 * q_exp)))
 
     @classmethod
     def from_function(cls, grid, fn, q, m):
-        """Sample a callable x -> (Q, m) array on grid points.
-
-        Callables that accept the whole (S, n) point block at once and
-        return (S, Q, m) are used as-is.  A callable that returns another
-        shape, or rejects the block with TypeError, ValueError or IndexError
-        (the errors of a per-point function handed a block), is invoked per
-        node; any other error propagates.
-        """
-        try:
-            block = np.asarray(fn(grid.points), dtype=float)
-            if block.shape == (grid.size, q, m):
-                return cls(grid, block.copy())
-        except (TypeError, ValueError, IndexError):
-            pass
-        vals = np.empty((grid.size, q, m))
-        for i, x in enumerate(grid.points):
-            vals[i] = np.asarray(fn(x), dtype=float).reshape(q, m)
-        return cls(grid, vals)
+        """Sample a callable that maps the (S, n) block of grid points to
+        (S, Q, m) values; any other shape is refused with ValueError."""
+        block = np.array(fn(grid.points), dtype=float)
+        if block.shape != (grid.size, q, m):
+            raise ValueError("function returned shape %s, expected %s"
+                             % (block.shape, (grid.size, q, m)))
+        return cls(grid, block)
 
 
 def _evaluate(u, x):
@@ -447,13 +456,8 @@ def numeric_derivative(u, x0, h, gap_tol=None):
     scale = max(center.norm(), 1.0)
     if gap_tol is None:
         gap_tol = 1e-6 * scale
-    if q > 1:
-        gaps = _cost_matrix(center.branches, center.branches)
-        np.fill_diagonal(gaps, np.inf)
-        if math.sqrt(gaps.min()) <= gap_tol:
-            raise BranchAmbiguityError(
-                "branch point: derivative matching ambiguous"
-            )
+    if q > 1 and math.sqrt(branch_gaps(center.branches[None])[0]) <= gap_tol:
+        raise BranchAmbiguityError("branch point: derivative matching ambiguous")
     jac = np.empty((q, m, n))
     for j in range(n):
         step = np.zeros(n)
@@ -466,7 +470,7 @@ def numeric_derivative(u, x0, h, gap_tol=None):
     return jac
 
 
-def lebesgue_point_profile(u, x0, ladder, q_exp=2.0, value=None):
+def lebesgue_point_profile(u, x0, ladder, q_exp=2.0):
     """Averaged q-th power distance to the value at x0 per ladder radius.
 
     Returns (radii_used, averages, truncated) where truncated flags ladder
@@ -480,9 +484,7 @@ def lebesgue_point_profile(u, x0, ladder, q_exp=2.0, value=None):
     if not (math.isfinite(q_exp) and q_exp >= 1.0):
         raise ValueError("q_exp must be finite and at least 1, got %r" % q_exp)
     x0 = np.asarray(x0, dtype=float).ravel()
-    if value is None:
-        value = u.value_at(x0)
-    ref = value.branches if isinstance(value, AqPoint) else AqPoint(value).branches
+    ref = u.value_at(x0).branches
     omega = unit_ball_volume(u.n)
     radii, averages = [], []
     truncated = False
@@ -493,8 +495,8 @@ def lebesgue_point_profile(u, x0, ladder, q_exp=2.0, value=None):
             truncated = True
             continue
         vals = u.values[idx]
-        dists = np.sqrt(match_batch(vals, np.broadcast_to(ref, vals.shape))[1])
-        mass = float(np.sum(u.grid.weights[idx] * dists ** q_exp))
+        mass = matched_mass(u.grid.weights[idx], vals,
+                            np.broadcast_to(ref, vals.shape), q_exp)
         radii.append(rho)
         averages.append(mass / (omega * rho ** u.n))
     return np.asarray(radii), np.asarray(averages), truncated

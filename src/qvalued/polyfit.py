@@ -46,7 +46,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InsufficientSamplesError, RecenterError
-from .points import AqPoint, SampledQFunction, match_batch, match_margins
+from .points import (
+    AqPoint,
+    SampledQFunction,
+    branch_gaps,
+    canonical_order,
+    match_batch,
+    match_margins,
+    matched_mass,
+)
 
 __all__ = [
     "multi_indices",
@@ -56,6 +64,7 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "best_fit",
+    "exact_floor",
     "random_qpolynomial",
     "comparison_constant_ratios",
 ]
@@ -162,9 +171,8 @@ class QPolynomial:
         return QPolynomial(new_center, self.degree, out)
 
     def canonical_branch_order(self):
-        flat = self.coeffs.reshape(self.q, -1)
-        key = np.lexsort(flat.T[::-1])
-        return replace(self, coeffs=self.coeffs[key])
+        order = canonical_order(self.coeffs.reshape(1, self.q, -1))[0]
+        return replace(self, coeffs=self.coeffs[order])
 
 
 def coefficient_tuple(poly, r=None, rho=1.0):
@@ -398,12 +406,7 @@ def _propagated_labels(grid, values, start_labels, order=0):
         return csr_matrix((data, head, indptr), shape=(S, S))
 
     _, component = connected_components(graph(np.ones(count)), directed=False)
-    gaps = np.full(S, np.inf)
-    for a in range(Q):
-        for b in range(a + 1, Q):
-            diff = values[:, a, :] - values[:, b, :]
-            gaps = np.minimum(gaps, np.einsum("sm,sm->s", diff, diff))
-    by = np.lexsort((-gaps, component))
+    by = np.lexsort((-branch_gaps(values), component))
     roots = by[np.r_[0, np.flatnonzero(np.diff(component[by])) + 1]]
     # extrap[L] holds the weights of a chain of length L, zero-padded
     extrap = np.zeros((depth + 1, depth))
@@ -549,11 +552,8 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     weights = sub.grid.weights
     # Canonical per-sample branch order makes the fit independent of how the
     # caller happened to order branch values.
-    if sub.m == 1:
-        values = np.sort(sub.values, axis=1)
-    else:
-        order = _lex_order(sub.values)
-        values = np.take_along_axis(sub.values, order[:, :, None], axis=1)
+    values = np.take_along_axis(
+        sub.values, canonical_order(sub.values)[:, :, None], axis=1)
     indices = multi_indices(center.shape[0], k)
     K = len(indices)
     if sub.size < K:
@@ -591,12 +591,8 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
         for _ in range(cfg.restarts):
             yield "random", np.argsort(rng.random((sub.size, Q)), axis=1)
 
-    # An objective this far below the data's q_exp-th power mass can only
-    # be rounding noise: the fit is an interpolation and further starts
-    # are pointless.  At q_exp = 2 the power is exactly 1.
-    mass = float(np.sum(weights * np.einsum("sqm,sqm->s", values, values)
-                        ** (0.5 * q_exp)))
-    exact_floor = (100.0 * np.finfo(float).eps) ** q_exp * max(mass, 1e-300)
+    # at the floor the fit is an interpolation: further starts are pointless
+    floor = exact_floor(sub.q_mass(q_exp), q_exp)
 
     for kind, labels0 in itertools.chain(deterministic(), randoms()):
         if kind == "random":
@@ -609,7 +605,7 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
                 ran.append((labels0, out))
         outcomes.append(out)
         log.append((kind, out[2], out[4], out[3]))
-        if out[2] <= exact_floor:
+        if out[2] <= floor:
             break
 
     # Every outcome before one at the floor lies above it, so the least
@@ -621,14 +617,12 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     return FitResult(poly, obj, conv, iters, scheduled, tuple(log))
 
 
-def _lex_order(values):
-    """Per-sample branch order sorting rows lexicographically, vectorized by
-    making the sample index the primary sort key."""
-    S, Q, m = values.shape
-    keys = [values[:, :, c].ravel() for c in range(m - 1, -1, -1)]
-    keys.append(np.repeat(np.arange(S), Q))
-    order = np.lexsort(keys)
-    return order.reshape(S, Q) - np.arange(S)[:, None] * Q
+def exact_floor(mass, q_exp):
+    """Rounding floor of a q_exp-th power objective, (100 eps)^q_exp times
+    the data's q_exp-th power mass (`SampledQFunction.q_mass`): an objective
+    at or below it is rounding noise of an exact polynomial fit, in the
+    objective's own units at every q_exp."""
+    return (100.0 * np.finfo(float).eps) ** q_exp * max(mass, 1e-300)
 
 
 def random_qpolynomial(rng, n, m, q, k, center=None):
@@ -679,7 +673,6 @@ def comparison_constant_ratios(instances, seed=0, n=2, m=1, k=2, q_exp=2.0,
         D = full[subset]
         fv = np.einsum("sk,qmk->sqm", D, F.coeffs)
         gv = np.einsum("sk,qmk->sqm", D, G.coeffs)
-        dists = np.sqrt(match_batch(fv, gv)[1])
-        integrals[i] = np.sum(grid.weights[subset] * dists ** q_exp)
+        integrals[i] = matched_mass(grid.weights[subset], fv, gv, q_exp)
         tuples[:, i] = coefficient_tuple(F).branches, coefficient_tuple(G).branches
     return np.sqrt(match_batch(*tuples)[1]) ** q_exp / integrals

@@ -90,6 +90,34 @@ def test_exact_polynomial_sentinel(disk_grid):
     assert math.isinf(fit.lambda_hat)
 
 
+@pytest.fixture(scope="module")
+def coarse_disk():
+    return Domain.ball(2, 1.0).sample(1.0 / 128.0)
+
+
+@pytest.mark.parametrize("q_exp", [1.0, 1.5, 2.0, 3.0])
+def test_exact_linear_data_is_exact_at_every_exponent(coarse_disk, q_exp):
+    x = coarse_disk.points
+    u = SampledQFunction(coarse_disk, (1.0 + x[:, 0] - 0.5 * x[:, 1])[:, None, None])
+    fit = decay_exponent(u, (0.0, 0.0), 1, q_exp, dyadic_ladder(0.5, 5))
+    assert fit.exact and math.isinf(fit.lambda_hat)
+    assert np.all(fit.excesses <= fit.floor)
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-5, 1e-6])
+def test_small_quadratic_excesses_are_not_rounding(coarse_disk, delta):
+    # E(rho) of 1 + x + delta x^2 is delta^2 c rho^6, far above rounding of
+    # the q = 2 objective even at delta = 1e-6 (excesses 3e-15 ... 2e-22);
+    # a floor linear in eps dropped them: an exact sentinel at 1e-6, too
+    # few usable rungs at 1e-5 and 1e-4
+    x = coarse_disk.points[:, 0]
+    u = SampledQFunction(coarse_disk, (1.0 + x + delta * x * x)[:, None, None])
+    fit = decay_exponent(u, (0.0, 0.0), 1, 2.0, dyadic_ladder(0.5, 5))
+    assert not fit.exact
+    assert fit.lambda_hat == pytest.approx(5.966, abs=0.01)
+    assert np.all(fit.excesses > fit.floor)
+
+
 def test_too_few_usable_rungs(u_abs):
     with pytest.raises(BelowResolutionError):
         decay_exponent(u_abs, (0.0, 0.0), 0, 2.0, [0.5, 0.25], min_rungs=4)

@@ -148,7 +148,7 @@ def test_hypothesis_validation():
 
 @pytest.mark.parametrize("kw", [
     {"q_exp": math.nan}, {"q_exp": math.inf}, {"mu": math.nan},
-    {"eps": math.nan}, {"beta": math.inf}, {"beta0": math.nan},
+    {"eps": math.nan}, {"beta0": math.nan},
     {"beta1": math.inf}, {"beta2": math.nan}, {"beta2": math.inf},
     {"betas": (math.nan,), "beta_tildes": (1.0,)},
     {"betas": (1.0,), "beta_tildes": (math.inf,)},

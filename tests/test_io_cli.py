@@ -80,6 +80,23 @@ def test_json_round_trip_exact(bp_csv, tmp_path):
     assert v.grid.resolution == u.grid.resolution
 
 
+def test_json_samples_refuse_points_wider_or_narrower_than_the_header_n(
+        bp_csv, tmp_path, capsys):
+    # a header n = 3 over 2-D points used to load silently as n = 2
+    _, u = bp_csv
+    path = tmp_path / "bp.json"
+    io.write_samples_json(path, u)
+    obj = json.loads(path.read_text())
+    obj["n"] = 3
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match="2 coordinates but the header says n = 3"):
+        io.read_samples_json(path)
+    out = tmp_path / "o.json"
+    assert main(["fit", "--in", str(path), "--out", str(out)]) == 2
+    assert "n = 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("header", ["2,1,0", "2,0,1"])
 def test_cli_refuses_a_sample_header_without_branches_or_components(tmp_path, capsys, header):
     # "2,1,0" used to fail inside numpy with "cannot reshape array of size 0"
@@ -153,7 +170,11 @@ def test_hypothesis_parsing():
       "beta_tildes": [1.0]}, ["beta1", "beta0", "betas", "beta_tildes"]),
     ({"n": 2, "k": 1, "mu": 0.5, "betas": [50.0], "beta_tildes": [70.0]},
      ["betas", "beta_tildes"]),
-], ids=["unknown-key", "q-and-q_exp", "two-and-three-part", "strata-without-beta0"])
+    # `beta` was a field that no certificate or audit read
+    ({"n": 2, "k": 1, "mu": 0.5, "beta1": 1.0, "beta2": 1.0, "beta": 1.0},
+     ["beta"]),
+], ids=["unknown-key", "q-and-q_exp", "two-and-three-part", "strata-without-beta0",
+        "dead-beta"])
 def test_malformed_hypothesis_file_refused_naming_keys(tmp_path, capsys, obj, keys):
     # each of these used to certify silently, with a key ignored
     with pytest.raises(ValueError) as exc:

@@ -14,10 +14,13 @@ from qvalued.geometry import Domain, QuadratureGrid, dyadic_ladder
 from qvalued.points import (
     AqPoint,
     SampledQFunction,
+    branch_gaps,
     brute_force_metric,
+    canonical_order,
     lebesgue_point_profile,
     match_batch,
     match_margins,
+    matched_mass,
     metric_g,
     numeric_derivative,
 )
@@ -411,6 +414,48 @@ def test_cost_only_matching_computes_no_margin(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# tuple helpers
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.integers(1, 6), st.integers(1, 3), st.data())
+def test_canonical_order_sorts_rows_then_branch_index(S, q, m, data):
+    # small integers make ties exact; m = 1 takes the argsort route
+    values = data.draw(arrays(float, (S, q, m), elements=st.integers(-2, 2)))
+    order = canonical_order(values)
+    assert order.shape == (S, q)
+    for s in range(S):
+        want = sorted(range(q), key=lambda i: (tuple(values[s, i]), i))
+        assert order[s].tolist() == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.integers(1, 6),
+       st.lists(st.integers(1, 3), min_size=1, max_size=2), st.data())
+def test_branch_gaps_is_the_closest_pair_by_brute_force(S, q, trailing, data):
+    values = data.draw(arrays(float, (S, q, *trailing), elements=st.integers(-3, 3)))
+    gaps = branch_gaps(values)
+    assert gaps.shape == (S,)
+    for s in range(S):
+        want = min((float(np.sum((values[s, i] - values[s, j]) ** 2))
+                    for i, j in itertools.combinations(range(q), 2)),
+                   default=math.inf)
+        assert gaps[s] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 7), st.integers(1, 2),
+       st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.data())
+def test_matched_mass_is_the_weighted_sum_of_metric_powers(S, q, m, q_exp, data):
+    floats = st.floats(-10, 10, allow_nan=False)
+    values, model = data.draw(arrays(float, (2, S, q, m), elements=floats))
+    weights = data.draw(arrays(float, S, elements=st.floats(0, 1)))
+    want = sum(weights[s] * metric_g(values[s], model[s]) ** q_exp for s in range(S))
+    assert matched_mass(weights, values, model, q_exp) == pytest.approx(
+        want, rel=1e-12, abs=1e-300)
+
+
+# ---------------------------------------------------------------------------
 # sampled functions
 
 
@@ -503,18 +548,16 @@ def test_lebesgue_profile_constant_and_lipschitz(disk_grid):
     lip = SampledQFunction(
         disk_grid, np.linalg.norm(disk_grid.points, axis=1)[:, None, None]
     )
-    radii, avgs, _ = lebesgue_point_profile(
-        lip, [0.0, 0.0], [0.4, 0.2, 0.1], value=AqPoint([[0.0]])
-    )
+    radii, avgs, _ = lebesgue_point_profile(lip, [0.0, 0.0], [0.4, 0.2, 0.1])
     assert np.all(avgs <= 1.05 * radii ** 2)
 
 
 def test_lebesgue_profile_branch_power_decay(disk_grid):
-    r3 = np.linalg.norm(disk_grid.points, axis=1) ** 1.5
+    # centered on a node, so that the value at the center is the zero tuple
+    x0 = disk_grid.points[np.argmin(np.linalg.norm(disk_grid.points, axis=1))]
+    r3 = np.linalg.norm(disk_grid.points - x0, axis=1) ** 1.5
     u = SampledQFunction(disk_grid, np.stack([r3, -r3], axis=1))
-    radii, avgs, truncated = lebesgue_point_profile(
-        u, [0.0, 0.0], dyadic_ladder(0.4, 2), value=AqPoint(np.zeros((2, 1)))
-    )
+    radii, avgs, truncated = lebesgue_point_profile(u, x0, dyadic_ladder(0.4, 2))
     assert not truncated
     # closed form: (pi rho^2)^-1 * int 2 r^3 = (4/5) rho^3
     assert avgs == pytest.approx(0.8 * radii ** 3, rel=0.06)
@@ -555,21 +598,12 @@ def test_lebesgue_profile_refuses_a_bad_exponent(disk_grid, q_exp):
         lebesgue_point_profile(const, [0.0, 0.0], [0.5, 0.25], q_exp=q_exp)
 
 
-def test_from_function_paths_agree():
+def test_from_function_refuses_a_callable_of_another_shape():
+    # a per-node callable handed the point block returns (Q, S, m), not (S, Q, m)
     grid = QuadratureGrid(np.array([[0.1, 0.0], [0.2, 0.3], [-0.4, 0.1]]),
                           np.ones(3), 0.1)
-    fast = SampledQFunction.from_function(
-        grid, lambda pts: np.stack([pts, -pts], axis=1), 2, 2
-    )
-
-    def per_node(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise TypeError("one point at a time")
-        return np.stack([x, -x])
-
-    slow = SampledQFunction.from_function(grid, per_node, 2, 2)
-    assert np.array_equal(fast.values, slow.values)
+    with pytest.raises(ValueError, match="expected \\(3, 2, 2\\)"):
+        SampledQFunction.from_function(grid, lambda x: np.stack([x, -x]), 2, 2)
 
 
 def test_from_function_propagates_errors_of_vectorised_callables():

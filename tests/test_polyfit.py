@@ -20,6 +20,7 @@ from qvalued.geometry import (
 from qvalued.points import (
     AqPoint,
     SampledQFunction,
+    canonical_order,
     match_batch,
     metric_g,
 )
@@ -580,7 +581,7 @@ def _fit_inputs(u, center, radius, k):
     values, the design, its factor and the deterministic start labels."""
     sub = u.restrict(center, radius)
     values = np.take_along_axis(
-        sub.values, polyfit._lex_order(sub.values)[:, :, None], axis=1)
+        sub.values, canonical_order(sub.values)[:, :, None], axis=1)
     design = design_matrix(sub.grid.points, center, multi_indices(2, k))
     ranks = _spectral_ranks(values)
     starts = [ranks, *_propagated_labels(sub.grid, values, ranks, k)]
