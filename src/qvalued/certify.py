@@ -32,7 +32,7 @@ from .errors import (
 )
 from .geometry import dyadic_ladder
 from .points import matched_mass
-from .polyfit import best_fit
+from .polyfit import best_fit, exact_floor
 
 __all__ = [
     "DecayHypothesis",
@@ -322,9 +322,6 @@ def _set_distances(points, targets):
     return np.linalg.norm(diff, axis=2).min(axis=1)
 
 
-ROUNDING_FLOOR = 1e3 * np.finfo(float).eps
-
-
 def _audit_ladder(u, rho_top):
     """Dyadic radii from rho_top down, largest first, each resolvable:
     at least MIN_NODES_RADIUS grid steps."""
@@ -382,13 +379,12 @@ def _pair_table(us, center, own, fams, rho_top, h):
                                      P.eval(sub.grid.points), q_exp)
                 for P in fam)
             for sub, fam in zip(subs, fams))
-    floor_factor = ROUNDING_FLOOR ** min(q_exp, 2.0)
     cutoff = radii[max(0, len(radii) // 2 - 1)]
     c = tuple(float(x) for x in center)
     pairs = [
         ScalePair(c, sigma, rho, fine[sigma],
                   (sigma / rho) ** (q_exp * h.mu), coarse[rho],
-                  fine[sigma] <= floor_factor * data[sigma],
+                  fine[sigma] <= exact_floor(data[sigma], q_exp),
                   sigma >= cutoff and rho == 2 * sigma)
         for i, rho in enumerate(radii) for sigma in radii[i + 1:]
     ]

@@ -33,7 +33,11 @@ basin again.  Starts are built lazily, so a fit that reaches the rounding
 floor never computes the starts after it.  No known result is computed
 twice: a deterministic start whose labels equal an earlier one's reuses
 that start's alternation, and the order-k forests stop at a fixed point,
-a forest that returns the labels that framed it.
+a forest that returns the labels that framed it.  Nor is a forest grown
+whose labels are known: where every lattice edge's pairing agrees with the
+labels in hand, every spanning forest composes to them, so propagation
+returns them without a csgraph call, and finds the components and roots
+only for the first forest it does grow.
 """
 
 from __future__ import annotations
@@ -350,6 +354,22 @@ def _chain_pairings(values, frames, cells, chains, lengths, extrap):
     return pairings, margins
 
 
+def _agrees(pairing, labels, child, parent):
+    """Whether labels[child] == pairing[labels[parent]] on every edge, the
+    rows of `pairing`.  Column 0 is checked first, at about a quarter of the
+    full check's cost: it rejects most labelings that disagree, and at
+    Q <= 2 it decides the whole permutation."""
+    count, Q = pairing.shape
+    flat = pairing.ravel()
+    offsets = np.arange(0, count * Q, Q)
+    if not np.array_equal(flat.take(offsets + labels[:, 0].take(parent)),
+                          labels[:, 0].take(child)):
+        return False
+    return Q <= 2 or np.array_equal(
+        flat.take(offsets[:, None] + labels.take(parent, axis=0)),
+        labels.take(child, axis=0))
+
+
 def _propagated_labels(grid, values, start_labels, order=0):
     """Labels composed along a maximum-margin spanning forest of the sample
     lattice (quality-guided unwrapping as a spanning tree over edges sorted
@@ -372,6 +392,14 @@ def _propagated_labels(grid, values, start_labels, order=0):
     every root (the tree's CSR arrays plus one row) gives the parents, and
     pointer jumping composes the pairings down the forest in log-depth
     numpy steps.
+
+    A forest is grown only where an edge disagrees with the labels in hand:
+    the start labels at order 0, the frames at order k (whose roots hold
+    the start labels).  If those labels satisfy the pairing of every edge,
+    any spanning forest composes to them, so they are returned with no
+    csgraph call (`_agrees`, column 0 first).  The components and their
+    roots are found once, for the first forest grown, and not at all when
+    none is.
 
     Order 0 degenerates to nearest-value tracking, the stabler choice for
     rough data.  At order k the chains need branch frames: the order-0
@@ -405,9 +433,14 @@ def _propagated_labels(grid, values, start_labels, order=0):
     def graph(data):
         return csr_matrix((data, head, indptr), shape=(S, S))
 
-    _, component = connected_components(graph(np.ones(count)), directed=False)
-    by = np.lexsort((-branch_gaps(values), component))
-    roots = by[np.r_[0, np.flatnonzero(np.diff(component[by])) + 1]]
+    @functools.cache
+    def component_roots():
+        """The first cell of each component with the branches farthest
+        apart: found once, and only if a forest is grown."""
+        _, component = connected_components(graph(np.ones(count)), directed=False)
+        by = np.lexsort((-branch_gaps(values), component))
+        return by[np.r_[0, np.flatnonzero(np.diff(component[by])) + 1]]
+
     # extrap[L] holds the weights of a chain of length L, zero-padded
     extrap = np.zeros((depth + 1, depth))
     for length in range(1, depth + 1):
@@ -440,7 +473,14 @@ def _propagated_labels(grid, values, start_labels, order=0):
             length = np.where(flip, back[1], length)
             margin = np.where(flip, back[2], margin)
             child, parent = np.where(flip, head, tail), np.where(flip, tail, head)
-        # labels[child] = pairing[labels[parent]] on every edge
+        # labels[child] = pairing[labels[parent]] on every edge.  Labels that
+        # satisfy every edge and hold the start labels at the roots are what
+        # any spanning forest composes to: at order 0 the start labels, at
+        # order k the frames, whose roots hold them already.
+        held = start_labels if reach == 1 else frames
+        if _agrees(pairing, held, child, parent):
+            return held
+        roots = component_roots()
         ranked = np.lexsort((-margin, -length))
         weight = np.empty(count)
         weight[ranked] = np.arange(1, count + 1)  # csgraph drops zero weights

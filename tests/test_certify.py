@@ -305,6 +305,23 @@ def test_end_to_end_clean_on_exact_polynomial():
     assert out.soundness["fraction"] == 1.0
 
 
+def test_audit_judges_a_small_fine_side_above_the_rounding_floor():
+    """u = 1 + x + 1e-6 x^2 is not a degree-1 polynomial: at q = 3 the fine
+    side of its one scale pair is about 8e-23, far above the rounding floor
+    (100 eps)^3 times its data mass, so the pair is judged, not skipped as
+    exact."""
+    grid = Domain.ball(2, 1.0).sample(1.0 / 128.0)
+    u = SampledQFunction.from_function(
+        grid, lambda p: (1.0 + p[:, 0] + 1e-6 * p[:, 0] ** 2)[:, None, None],
+        q=1, m=1)
+    h = DecayHypothesis(n=2, k=1, q_exp=3.0, mu=0.5, eps=0.2, beta1=1.0)
+    rep = audit_hypothesis(u, h, Stratification(base=[[0.0, 0.0]]), "I")
+    (pair,) = rep.pairs
+    assert pair.fine > 0.0
+    assert not pair.exact
+    assert rep.worst_ratio > 0.0
+
+
 def test_audit_needs_resolvable_pairs():
     grid = Domain.ball(2, 1.0).sample(1.0 / 16.0)
     u = SampledQFunction.from_function(

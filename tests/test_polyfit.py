@@ -653,6 +653,19 @@ def test_deterministic_starts_with_equal_labels_share_one_alternation(monkeypatc
     assert len(calls) == 1 < len(res.log)
 
 
+def _count_csgraph_calls(monkeypatch, events):
+    """Append the name of each connected_components and minimum_spanning_tree
+    call that label propagation makes to `events`."""
+    import scipy.sparse.csgraph as csgraph
+
+    for name in ("connected_components", "minimum_spanning_tree"):
+        def counting(*args, _original=getattr(csgraph, name), _name=name, **kwargs):
+            events.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(csgraph, name, counting)
+
+
 def test_order_k_propagation_stops_at_its_fixed_point(monkeypatch):
     """Where the first order-k forest returns the order-0 labels that framed
     it, the second is not grown: one depth-2 sweep, forward and backward
@@ -661,17 +674,116 @@ def test_order_k_propagation_stops_at_its_fixed_point(monkeypatch):
     sub, values, _, _, (ranks, *_) = _fit_inputs(
         _two_branch_sample(), np.array([0.5, 0.0]), 0.2, 1)
     reach = []
+    events = []
     original = polyfit._chain_pairings
 
     def counting(values, frames, cells, chains, lengths, extrap):
         reach.append(chains.shape[1])
+        events.append(chains.shape[1])
         return original(values, frames, cells, chains, lengths, extrap)
 
     monkeypatch.setattr(polyfit, "_chain_pairings", counting)
+    _count_csgraph_calls(monkeypatch, events)
     zero, labels = _propagated_labels(sub.grid, values, ranks, 1)
     assert reach == [1, 2]
     assert np.array_equal(labels, zero)
     want, _ = _forest_oracle(sub.grid.points, values, sub.grid.resolution, ranks, 1)
+    assert np.array_equal(labels, want)
+    # the fixed-point pass agrees with its frames on every edge
+    assert "minimum_spanning_tree" not in events[events.index(2):]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_propagation_off_the_branch_point_makes_no_csgraph_call(monkeypatch, k):
+    """Off the branch point every lattice edge's pairing agrees with the
+    spectral labels, so every spanning forest composes to them: no forest
+    is grown, and the labels are still the oracle's at orders 0 and k."""
+    sub, values, _, _, (ranks, *_) = _fit_inputs(
+        _two_branch_sample(), np.array([0.5, 0.0]), 0.2, k)
+    events = []
+    _count_csgraph_calls(monkeypatch, events)
+    zero, labels = _propagated_labels(sub.grid, values, ranks, k)
+    assert events == []
+    for order, got in ((0, zero), (k, labels)):
+        want, _ = _forest_oracle(sub.grid.points, values, sub.grid.resolution,
+                                 ranks, order)
+        assert np.array_equal(got, want), order
+        assert np.array_equal(got, ranks), order
+
+
+def test_propagation_across_the_branch_point_grows_its_forests(monkeypatch):
+    """A ball holding the branch point disagrees with its spectral labels on
+    some edge, so the forests are grown; the components and roots are found
+    once for all of them."""
+    sub, values, _, _, (ranks, *_) = _fit_inputs(
+        _two_branch_sample(), np.zeros(2), 0.2, 1)
+    events = []
+    _count_csgraph_calls(monkeypatch, events)
+    zero, labels = _propagated_labels(sub.grid, values, ranks, 1)
+    assert events.count("connected_components") == 1
+    assert events.count("minimum_spanning_tree") >= 2
+    assert not np.array_equal(zero, ranks)
+    for order, got in ((0, zero), (1, labels)):
+        want, _ = _forest_oracle(sub.grid.points, values, sub.grid.resolution,
+                                 ranks, order)
+        assert np.array_equal(got, want), order
+
+
+def _three_sheets(grid):
+    """Q = 3 planar sheets one apart that never cross: order-0 tracking and
+    the spectral ranks agree on every lattice edge."""
+    x = grid.points
+    sheets = [j + 0.1 * x[:, 0] - 0.05 * j * x[:, 1] for j in (-1, 0, 1)]
+    return np.stack(sheets, axis=1)[:, :, None]
+
+
+def test_propagation_checks_every_column_of_the_pairings(monkeypatch):
+    """Start labels that swap branches 1 and 2 on the right half of the ball
+    agree with every edge's pairing on column 0 but not on column 1 across
+    x = 0: the forest must be grown, and it composes the oracle's labels,
+    not the start labels."""
+    grid = Domain.ball(2, 1.0).sample(1.0 / 8.0)
+    values = _three_sheets(grid)
+    ranks = _spectral_ranks(values)
+    swapped = ranks.copy()
+    right = grid.points[:, 0] > 0
+    swapped[right] = swapped[right][:, [0, 2, 1]]
+    events = []
+    _count_csgraph_calls(monkeypatch, events)
+    (labels,) = _propagated_labels(grid, values, swapped, 0)
+    assert events.count("minimum_spanning_tree") == 1
+    want, _ = _forest_oracle(grid.points, values, grid.resolution, swapped, 0)
+    assert np.array_equal(labels, want)
+    assert not np.array_equal(labels, swapped)
+    assert np.array_equal(labels[:, 0], swapped[:, 0])
+
+
+def test_an_edgeless_cell_keeps_its_start_labels(monkeypatch):
+    """A one-cell component has no edge to disagree with: alone it returns
+    its start labels with no csgraph call, and beside a component whose
+    forest is grown it is a root that keeps them."""
+    h = 1.0 / 8.0
+    lone = QuadratureGrid(np.zeros((1, 2)), np.full(1, h * h), h)
+    values = _three_sheets(lone)
+    start = np.array([[1, 2, 0]])
+    events = []
+    _count_csgraph_calls(monkeypatch, events)
+    for order in (0, 1):
+        *_, labels = _propagated_labels(lone, values, start, order)
+        assert np.array_equal(labels, start)
+    assert events == []
+
+    ball = Domain.ball(2, 0.5).sample(h)
+    grid = QuadratureGrid(np.vstack([ball.points, [[2.0, 2.0]]]),
+                          np.append(ball.weights, h * h), h)
+    values = _three_sheets(grid)
+    swapped = _spectral_ranks(values)
+    swapped[:3] = swapped[:3][:, [0, 2, 1]]
+    swapped[-1] = start[0]
+    (labels,) = _propagated_labels(grid, values, swapped, 0)
+    assert events.count("minimum_spanning_tree") == 1
+    assert np.array_equal(labels[-1], start[0])
+    want, _ = _forest_oracle(grid.points, values, grid.resolution, swapped, 0)
     assert np.array_equal(labels, want)
 
 
@@ -853,3 +965,27 @@ def test_best_fit_refuses_undefined_exponent_or_degree(fit_grid, q_exp, k,
     u = _r15_pair(fit_grid)
     with pytest.raises(ValueError, match=match):
         best_fit(u, np.zeros(2), 1.1, k, q_exp)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_samples_are_refused_before_any_fit(fit_grid, bad,
+                                                       monkeypatch):
+    """One non-finite sample used to reach best_fit, which fitted it with a
+    finite residual and converged=True; the sampled function refuses it, so
+    no fit ever sees it."""
+    calls = []
+    original = polyfit.best_fit
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(polyfit, "best_fit", counting)
+    vals = _two_branch_field(fit_grid.points)
+    vals[fit_grid.size // 2, 1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        polyfit.best_fit(SampledQFunction(fit_grid, vals), np.zeros(2), 0.5, 1)
+    with pytest.raises(ValueError, match="finite"):
+        polyfit.best_fit(SampledQFunction.from_function(
+            fit_grid, lambda x: vals, q=2, m=2), np.zeros(2), 0.5, 1)
+    assert calls == []
