@@ -124,8 +124,11 @@ def decay_exponent(u, x0, k, q_exp=2.0, ladder=None, min_rungs=4):
     q-mass of the top rung's ball (`polyfit.exact_floor`) are dropped; if
     every rung is there, the data is an exact polynomial tuple to machine
     precision and an exact-fit sentinel is returned instead of a
-    meaningless slope.
+    meaningless slope.  min_rungs, the fewest kept rungs a slope is fitted
+    to, must be at least 2: one rung has no slope.
     """
+    if min_rungs < 2:
+        raise ValueError("min_rungs must be at least 2, got %r" % min_rungs)
     prof = excess_profile(u, x0, k, q_exp, ladder)
     top = float(np.max(prof.radii))
     floor = exact_floor(u.restrict(prof.center, top).q_mass(q_exp), q_exp)

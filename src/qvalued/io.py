@@ -243,7 +243,7 @@ def hypothesis_from_dict(obj):
         "q_exp": float(obj.get("q_exp", obj.get("q", 2.0))),
         "mu": float(obj["mu"]),
     }
-    for key in ("eps", "beta", "beta1", "beta2", "beta0"):
+    for key in ("eps", "beta1", "beta2", "beta0"):
         if obj.get(key) is not None:
             kwargs[key] = float(obj[key])
     for key in ("betas", "beta_tildes"):

@@ -447,8 +447,10 @@ def numeric_derivative(u, x0, h, gap_tol=None):
     to center branches is meaningless and a BranchAmbiguityError is raised.
     Returns an array of shape (Q, m, n), row i the Jacobian of the branch
     matched to center branch i (branches in the center tuple's canonical
-    order).
+    order).  The step h must be finite and positive.
     """
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError("step h must be finite and positive, got %r" % h)
     x0 = np.asarray(x0, dtype=float).ravel()
     n = x0.shape[0]
     center = _evaluate(u, x0)

@@ -123,6 +123,28 @@ def test_too_few_usable_rungs(u_abs):
         decay_exponent(u_abs, (0.0, 0.0), 0, 2.0, [0.5, 0.25], min_rungs=4)
 
 
+@pytest.mark.parametrize("min_rungs", [1, 0, -3])
+def test_fewer_than_two_rungs_refused_before_any_fit(monkeypatch, min_rungs):
+    # one rung has no slope; with min_rungs = 1 a one-rung ladder on r^1.5
+    # was fitted to lambda = 3.54 with r^2 = nan
+    import qvalued.campanato as campanato
+
+    grid = Domain.ball(2, 1.0).sample(1.0 / 32.0)
+    r = np.linalg.norm(grid.points, axis=1)
+    u = SampledQFunction(grid, (r ** 1.5)[:, None, None])
+    calls = []
+    original = campanato.best_fit
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(campanato, "best_fit", counting)
+    with pytest.raises(ValueError, match="min_rungs"):
+        decay_exponent(u, (0.0, 0.0), 1, 2.0, [0.5], min_rungs=min_rungs)
+    assert calls == []
+
+
 @pytest.mark.parametrize("ladder", [None, [], np.array(0.5)])
 def test_missing_or_empty_ladder_refused(u_abs, ladder):
     with pytest.raises(ValueError, match="ladder"):

@@ -515,6 +515,15 @@ def test_numeric_derivative_linear_tuples():
     assert jac1 == pytest.approx(np.array([[[2.0, 3.0]]]), abs=1e-10)
 
 
+@pytest.mark.parametrize("h", [0.0, -1.0 / 64.0, math.nan, math.inf])
+def test_numeric_derivative_refuses_a_step_that_is_not_positive(h):
+    # h = 0 used to return an all-NaN Jacobian
+    grid = Domain.ball(2, 1.0).sample(1.0 / 16.0)
+    vals = np.stack([grid.points[:, :1], -grid.points[:, :1]], axis=1)
+    with pytest.raises(ValueError, match="step h"):
+        numeric_derivative(SampledQFunction(grid, vals), [0.5, 0.2], h=h)
+
+
 def test_numeric_derivative_branch_point_refuses():
     from qvalued.lab import LinearTuple
 

@@ -578,13 +578,15 @@ def test_serial_fit_stops_before_propagating(fit_grid, monkeypatch):
 
 def _fit_inputs(u, center, radius, k):
     """best_fit's set-up at q_exp = 2: the ball, its canonically ordered
-    values, the design, its factor and the deterministic start labels."""
+    values, the design, its factor and the deterministic start labels,
+    which read the values less their branch mean."""
     sub = u.restrict(center, radius)
     values = np.take_along_axis(
         sub.values, canonical_order(sub.values)[:, :, None], axis=1)
     design = design_matrix(sub.grid.points, center, multi_indices(2, k))
-    ranks = _spectral_ranks(values)
-    starts = [ranks, *_propagated_labels(sub.grid, values, ranks, k)]
+    symmetric = values - values.mean(axis=1, keepdims=True)
+    ranks = _spectral_ranks(symmetric)
+    starts = [ranks, *_propagated_labels(sub.grid, symmetric, ranks, k)]
     return sub, values, design, _factor(design, sub.grid.weights), starts
 
 
@@ -653,12 +655,73 @@ def test_deterministic_starts_with_equal_labels_share_one_alternation(monkeypatc
     assert len(calls) == 1 < len(res.log)
 
 
+def test_a_random_labeling_equal_to_an_earlier_one_is_not_alternated_again(
+        monkeypatch):
+    """At the branch point the deterministic starts disagree and the eight
+    restarts run.  With a generator that draws the same labeling each time,
+    one alternation serves all eight, and the fit is the one written by
+    alternating from every start."""
+    u = _two_branch_sample()
+    center = np.zeros(2)
+    sub, values, design, factor, starts = _fit_inputs(u, center, 0.2, 1)
+    draw = np.random.default_rng(0).random((sub.size, 2))
+    drawn = np.argsort(draw, axis=1)
+    outcomes = [_alternate(design, values, sub.grid.weights, factor, labels, 2.0)
+                for labels in starts + [drawn]]
+    want = [(kind, obj, iters, conv) for kind, (_, _, obj, conv, iters)
+            in zip(["spectral", "order0", "order_k"] + ["random"] * 8,
+                   outcomes + [outcomes[-1]] * 7)]
+    coeffs = min(outcomes, key=lambda o: (o[2], o[0].tobytes()))[0]
+    poly = QPolynomial(center, 1, coeffs).canonical_branch_order()
+
+    class Repeating:
+        def __init__(self, seed):
+            pass
+
+        def random(self, size):
+            return draw.copy()
+
+    calls = []
+    original = polyfit._alternate
+
+    def counting(*args):
+        calls.append(args[4])
+        return original(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", Repeating)
+    monkeypatch.setattr(polyfit, "_alternate", counting)
+    res = best_fit(u, center, 0.2, 1)
+    assert res.log == tuple(want)
+    assert sum(np.array_equal(labels, drawn) for labels in calls) == 1
+    assert len(calls) == len(outcomes)
+    assert res.residual == min(o[2] for o in outcomes)
+    assert res.polynomial.coeffs.tobytes() == poly.coeffs.tobytes()
+
+
+def test_fit_starts_read_the_symmetric_part():
+    """One affine map added to every branch changes no pairing: the best fit
+    shifts by it and keeps its residual.  The starts read the values less
+    their branch mean, so they do not see the map; read raw, they tilted
+    the spectral axis and the forest's margins, and on this ball across
+    the branch point the residual moved by 0.24%."""
+    grid = Domain.ball(2, 0.5).sample(1.0 / 64.0)
+    field = _two_branch_field(grid.points)
+    c = np.random.default_rng(1).normal(size=(2, 3))  # c0 + c1 x + c2 y per component
+    affine = c[:, 0] + grid.points @ c[:, 1:].T
+    plain = best_fit(SampledQFunction(grid, field), np.zeros(2), 0.15, 2)
+    moved = best_fit(SampledQFunction(grid, field + affine[:, None, :]),
+                     np.zeros(2), 0.15, 2)
+    assert moved.residual == pytest.approx(plain.residual, rel=1e-9, abs=0.0)
+
+
 def _count_csgraph_calls(monkeypatch, events):
-    """Append the name of each connected_components and minimum_spanning_tree
-    call that label propagation makes to `events`."""
+    """Append the name of each connected_components, minimum_spanning_tree
+    and breadth_first_order call that label propagation makes to
+    `events`."""
     import scipy.sparse.csgraph as csgraph
 
-    for name in ("connected_components", "minimum_spanning_tree"):
+    for name in ("connected_components", "minimum_spanning_tree",
+                 "breadth_first_order"):
         def counting(*args, _original=getattr(csgraph, name), _name=name, **kwargs):
             events.append(_name)
             return _original(*args, **kwargs)
@@ -713,15 +776,17 @@ def test_propagation_off_the_branch_point_makes_no_csgraph_call(monkeypatch, k):
 
 def test_propagation_across_the_branch_point_grows_its_forests(monkeypatch):
     """A ball holding the branch point disagrees with its spectral labels on
-    some edge, so the forests are grown; the components and roots are found
-    once for all of them."""
+    some edge, so the forests are grown.  Each is one graph with one
+    minimum spanning tree and one breadth-first order: the roots come from
+    the tree, with no pass over the components."""
     sub, values, _, _, (ranks, *_) = _fit_inputs(
         _two_branch_sample(), np.zeros(2), 0.2, 1)
     events = []
     _count_csgraph_calls(monkeypatch, events)
     zero, labels = _propagated_labels(sub.grid, values, ranks, 1)
-    assert events.count("connected_components") == 1
-    assert events.count("minimum_spanning_tree") >= 2
+    grown = events.count("minimum_spanning_tree")
+    assert grown >= 2
+    assert events == ["minimum_spanning_tree", "breadth_first_order"] * grown
     assert not np.array_equal(zero, ranks)
     for order, got in ((0, zero), (1, labels)):
         want, _ = _forest_oracle(sub.grid.points, values, sub.grid.resolution,
