@@ -30,7 +30,7 @@ from .errors import (
     InsufficientSamplesError,
     WeakConstantsError,
 )
-from .geometry import dyadic_ladder
+from .geometry import dyadic_ladder, squared_distances
 from .points import matched_mass
 from .polyfit import best_fit, exact_floor
 
@@ -314,12 +314,16 @@ def _as_list(us):
 
 def _set_distances(points, targets):
     """Distance from each row of `points` to the nearest row of `targets`,
-    inf where `targets` is empty."""
+    inf where `targets` is empty.
+
+    The root is taken of each row's least squared distance: below 8
+    coordinates, the bytes of
+    np.linalg.norm(points[:, None] - targets[None], axis=2).min(axis=1).
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if targets.size == 0:
         return np.full(points.shape[0], np.inf)
-    diff = points[:, None, :] - targets[None, :, :]
-    return np.linalg.norm(diff, axis=2).min(axis=1)
+    return np.sqrt(squared_distances(points[:, None], targets[None]).min(axis=1))
 
 
 def _audit_ladder(u, rho_top):

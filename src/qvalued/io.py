@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from .certify import DecayHypothesis
-from .geometry import Domain, QuadratureGrid
+from .geometry import Domain, QuadratureGrid, squared_distances
 from .points import SampledQFunction
 
 
@@ -296,5 +296,5 @@ def bounding_ball(u):
     """Deterministic enclosing ball: bounding-box midpoint, padded radius."""
     pts = u.grid.points
     center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-    radius = float(np.linalg.norm(pts - center, axis=1).max()) + u.grid.resolution
+    radius = math.sqrt(squared_distances(pts, center).max()) + u.grid.resolution
     return center, radius

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReflectionTraceError
-from .geometry import _ladder_radii
+from .geometry import _ladder_radii, squared_distances
 from .points import AqPoint, SampledQFunction, branch_gaps, match_batch
 
 __all__ = [
@@ -539,7 +539,7 @@ def frequency_function(u, x0, ladder):
         jac = _node_jacobians(u)
         dens = np.sum(jac * jac, axis=(1, 2, 3))
         sq = np.sum(u.values ** 2, axis=(1, 2))
-        rads = np.linalg.norm(u.grid.points - x0[None, :], axis=1)
+        rads = np.sqrt(squared_distances(u.grid.points, x0))
         h = u.grid.resolution
 
         def integrals(rho):  # Dirichlet energy, then the shell's mass / h

@@ -447,10 +447,13 @@ def numeric_derivative(u, x0, h, gap_tol=None):
     to center branches is meaningless and a BranchAmbiguityError is raised.
     Returns an array of shape (Q, m, n), row i the Jacobian of the branch
     matched to center branch i (branches in the center tuple's canonical
-    order).  The step h must be finite and positive.
+    order).  The step h must be finite and positive, and gap_tol, when
+    given, not NaN or negative.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError("step h must be finite and positive, got %r" % h)
+    if gap_tol is not None and not gap_tol >= 0.0:
+        raise ValueError("gap_tol must not be NaN or negative, got %r" % gap_tol)
     x0 = np.asarray(x0, dtype=float).ravel()
     n = x0.shape[0]
     center = _evaluate(u, x0)

@@ -239,7 +239,9 @@ class FitResult:
     ran.  `log` holds one (kind, objective, iterations, converged) entry
     per start that ran, in order, a start that shared an earlier one's
     labels with that one's outcome; the kinds are "zero" (Q = 1),
-    "spectral", "order0", "order_k" and "random"."""
+    "spectral", "order0", "order_k" and "random".  At q = 2 the
+    alternation skips the iteration that would only confirm a repeated
+    labeling, but `iterations` counts it (up to _MAX_ITER), as if it ran."""
 
     polynomial: QPolynomial
     residual: float
@@ -525,7 +527,9 @@ def _alternate(design, values, weights, factor, labels, q_exp):
     Reweighting need not lower the objective from one iteration to the
     next, so there the start ends at its iterate of least objective (the
     first of equal ones), with the coefficients of the factor that produced
-    it; at q_exp = 2 it ends at its last iterate.
+    it; at q_exp = 2 it ends at its last iterate.  There a labeling that
+    matches back to itself fixes every later iterate, so the start ends at
+    once and counts the confirming iteration it skips.
     Returns (coeffs, labels, objective, converged, iterations).
     """
     S, Q, m = values.shape
@@ -551,6 +555,14 @@ def _alternate(design, values, weights, factor, labels, q_exp):
         labels = new_labels
         if same and abs(prev_obj - obj) <= _FIT_TOL * max(obj, 1e-300):
             converged = True
+            break
+        if (same and q_exp == 2.0 and iterations < _MAX_ITER
+                and math.isfinite(obj)):
+            # the next iteration would repeat this one bit for bit and stop,
+            # as the test above passes an objective equal to the previous
+            # one when it is finite; it is counted, not run
+            converged = True
+            iterations += 1
             break
         prev_obj = obj
     obj, y, solve, labels = kept

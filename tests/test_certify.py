@@ -43,6 +43,27 @@ def reference_chain(n, k, q_exp, beta1, mu):
     return None
 
 
+@pytest.mark.parametrize("n, h", [(1, 1.0 / 256.0), (2, 1.0 / 80.0), (3, 1.0 / 16.0)])
+def test_set_distances_are_the_bytes_of_the_norm_minimum(n, h):
+    grid = Domain.ball(n, 1.0).sample(h).points
+    rng = np.random.default_rng(n)
+    few = rng.uniform(-0.5, 0.5, (5, n))
+
+    def norm_minimum(points, targets):
+        points = np.atleast_2d(points)
+        return np.linalg.norm(points[:, None] - targets[None], axis=2).min(axis=1)
+
+    # few points against few, one point against the whole grid, the grid
+    # against one point and against a few
+    for points, targets in ((few, few[::-1] + 0.1), (grid[7], grid),
+                            (few[0], grid), (grid, few[:1]), (grid, few)):
+        got = certify._set_distances(points, targets)
+        assert got.tobytes() == norm_minimum(points, targets).tobytes()
+    for points in (few, grid):
+        got = certify._set_distances(points, np.empty((0, n)))
+        assert got.shape == (points.shape[0],) and np.all(got == np.inf)
+
+
 def test_gamma_golden():
     assert gamma_select(2, 1, 2.0, 1.0, 0.5) == 2.0 ** -12
     # direct check of the selection inequality at the returned value

@@ -174,6 +174,14 @@ def test_squared_distances_are_the_bytes_of_the_summed_squares(n, h):
         assert squared_distances(grid.points, x).tobytes() == want.tobytes()
         assert np.array_equal(grid.restrict_indices(x, 0.4),
                               np.nonzero(want <= 0.4 * 0.4)[0])
+    # strided columns: every other column of a wider array, and a
+    # Fortran-ordered copy
+    wide = np.repeat(grid.points, 2, axis=1)[:, ::2]
+    assert not wide.flags.c_contiguous
+    for points in (wide, np.asfortranarray(grid.points)):
+        for x in (rng.uniform(-0.5, 0.5, n), grid.points[7]):
+            want = np.sum((points - x) ** 2, axis=1)
+            assert squared_distances(points, x).tobytes() == want.tobytes()
 
 
 def test_grid_arrays_are_private_read_only_copies():

@@ -524,6 +524,16 @@ def test_numeric_derivative_refuses_a_step_that_is_not_positive(h):
         numeric_derivative(SampledQFunction(grid, vals), [0.5, 0.2], h=h)
 
 
+@pytest.mark.parametrize("gap_tol", [math.nan, -1.0])
+def test_numeric_derivative_refuses_a_gap_tolerance_that_is_nan_or_negative(gap_tol):
+    # both used to pass the branch point and return an all-zero Jacobian
+    from qvalued.lab import LinearTuple
+
+    u = LinearTuple.wall([1.0, -1.0])
+    with pytest.raises(ValueError, match="gap_tol"):
+        numeric_derivative(u, [0.0, 0.3], h=1.0 / 64.0, gap_tol=gap_tol)
+
+
 def test_numeric_derivative_branch_point_refuses():
     from qvalued.lab import LinearTuple
 

@@ -986,6 +986,72 @@ def test_factored_alternation_matches_lstsq_alternation(fit_grid, q_exp):
             assert obj == pytest.approx(want_obj, rel=1e-12, abs=0), (vals.shape, k)
 
 
+def _confirming_alternate(design, values, weights, factor, labels, max_iter):
+    """The q = 2 alternation that runs the iteration confirming a repeated
+    labeling: the reference for the one that skips it.  Returns the bytes of
+    its coefficients and labels, its objective, converged flag, iteration
+    count and the number of matchings it ran."""
+    S, Q, m = values.shape
+    project, basis, solve = factor
+    flat = values.reshape(S * Q, m)
+    offsets = np.arange(0, S * Q, Q)[:, None]
+    prev_obj, converged, matchings = math.inf, False, 0
+    for iterations in range(1, max_iter + 1):
+        y = project @ flat.take(labels + offsets, axis=0).reshape(S, Q * m)
+        new_labels, costs = match_batch(values, (basis @ y).reshape(S, Q, m))
+        matchings += 1
+        g = np.sqrt(np.maximum(costs, 0.0))
+        obj = float(np.sum(weights * g ** 2.0))
+        same = np.array_equal(new_labels, labels)
+        labels = new_labels
+        if same and abs(prev_obj - obj) <= _FIT_TOL * max(obj, 1e-300):
+            converged = True
+            break
+        prev_obj = obj
+    coeffs = (solve @ y).reshape(-1, Q, m).transpose(1, 2, 0)
+    return (coeffs.tobytes(), labels.tobytes(), obj, converged, iterations,
+            matchings)
+
+
+def test_a_repeated_labeling_ends_a_q2_alternation_without_confirming_it(
+        fit_grid, monkeypatch):
+    """At q = 2 a labeling that matches back to itself fixes every later
+    iterate: the alternation stops there, one matching short of the
+    reference, with its outcome, converged flag and count.  Where the cap
+    falls on that iteration, both stop unconverged at the cap."""
+    rng = np.random.default_rng(23)
+    weights = fit_grid.weights
+    cases = [(_r15_pair(fit_grid).values, 1)]
+    for q, m, k in ((2, 1, 1), (2, 2, 2), (3, 1, 1)):
+        vals = random_qpolynomial(rng, 2, m, q, k).eval(fit_grid.points)
+        cases.append((vals + 0.05 * rng.normal(size=vals.shape), k))
+    matchings = []
+    original = polyfit.match_batch
+
+    def counting(*args):
+        matchings.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(polyfit, "match_batch", counting)
+    for vals, k in cases:
+        design = design_matrix(fit_grid.points, np.zeros(2), multi_indices(2, k))
+        factor = _factor(design, weights)
+        for labels in (_spectral_ranks(vals),
+                       np.argsort(rng.random(vals.shape[:2]), axis=1)):
+            want = _confirming_alternate(design, vals, weights, factor, labels,
+                                         _MAX_ITER)
+            capped = _confirming_alternate(design, vals, weights, factor, labels,
+                                           want[4] - 1)
+            assert want[3] and not capped[3]
+            for cap, ref in ((_MAX_ITER, want), (want[4] - 1, capped)):
+                monkeypatch.setattr(polyfit, "_MAX_ITER", cap)
+                matchings.clear()
+                coeffs, got, obj, conv, iters = _alternate(
+                    design, vals, weights, factor, labels, 2.0)
+                assert (coeffs.tobytes(), got.tobytes(), obj, conv, iters) == ref[:5]
+                assert len(matchings) == ref[5] - (cap == _MAX_ITER)
+
+
 def _r15_pair(grid):
     r = np.linalg.norm(grid.points, axis=1)
     th = np.arctan2(grid.points[:, 1], grid.points[:, 0])
