@@ -32,7 +32,7 @@ from .errors import (
 )
 from .geometry import dyadic_ladder, squared_distances
 from .points import matched_mass
-from .polyfit import best_fit, exact_floor
+from .polyfit import _shared_fits, best_fit, exact_floor
 
 __all__ = [
     "DecayHypothesis",
@@ -533,6 +533,7 @@ class CertifyOutcome:
         return not self.refused
 
 
+@_shared_fits()
 def end_to_end_certify(us, s, k, q_exp, mu_claim):
     """Calibrate, audit, and certify in one pass.
 
@@ -544,7 +545,9 @@ def end_to_end_certify(us, s, k, q_exp, mu_claim):
     coarse scales passes; data that degrades below the claimed modulus at
     fine scales refuses with the violation list.  A passing certificate is
     spot-checked for soundness: the certified Campanato exponent must not
-    exceed the measured decay exponent at the audited centers.
+    exceed the measured decay exponent at the audited centers.  A ball is
+    fitted once per call: the spot check's excess profiles reuse the
+    audit's comparison fits where they meet (`polyfit._shared_fits`).
 
     Every audited center needs a ladder of two rungs, rho_top/2 >=
     MIN_NODES_RADIUS h.  At a base point rho_top is eps = 0.2, so the grid

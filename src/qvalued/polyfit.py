@@ -24,9 +24,11 @@ over edges sorted by reliability, Herraez et al. 2002).  The lattice is
 the grid's own neighbour table (`QuadratureGrid.lattice`), which a ball
 restriction gathers from its parent grid's.  Every lattice edge is
 weighed by matching one cell against the Newton extrapolation of the
-lattice chain beyond its neighbour, in chunked `match_margins` calls;
-scipy's csgraph takes the edges, and a heavier one from a virtual node to
-every cell, as CSR arrays built directly from the table, and returns one
+lattice chain beyond its neighbour, in chunked `match_margins` calls; the
+chains are read by flat takes of the framed values, summed one chain
+position at a time, with no (edges, depth, Q, m) gather.  scipy's
+csgraph takes the edges, and a heavier one from a virtual node to every
+cell, as CSR arrays built directly from the table, and returns one
 tree: the forest and the root of each of its components.  Pointer jumping
 composes the pairings down it.  Random labelings follow only where the
 deterministic starts end at objectives more than the alternation's own
@@ -37,11 +39,15 @@ one's reuses that start's alternation, and the order-k forests stop at a
 fixed point, a forest that returns the labels that framed it.  Nor is a
 forest grown whose labels are known: where every lattice edge's pairing
 agrees with the labels in hand, every spanning forest composes to them,
-so propagation returns them without a csgraph call.
+so propagation returns them without a csgraph call.  Within one
+certificate (`_shared_fits`) a ball is fitted once: a repeated `best_fit`
+call returns the earlier FitResult.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 import math
@@ -303,18 +309,6 @@ _TABLE_CHUNK_ENTRIES = 1 << 14
 _ORDER_K_PASSES = 2
 
 
-def _extrapolate(extrap, chains, lengths):
-    """Newton extrapolation along (N, depth, Q, m) chains with the weights
-    extrap[lengths], summed term by term in chain order.  Zero-weight
-    padding terms add signed zeros, which leave every squared difference
-    to the prediction unchanged."""
-    terms = extrap[lengths][..., None, None] * chains
-    pred = terms[:, 0]
-    for j in range(1, chains.shape[1]):
-        pred = pred + terms[:, j]
-    return pred
-
-
 def _run_lengths(chains):
     """In-grid run of each row of (N, depth) chains (cell indices, -1 off
     the grid): its count of leading in-grid cells, as int8."""
@@ -331,27 +325,39 @@ def _chain_pairings(values, frames, cells, chains, lengths, extrap):
 
     Row i predicts values[cells[i]] from the chain chains[i] (cell indices,
     -1 off the grid), its in-grid run lengths[i] taken in the branch frames
-    `frames` (values[c][frames[c]] for chain cell c, gathered once for the
-    whole grid), and matches it with `match_margins` in row chunks of at
+    `frames` (values[c][frames[c]] for chain cell c; None for the raw
+    branch order), and matches it with `match_margins` in row chunks of at
     most _TABLE_CHUNK_ENTRIES values: the only matching whose margin the
-    library reads.
+    library reads.  Every array is read by flat takes: the framed values
+    are gathered once for the whole grid, and the Newton extrapolation with
+    the weights extrap[lengths] is summed one chain position at a time, in
+    chain order, from a take of that position's cells.  Zero-weight padding
+    terms add signed zeros, which leave every squared difference to the
+    prediction unchanged.
     Returns int8 pairings P with values[cell][P[j]] matched to
     values[first chain cell][j], and relative margins gap / (sq_cost + gap)
     (0 where both vanish).
     """
     N, depth = chains.shape
-    Q, m = values.shape[1:]
-    framed = np.take_along_axis(values, frames[..., None], axis=1)
+    S, Q, m = values.shape
+    framed = values if frames is None else values.reshape(S * Q, m).take(
+        frames + np.arange(0, S * Q, Q)[:, None], axis=0)
     pairings = np.empty((N, Q), dtype=np.int8)
     margins = np.zeros(N)
     step = max(_TABLE_CHUNK_ENTRIES // (max(depth, Q) * Q * m), 1)
     for lo in range(0, N, step):
         run = chains[lo:lo + step]
-        labs, cost, gap = match_margins(
-            values[cells[lo:lo + step]],
-            _extrapolate(extrap, framed[run], lengths[lo:lo + step]))
-        # from the chain's frames back to its first cell's raw branches
-        np.put_along_axis(pairings[lo:lo + step], frames[run[:, 0]], labs, axis=1)
+        weights = extrap[lengths[lo:lo + step]][:, :, None, None]
+        pred = weights[:, 0] * framed.take(run[:, 0], axis=0)
+        for j in range(1, depth):
+            pred = pred + weights[:, j] * framed.take(run[:, j], axis=0)
+        labs, cost, gap = match_margins(values.take(cells[lo:lo + step], axis=0), pred)
+        if frames is None:
+            pairings[lo:lo + step] = labs
+        else:
+            # from the chain's frames back to its first cell's raw branches
+            rows = np.arange(lo, lo + run.shape[0])[:, None]
+            pairings[rows, frames.take(run[:, 0], axis=0)] = labs
         np.divide(gap, cost + gap, out=margins[lo:lo + step], where=cost + gap > 0)
     return pairings, margins
 
@@ -456,13 +462,14 @@ def _propagated_labels(grid, values, start_labels, order=0):
         chains = np.concatenate([chains, table[head, 2 * half + 1]])
     runs = _run_lengths(chains)
 
-    def grow(reach, frames):
-        """Labels composed along the forest of chains of at most `reach`
-        cells, framed by `frames`: order 0 (reach 1) reads the forward
-        chains, order k both directions, in one call."""
-        if reach == 1:
+    def grow(frames):
+        """Labels composed along the forest of the lattice chains: with no
+        frames (order 0) the first cell of each forward chain, in raw branch
+        order; at order k both directions' chains, framed by `frames`, in
+        one call."""
+        if frames is None:
             length = np.ones(count, dtype=np.int8)
-            pairing, margin = _chain_pairings(values, frames, tail, chains[:count, :1],
+            pairing, margin = _chain_pairings(values, None, tail, chains[:count, :1],
                                               length, extrap[:2, :1])
             child, parent = tail, head
         else:
@@ -478,7 +485,7 @@ def _propagated_labels(grid, values, start_labels, order=0):
         # satisfy every edge and hold the start labels at the roots are what
         # any spanning forest composes to: at order 0 the start labels, at
         # order k the frames, whose roots hold them already.
-        held = start_labels if reach == 1 else frames
+        held = start_labels if frames is None else frames
         if _agrees(pairing, held, child, parent):
             return held
         ranked = np.lexsort((-margin, -length))
@@ -504,11 +511,11 @@ def _propagated_labels(grid, values, start_labels, order=0):
             up = up[up]
         return compose[:S]
 
-    labels = grow(1, np.broadcast_to(np.arange(Q), (S, Q)))  # raw branch order
+    labels = grow(None)
     yield labels
     if depth > 1:
         for _ in range(_ORDER_K_PASSES):
-            frames, labels = labels, grow(depth, labels)
+            frames, labels = labels, grow(labels)
             if np.array_equal(labels, frames):  # a fixed point of grow
                 break
         yield labels
@@ -570,6 +577,26 @@ def _alternate(design, values, weights, factor, labels, q_exp):
     return coeffs, labels, obj, converged, iterations
 
 
+# FitResults shared by the best_fit calls of one block (`_shared_fits`),
+# keyed by (id(u), center bytes, radius, k, q_exp, cfg); each entry holds
+# u itself, so no id is reused while the block lasts.  None outside one.
+_SHARED_FITS = contextvars.ContextVar("_SHARED_FITS", default=None)
+
+
+@contextlib.contextmanager
+def _shared_fits():
+    """Within the block, a best_fit call with the arguments of an earlier
+    one (the same u object, the same center bytes, equal radius, k, q_exp
+    and cfg) returns that call's FitResult.  A fit depends on nothing else,
+    so this changes no result; the memo ends with the block.  As a
+    decorator it gives each call of the function a memo of its own."""
+    token = _SHARED_FITS.set({})
+    try:
+        yield
+    finally:
+        _SHARED_FITS.reset(token)
+
+
 def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     """Best degree-k polynomial tuple on the sampled region.
 
@@ -586,16 +613,21 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     apart, relative to the least of them; otherwise the fit is their
     minimum.  q_exp must be finite and at least 1, k non-negative.
     Returns a FitResult; its residual is the attained weighted objective.
+    Inside `_shared_fits` a repeated call returns the earlier FitResult.
     """
     cfg = cfg or FitConfig()
     if not (math.isfinite(q_exp) and q_exp >= 1.0):
         raise ValueError("q_exp must be finite and at least 1, got %r" % q_exp)
     if k < 0:
         raise ValueError("degree k must be non-negative, got %r" % k)
-    if isinstance(u, SampledQFunction):
-        sub = u.restrict(center, radius)
-    else:
+    if not isinstance(u, SampledQFunction):
         raise TypeError("best_fit needs sampled data")
+    memo = _SHARED_FITS.get()
+    if memo is not None:
+        key = (id(u), np.asarray(center, dtype=float).tobytes(), radius, k, q_exp, cfg)
+        if key in memo:
+            return memo[key][1]
+    sub = u.restrict(center, radius)
     center = np.asarray(center, dtype=float).ravel()
     X = sub.grid.points
     weights = sub.grid.weights
@@ -665,7 +697,10 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     coeffs, _, obj, conv, iters = min(
         (out for _, out in ran), key=lambda o: (o[2], o[0].tobytes()))
     poly = QPolynomial(center, k, coeffs).canonical_branch_order()
-    return FitResult(poly, obj, conv, iters, scheduled, tuple(log))
+    result = FitResult(poly, obj, conv, iters, scheduled, tuple(log))
+    if memo is not None:
+        memo[key] = (u, result)
+    return result
 
 
 def exact_floor(mass, q_exp):

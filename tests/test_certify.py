@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvalued import certify
+from qvalued import campanato, certify, polyfit
 from qvalued.certify import (
     DecayHypothesis,
     Stratification,
@@ -472,3 +472,84 @@ def test_end_to_end_traverses_each_part_once(stratified_run):
     assert {key[1:] for key in restricts} == rungs
     assert all(len(a.pairs) == a.checked for a in out.audits)
     assert any(p.calibrating for a in out.audits for p in a.pairs)
+
+
+def _record_fits(monkeypatch):
+    """Record every best_fit call the certify and campanato modules make, as
+    (u, center, radius, k, q_exp, result), and count the fits computed: at
+    q = 2 each computed fit factors its design once."""
+    calls, computed = [], []
+    fit, factor = polyfit.best_fit, polyfit._factor
+
+    def recording(u, center, radius, k, q_exp=2.0, cfg=None):
+        res = fit(u, center, radius, k, q_exp, cfg)
+        calls.append((u, np.asarray(center, dtype=float).copy(), radius, k, q_exp, res))
+        return res
+
+    def counting(design, weights):
+        computed.append(1)
+        return factor(design, weights)
+
+    for module in (certify, campanato):
+        monkeypatch.setattr(module, "best_fit", recording)
+    monkeypatch.setattr(polyfit, "_factor", counting)
+    return calls, computed
+
+
+def _fit_key(u, center, radius, k, q_exp):
+    return id(u), center.tobytes(), radius, k, q_exp
+
+
+def test_end_to_end_fits_each_ball_once(monkeypatch):
+    """The soundness spot check's excess profiles meet the audit's
+    comparison balls; each distinct (component, center, radius) is fitted
+    once per call, a repeated call gets the first call's FitResult, and the
+    outcome is the one computed with no sharing."""
+    u, _ = two_branch_strata_case()
+    single = SampledQFunction(
+        u.grid, (np.linalg.norm(u.grid.points, axis=1) ** 1.5)[:, None, None])
+    s = Stratification(base=[[0.0, 0.0]])
+    calls, computed = _record_fits(monkeypatch)
+    out = end_to_end_certify([u, single], s, k=1, q_exp=2.0, mu_claim=0.5)
+    assert out.ok and out.soundness["centers"]
+    first = {}
+    for *args, res in calls:
+        assert first.setdefault(_fit_key(*args), res) is res
+    assert {id(c[0]) for c in calls} == {id(u), id(single)}
+    assert len(computed) == len(first) < len(calls)
+    calls.clear()
+    computed.clear()
+    unshared = end_to_end_certify.__wrapped__([u, single], s, k=1, q_exp=2.0,
+                                              mu_claim=0.5)
+    assert unshared == out
+    assert len(computed) == len(calls)
+
+
+def test_end_to_end_shares_no_fit_across_calls(monkeypatch):
+    u, s = two_branch_strata_case()
+    calls, computed = _record_fits(monkeypatch)
+    out = end_to_end_certify(u, s, k=1, q_exp=2.0, mu_claim=0.5)
+    once = len(computed)
+    assert polyfit._SHARED_FITS.get() is None
+    again = end_to_end_certify(u, s, k=1, q_exp=2.0, mu_claim=0.5)
+    assert len(computed) == 2 * once
+    assert again == out
+    # the second call computed its own FitResults
+    half = len(calls) // 2
+    assert not {id(c[-1]) for c in calls[:half]} & {id(c[-1]) for c in calls[half:]}
+
+
+def test_end_to_end_keeps_fits_at_nearby_centers_apart(monkeypatch):
+    """Two free centers 1e-13 apart share the audit's comparison fit (it
+    rounds centers to 12 decimals) but not their exact-center fits."""
+    u, _ = two_branch_strata_case()
+    near = [[0.5, 0.2], [0.5 + 1e-13, 0.2]]
+    s = Stratification(base=[[0.0, 0.0]], free_points=near)
+    calls, computed = _record_fits(monkeypatch)
+    end_to_end_certify(u, s, k=1, q_exp=2.0, mu_claim=0.5)
+    assert len(computed) == len({_fit_key(*c[:-1]) for c in calls})
+    for x in near:
+        fits = [c[-1] for c in calls if c[1].tobytes() == np.array(x).tobytes()]
+        assert fits
+        assert all(f.polynomial.center.tobytes() == np.array(x).tobytes()
+                   for f in fits)

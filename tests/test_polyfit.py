@@ -22,6 +22,7 @@ from qvalued.points import (
     SampledQFunction,
     canonical_order,
     match_batch,
+    match_margins,
     metric_g,
 )
 from qvalued.polyfit import (
@@ -912,6 +913,60 @@ def test_order_k_propagation_first_yields_the_order_zero_labels(name):
         (zero,) = _propagated_labels(grid, vals, ranks, 0)
         first, _ = _propagated_labels(grid, vals, ranks, k)
         assert np.array_equal(first, zero), (q, m, k)
+
+
+def _chain_pairings_by_gathers(values, frames, cells, chains, lengths, extrap):
+    """`polyfit._chain_pairings` in its earlier formulation, kept as its
+    oracle: branch frames by take_along_axis, the whole (N, depth, Q, m)
+    gather of the framed chains, Newton terms summed in chain order, and
+    pairings written by put_along_axis; one match of all rows at once."""
+    S, Q, m = values.shape
+    if frames is None:
+        frames = np.broadcast_to(np.arange(Q), (S, Q))
+    framed = np.take_along_axis(values, frames[..., None], axis=1)
+    terms = extrap[lengths][..., None, None] * framed[chains]
+    pred = terms[:, 0]
+    for j in range(1, chains.shape[1]):
+        pred = pred + terms[:, j]
+    labs, cost, gap = match_margins(values[cells], pred)
+    pairings = np.empty((len(cells), Q), dtype=np.int8)
+    np.put_along_axis(pairings, frames[chains[:, 0]], labs, axis=1)
+    margins = np.zeros(len(cells))
+    np.divide(gap, cost + gap, out=margins, where=cost + gap > 0)
+    return pairings, margins
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(2, 6), m=st.integers(1, 3), depth=st.integers(1, 5),
+       frames=st.sampled_from(["none", "identity", "random"]),
+       ties=st.booleans(), chunks=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_chain_pairings_are_the_bits_of_the_gathered_formulation(q, m, depth, frames,
+                                                                 ties, chunks, seed):
+    """Flat takes, the Newton sum one chain position at a time and the
+    direct pairing write give the earlier formulation's bytes, across the
+    row chunks of _TABLE_CHUNK_ENTRIES values, with -1 padding in the
+    chains, and with no frames for the raw branch order."""
+    rng = np.random.default_rng(seed)
+    S = int(rng.integers(2, 40))
+    step = max(polyfit._TABLE_CHUNK_ENTRIES // (max(depth, q) * q * m), 1)
+    N = chunks * step + int(rng.integers(1, step))
+    values = rng.normal(size=(S, q, m))
+    if ties:  # equal branches and equal costs: zero margins, signed zeros
+        values = np.round(values)
+    chains = rng.integers(-1, S, size=(N, depth))
+    chains[:, 0] = rng.integers(0, S, size=N)  # a chain starts in the grid
+    lengths = polyfit._run_lengths(chains)
+    extrap = np.zeros((depth + 1, depth))
+    for length in range(1, depth + 1):
+        extrap[length, :length] = _EXTRAP_WEIGHTS[length]
+    cells = rng.integers(0, S, size=N)
+    framing = {"none": None,
+               "identity": np.broadcast_to(np.arange(q), (S, q)),
+               "random": np.argsort(rng.random((S, q)), axis=1)}[frames]
+    got = polyfit._chain_pairings(values, framing, cells, chains, lengths, extrap)
+    want = _chain_pairings_by_gathers(values, framing, cells, chains, lengths, extrap)
+    assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2])
