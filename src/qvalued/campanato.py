@@ -52,8 +52,9 @@ def excess_profile(u, x0, k, q_exp=2.0, ladder=None):
     Rungs that fall below the grid resolution (or lose all nodes, or leave
     the fit under-determined) truncate the profile and are flagged rather
     than fatal: a deep ladder on a coarse grid is a normal request.  A
-    missing or empty ladder, or a radius that is not finite and positive,
-    is refused with ValueError.
+    missing or empty ladder, a radius that is not finite and positive, or a
+    center x0 that is not a finite point of the grid's dimension is refused
+    with ValueError.
     """
     rungs = _ladder_radii(ladder)
     x0 = np.asarray(x0, dtype=float).ravel()

@@ -12,6 +12,14 @@ link to that grid and the indices of its nodes there, so its lattice is a
 gather of the parent's rows.  Points and weights are read-only, so a
 built lattice cannot go stale.
 
+The table is built by direct addressing.  Each axis ranks its distinct
+lattice keys; every node's index is written to its cell of a box with one
+cell per combination of ranks, plus a padding slab per axis for steps to a
+key no node has; and every (node, direction, step) is read with one
+gather.  A box of more than a fixed number of cells per node, as a
+scattered, off-lattice point set gives, is never allocated: those cells
+are found by one sorted search instead.
+
 Per-node kernels read an (S, n) point array one coordinate column at a
 time, along the long sample axis.  An operation on the whole array runs
 numpy's inner loop over the n coordinates once per row, which costs about
@@ -76,8 +84,61 @@ def _lattice_directions(n):
     return [d for hd in half for d in (hd, tuple(-x for x in hd))]
 
 
+def _grid_point(x, dim, name):
+    """x as a float vector; ValueError naming `name` unless it has `dim`
+    coordinates, all finite."""
+    x = np.asarray(x, dtype=float).ravel()
+    if x.shape[0] != dim:
+        raise ValueError("%s dimension mismatch" % name)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("%s must be finite, got %s" % (name, x))
+    return x
+
+
 def _index_dtype(size):
     return np.int32 if size < 2 ** 31 else np.int64
+
+
+# The largest rank box neighbour_table allocates, in cells per sample.  A
+# lattice sample's box holds one to a few cells per sample (13 on the
+# annulus 0.95 < r < 1 at h = 1/64); a scattered point set's can hold S^n,
+# and is searched instead.
+_BOX_CELLS_PER_SAMPLE = 16
+
+
+def _rank_cells(points, resolution, offsets, depth):
+    """(own, target, cells): each sample's cell in the rank box, the cell
+    one offsets[k] away from it as target[:, k], and the box's cell count.
+
+    Each axis keys its coordinates on the lattice and ranks the distinct
+    keys; the box is C-ordered over the axes, one slab per rank and a last,
+    padding slab.  A step of t <= depth to a key that no sample has lands
+    in the padding slab, which no sample's own cell is in.
+    """
+    S, n = points.shape
+    ranks, nears = [], []
+    for a in range(n):
+        column = points[:, a]
+        keys = np.rint((column - column.min()) / resolution).astype(int)
+        coords, rank = np.unique(keys, return_inverse=True)
+        # near[r, depth + t]: the rank of coords[r] + t, else the padding slab
+        want = coords[:, None] + np.arange(-depth, depth + 1)
+        near = np.searchsorted(coords, want)
+        near[coords[np.minimum(near, coords.shape[0] - 1)] != want] = coords.shape[0]
+        ranks.append(rank)
+        nears.append(near)
+    sides = [near.shape[0] + 1 for near in nears]
+    cells = math.prod(sides)
+    cell_dtype = _index_dtype(cells)
+    own = np.zeros(S, dtype=cell_dtype)
+    target = np.zeros((S, offsets.shape[0]), dtype=cell_dtype)
+    stride = 1
+    for a in reversed(range(n)):
+        own += ranks[a] * stride
+        step = nears[a].astype(cell_dtype) * stride
+        target += step[:, depth + offsets[:, a]].take(ranks[a], axis=0)
+        stride *= sides[a]
+    return own, target, cells
 
 
 def neighbour_table(points, resolution, dirs, depth):
@@ -85,40 +146,35 @@ def neighbour_table(points, resolution, dirs, depth):
     step of (j + 1) * dirs[d] away from sample s, or -1 where there is none.
 
     Points sit on a lattice of side `resolution` anchored at their
-    coordinate-wise minimum and are keyed by rounding.  Keys are linearised
-    over the per-axis ranks of the coordinates present (so the linear range
-    stays small whatever the lattice extent) and found with one sorted
-    search per offset.  Where samples share a key the one listed last is
-    found.
+    coordinate-wise minimum and are keyed by rounding.  A sample is
+    addressed by the ranks of its keys among each axis's distinct keys, so
+    the rank box (`_rank_cells`) stays small whatever the lattice extent.
+    Every sample's index is written to its cell in index order
+    (np.maximum.at), so where samples share a key the one listed last is
+    found, and every (sample, direction, step) is read with one gather.  A
+    box of more than _BOX_CELLS_PER_SAMPLE cells per sample, as off-lattice
+    points give, is never allocated: the same cells are then found with one
+    sorted search over the samples' own cells.
     """
     points = np.asarray(points, dtype=float)
-    keys = np.rint((points - points.min(axis=0)) / resolution).astype(int)
-    S, n = keys.shape
-    coords = [np.unique(keys[:, a]) for a in range(n)]
-    dims = tuple(c.shape[0] for c in coords)
-
-    def linear(lattice):
-        """Linear key of each lattice point; -1 where a coordinate occurs in
-        no sample."""
-        present = np.ones(lattice.shape[0], dtype=bool)
-        ranks = []
-        for a in range(n):
-            r = np.minimum(np.searchsorted(coords[a], lattice[:, a]), dims[a] - 1)
-            present &= coords[a][r] == lattice[:, a]
-            ranks.append(r)
-        return np.where(present, np.ravel_multi_index(ranks, dims), -1)
-
-    own = linear(keys)
-    order = np.argsort(own, kind="stable")
-    own_sorted = own[order]
-    table = np.full((S, len(dirs), depth), -1, dtype=_index_dtype(S))
-    for di, d in enumerate(dirs):
-        for j in range(depth):
-            target = linear(keys + (j + 1) * np.asarray(d))
-            pos = np.maximum(np.searchsorted(own_sorted, target, side="right") - 1, 0)
-            hit = (target >= 0) & (own_sorted[pos] == target)
-            table[hit, di, j] = order[pos[hit]]
-    return table
+    S, n = points.shape
+    # the len(dirs) * depth lattice offsets, in table order
+    offsets = (np.arange(1, depth + 1)[:, None] * np.asarray(dirs)[:, None, :]).reshape(-1, n)
+    own, target, cells = _rank_cells(points, resolution, offsets, depth)
+    node = np.arange(S, dtype=_index_dtype(S))
+    if cells <= _BOX_CELLS_PER_SAMPLE * S:
+        box = np.full(cells, -1, dtype=node.dtype)
+        np.maximum.at(box, own, node)
+        table = box[target]
+    else:
+        order = np.argsort(own, kind="stable")
+        own_sorted = own[order]
+        pos = np.searchsorted(own_sorted, target, side="right")
+        pos -= 1
+        np.maximum(pos, 0, out=pos)
+        table = node[order].take(pos)
+        table[own_sorted.take(pos) != target] = -1
+    return table.reshape(S, len(dirs), depth)
 
 
 def squared_distances(points, x):
@@ -210,11 +266,12 @@ class QuadratureGrid:
         """Indices of nodes within distance `radius` of `center`.
 
         The radius must exceed two grid cells; a handful of nodes is not a
-        meaningful quadrature of a ball.
+        meaningful quadrature of a ball.  A center that is not a finite point
+        of the grid's dimension, or a NaN radius, is refused with ValueError.
         """
-        center = np.asarray(center, dtype=float).ravel()
-        if center.shape[0] != self.dim:
-            raise ValueError("center dimension mismatch")
+        center = _grid_point(center, self.dim, "center")
+        if math.isnan(radius):
+            raise ValueError("radius must not be NaN")
         if radius <= 2.0 * self.resolution:
             raise BelowResolutionError(
                 "restriction radius %g below resolution (h = %g)"

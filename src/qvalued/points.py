@@ -34,7 +34,7 @@ from .errors import (
     EmptyIntersectionError,
     OracleLimitError,
 )
-from .geometry import _ladder_radii, squared_distances, unit_ball_volume
+from .geometry import _grid_point, _ladder_radii, squared_distances, unit_ball_volume
 
 __all__ = [
     "AqPoint",
@@ -309,7 +309,9 @@ def _match(a, b, margin):
             _refuse_overflow(worst.max(initial=0.0))
             crossed = swap < keep
             best = np.minimum(keep, swap)
-            labels = np.stack([crossed, ~crossed], axis=1).astype(int)
+            labels = np.empty((S, 2), dtype=int)
+            labels[:, 0] = crossed
+            labels[:, 1] = ~crossed
             if not margin:
                 return labels, best
             return labels, best, worst - best
@@ -403,7 +405,9 @@ class SampledQFunction:
         return AqPoint(self.values[index])
 
     def nearest_index(self, x):
-        d2 = squared_distances(self.grid.points, np.asarray(x, float))
+        """Index of the grid node nearest x, a finite point of the grid's
+        dimension (else ValueError)."""
+        d2 = squared_distances(self.grid.points, _grid_point(x, self.n, "x"))
         return int(np.argmin(d2))
 
     def value_at(self, x):
@@ -480,15 +484,16 @@ def lebesgue_point_profile(u, x0, ladder, q_exp=2.0):
 
     Returns (radii_used, averages, truncated) where truncated flags ladder
     rungs dropped by `QuadratureGrid.restrict_indices`: at most two grid
-    steps, or holding no node.  An empty ladder, a radius that is not
-    finite and positive, or a q_exp that is not finite and at least 1 is
-    refused with ValueError.
+    steps, or holding no node.  A center x0 that is not a finite point of
+    the grid's dimension, an empty ladder, a radius that is not finite and
+    positive, or a q_exp that is not finite and at least 1 is refused with
+    ValueError.
     """
     if not isinstance(u, SampledQFunction):
         raise TypeError("profile requires sampled data")
     if not (math.isfinite(q_exp) and q_exp >= 1.0):
         raise ValueError("q_exp must be finite and at least 1, got %r" % q_exp)
-    x0 = np.asarray(x0, dtype=float).ravel()
+    x0 = _grid_point(x0, u.n, "x0")
     ref = u.value_at(x0).branches
     omega = unit_ball_volume(u.n)
     radii, averages = [], []

@@ -161,6 +161,13 @@ def test_non_finite_or_non_positive_radius_refused(u_abs, ladder):
         excess_profile(u_abs, (0.0, 0.0), 0, 2.0, ladder)
 
 
+@pytest.mark.parametrize("x0", [(math.nan, 0.0), (0.0, math.inf)])
+def test_non_finite_center_refused(u_abs, x0):
+    # it used to be read as a ladder entirely below resolution
+    with pytest.raises(ValueError, match="center must be finite"):
+        excess_profile(u_abs, x0, 0, 2.0, [0.5, 0.25])
+
+
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
 def test_seminorm_refuses_non_finite_lambda(u_abs15, lam):
     with pytest.raises(ValueError, match="lambda"):

@@ -1,6 +1,7 @@
 """Tests for domains, quadrature grids, and dyadic ladders."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,20 @@ def test_non_finite_geometry_is_degenerate(bad):
 def test_sample_refuses_non_finite_resolution(h):
     with pytest.raises(ValueError, match="positive and finite"):
         Domain.ball(2, 1.0).sample(h)
+
+
+@pytest.mark.parametrize("center", [[math.nan, 0.0], [0.0, math.inf], [-math.inf, 0.0]])
+def test_restriction_refuses_a_non_finite_center(disk_grid, center):
+    # a NaN center used to read as an empty ball
+    with pytest.raises(ValueError, match="center must be finite"):
+        disk_grid.restrict_indices(center, 0.5)
+    with pytest.raises(ValueError, match="center must be finite"):
+        disk_grid.restrict(center, 0.5)
+
+
+def test_restriction_refuses_a_nan_radius(disk_grid):
+    with pytest.raises(ValueError, match="radius must not be NaN"):
+        disk_grid.restrict_indices([0.0, 0.0], math.nan)
 
 
 def test_restrict_superset_is_identity(disk_grid):
@@ -238,6 +253,24 @@ def test_restriction_lattice_gathers_the_parent_table(n, h):
     for depth in (2, 1, 5, 3, 4):
         for grid in (top, sub, subsub, corner):
             _assert_lattice_is_built_table(grid, depth)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Domain.ball(2, 1.0).sample(1.0 / 80.0),
+    # every coordinate its own key: a rank box would hold 3,229^2 cells,
+    # about 200 times the table's bytes
+    lambda: QuadratureGrid(np.random.default_rng(0).uniform(-1.0, 1.0, (3228, 2)),
+                           np.ones(3228), 1e-9),
+], ids=["disk", "scattered"])
+def test_lattice_build_peak_memory_is_a_few_tables(make):
+    grid = make()
+    tracemalloc.start()
+    try:
+        table = grid.lattice(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * table.nbytes
 
 
 def test_lattice_of_a_grid_read_back_from_csv(tmp_path):

@@ -602,6 +602,24 @@ def test_lebesgue_profile_refuses_non_finite_or_non_positive_radius(disk_grid, l
         lebesgue_point_profile(const, [0.0, 0.0], ladder)
 
 
+@pytest.mark.parametrize("x0", [[math.nan, 0.0], [0.0, math.inf]])
+def test_lebesgue_profile_refuses_a_non_finite_center(disk_grid, x0):
+    # a NaN center used to give empty arrays flagged as truncated
+    const = SampledQFunction(disk_grid, np.zeros((disk_grid.size, 1, 1)))
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        lebesgue_point_profile(const, x0, [0.5, 0.25])
+
+
+@pytest.mark.parametrize("x", [[math.nan, 0.0], [0.0, -math.inf], [0.5], [0.5, 0.0, 0.0]])
+def test_nearest_index_refuses_a_point_off_the_grid(disk_grid, x):
+    # [nan, 0] used to return node 0
+    const = SampledQFunction(disk_grid, np.zeros((disk_grid.size, 1, 1)))
+    with pytest.raises(ValueError, match="x "):
+        const.nearest_index(x)
+    with pytest.raises(ValueError, match="x "):
+        const.value_at(x)
+
+
 @pytest.mark.parametrize("ladder", [[], np.array(0.5)])
 def test_lebesgue_profile_refuses_an_empty_ladder(disk_grid, ladder):
     const = SampledQFunction(disk_grid, np.zeros((disk_grid.size, 1, 1)))

@@ -459,19 +459,56 @@ PROPAGATION_GRIDS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PROPAGATION_GRIDS))
-def test_neighbour_table_matches_dict_lookup(name):
-    grid = PROPAGATION_GRIDS[name]()
-    keys = _lattice_keys(grid.points, grid.resolution)
-    dirs = _lattice_directions(grid.dim)
-    table = neighbour_table(grid.points, grid.resolution, dirs, 4)
+def _assert_table_matches_dict_lookup(points, resolution, depth):
+    """neighbour_table against a dict of lattice keys, in which a key shared
+    by several samples holds the one listed last."""
+    keys = _lattice_keys(points, resolution)
+    dirs = _lattice_directions(points.shape[1])
+    table = neighbour_table(points, resolution, dirs, depth)
     index_of = {tuple(k): s for s, k in enumerate(keys)}
     expected = np.array([
-        [[index_of.get(tuple(k + step * np.asarray(d)), -1) for step in range(1, 5)]
+        [[index_of.get(tuple(k + step * np.asarray(d)), -1) for step in range(1, depth + 1)]
          for d in dirs]
         for k in keys
     ])
+    assert table.dtype == np.int32
     assert np.array_equal(table, expected)
+
+
+@pytest.mark.parametrize("name", sorted(PROPAGATION_GRIDS))
+def test_neighbour_table_matches_dict_lookup(name):
+    grid = PROPAGATION_GRIDS[name]()
+    _assert_table_matches_dict_lookup(grid.points, grid.resolution, 4)
+
+
+@st.composite
+def _keyed_samples(draw):
+    """(points, resolution): a random subset of an n = 1-3 lattice, with
+    repeated nodes, sometimes a second component far off, and sometimes
+    jitter under the rounding; or scattered points with a few repeated.
+    The resolution is the lattice's or 1e-9, under which nearly every
+    coordinate is its own key."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h = draw(st.sampled_from([1.0, 1.0 / 16.0, 0.3]))
+    if draw(st.booleans()):
+        side = draw(st.integers(1, 6))
+        keys = rng.integers(0, side, (draw(st.integers(1, 40)), n))
+        if draw(st.booleans()):
+            keys = np.concatenate([keys, keys[::2] + draw(st.integers(side + 1, 10_000))])
+        points = keys * h - 0.5
+        if draw(st.booleans()):
+            points += rng.uniform(-0.2, 0.2, points.shape) * h
+    else:
+        points = rng.uniform(-1.0, 1.0, (draw(st.integers(1, 60)), n))
+        points = np.concatenate([points, points[rng.integers(0, len(points), 5)]])
+    return points, draw(st.sampled_from([h, 1e-9]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sample=_keyed_samples(), depth=st.integers(1, 5))
+def test_neighbour_table_matches_dict_lookup_on_drawn_samples(sample, depth):
+    _assert_table_matches_dict_lookup(*sample, depth)
 
 
 def _two_branch_field(points):
