@@ -54,26 +54,32 @@ def excess_profile(u, x0, k, q_exp=2.0, ladder=None):
     than fatal: a deep ladder on a coarse grid is a normal request.  A
     missing or empty ladder, a radius that is not finite and positive, or a
     center x0 that is not a finite point of the grid's dimension is refused
-    with ValueError.
+    with ValueError.  A profile with no rung kept is refused: with
+    EmptyIntersectionError naming x0 when every resolvable rung's ball
+    holds no node, else with BelowResolutionError.
     """
     rungs = _ladder_radii(ladder)
     x0 = np.asarray(x0, dtype=float).ravel()
     radii, excesses, fits = [], [], []
-    truncated = False
+    dropped = set()
     for rho in rungs:
         try:
             res = best_fit(u, x0, rho, k, q_exp)
         except (BelowResolutionError, EmptyIntersectionError,
-                InsufficientSamplesError):
-            truncated = True
+                InsufficientSamplesError) as exc:
+            dropped.add(type(exc))
             continue
         radii.append(rho)
         excesses.append(res.residual)
         fits.append(res)
     if not radii:
+        if dropped - {BelowResolutionError} == {EmptyIntersectionError}:
+            raise EmptyIntersectionError(
+                "no grid node in any resolvable ball about x0 = %s"
+                % x0.tolist())
         raise BelowResolutionError("ladder entirely below resolution")
     return ExcessProfile(x0, np.asarray(radii), np.asarray(excesses),
-                         truncated, tuple(fits))
+                         bool(dropped), tuple(fits))
 
 
 @dataclass(frozen=True)

@@ -438,7 +438,8 @@ def _bad_all(s):
     return np.vstack([s.base] + list(s.strata)) if s.strata else s.base
 
 
-def audit_hypothesis(us, h, s, which, fits=None):
+@_shared_fits()
+def audit_hypothesis(us, h, s, which):
     """Evaluate one part of the decay premise on sampled data.
 
     which = "I": contraction at base-set points (joint across components).
@@ -448,13 +449,11 @@ def audit_hypothesis(us, h, s, which, fits=None):
     Per center and per admissible dyadic scale pair, both sides of the
     premise are computed by quadrature; ratios above 1 + DEFAULT_AUDIT_TOL
     are reported as violations with their location and scales.  The report
-    keeps the pair table it judged.  `fits` can carry precomputed
-    comparison polynomials keyed by (point tuple, fit radius).  A point of
-    `s` with no grid node within one grid step is refused with ValueError
-    before any fit.
+    keeps the pair table it judged, and fits each ball once, or once per
+    enclosing `polyfit._shared_fits` block.  A point of `s` with no grid
+    node within one grid step is refused with ValueError before any fit.
     """
     u_list = _as_list(us)
-    fits = {} if fits is None else fits
     if which not in ("I", "II", "III"):
         raise ValueError("which must be I, II, or III")
     if which == "III" and not h.stratified:
@@ -463,17 +462,10 @@ def audit_hypothesis(us, h, s, which, fits=None):
         raise ValueError("no strata to audit")
     for u in u_list:
         for x in s.points():
-            if _set_distances(x, u.grid.points)[0] > u.grid.resolution:
-                raise ValueError(
-                    "point %s has no grid node within one grid step (h = %g)"
-                    % (x.tolist(), u.grid.resolution))
+            u.nearest_index(x)  # refuses a point with no node within one step
 
     def fit_at(center, rho_top):
-        key = (tuple(np.round(np.asarray(center, float), 12)), float(rho_top))
-        if key not in fits:
-            fits[key] = [_limit_fit(u, center, rho_top, h.k, h.q_exp)
-                         for u in u_list]
-        return fits[key]
+        return [_limit_fit(u, center, rho_top, h.k, h.q_exp) for u in u_list]
 
     def top(center, bad):
         # largest audit radius whose ball keeps off the bad set
@@ -546,8 +538,8 @@ def end_to_end_certify(us, s, k, q_exp, mu_claim):
     fine scales refuses with the violation list.  A passing certificate is
     spot-checked for soundness: the certified Campanato exponent must not
     exceed the measured decay exponent at the audited centers.  A ball is
-    fitted once per call: the spot check's excess profiles reuse the
-    audit's comparison fits where they meet (`polyfit._shared_fits`).
+    fitted once per call (`polyfit._shared_fits`): the audits and the spot
+    check's excess profiles reuse each other's fits where they meet.
 
     Every audited center needs a ladder of two rungs, rho_top/2 >=
     MIN_NODES_RADIUS h.  At a base point rho_top is eps = 0.2, so the grid
@@ -567,8 +559,7 @@ def end_to_end_certify(us, s, k, q_exp, mu_claim):
         betas=(1.0,) * s.n_strata,
         beta_tildes=(1.0,) * s.n_strata,
     )
-    fits = {}
-    tables = [audit_hypothesis(u_list, unit, s, which, fits=fits).pairs
+    tables = [audit_hypothesis(u_list, unit, s, which).pairs
               for which in parts]
     calibrated = {}
     for which, pairs in zip(parts, tables):

@@ -28,6 +28,8 @@ EXIT_REFUSED = 4
 
 def _read_samples(path, resolution=None):
     if str(path).endswith(".json"):
+        if resolution is not None:  # a JSON sample file gives its own
+            raise ValueError("--resolution applies to CSV samples, not JSON")
         return io.read_samples_json(path)
     return io.read_samples_csv(path, resolution)
 

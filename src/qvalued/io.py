@@ -267,23 +267,26 @@ def write_profile_csv(path, radii, values, labels=("rho", "value")):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+# Each domain kind's own keys, in the order its Domain constructor takes them.
+_DOMAIN_KEYS = {"ball": ("radius",), "half_ball": ("radius",),
+                "annulus": ("inner_radius", "outer_radius"), "box": ("half_width",)}
+
+
 def domain_from_dict(obj):
-    """Rebuild a domain from config JSON; returns (domain, resolution|None)."""
+    """Rebuild a domain from config JSON; returns (domain, resolution|None).
+    An unknown kind, a key its kind does not read, or a non-integral `n` is
+    refused with ValueError naming the keys."""
     kind = obj["kind"]
-    n = int(obj["n"])
-    center = obj.get("center")
-    if kind == "ball":
-        dom = Domain.ball(n, float(obj["radius"]), center)
-    elif kind == "half_ball":
-        dom = Domain.half_ball(n, float(obj["radius"]), center)
-    elif kind == "annulus":
-        dom = Domain.annulus(
-            n, float(obj["inner_radius"]), float(obj["outer_radius"]), center
-        )
-    elif kind == "box":
-        dom = Domain.box(n, float(obj["half_width"]), center)
-    else:
+    if kind not in _DOMAIN_KEYS:
         raise ValueError("unknown domain kind %r" % kind)
+    own = _DOMAIN_KEYS[kind]
+    unread = sorted(set(obj) - {"kind", "n", "center", "resolution", *own})
+    if unread:
+        raise ValueError("domain kind %r does not read keys %s" % (kind, unread))
+    if not float(obj["n"]).is_integer():
+        raise ValueError("n must be an integer, got %r" % obj["n"])
+    dom = getattr(Domain, kind)(int(obj["n"]), *(float(obj[key]) for key in own),
+                                obj.get("center"))
     res = obj.get("resolution")
     return dom, (float(res) if res is not None else None)
 

@@ -31,7 +31,6 @@ import numpy as np
 from .errors import (
     BelowResolutionError,
     BranchAmbiguityError,
-    EmptyIntersectionError,
     OracleLimitError,
 )
 from .geometry import _grid_point, _ladder_radii, squared_distances, unit_ball_volume
@@ -405,10 +404,17 @@ class SampledQFunction:
         return AqPoint(self.values[index])
 
     def nearest_index(self, x):
-        """Index of the grid node nearest x, a finite point of the grid's
-        dimension (else ValueError)."""
-        d2 = squared_distances(self.grid.points, _grid_point(x, self.n, "x"))
-        return int(np.argmin(d2))
+        """Index of the grid node nearest x.  ValueError unless x is a
+        finite point of the grid's dimension with that node within one grid
+        step: no sample stands for a point off the grid."""
+        x = _grid_point(x, self.n, "x")
+        d2 = squared_distances(self.grid.points, x)
+        i = int(np.argmin(d2))
+        if math.sqrt(d2[i]) > self.grid.resolution:
+            raise ValueError(
+                "point %s has no grid node within one grid step (h = %g)"
+                % (x.tolist(), self.grid.resolution))
+        return i
 
     def value_at(self, x):
         """Tuple at the nearest grid node."""
@@ -483,10 +489,11 @@ def lebesgue_point_profile(u, x0, ladder, q_exp=2.0):
     """Averaged q-th power distance to the value at x0 per ladder radius.
 
     Returns (radii_used, averages, truncated) where truncated flags ladder
-    rungs dropped by `QuadratureGrid.restrict_indices`: at most two grid
-    steps, or holding no node.  A center x0 that is not a finite point of
-    the grid's dimension, an empty ladder, a radius that is not finite and
-    positive, or a q_exp that is not finite and at least 1 is refused with
+    rungs of at most two grid steps, which `QuadratureGrid.restrict_indices`
+    refuses; a longer rung holds x0's node.  A center x0 that is not a
+    finite point of the grid's dimension or has no grid node within one
+    grid step, an empty ladder, a radius that is not finite and positive,
+    or a q_exp that is not finite and at least 1 is refused with
     ValueError.
     """
     if not isinstance(u, SampledQFunction):
@@ -501,7 +508,7 @@ def lebesgue_point_profile(u, x0, ladder, q_exp=2.0):
     for rho in _ladder_radii(ladder):
         try:
             idx = u.grid.restrict_indices(x0, rho)
-        except (BelowResolutionError, EmptyIntersectionError):
+        except BelowResolutionError:
             truncated = True
             continue
         vals = u.values[idx]

@@ -40,8 +40,8 @@ fixed point, a forest that returns the labels that framed it.  Nor is a
 forest grown whose labels are known: where every lattice edge's pairing
 agrees with the labels in hand, every spanning forest composes to them,
 so propagation returns them without a csgraph call.  Within one
-certificate (`_shared_fits`) a ball is fitted once: a repeated `best_fit`
-call returns the earlier FitResult.
+certificate or audit (`_shared_fits`, the only fit memo) a ball is fitted
+once: a repeated `best_fit` call returns the earlier FitResult.
 """
 
 from __future__ import annotations
@@ -578,8 +578,8 @@ def _alternate(design, values, weights, factor, labels, q_exp):
 
 
 # FitResults shared by the best_fit calls of one block (`_shared_fits`),
-# keyed by (id(u), center bytes, radius, k, q_exp, cfg); each entry holds
-# u itself, so no id is reused while the block lasts.  None outside one.
+# keyed by (u, center bytes, radius, k, q_exp, cfg); u hashes by identity,
+# and the key holds it while the block lasts.  None outside one.
 _SHARED_FITS = contextvars.ContextVar("_SHARED_FITS", default=None)
 
 
@@ -588,8 +588,11 @@ def _shared_fits():
     """Within the block, a best_fit call with the arguments of an earlier
     one (the same u object, the same center bytes, equal radius, k, q_exp
     and cfg) returns that call's FitResult.  A fit depends on nothing else,
-    so this changes no result; the memo ends with the block.  As a
-    decorator it gives each call of the function a memo of its own."""
+    so this changes no result.  An inner block joins the memo, which ends
+    with the outermost block; as a decorator, with the outermost call."""
+    if _SHARED_FITS.get() is not None:
+        yield
+        return
     token = _SHARED_FITS.set({})
     try:
         yield
@@ -613,7 +616,8 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     apart, relative to the least of them; otherwise the fit is their
     minimum.  q_exp must be finite and at least 1, k non-negative.
     Returns a FitResult; its residual is the attained weighted objective.
-    Inside `_shared_fits` a repeated call returns the earlier FitResult.
+    Inside `_shared_fits` a call repeating an earlier one's arguments, the
+    same u object and center bytes, returns that call's FitResult.
     """
     cfg = cfg or FitConfig()
     if not (math.isfinite(q_exp) and q_exp >= 1.0):
@@ -624,9 +628,9 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
         raise TypeError("best_fit needs sampled data")
     memo = _SHARED_FITS.get()
     if memo is not None:
-        key = (id(u), np.asarray(center, dtype=float).tobytes(), radius, k, q_exp, cfg)
+        key = (u, np.asarray(center, dtype=float).tobytes(), radius, k, q_exp, cfg)
         if key in memo:
-            return memo[key][1]
+            return memo[key]
     sub = u.restrict(center, radius)
     center = np.asarray(center, dtype=float).ravel()
     X = sub.grid.points
@@ -699,7 +703,7 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     poly = QPolynomial(center, k, coeffs).canonical_branch_order()
     result = FitResult(poly, obj, conv, iters, scheduled, tuple(log))
     if memo is not None:
-        memo[key] = (u, result)
+        memo[key] = result
     return result
 
 

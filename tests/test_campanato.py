@@ -10,7 +10,11 @@ from qvalued.campanato import (
     holder_from_campanato,
     infer_band,
 )
-from qvalued.errors import BelowResolutionError, ExponentBandError
+from qvalued.errors import (
+    BelowResolutionError,
+    EmptyIntersectionError,
+    ExponentBandError,
+)
 from qvalued.geometry import Domain, dyadic_ladder
 from qvalued.points import SampledQFunction
 
@@ -166,6 +170,20 @@ def test_non_finite_center_refused(u_abs, x0):
     # it used to be read as a ladder entirely below resolution
     with pytest.raises(ValueError, match="center must be finite"):
         excess_profile(u_abs, x0, 0, 2.0, [0.5, 0.25])
+
+
+def test_center_off_the_domain_is_an_empty_intersection():
+    # every resolvable ball about (5, 5) is empty; it used to be read as a
+    # ladder entirely below resolution
+    grid = Domain.ball(2, 1.0).sample(1.0 / 16.0)
+    u = SampledQFunction(grid, (np.linalg.norm(grid.points, axis=1) ** 1.5)[:, None, None])
+    with pytest.raises(EmptyIntersectionError, match=r"\[5\.0, 5\.0\]"):
+        excess_profile(u, [5.0, 5.0], 1, ladder=[0.5, 0.25])
+    # one rung below resolution and the rest empty is still empty
+    with pytest.raises(EmptyIntersectionError):
+        excess_profile(u, [5.0, 5.0], 1, ladder=[0.5, 1.0 / 16.0])
+    with pytest.raises(BelowResolutionError, match="entirely below"):
+        excess_profile(u, [0.0, 0.0], 1, ladder=[1.0 / 16.0])
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])

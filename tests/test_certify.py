@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import sys
@@ -248,7 +249,7 @@ def branch_sample():
     return SampledQFunction.from_function(grid, branch_pair_values, q=2, m=2)
 
 
-def test_audit_branch_point_with_limit_polynomial(branch_sample):
+def test_audit_branch_point_with_limit_polynomial(branch_sample, monkeypatch):
     # Around the two-valued branch point the fine/coarse mass ratio matches
     # the claimed modulus exactly (the data is homogeneous), so the premise
     # holds with a constant only a tolerance above one.
@@ -256,15 +257,15 @@ def test_audit_branch_point_with_limit_polynomial(branch_sample):
     K = len(multi_indices(2, 1))
     zero = QPolynomial(np.zeros(2), 1, np.zeros((2, 2, K)))
     h = DecayHypothesis(n=2, k=1, q_exp=2.0, mu=0.5, eps=0.2, beta1=1.05)
-    rep = audit_hypothesis(branch_sample, h, s, "I",
-                           fits={((0.0, 0.0), h.eps): [zero]})
+    monkeypatch.setattr(certify, "_limit_fit", lambda *args: zero)
+    rep = audit_hypothesis(branch_sample, h, s, "I")
     assert rep.clean
     assert rep.worst_ratio == pytest.approx(1.0, abs=0.05)
 
 
 def test_part_three_does_not_depend_on_part_two_fits():
     # part II fits the stratum point at its eps-capped radius; part III
-    # must use that radius too, so sharing the fit cache changes nothing
+    # must use that radius too, so sharing the fit memo changes nothing
     grid = Domain.ball(2, 1.0).sample(1.0 / 80.0)
     u = SampledQFunction(grid, branch_pair_values(grid.points))
     s = Stratification(base=[[0.0, 0.0]], strata=([[0.5, 0.0]],),
@@ -272,9 +273,9 @@ def test_part_three_does_not_depend_on_part_two_fits():
     h = DecayHypothesis(n=2, k=1, q_exp=2.0, mu=0.5, beta0=1.0, betas=(1.0,),
                         beta_tildes=(1.0,))
     alone = audit_hypothesis(u, h, s, "III")
-    fits = {}
-    audit_hypothesis(u, h, s, "II", fits=fits)
-    assert audit_hypothesis(u, h, s, "III", fits=fits) == alone
+    with polyfit._shared_fits():
+        audit_hypothesis(u, h, s, "II")
+        assert audit_hypothesis(u, h, s, "III") == alone
 
 
 @settings(max_examples=200, deadline=None)
@@ -519,10 +520,68 @@ def test_end_to_end_fits_each_ball_once(monkeypatch):
     assert len(computed) == len(first) < len(calls)
     calls.clear()
     computed.clear()
-    unshared = end_to_end_certify.__wrapped__([u, single], s, k=1, q_exp=2.0,
-                                              mu_claim=0.5)
+    with _forgetful_memo():
+        unshared = end_to_end_certify([u, single], s, k=1, q_exp=2.0,
+                                      mu_claim=0.5)
     assert unshared == out
     assert len(computed) == len(calls)
+
+
+class _Forgetful(dict):
+    """A fit memo that stores nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@contextlib.contextmanager
+def _forgetful_memo():
+    """A block whose fit memo stores nothing: the blocks inside it join it,
+    so every best_fit call computes its fit."""
+    token = polyfit._SHARED_FITS.set(_Forgetful())
+    try:
+        yield
+    finally:
+        polyfit._SHARED_FITS.reset(token)
+
+
+def test_inner_shared_fits_block_joins_the_outer_memo(monkeypatch):
+    u, _ = two_branch_strata_case()
+    calls, computed = _record_fits(monkeypatch)
+    with polyfit._shared_fits():
+        memo = polyfit._SHARED_FITS.get()
+        first = certify.best_fit(u, [0.5, 0.2], 0.1, 1)
+        with polyfit._shared_fits():
+            assert polyfit._SHARED_FITS.get() is memo
+            assert certify.best_fit(u, [0.5, 0.2], 0.1, 1) is first
+        # the inner block's end leaves the outer memo in place
+        assert polyfit._SHARED_FITS.get() is memo
+    assert polyfit._SHARED_FITS.get() is None
+    assert len(computed) == 1 and len(calls) == 2
+
+
+def test_audit_fits_each_ball_once(monkeypatch):
+    u, _ = two_branch_strata_case()
+    single = SampledQFunction(
+        u.grid, (np.linalg.norm(u.grid.points, axis=1) ** 1.5)[:, None, None])
+    s = Stratification(base=[[0.0, 0.0]])
+    h = DecayHypothesis(n=2, k=1, q_exp=2.0, mu=0.5, beta1=1.0, beta2=1.0)
+    calls, computed = _record_fits(monkeypatch)
+    audit_hypothesis([u, single], h, s, "I")
+    # the base point's comparison fits are read for each component's family
+    # and as the point's own polynomials, and each is computed once
+    assert len(computed) == len({_fit_key(*c[:-1]) for c in calls}) == 2
+    assert len(calls) > 2
+    assert polyfit._SHARED_FITS.get() is None
+
+
+def test_refused_audit_leaves_no_memo():
+    u, _ = two_branch_strata_case()
+    h = DecayHypothesis(n=2, k=1, q_exp=2.0, mu=0.5, beta1=1.0, beta2=1.0)
+    s = Stratification(base=[[5.0, 5.0]])
+    with pytest.raises(ValueError, match="no grid node within one grid step"):
+        audit_hypothesis(u, h, s, "I")
+    assert polyfit._SHARED_FITS.get() is None
 
 
 def test_end_to_end_shares_no_fit_across_calls(monkeypatch):
@@ -540,8 +599,9 @@ def test_end_to_end_shares_no_fit_across_calls(monkeypatch):
 
 
 def test_end_to_end_keeps_fits_at_nearby_centers_apart(monkeypatch):
-    """Two free centers 1e-13 apart share the audit's comparison fit (it
-    rounds centers to 12 decimals) but not their exact-center fits."""
+    """Two free centers 1e-13 apart share no fit: the fit memo keys each
+    center by its exact bytes, and every fit at a center is centered
+    there."""
     u, _ = two_branch_strata_case()
     near = [[0.5, 0.2], [0.5 + 1e-13, 0.2]]
     s = Stratification(base=[[0.0, 0.0]], free_points=near)
@@ -553,3 +613,25 @@ def test_end_to_end_keeps_fits_at_nearby_centers_apart(monkeypatch):
         assert fits
         assert all(f.polynomial.center.tobytes() == np.array(x).tobytes()
                    for f in fits)
+
+
+def test_nearby_free_points_get_their_own_comparison_polynomials(monkeypatch):
+    # a comparison fit used to be shared by centers equal to 12 decimals,
+    # so the second point was compared against a polynomial centered at
+    # the first
+    u, _ = two_branch_strata_case()
+    near = [[0.5, 0.2], [0.5 + 1e-13, 0.2]]
+    s = Stratification(base=[[0.0, 0.0]], free_points=near)
+    h = DecayHypothesis(n=2, k=1, q_exp=2.0, mu=0.5, beta1=1.0, beta2=1.0)
+    owns = []
+    table = certify._pair_table
+
+    def recording(us, center, own, fams, rho_top, h):
+        owns.append((np.array(center), own))
+        return table(us, center, own, fams, rho_top, h)
+
+    monkeypatch.setattr(certify, "_pair_table", recording)
+    audit_hypothesis(u, h, s, "II")
+    assert [c.tobytes() for c, _ in owns] == [np.array(x).tobytes() for x in near]
+    for center, own in owns:
+        assert all(P.center.tobytes() == center.tobytes() for P in own)

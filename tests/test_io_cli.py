@@ -212,6 +212,31 @@ def test_domain_round_trip(tmp_path):
         io.domain_from_dict({"kind": "torus", "n": 2})
 
 
+@pytest.mark.parametrize("obj, keys", [
+    ({"kind": "ball", "n": 2, "radius": 0.5, "half_width": 0.8}, ["half_width"]),
+    ({"kind": "annulus", "n": 2, "inner_radius": 0.25, "outer_radius": 1.0,
+      "radius": 1.0}, ["radius"]),
+    ({"kind": "box", "n": 2, "half_width": 0.8, "radius": 0.5, "size": 3},
+     ["radius", "size"]),
+    ({"kind": "half_ball", "n": 2, "radius": 0.5, "inner_radius": 0.1},
+     ["inner_radius"]),
+    ({"kind": "ball", "n": 2.7, "radius": 0.5}, ["n"]),
+], ids=["unread", "annulus-radius", "unknown", "half-ball", "fractional-n"])
+def test_domain_config_refuses_keys_it_does_not_read(tmp_path, capsys, obj, keys):
+    # a ball used to drop half_width, and n = 2.7 built a 2-D ball
+    with pytest.raises(ValueError) as err:
+        io.domain_from_dict(obj)
+    assert all(k in str(err.value) for k in keys)
+    dom = tmp_path / "dom.json"
+    dom.write_text(json.dumps(obj))
+    out = tmp_path / "g.csv"
+    assert main(["lab", "generate", "--kind", "wall_pair", "--out", str(out),
+                 "--domain", str(dom), "--resolution", "0.125"]) == 2
+    assert not out.exists()
+    stderr = capsys.readouterr().err
+    assert all(k in stderr for k in keys)
+
+
 def test_atomic_writes_leave_no_partials(tmp_path):
     io.write_report_json(tmp_path / "r.json", {"a": [1.0, math.nan]})
     io.write_profile_csv(tmp_path / "p.csv", [0.5, 0.25], [1.0, 2.0])
@@ -413,6 +438,24 @@ def test_cli_refuses_non_positive_resolution(tmp_path, bp_csv):
     js.write_text(json.dumps(obj))
     assert main(["fit", "--in", str(js), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_cli_refuses_resolution_with_json_samples(tmp_path, capsys):
+    # a JSON sample file carries its own resolution; the flag used to be
+    # dropped silently, so the fit ran at the file's step
+    grid = Domain.ball(2, 0.5).sample(1.0 / 16.0)
+    u = SampledQFunction(grid, (np.linalg.norm(grid.points, axis=1) ** 1.5)[:, None, None])
+    js = tmp_path / "samples.json"
+    io.write_samples_json(js, u)
+    out = tmp_path / "o.json"
+    for argv in (["fit"], ["excess"], ["seminorm", "--lambda", "4"],
+                 ["exponent"], ["lab", "audit"]):
+        capsys.readouterr()
+        assert main(argv + ["--in", str(js), "--out", str(out),
+                            "--resolution", "0.03125"]) == 2
+        assert not out.exists()
+        assert "--resolution" in capsys.readouterr().err
+    assert main(["fit", "--in", str(js), "--out", str(out)]) == 0
 
 
 def test_cli_generate_refuses_non_finite_geometry(tmp_path):

@@ -515,6 +515,15 @@ def test_numeric_derivative_linear_tuples():
     assert jac1 == pytest.approx(np.array([[[2.0, 3.0]]]), abs=1e-10)
 
 
+def test_numeric_derivative_refuses_a_point_off_the_sampled_domain():
+    # the differences of nodes far from (5, 5) used to give [0.3125, -0.3125]
+    # as the gradient of x1 on the h = 1/16 disk
+    grid = Domain.ball(2, 1.0).sample(1.0 / 16.0)
+    u = SampledQFunction(grid, grid.points[:, :1, None])
+    with pytest.raises(ValueError, match="no grid node within one grid step"):
+        numeric_derivative(u, [5.0, 5.0], h=0.1)
+
+
 @pytest.mark.parametrize("h", [0.0, -1.0 / 64.0, math.nan, math.inf])
 def test_numeric_derivative_refuses_a_step_that_is_not_positive(h):
     # h = 0 used to return an all-NaN Jacobian
@@ -610,6 +619,24 @@ def test_lebesgue_profile_refuses_a_non_finite_center(disk_grid, x0):
         lebesgue_point_profile(const, x0, [0.5, 0.25])
 
 
+@pytest.mark.parametrize("x0", [[5.0, 5.0], [1.0 + 2.0 / 128.0, 0.0]])
+def test_lebesgue_profile_refuses_a_center_off_the_sampled_domain(disk_grid, x0):
+    # its reference value used to come from a node far from x0
+    const = SampledQFunction(disk_grid, np.zeros((disk_grid.size, 1, 1)))
+    with pytest.raises(ValueError, match="no grid node within one grid step"):
+        lebesgue_point_profile(const, x0, [0.5, 0.25])
+
+
+def test_lebesgue_profile_accepts_a_center_between_nodes():
+    # the origin of a cell-centered grid is h / sqrt(2) from its nearest node
+    grid = Domain.ball(2, 0.5).sample(1.0 / 64.0)
+    assert np.min(np.linalg.norm(grid.points, axis=1)) == pytest.approx(
+        math.sqrt(0.5) / 64.0)
+    const = SampledQFunction(grid, np.zeros((grid.size, 1, 1)))
+    radii, _, truncated = lebesgue_point_profile(const, [0.0, 0.0], [0.5, 0.25])
+    assert list(radii) == [0.5, 0.25] and not truncated
+
+
 @pytest.mark.parametrize("x", [[math.nan, 0.0], [0.0, -math.inf], [0.5], [0.5, 0.0, 0.0]])
 def test_nearest_index_refuses_a_point_off_the_grid(disk_grid, x):
     # [nan, 0] used to return node 0
@@ -617,6 +644,16 @@ def test_nearest_index_refuses_a_point_off_the_grid(disk_grid, x):
     with pytest.raises(ValueError, match="x "):
         const.nearest_index(x)
     with pytest.raises(ValueError, match="x "):
+        const.value_at(x)
+
+
+@pytest.mark.parametrize("x", [[5.0, 5.0], [1.0 + 2.0 / 128.0, 0.0]])
+def test_nearest_index_refuses_a_point_with_no_node_within_one_step(disk_grid, x):
+    # [5, 5] used to get a node far from it
+    const = SampledQFunction(disk_grid, np.zeros((disk_grid.size, 1, 1)))
+    with pytest.raises(ValueError, match="no grid node within one grid step"):
+        const.nearest_index(x)
+    with pytest.raises(ValueError, match="no grid node within one grid step"):
         const.value_at(x)
 
 
