@@ -6,7 +6,8 @@ Everything here is built on one quantity, the local excess
 
 the infimum running over degree-k polynomial tuples.  Excess profiles over
 dyadic radius ladders yield seminorms (sup of rho^-lambda E to the 1/q)
-and measured decay exponents (log-log slopes).
+and measured decay exponents (log-log slopes).  Every profile takes its
+exponent q and its ladder from the caller; neither has a default.
 """
 
 from __future__ import annotations
@@ -46,15 +47,15 @@ class ExcessProfile:
     fits: tuple
 
 
-def excess_profile(u, x0, k, q_exp=2.0, ladder=None):
+def excess_profile(u, x0, k, q_exp, ladder):
     """Local excess per rung of a dyadic radius ladder.
 
     Rungs that fall below the grid resolution (or lose all nodes, or leave
     the fit under-determined) truncate the profile and are flagged rather
-    than fatal: a deep ladder on a coarse grid is a normal request.  A
-    missing or empty ladder, a radius that is not finite and positive, or a
-    center x0 that is not a finite point of the grid's dimension is refused
-    with ValueError.  A profile with no rung kept is refused: with
+    than fatal: a deep ladder on a coarse grid is a normal request.  An
+    empty ladder, a radius that is not finite and positive, or a center x0
+    that is not a finite point of the grid's dimension is refused with
+    ValueError.  A profile with no rung kept is refused: with
     EmptyIntersectionError naming x0 when every resolvable rung's ball
     holds no node, else with BelowResolutionError.
     """
@@ -124,7 +125,7 @@ class DecayFit:
         return holder_from_campanato(self.lambda_hat, n, ell, q_exp)
 
 
-def decay_exponent(u, x0, k, q_exp=2.0, ladder=None, min_rungs=4):
+def decay_exponent(u, x0, k, q_exp, ladder, min_rungs=4):
     """Log-log slope of the excess profile.
 
     Rungs whose excess is at or below best_fit's rounding floor for the

@@ -65,7 +65,8 @@ class DecayHypothesis:
     form (N component functions, bad set plus per-component strata): beta0
     on the bad set, then (betas[i], beta_tildes[i]) per stratum.  eps is
     the top comparison scale.
-    Constants of both forms together, or strata without beta0, are refused.
+    Constants of both forms together, strata without beta0, or beta0
+    without a stratum are refused.
     """
 
     n: int
@@ -107,6 +108,8 @@ class DecayHypothesis:
                              % (two, three))
         if three and self.beta0 is None:
             raise ValueError("three-part constants %s need beta0" % three)
+        if self.beta0 is not None and not self.betas:
+            raise ValueError("beta0 is a three-part constant: need at least one stratum")
         if len(self.betas) != len(self.beta_tildes):
             raise ValueError("betas and beta_tildes must pair up")
         if any(b <= 0 for b in self.betas + self.beta_tildes):
@@ -128,7 +131,10 @@ class Stratification:
     base is the primary bad set (boundary points, say); strata holds one
     point set per component (branch points, say); free_points are ordinary
     centers used for the off-set part of the audit, generated from the grid
-    when absent.
+    when absent.  A point that is not finite, or a stratum point within
+    MIN_SEPARATION of the base set (the finite-sample form of the closure
+    condition: the two levels would not be distinguishable), is refused
+    with ValueError.
     """
 
     base: np.ndarray
@@ -146,6 +152,9 @@ class Stratification:
         for x in self.points():
             if not np.all(np.isfinite(x)):
                 raise ValueError("point %s is not finite" % x.tolist())
+        for i, s in enumerate(self.strata):
+            if np.any(_set_distances(s, self.base) < MIN_SEPARATION):
+                raise ValueError("stratum %d touches the base bad set" % (i + 1))
 
     def points(self):
         """Every point the stratification names: base, strata, free points."""
@@ -153,17 +162,6 @@ class Stratification:
         if self.free_points is not None:
             sets.append(self.free_points)
         return np.vstack(sets)
-
-    def validate(self):
-        """Finite-sample form of the closure condition: stratum points must
-        keep MIN_SEPARATION off the base set, else the two levels are not
-        distinguishable."""
-        for i, s in enumerate(self.strata):
-            d = _set_distances(s, self.base)
-            if d.size and d.min() < MIN_SEPARATION:
-                raise ValueError(
-                    "stratum %d touches the base bad set" % (i + 1))
-        return self
 
     @property
     def n_strata(self):
@@ -236,14 +234,11 @@ def certified_exponent(h: DecayHypothesis) -> HolderCertificate:
     name: ball-comparison at ratio up to 4, recentering overhead, the
     geometric scale sum, then the transfer constants.  gamma is the
     smallest selection over the levels: beta1 (two-part), or beta0 and each
-    betas[i] (three-part, at least one stratum).  The three-part constant
-    also pays for the offset window: a stratum point can hide up to
-    OFFSET_WINDOW dyadic steps below the base set's scale, and each hidden
-    step costs one recentering factor.
+    betas[i] (three-part).  The three-part constant also pays for the offset
+    window: a stratum point can hide up to OFFSET_WINDOW dyadic steps below
+    the base set's scale, and each hidden step costs one recentering factor.
     """
     if h.stratified:
-        if h.n_strata < 1:
-            raise ValueError("need at least one stratum")
         levels = [(" (base set)", h.beta0)] + [
             (" (stratum %d)" % (i + 1), b) for i, b in enumerate(h.betas)]
         transfers = [("base_transfer", h.beta0)] + [
@@ -548,7 +543,6 @@ def end_to_end_certify(us, s, k, q_exp, mu_claim):
     largest admissible h.
     """
     u_list = _as_list(us)
-    s.validate()
     n = u_list[0].n
     parts = ("I", "II", "III") if s.n_strata else ("I", "II")
     unit = DecayHypothesis(

@@ -3,6 +3,9 @@
 `certify` certifies a two-part or a three-part hypothesis file, whichever
 its keys give.  `lab generate` builds its four function kinds directly from
 the flags, and refuses a kind flag that the chosen kind does not read.
+Every subcommand's handler reads every flag that subcommand accepts:
+`--ladder-depth` belongs to `excess`, `seminorm`, `exponent` and
+`lab audit`, the commands that walk a dyadic ladder, and not to `fit`.
 Exit codes: 0 success, 2 input or parse error, 3 numeric failure, 4
 certificate refusal.  Fits draw their random restarts from a fixed seed,
 so repeated runs with the same flags produce byte-identical outputs.
@@ -141,13 +144,12 @@ _LAB_FLAGS = {
 
 def _lab_function(args):
     reads = _LAB_FLAGS[args.kind]
-    given = vars(args)
     stray = [flag for flag in ("Q", "p", "m", "d", "coeffs")
-             if flag in given and flag not in reads]
+             if hasattr(args, flag) and flag not in reads]
     if stray:
         raise ValueError("--kind %s does not read %s"
                          % (args.kind, ", ".join("--" + flag for flag in stray)))
-    flags = {flag: given.get(flag, default) for flag, default in reads.items()}
+    flags = {flag: getattr(args, flag, default) for flag, default in reads.items()}
     if args.kind == "branch_power":
         return lab.BranchPower(flags["Q"], flags["p"], flags["m"])
     if args.kind == "linear_tuple":
@@ -198,20 +200,15 @@ def cmd_lab_audit(args):
     return 0
 
 
-def _add_common(sub, lam=False):
+def _add_common(sub):
     sub.add_argument("--in", dest="infile", required=True,
                      help="input sample file (.csv or .json)")
     sub.add_argument("--out", required=True, help="output JSON path")
     sub.add_argument("--domain", help="domain config JSON")
     sub.add_argument("--k", type=int, default=1, help="polynomial degree")
     sub.add_argument("--q", type=float, default=2.0, help="metric exponent")
-    sub.add_argument("--ladder-depth", type=int, default=6,
-                     help="number of dyadic rungs")
     sub.add_argument("--resolution", type=float,
                      help="override the inferred grid step")
-    if lam:
-        sub.add_argument("--lambda", dest="lam", type=float, required=True,
-                         help="Campanato exponent")
 
 
 def build_parser():
@@ -226,17 +223,18 @@ def build_parser():
     _add_common(p)
     p.set_defaults(func=cmd_fit)
 
-    p = subs.add_parser("excess", help="dyadic excess profile")
-    _add_common(p)
-    p.set_defaults(func=cmd_excess)
-
-    p = subs.add_parser("seminorm", help="Campanato seminorm at fixed lambda")
-    _add_common(p, lam=True)
-    p.set_defaults(func=cmd_seminorm)
-
-    p = subs.add_parser("exponent", help="empirical decay and Holder exponents")
-    _add_common(p)
-    p.set_defaults(func=cmd_exponent)
+    for name, about, func in (
+            ("excess", "dyadic excess profile", cmd_excess),
+            ("seminorm", "Campanato seminorm at fixed lambda", cmd_seminorm),
+            ("exponent", "empirical decay and Holder exponents", cmd_exponent)):
+        p = subs.add_parser(name, help=about)
+        _add_common(p)
+        p.add_argument("--ladder-depth", type=int, default=6,
+                       help="number of dyadic rungs")
+        if func is cmd_seminorm:
+            p.add_argument("--lambda", dest="lam", type=float, required=True,
+                           help="Campanato exponent")
+        p.set_defaults(func=func)
 
     p = subs.add_parser("certify", help="decay-hypothesis certificate")
     p.add_argument("--in", dest="infile", required=True,

@@ -4,7 +4,9 @@ Sampled tuples are read and written.  Hypotheses and domain configs are
 only read.  Polynomials, certificates, reports and profiles are only
 written: no command reads them back.  Writers are atomic (temp file in the
 target directory, then rename) and emit shortest round-trip decimals, so
-equal inputs give byte-identical files.
+equal inputs give byte-identical files.  A writer takes every field it
+writes from its caller: a polynomial's residual and report keys, a
+profile's column labels.
 """
 
 import dataclasses
@@ -206,12 +208,11 @@ def polynomial_to_dict(poly):
     }
 
 
-def write_polynomial_json(path, poly, residual=None, extra=None):
+def write_polynomial_json(path, poly, residual, extra):
+    """The polynomial's dict with its fit's residual and the `extra` keys."""
     obj = polynomial_to_dict(poly)
-    if residual is not None:
-        obj["residual"] = float(residual)
-    if extra:
-        obj.update(extra)
+    obj["residual"] = float(residual)
+    obj.update(extra)
     write_report_json(path, obj)
 
 
@@ -260,7 +261,7 @@ def read_hypothesis_json(path):
 # plot-ready profiles and domain configs
 
 
-def write_profile_csv(path, radii, values, labels=("rho", "value")):
+def write_profile_csv(path, radii, values, labels):
     lines = ["%s,%s" % labels]
     for rho, val in zip(np.asarray(radii, float), np.asarray(values, float)):
         lines.append("%s,%s" % (repr(float(rho)), repr(float(val))))

@@ -261,13 +261,12 @@ class WallPair(AnalyticQFunction):
     which does not vanish on the wall.
     """
 
-    def __init__(self, d=0.5, amplitude=1.0, m=1):
+    def __init__(self, d=0.5, m=1):
         if d <= 0:
             raise ValueError("wall pair offset d must be positive")
         if m not in (1, 2):
             raise ValueError("wall pair has m = 1 or m = 2")
         self.d = float(d)
-        self.amplitude = float(amplitude)
         self.q = 2
         self.m = int(m)
         self.n = 2
@@ -276,7 +275,7 @@ class WallPair(AnalyticQFunction):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         z = pts[:, 0] + 1j * pts[:, 1]
         zeta = z * z - self.d * self.d
-        return self.amplitude * np.power(zeta, 1.5), 3.0 * self.amplitude * z * np.sqrt(zeta)
+        return np.power(zeta, 1.5), 3.0 * z * np.sqrt(zeta)
 
     def eval(self, points):
         w, _ = self._w(points)

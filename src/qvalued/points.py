@@ -16,7 +16,9 @@ to six branches the kernel works on branch-major (Q, m, S) copies of its
 inputs, so each numpy step runs along the long sample axis: one (Q, Q, S)
 block of squared branch distances, each summed over components in index
 order, and one (Q!, S) table of pairing totals, each summed over branches
-in index order, whose first least row per column wins.
+in index order, whose first least row per column wins.  A Lebesgue-point
+profile averages the squared matching distance, exponent 2, to the value
+at its center over each ball of a ladder.
 """
 
 from __future__ import annotations
@@ -424,7 +426,7 @@ class SampledQFunction:
         sub, idx = self.grid.restrict(center, radius)
         return SampledQFunction(sub, self.values[idx])
 
-    def q_mass(self, q_exp=2.0):
+    def q_mass(self, q_exp):
         """Weighted integral of |u|^q over the grid, |u|^2 summed over each
         node's branches and components; its power is exactly 1 at q = 2."""
         sq = np.einsum("sqm,sqm->s", self.values, self.values)
@@ -485,21 +487,19 @@ def numeric_derivative(u, x0, h, gap_tol=None):
     return jac
 
 
-def lebesgue_point_profile(u, x0, ladder, q_exp=2.0):
-    """Averaged q-th power distance to the value at x0 per ladder radius.
+def lebesgue_point_profile(u, x0, ladder):
+    """Averaged squared matching distance to the value at x0 per ladder
+    radius: the Lebesgue-point profile at exponent 2.
 
     Returns (radii_used, averages, truncated) where truncated flags ladder
     rungs of at most two grid steps, which `QuadratureGrid.restrict_indices`
     refuses; a longer rung holds x0's node.  A center x0 that is not a
     finite point of the grid's dimension or has no grid node within one
-    grid step, an empty ladder, a radius that is not finite and positive,
-    or a q_exp that is not finite and at least 1 is refused with
-    ValueError.
+    grid step, an empty ladder, or a radius that is not finite and positive
+    is refused with ValueError.
     """
     if not isinstance(u, SampledQFunction):
         raise TypeError("profile requires sampled data")
-    if not (math.isfinite(q_exp) and q_exp >= 1.0):
-        raise ValueError("q_exp must be finite and at least 1, got %r" % q_exp)
     x0 = _grid_point(x0, u.n, "x0")
     ref = u.value_at(x0).branches
     omega = unit_ball_volume(u.n)
@@ -513,7 +513,7 @@ def lebesgue_point_profile(u, x0, ladder, q_exp=2.0):
             continue
         vals = u.values[idx]
         mass = matched_mass(u.grid.weights[idx], vals,
-                            np.broadcast_to(ref, vals.shape), q_exp)
+                            np.broadcast_to(ref, vals.shape), 2.0)
         radii.append(rho)
         averages.append(mass / (omega * rho ** u.n))
     return np.asarray(radii), np.asarray(averages), truncated

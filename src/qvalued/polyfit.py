@@ -4,7 +4,12 @@ A QPolynomial is an unordered tuple of Q polynomial maps R^n -> R^m sharing
 one center.  Coefficients are stored in derivative convention: the stored
 a_p equals the p-th partial derivative at the center, and evaluation divides
 by p factorial.  Rescaling x -> center + rho * x then multiplies a_p by
-rho^|p| exactly.
+rho^|p| exactly.  The coefficient metric matches the whole (Q, m K)
+coefficient blocks of two tuples at one center, as stored: the comparison
+between coefficients and integral excess that it serves does not depend on
+scale, so every caller works at rho = 1 on the unit ball, and
+comparison_constant_ratios samples one shape, degree-2 scalar tuples in the
+plane at exponent 2.
 
 Fitting alternates two steps: match each sample's branches to the current
 model branches with an exact assignment solve, then refit all branch
@@ -185,26 +190,18 @@ class QPolynomial:
         return replace(self, coeffs=self.coeffs[order])
 
 
-def coefficient_tuple(poly, r=None, rho=1.0):
-    """Coefficients through order r as one unordered tuple.
+def coefficient_tuple(poly):
+    """The whole (Q, m K) coefficient block as one unordered tuple.
 
-    All (component, multi-index) slots of a branch stay together, so the
-    matching metric on these tuples uses one joint branch pairing.  Slots
-    are scaled by rho^|p|.
+    All (component, multi-index) slots of a branch stay together in its
+    row, so the matching metric on these tuples uses one joint branch
+    pairing.  The comparison with the integral excess that it serves is
+    scale invariant, so the slots are taken as stored, at rho = 1.
     """
-    r = poly.degree if r is None else r
-    if r > poly.degree:
-        raise ValueError("order %d exceeds degree %d" % (r, poly.degree))
-    idx = poly.indices
-    keep = [i for i, p in enumerate(idx) if sum(p) <= r]
-    if not keep:
-        raise ValueError("no coefficients of order %d" % r)
-    scale = np.array([rho ** sum(idx[i]) for i in keep])
-    block = poly.coeffs[:, :, keep] * scale[None, None, :]
-    return AqPoint(block.reshape(poly.q, -1))
+    return AqPoint(poly.coeffs.reshape(poly.q, -1))
 
 
-def coefficient_metric(fpoly, gpoly, r=None, rho=1.0):
+def coefficient_metric(fpoly, gpoly):
     """Matching distance between two polynomials' coefficient tuples.
 
     Requires an identical center; otherwise the tuples live in different
@@ -216,13 +213,12 @@ def coefficient_metric(fpoly, gpoly, r=None, rho=1.0):
         raise ValueError("polynomials must share degree, Q, and m")
     if not np.array_equal(fpoly.center, gpoly.center):
         raise RecenterError("recenter first")
-    a = coefficient_tuple(fpoly, r, rho)
-    b = coefficient_tuple(gpoly, r, rho)
-    return metric_g(a, b)
+    return metric_g(coefficient_tuple(fpoly), coefficient_tuple(gpoly))
 
 
-# An alternation stops when its labels repeat and its objective moves by
-# at most _FIT_TOL relative, or after _MAX_ITER iterations.  Reweighting
+# An alternation stops when its labels repeat and, at exponents other than
+# 2, its objective moves by at most _FIT_TOL relative; or after _MAX_ITER
+# iterations.  Reweighting
 # floors the matching distances at _IRLS_FLOOR.
 _FIT_TOL = 1e-12
 _MAX_ITER = 200
@@ -241,13 +237,11 @@ class FitConfig:
 @dataclass(frozen=True)
 class FitResult:
     """A fit and how it was reached.  `iterations` and `converged` are the
-    winning start's; `starts` counts the scheduled starts, however many
-    ran.  `log` holds one (kind, objective, iterations, converged) entry
-    per start that ran, in order, a start that shared an earlier one's
-    labels with that one's outcome; the kinds are "zero" (Q = 1),
-    "spectral", "order0", "order_k" and "random".  At q = 2 the
-    alternation skips the iteration that would only confirm a repeated
-    labeling, but `iterations` counts it (up to _MAX_ITER), as if it ran."""
+    winning start's, counting the alternation iterations that ran; `starts`
+    counts the starts that ran, len(log).  `log` holds one (kind, objective,
+    iterations, converged) entry per start that ran, in order, a start that
+    shared an earlier one's labels with that one's outcome; the kinds are
+    "zero" (Q = 1), "spectral", "order0", "order_k" and "random"."""
 
     polynomial: QPolynomial
     residual: float
@@ -535,8 +529,8 @@ def _alternate(design, values, weights, factor, labels, q_exp):
     next, so there the start ends at its iterate of least objective (the
     first of equal ones), with the coefficients of the factor that produced
     it; at q_exp = 2 it ends at its last iterate.  There a labeling that
-    matches back to itself fixes every later iterate, so the start ends at
-    once and counts the confirming iteration it skips.
+    matches back to itself fixes every later iterate, so the start ends
+    there, converged.  `iterations` counts the iterations that ran.
     Returns (coeffs, labels, objective, converged, iterations).
     """
     S, Q, m = values.shape
@@ -560,16 +554,11 @@ def _alternate(design, values, weights, factor, labels, q_exp):
             kept = (obj, y, solve, new_labels)
         same = np.array_equal(new_labels, labels)
         labels = new_labels
-        if same and abs(prev_obj - obj) <= _FIT_TOL * max(obj, 1e-300):
+        # at q_exp = 2 a repeated labeling fixes every later iterate: the
+        # next one would repeat this one bit for bit
+        if same and (abs(prev_obj - obj) <= _FIT_TOL * max(obj, 1e-300)
+                     or (q_exp == 2.0 and math.isfinite(obj))):
             converged = True
-            break
-        if (same and q_exp == 2.0 and iterations < _MAX_ITER
-                and math.isfinite(obj)):
-            # the next iteration would repeat this one bit for bit and stop,
-            # as the test above passes an objective equal to the previous
-            # one when it is finite; it is counted, not run
-            converged = True
-            iterations += 1
             break
         prev_obj = obj
     obj, y, solve, labels = kept
@@ -649,7 +638,6 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     factor = _factor(design, weights)
 
     Q = sub.q
-    scheduled = 1 if Q == 1 else 2 + (k > 0) + cfg.restarts
 
     def deterministic():
         if Q == 1:
@@ -701,7 +689,7 @@ def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
     coeffs, _, obj, conv, iters = min(
         (out for _, out in ran), key=lambda o: (o[2], o[0].tobytes()))
     poly = QPolynomial(center, k, coeffs).canonical_branch_order()
-    result = FitResult(poly, obj, conv, iters, scheduled, tuple(log))
+    result = FitResult(poly, obj, conv, iters, len(log), tuple(log))
     if memo is not None:
         memo[key] = result
     return result
@@ -715,26 +703,28 @@ def exact_floor(mass, q_exp):
     return (100.0 * np.finfo(float).eps) ** q_exp * max(mass, 1e-300)
 
 
-def random_qpolynomial(rng, n, m, q, k, center=None):
-    """Polynomial tuple with independent standard normal coefficients; test fodder."""
-    center = np.zeros(n) if center is None else np.asarray(center, float)
+def random_qpolynomial(rng, n, m, q, k):
+    """Polynomial tuple centered at the origin with independent standard
+    normal coefficients; test fodder."""
     K = len(multi_indices(n, k))
     coeffs = rng.normal(0.0, 1.0, size=(q, m, K))
-    return QPolynomial(center, k, coeffs)
+    return QPolynomial(np.zeros(n), k, coeffs)
 
 
 _RATIO_MIN_WEIGHT = 0.2  # least weight of a node subset in comparison_constant_ratios
 _RATIO_RESOLUTION = 1.0 / 32  # grid step of its unit ball
+# its polynomial tuples: degree 2, scalar, in the plane; its exponent q
+_RATIO_N, _RATIO_M, _RATIO_K, _RATIO_Q = 2, 1, 2, 2.0
 
 
-def comparison_constant_ratios(instances, seed=0, n=2, m=1, k=2, q_exp=2.0,
-                               q_branches=2):
+def comparison_constant_ratios(instances, seed=0, q_branches=2):
     """Sample the coefficient-vs-integral comparison ratio.
 
-    For random polynomial pairs (F, G) and random node subsets E of the unit
-    ball with weight at least _RATIO_MIN_WEIGHT, computes
+    For random pairs (F, G) of q_branches-valued degree-2 scalar polynomial
+    tuples on the plane and random node subsets E of the unit disk with
+    weight at least _RATIO_MIN_WEIGHT, computes
 
-        G(a, b)^q / integral_E G(F, G)^q
+        G(a, b)^2 / integral_E G(F, G)^2
 
     with a, b the joint coefficient tuples.  The running supremum of these
     ratios estimates the comparison constant; stability under doubling the
@@ -744,6 +734,7 @@ def comparison_constant_ratios(instances, seed=0, n=2, m=1, k=2, q_exp=2.0,
     rng = np.random.default_rng(seed)
     from .geometry import Domain
 
+    n, m, k = _RATIO_N, _RATIO_M, _RATIO_K
     grid = Domain.ball(n, 1.0).sample(_RATIO_RESOLUTION)
     total = grid.total_weight()
     # every F and G shares the center, degree and nodes, so one design on
@@ -763,6 +754,6 @@ def comparison_constant_ratios(instances, seed=0, n=2, m=1, k=2, q_exp=2.0,
         D = full[subset]
         fv = np.einsum("sk,qmk->sqm", D, F.coeffs)
         gv = np.einsum("sk,qmk->sqm", D, G.coeffs)
-        integrals[i] = matched_mass(grid.weights[subset], fv, gv, q_exp)
+        integrals[i] = matched_mass(grid.weights[subset], fv, gv, _RATIO_Q)
         tuples[:, i] = coefficient_tuple(F).branches, coefficient_tuple(G).branches
-    return np.sqrt(match_batch(*tuples)[1]) ** q_exp / integrals
+    return np.sqrt(match_batch(*tuples)[1]) ** _RATIO_Q / integrals

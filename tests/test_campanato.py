@@ -178,12 +178,12 @@ def test_center_off_the_domain_is_an_empty_intersection():
     grid = Domain.ball(2, 1.0).sample(1.0 / 16.0)
     u = SampledQFunction(grid, (np.linalg.norm(grid.points, axis=1) ** 1.5)[:, None, None])
     with pytest.raises(EmptyIntersectionError, match=r"\[5\.0, 5\.0\]"):
-        excess_profile(u, [5.0, 5.0], 1, ladder=[0.5, 0.25])
+        excess_profile(u, [5.0, 5.0], 1, 2.0, [0.5, 0.25])
     # one rung below resolution and the rest empty is still empty
     with pytest.raises(EmptyIntersectionError):
-        excess_profile(u, [5.0, 5.0], 1, ladder=[0.5, 1.0 / 16.0])
+        excess_profile(u, [5.0, 5.0], 1, 2.0, [0.5, 1.0 / 16.0])
     with pytest.raises(BelowResolutionError, match="entirely below"):
-        excess_profile(u, [0.0, 0.0], 1, ladder=[1.0 / 16.0])
+        excess_profile(u, [0.0, 0.0], 1, 2.0, [1.0 / 16.0])
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])

@@ -223,8 +223,25 @@ def test_stratified_guards():
     with pytest.raises(WeakConstantsError, match="stratum 1"):
         certified_exponent(bad)
     with pytest.raises(ValueError):
-        Stratification(base=[[0.0, 0.0]],
-                       strata=([[0.0, 0.0]],)).validate()
+        Stratification(base=[[0.0, 0.0]], strata=([[0.0, 0.0]],))
+
+
+def test_stratum_on_the_base_set_is_refused_where_built():
+    # it used to be built, and part II of its audit then raised
+    # BelowResolutionError ("no rung supports a comparison fit"), a numeric
+    # failure (CLI exit 3) for what is an input error
+    sep = certify.MIN_SEPARATION
+    with pytest.raises(ValueError, match="stratum 2 touches the base bad set"):
+        Stratification(base=[[0.0, 0.0], [0.5, 0.0]],
+                       strata=([[0.3, 0.3]], [[0.5 + 0.5 * sep, 0.0]]))
+    assert Stratification(base=[[0.0, 0.0]], strata=([[2.0 * sep, 0.0]],)).n_strata == 1
+
+
+def test_three_part_hypothesis_without_a_stratum_is_refused_where_built():
+    # it used to be built, and audited part I without error, but no
+    # certificate could be drawn from it
+    with pytest.raises(ValueError, match="need at least one stratum"):
+        DecayHypothesis(n=2, k=1, q_exp=2.0, mu=0.5, beta0=1.0)
 
 
 def test_certificate_as_dict_keys():

@@ -1,5 +1,6 @@
 """File-format round-trips and command-line behavior."""
 
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import qvalued
-from qvalued import io, lab
+from qvalued import cli, io, lab
 from qvalued.cli import main
 from qvalued.geometry import Domain
 from qvalued.points import SampledQFunction, metric_g
@@ -140,10 +141,11 @@ def test_polynomial_round_trip(tmp_path):
     coeffs = rng.normal(size=(3, 2, len(idx)))
     poly = QPolynomial(np.array([0.1, -0.2]), k, coeffs)
     path = tmp_path / "poly.json"
-    io.write_polynomial_json(path, poly, residual=0.5)
+    io.write_polynomial_json(path, poly, 0.5, {"starts": 3})
     obj = json.loads(path.read_text())
     assert (obj["n"], obj["m"], obj["Q"], obj["k"]) == (2, 2, 3, k)
     assert obj["center"] == [0.1, -0.2] and obj["residual"] == 0.5
+    assert obj["starts"] == 3
     assert len(obj["coeffs"]) == coeffs.size  # zero coefficients included
     back = np.zeros_like(coeffs)
     for entry in obj["coeffs"]:
@@ -239,7 +241,8 @@ def test_domain_config_refuses_keys_it_does_not_read(tmp_path, capsys, obj, keys
 
 def test_atomic_writes_leave_no_partials(tmp_path):
     io.write_report_json(tmp_path / "r.json", {"a": [1.0, math.nan]})
-    io.write_profile_csv(tmp_path / "p.csv", [0.5, 0.25], [1.0, 2.0])
+    io.write_profile_csv(tmp_path / "p.csv", [0.5, 0.25], [1.0, 2.0],
+                         ("rho", "value"))
     names = sorted(f.name for f in tmp_path.iterdir())
     assert names == ["p.csv", "r.json"]
     assert json.loads((tmp_path / "r.json").read_text())["a"] == [1.0, None]
@@ -608,3 +611,85 @@ def test_cli_lab_audit(tmp_path, bp_csv):
     assert report["branch_set"]["count"] >= 1
     values = [v for v in report["frequency"]["values"] if v is not None]
     assert values and all(0.0 <= v <= 3.0 for v in values)
+
+
+# ---------------------------------------------------------------------------
+# every accepted option is read
+
+
+def _leaf_parsers(parser, prefix=()):
+    """(argv prefix, parser) of every subcommand that runs a handler."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield prefix, parser
+        return
+    for name, sub in subs[0].choices.items():
+        yield from _leaf_parsers(sub, prefix + (name,))
+
+
+def _recording(args):
+    """A copy of the parsed Namespace `args` and the set of attribute names
+    read from the copy, filled in as they are read."""
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    return Recording(**vars(args)), reads
+
+
+def test_every_accepted_option_is_read_by_its_handler(tmp_path, bp_csv):
+    """Each subcommand's handler, run on a parse that sets every option the
+    subcommand accepts, reads every parsed option: no flag is accepted and
+    then ignored.  The handler runs itself, not `main`, whose own
+    --ladder-depth check would count as a read; `lab generate` runs once
+    per kind, with the kind flags that kind reads."""
+    dom = tmp_path / "dom.json"
+    dom.write_text(json.dumps({"kind": "ball", "n": 2, "radius": 1.0}))
+    hyp = tmp_path / "hyp.json"
+    hyp.write_text(json.dumps({"n": 2, "k": 1, "q": 2.0, "mu": 0.5,
+                               "beta1": 1.0, "beta2": 1.0}))
+    value = {"infile": str(bp_csv[0]), "domain": str(dom), "k": "1", "q": "2",
+             "ladder_depth": "4", "resolution": "0.03125", "lam": "1.5",
+             "tol": "0.05", "Q": "2", "p": "3", "m": "1", "d": "0.5",
+             "coeffs": "1,-1"}
+    kind_flags = {flag for reads in cli._LAB_FLAGS.values() for flag in reads}
+    parser = cli.build_parser()
+    for prefix, sub in _leaf_parsers(parser):
+        flags = {a.dest: a.option_strings[0] for a in sub._actions
+                 if a.option_strings and a.dest != "help"}
+        out = tmp_path / ("%s.%s" % ("-".join(prefix),
+                                     "csv" if "kind" in flags else "json"))
+        given = dict(value, out=str(out))
+        if prefix == ("certify",):
+            given["infile"] = str(hyp)
+        runs = [[]]
+        if "kind" in flags:
+            runs = [["--kind", kind] + [token for flag in cli._LAB_FLAGS[kind]
+                                        for token in (flags[flag], given[flag])]
+                    for kind in cli._LAB_FLAGS]
+        covered = set()
+        for run in runs:
+            for dest, flag in flags.items():
+                if dest not in kind_flags and dest != "kind":
+                    run += [flag, given[dest]]
+            args = parser.parse_args(list(prefix) + run)
+            recorded, reads = _recording(args)
+            assert recorded.func(recorded) == 0
+            parsed = set(vars(args)) - {"command", "lab_command", "func"}
+            assert parsed - reads == set(), (prefix, run)
+            covered |= parsed
+        assert covered == set(flags), prefix
+
+
+def test_fit_refuses_the_ladder_depth_flag(tmp_path, bp_csv, capsys):
+    # fit has no ladder; it used to accept --ladder-depth and ignore it
+    out = tmp_path / "fit.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--in", str(bp_csv[0]), "--out", str(out),
+              "--ladder-depth", "3"])
+    assert exc.value.code == 2
+    assert "--ladder-depth" in capsys.readouterr().err
+    assert not out.exists()

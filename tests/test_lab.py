@@ -251,7 +251,7 @@ def test_frequency_refuses_an_empty_ladder(disk_grid, ladder):
 def test_wall_pair_trace_vanishes():
     wall = np.zeros((33, 2))
     wall[:, 1] = np.linspace(-0.95, 0.95, 33)
-    vals = lab.WallPair(amplitude=3.0).eval(wall)
+    vals = lab.WallPair().eval(wall)
     assert np.abs(vals[:, :, 0]).max() < 1e-12
     # the imaginary component does not vanish on the wall
     vals2 = lab.WallPair(m=2).eval(wall[1:-1])

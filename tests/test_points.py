@@ -664,14 +664,6 @@ def test_lebesgue_profile_refuses_an_empty_ladder(disk_grid, ladder):
         lebesgue_point_profile(const, [0.0, 0.0], ladder)
 
 
-@pytest.mark.parametrize("q_exp", [math.nan, math.inf, -1.0, 0.5])
-def test_lebesgue_profile_refuses_a_bad_exponent(disk_grid, q_exp):
-    # NaN used to give NaN averages, -1 inf with a warning, and inf zeros
-    const = SampledQFunction(disk_grid, np.ones((disk_grid.size, 1, 1)))
-    with pytest.raises(ValueError, match="q_exp must be finite and at least 1"):
-        lebesgue_point_profile(const, [0.0, 0.0], [0.5, 0.25], q_exp=q_exp)
-
-
 def test_from_function_refuses_a_callable_of_another_shape():
     # a per-node callable handed the point block returns (Q, S, m), not (S, Q, m)
     grid = QuadratureGrid(np.array([[0.1, 0.0], [0.2, 0.3], [-0.4, 0.1]]),

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,7 +90,7 @@ def test_eval_constant_and_linear():
 
 def test_eval_matches_manual_path():
     rng = np.random.default_rng(1)
-    poly = random_qpolynomial(rng, 2, 2, 3, 2, center=np.array([0.2, -0.1]))
+    poly = replace(random_qpolynomial(rng, 2, 2, 3, 2), center=np.array([0.2, -0.1]))
     for x in rng.uniform(-1, 1, (5, 2)):
         direct = poly.eval(x[None, :])[0]
         assert np.abs(direct - _manual_eval(poly, x)).max() < 1e-13
@@ -130,10 +131,8 @@ def test_coefficient_metric_zero_and_q1():
     assert coefficient_metric(poly, poly) == 0.0
     f = random_qpolynomial(rng, 2, 1, 1, 1)
     g = random_qpolynomial(rng, 2, 1, 1, 1)
-    rho = 0.5
-    scale = np.array([rho ** sum(p) for p in f.indices])
-    expected = np.linalg.norm((f.coeffs - g.coeffs)[0, 0] * scale)
-    assert coefficient_metric(f, g, rho=rho) == pytest.approx(expected, rel=1e-14)
+    expected = np.linalg.norm((f.coeffs - g.coeffs)[0, 0])
+    assert coefficient_metric(f, g) == pytest.approx(expected, rel=1e-14)
 
 
 def test_coefficient_metric_uses_one_joint_assignment():
@@ -153,17 +152,19 @@ def test_coefficient_metric_uses_one_joint_assignment():
     assert joint == pytest.approx(math.sqrt(8.0), rel=1e-14)
     tup = coefficient_tuple(f)
     assert tup.q == 2 and tup.m == 2
+    # the whole (Q, m K) block, each branch's row in slot order
+    assert tup == AqPoint(fc.reshape(2, 2))
 
 
 def test_coefficient_metric_requires_shared_center():
     rng = np.random.default_rng(8)
     f = random_qpolynomial(rng, 2, 1, 2, 1)
-    g = random_qpolynomial(rng, 2, 1, 2, 1, center=np.array([0.5, 0.0]))
+    g = replace(random_qpolynomial(rng, 2, 1, 2, 1), center=np.array([0.5, 0.0]))
     with pytest.raises(RecenterError):
         coefficient_metric(f, g)
     # centers within a relative 1e-5 are still different charts
-    f = random_qpolynomial(rng, 2, 1, 2, 1, center=np.array([1.0, 0.5]))
-    g = random_qpolynomial(rng, 2, 1, 2, 1, center=np.array([1.0 + 1e-6, 0.5]))
+    f = replace(random_qpolynomial(rng, 2, 1, 2, 1), center=np.array([1.0, 0.5]))
+    g = replace(random_qpolynomial(rng, 2, 1, 2, 1), center=np.array([1.0 + 1e-6, 0.5]))
     with pytest.raises(RecenterError):
         coefficient_metric(f, g)
 
@@ -275,17 +276,17 @@ def test_comparison_ratio_stream_is_deterministic_prefix():
     assert np.all(np.isfinite(long)) and np.all(long > 0)
 
 
-def _per_instance_ratios(instances, seed, m, k, q_branches):
-    """comparison_constant_ratios at n = 2, q = 2 with one design matrix per
-    instance, built on that instance's node subset: the reference for the
-    design shared across instances."""
+def _per_instance_ratios(instances, seed, q_branches):
+    """comparison_constant_ratios (n = 2, m = 1, k = 2, q = 2) with one
+    design matrix per instance, built on that instance's node subset: the
+    reference for the design shared across instances."""
     rng = np.random.default_rng(seed)
     grid = Domain.ball(2, 1.0).sample(polyfit._RATIO_RESOLUTION)
     least = polyfit._RATIO_MIN_WEIGHT
     ratios = np.empty(instances)
     for i in range(instances):
-        F = random_qpolynomial(rng, 2, m, q_branches, k)
-        G = random_qpolynomial(rng, 2, m, q_branches, k)
+        F = random_qpolynomial(rng, 2, 1, q_branches, 2)
+        G = random_qpolynomial(rng, 2, 1, q_branches, 2)
         frac = rng.uniform(least / grid.total_weight(), 1.0)
         count = max(int(round(frac * grid.size)),
                     int(math.ceil(least / grid.weights[0])))
@@ -299,12 +300,12 @@ def _per_instance_ratios(instances, seed, m, k, q_branches):
     return ratios
 
 
-@pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("q", [2, 4, 7])
-def test_comparison_ratios_share_one_design_bit_for_bit(q, m, k):
-    got = comparison_constant_ratios(3, seed=7, m=m, k=k, q_branches=q)
-    want = _per_instance_ratios(3, 7, m, k, q)
+def test_comparison_ratios_share_one_design_bit_for_bit(q):
+    assert (polyfit._RATIO_N, polyfit._RATIO_M, polyfit._RATIO_K,
+            polyfit._RATIO_Q) == (2, 1, 2, 2.0)
+    got = comparison_constant_ratios(3, seed=7, q_branches=q)
+    want = _per_instance_ratios(3, 7, q)
     assert got.tobytes() == want.tobytes()
 
 
@@ -611,7 +612,8 @@ def test_serial_fit_stops_before_propagating(fit_grid, monkeypatch):
     res = best_fit(u, np.zeros(2), 1.1, 1, 2.0)
     assert res.residual <= 1e-20
     assert calls == []
-    assert res.starts == 2 + 1 + FitConfig().restarts
+    # only the spectral start ran
+    assert res.starts == len(res.log) == 1
 
 
 def _fit_inputs(u, center, radius, k):
@@ -660,7 +662,7 @@ def test_random_restarts_run_only_where_the_deterministic_starts_disagree(
     # skipped; at the branch point they disagree and all eight run
     assert (max(deterministic) - min(deterministic)
             > _FIT_TOL * min(deterministic)) == (ran == 11)
-    assert res.starts == 11
+    assert res.starts == len(res.log) == ran
     poly, obj = _ungated_fit(u, center, 0.2, 1)
     assert res.polynomial.coeffs.tobytes() == poly.coeffs.tobytes()
     assert res.residual == obj
@@ -1108,9 +1110,10 @@ def _confirming_alternate(design, values, weights, factor, labels, max_iter):
 def test_a_repeated_labeling_ends_a_q2_alternation_without_confirming_it(
         fit_grid, monkeypatch):
     """At q = 2 a labeling that matches back to itself fixes every later
-    iterate: the alternation stops there, one matching short of the
-    reference, with its outcome, converged flag and count.  Where the cap
-    falls on that iteration, both stop unconverged at the cap."""
+    iterate: the alternation stops there, converged, one matching short of
+    the reference, with its outcome, and counts only the iterations that
+    ran.  Where the cap falls on that iteration the reference stops
+    unconverged, and the alternation still converged."""
     rng = np.random.default_rng(23)
     weights = fit_grid.weights
     cases = [(_r15_pair(fit_grid).values, 1)]
@@ -1132,16 +1135,18 @@ def test_a_repeated_labeling_ends_a_q2_alternation_without_confirming_it(
                        np.argsort(rng.random(vals.shape[:2]), axis=1)):
             want = _confirming_alternate(design, vals, weights, factor, labels,
                                          _MAX_ITER)
+            ran = want[4] - 1  # all but the confirming iteration
             capped = _confirming_alternate(design, vals, weights, factor, labels,
-                                           want[4] - 1)
-            assert want[3] and not capped[3]
-            for cap, ref in ((_MAX_ITER, want), (want[4] - 1, capped)):
+                                           ran)
+            assert want[3] and not capped[3] and capped[:3] == want[:3]
+            for cap in (_MAX_ITER, ran):
                 monkeypatch.setattr(polyfit, "_MAX_ITER", cap)
                 matchings.clear()
                 coeffs, got, obj, conv, iters = _alternate(
                     design, vals, weights, factor, labels, 2.0)
-                assert (coeffs.tobytes(), got.tobytes(), obj, conv, iters) == ref[:5]
-                assert len(matchings) == ref[5] - (cap == _MAX_ITER)
+                assert (coeffs.tobytes(), got.tobytes(), obj, conv, iters) == \
+                    want[:3] + (True, ran)
+                assert len(matchings) == ran
 
 
 def _r15_pair(grid):
