@@ -295,8 +295,8 @@ class AuditReport:
     checked: int
     violations: tuple
     beta_used: float
-    worst_ratio: float = 0.0
-    pairs: tuple = field(default=(), repr=False)  # the ScalePairs judged
+    worst_ratio: float
+    pairs: tuple = field(repr=False)  # the ScalePairs judged
 
     @property
     def clean(self):

@@ -29,7 +29,7 @@ EXIT_NUMERIC = 3
 EXIT_REFUSED = 4
 
 
-def _read_samples(path, resolution=None):
+def _read_samples(path, resolution):
     if str(path).endswith(".json"):
         if resolution is not None:  # a JSON sample file gives its own
             raise ValueError("--resolution applies to CSV samples, not JSON")

@@ -96,7 +96,7 @@ def _infer_resolution(points):
     return best
 
 
-def _samples_from_arrays(points, values, resolution=None):
+def _samples_from_arrays(points, values, resolution):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.asarray(values, dtype=float)
     h = _infer_resolution(points) if resolution is None else float(resolution)
@@ -116,12 +116,13 @@ def _refuse_ragged_rows(path, width):
                                  % (lineno, line.count(",") + 1, width))
 
 
-def read_samples_csv(path, resolution=None):
+def read_samples_csv(path, resolution):
     """Load a sampled tuple function; node weights are h^n cell measures.
 
-    The grid step h is inferred from the closest pair of distinct coordinate
-    values unless an explicit resolution overrides it.  The rows are parsed
-    by np.loadtxt; a row of the wrong width is refused by its line number.
+    The grid step h is the given resolution, or where it is None, is
+    inferred from the closest pair of distinct coordinate values.  The rows
+    are parsed by np.loadtxt; a row of the wrong width is refused by its
+    line number.
     """
     with open(path) as fh:
         header = fh.readline().strip()

@@ -4,9 +4,10 @@ The first half of this module is a small library of Q-valued functions on the
 plane with exact values and Jacobians: branch powers of z, tuples of linear
 maps, degree-one homogeneous fields, and a two-valued wall pair whose trace
 vanishes on {x1 = 0} so it can be oddly reflected.  The second half
-measures such functions: frequency functions, symmetric-part decay,
-discrete branch sets, radial-derivative bounds of Hardt-Simon type at a
-wall point (analytic functions only), and a discrete harmonicity audit.
+measures such functions: frequency functions, symmetric-part decay
+(analytic functions only), discrete branch sets, radial-derivative bounds
+of Hardt-Simon type at a wall point (analytic functions only), and a
+discrete harmonicity audit.
 
 Quadrature throughout is polar: Gauss-Legendre in the radius (optionally
 sqrt-stretched, which turns an r^(-1/2) endpoint singularity back into a
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReflectionTraceError
-from .geometry import _ladder_radii, squared_distances
-from .points import AqPoint, SampledQFunction, branch_gaps, match_batch
+from .geometry import _grid_point, _ladder_radii, squared_distances
+from .points import SampledQFunction, branch_gaps, match_batch
 
 __all__ = [
     "AnalyticQFunction",
@@ -142,12 +143,6 @@ class AnalyticQFunction:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return _central_differences(self.eval, pts, self.n)
 
-    def eval_point(self, x):
-        return AqPoint(self.eval(np.asarray(x, dtype=float)[None, :])[0])
-
-    def __call__(self, points):
-        return self.eval(points)
-
 
 class BranchPower(AnalyticQFunction):
     """The Q-branch power multiset r^(p/Q) (cos, sin)((p/Q)(theta + 2 pi s)).
@@ -208,13 +203,13 @@ class LinearTuple(AnalyticQFunction):
         self.q, self.m, self.n = arr.shape
 
     @classmethod
-    def wall(cls, coeffs, n=2):
-        """The wall form sum_j [[a_j x^1]] of scalar slopes a_j, which sum to
-        zero."""
+    def wall(cls, coeffs):
+        """The planar wall form sum_j [[a_j x^1]] of scalar slopes a_j, which
+        sum to zero."""
         a = np.asarray(coeffs, dtype=float).ravel()
         if abs(a.sum()) > 1e-12:
             raise ValueError("wall slopes must sum to zero")
-        slopes = np.zeros((a.shape[0], 1, n))
+        slopes = np.zeros((a.shape[0], 1, 2))
         slopes[:, 0, 0] = a
         return cls(slopes)
 
@@ -230,17 +225,17 @@ class LinearTuple(AnalyticQFunction):
 
 
 class HomogeneousProfile(AnalyticQFunction):
-    """Degree-one homogeneous field |x| g(x/|x|) from a circle profile g.
+    """Degree-one homogeneous field |x| g(x/|x|) on the plane from a circle
+    profile g.
 
-    The profile maps (S, n) unit vectors to (S, Q, m) values; the Jacobian
+    The profile maps (S, 2) unit vectors to (S, Q, m) values; the Jacobian
     falls back to central differences.
     """
 
-    def __init__(self, profile, q, m, n=2):
+    def __init__(self, profile, q, m):
         self.profile = profile
         self.q = int(q)
         self.m = int(m)
-        self.n = int(n)
 
     def eval(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -362,9 +357,6 @@ class _AverageOf(AnalyticQFunction):
     def eval(self, points):
         return self.source.eval(points).mean(axis=1, keepdims=True)
 
-    def jacobian(self, points):
-        return self.source.jacobian(points).mean(axis=1, keepdims=True)
-
 
 class _SymmetricOf(AnalyticQFunction):
     def __init__(self, source):
@@ -374,10 +366,6 @@ class _SymmetricOf(AnalyticQFunction):
     def eval(self, points):
         vals = self.source.eval(points)
         return vals - vals.mean(axis=1, keepdims=True)
-
-    def jacobian(self, points):
-        jac = self.source.jacobian(points)
-        return jac - jac.mean(axis=1, keepdims=True)
 
 
 def average_symmetric_split(u):
@@ -478,29 +466,29 @@ def good_decay_check(u, x0, pairs):
     mass_s(rho), where mass_s is the squared L2 mass of the symmetric part;
     ratios above 1 + _DECAY_TOL are violations.  Pairs with both masses
     below _DECAY_FLOOR_REL times the full mass at rho are vacuous; a report
-    whose pairs are all vacuous counts as a pass.
+    whose pairs are all vacuous counts as a pass.  u is analytic and the
+    masses come from the polar disk rule; sampled data is refused with
+    TypeError.  A center that is not a finite point of the plane, or a
+    pair that is not finite with 0 < sigma <= rho, is refused with
+    ValueError.
     """
+    if isinstance(u, SampledQFunction):
+        raise TypeError("good_decay_check needs an analytic function, not sampled data")
     pairs = [(float(s), float(r)) for s, r in pairs]
     if not pairs:
         raise ValueError("no admissible scale pairs")
     for s, r in pairs:
-        if not 0.0 < s <= r:
-            raise ValueError("scale pairs need 0 < sigma <= rho")
-    x0 = np.asarray(x0, dtype=float).ravel()
+        if not (0.0 < s <= r and math.isfinite(r)):
+            raise ValueError("scale pairs need finite 0 < sigma <= rho")
+    x0 = _grid_point(x0, u.n, "x0")
     _, us = average_symmetric_split(u)
     n = u.n
     exponent = 2.0 * (1.0 + 1.0 / u.q)
-
-    def mass(f, r):
-        if isinstance(f, SampledQFunction):
-            return f.restrict(x0, r).q_mass(2.0)
-        return _mass(f, x0, r)
-
     ratios = np.empty(len(pairs))
     vac = np.zeros(len(pairs), dtype=bool)
     for i, (s, r) in enumerate(pairs):
-        ms, mr = mass(us, s), mass(us, r)
-        floor = _DECAY_FLOOR_REL * (mass(u, r) + 1e-300)
+        ms, mr = _mass(us, x0, s), _mass(us, x0, r)
+        floor = _DECAY_FLOOR_REL * (_mass(u, x0, r) + 1e-300)
         if ms <= floor and mr <= floor:
             ratios[i] = np.nan
             vac[i] = True
@@ -527,13 +515,14 @@ def frequency_function(u, x0, ladder):
 
     Planar only; the boundary integral is a trapezoid rule on the circle.
     Rungs whose denominator sits at rounding level (_FREQUENCY_FLOOR) are
-    skipped and reported.  An empty ladder, or a radius that is not finite
-    and positive, is refused with ValueError.
+    skipped and reported.  A center that is not a finite point of the
+    plane, an empty ladder, or a radius that is not finite and positive,
+    is refused with ValueError.
     """
-    x0 = np.asarray(x0, dtype=float).ravel()
     radii = _ladder_radii(ladder)
     if u.n != 2:
         raise ValueError("frequency function is implemented for the plane only")
+    x0 = _grid_point(x0, u.n, "x0")
     if isinstance(u, SampledQFunction):
         jac = _node_jacobians(u)
         dens = np.sum(jac * jac, axis=(1, 2, 3))
@@ -669,8 +658,11 @@ def laplacian_defect(f, points, step):
     """Discrete Laplacian defect |sum_d matched second differences| / h^2.
 
     Exactly harmonic multisets with locally smooth sheets come out at
-    O(h^2); the audit is the library's harmonicity certificate.
+    O(h^2); the audit is the library's harmonicity certificate.  A step
+    that is not finite and positive is refused with ValueError.
     """
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError("step must be finite and positive, got %r" % step)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     vc = f.eval(pts)
     lap = np.zeros_like(vc)

@@ -30,11 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BelowResolutionError,
-    BranchAmbiguityError,
-    OracleLimitError,
-)
+from .errors import BelowResolutionError, OracleLimitError
 from .geometry import _grid_point, _ladder_radii, squared_distances, unit_ball_volume
 
 __all__ = [
@@ -47,7 +43,6 @@ __all__ = [
     "branch_gaps",
     "matched_mass",
     "SampledQFunction",
-    "numeric_derivative",
     "lebesgue_point_profile",
 ]
 
@@ -97,10 +92,6 @@ class AqPoint:
     @property
     def m(self):
         return self.branches.shape[1]
-
-    def norm(self):
-        """Distance to the Q-fold zero tuple; no matching needed."""
-        return float(np.linalg.norm(self.branches))
 
     def __eq__(self, other):
         if not isinstance(other, AqPoint):
@@ -441,50 +432,6 @@ class SampledQFunction:
             raise ValueError("function returned shape %s, expected %s"
                              % (block.shape, (grid.size, q, m)))
         return cls(grid, block)
-
-
-def _evaluate(u, x):
-    """Tuple value of an analytic function, or of sampled data's nearest node."""
-    if hasattr(u, "eval_point"):
-        return u.eval_point(x)
-    if isinstance(u, SampledQFunction):
-        return u.value_at(x)
-    raise TypeError("cannot evaluate %r at a point" % type(u))
-
-
-def numeric_derivative(u, x0, h, gap_tol=None):
-    """Branchwise Jacobians at x0 by central differences with branch tracking.
-
-    Pre: branches at x0 separable; otherwise the pairing of neighbor values
-    to center branches is meaningless and a BranchAmbiguityError is raised.
-    Returns an array of shape (Q, m, n), row i the Jacobian of the branch
-    matched to center branch i (branches in the center tuple's canonical
-    order).  The step h must be finite and positive, and gap_tol, when
-    given, not NaN or negative.
-    """
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError("step h must be finite and positive, got %r" % h)
-    if gap_tol is not None and not gap_tol >= 0.0:
-        raise ValueError("gap_tol must not be NaN or negative, got %r" % gap_tol)
-    x0 = np.asarray(x0, dtype=float).ravel()
-    n = x0.shape[0]
-    center = _evaluate(u, x0)
-    q, m = center.q, center.m
-    scale = max(center.norm(), 1.0)
-    if gap_tol is None:
-        gap_tol = 1e-6 * scale
-    if q > 1 and math.sqrt(branch_gaps(center.branches[None])[0]) <= gap_tol:
-        raise BranchAmbiguityError("branch point: derivative matching ambiguous")
-    jac = np.empty((q, m, n))
-    for j in range(n):
-        step = np.zeros(n)
-        step[j] = h
-        plus = _evaluate(u, x0 + step)
-        minus = _evaluate(u, x0 - step)
-        sp = match_batch(plus.branches[None], center.branches[None])[0][0]
-        sm = match_batch(minus.branches[None], center.branches[None])[0][0]
-        jac[:, :, j] = (plus.branches[sp] - minus.branches[sm]) / (2.0 * h)
-    return jac
 
 
 def lebesgue_point_profile(u, x0, ladder):

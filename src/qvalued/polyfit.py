@@ -163,9 +163,6 @@ class QPolynomial:
         D = design_matrix(points, self.center, self.indices)
         return np.einsum("sk,qmk->sqm", D, self.coeffs)
 
-    def eval_point(self, x):
-        return AqPoint(self.eval(np.asarray(x, float)[None, :])[0])
-
     def recenter(self, new_center):
         """Exact Taylor shift of the center; values are unchanged."""
         new_center = np.asarray(new_center, dtype=float).ravel()
@@ -589,7 +586,7 @@ def _shared_fits():
         _SHARED_FITS.reset(token)
 
 
-def best_fit(u, center, radius, k, q_exp=2.0, cfg=None):
+def best_fit(u, center, radius, k, q_exp, cfg=None):
     """Best degree-k polynomial tuple on the sampled region.
 
     Restricts u to the ball, then minimizes the weighted sum of matching
@@ -717,7 +714,7 @@ _RATIO_RESOLUTION = 1.0 / 32  # grid step of its unit ball
 _RATIO_N, _RATIO_M, _RATIO_K, _RATIO_Q = 2, 1, 2, 2.0
 
 
-def comparison_constant_ratios(instances, seed=0, q_branches=2):
+def comparison_constant_ratios(instances, seed, q_branches=2):
     """Sample the coefficient-vs-integral comparison ratio.
 
     For random pairs (F, G) of q_branches-valued degree-2 scalar polynomial

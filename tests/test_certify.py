@@ -567,10 +567,10 @@ def test_inner_shared_fits_block_joins_the_outer_memo(monkeypatch):
     calls, computed = _record_fits(monkeypatch)
     with polyfit._shared_fits():
         memo = polyfit._SHARED_FITS.get()
-        first = certify.best_fit(u, [0.5, 0.2], 0.1, 1)
+        first = certify.best_fit(u, [0.5, 0.2], 0.1, 1, 2.0)
         with polyfit._shared_fits():
             assert polyfit._SHARED_FITS.get() is memo
-            assert certify.best_fit(u, [0.5, 0.2], 0.1, 1) is first
+            assert certify.best_fit(u, [0.5, 0.2], 0.1, 1, 2.0) is first
         # the inner block's end leaves the outer memo in place
         assert polyfit._SHARED_FITS.get() is memo
     assert polyfit._SHARED_FITS.get() is None
@@ -652,3 +652,46 @@ def test_nearby_free_points_get_their_own_comparison_polynomials(monkeypatch):
     assert [c.tobytes() for c, _ in owns] == [np.array(x).tobytes() for x in near]
     for center, own in owns:
         assert all(P.center.tobytes() == center.tobytes() for P in own)
+
+
+def _coarse_sample():
+    grid = Domain.ball(2, 1.0).sample(1.0 / 16.0)
+    return SampledQFunction.from_function(grid, lambda p: p[:, :1, None], q=1, m=1)
+
+
+_STRATIFIED = dict(n=2, k=1, q_exp=2.0, mu=0.5, beta0=1.0, betas=(1.0,), beta_tildes=(1.0,))
+_CERTIFY_REFUSALS = {
+    "gamma-beta1-zero": (lambda: gamma_select(2, 1, 2.0, 0.0, 0.5),
+                         ValueError, "beta1 must be positive"),
+    "gamma-mu-zero": (lambda: gamma_select(2, 1, 2.0, 1.0, 0.0), ValueError, "mu must lie"),
+    "gamma-mu-one": (lambda: gamma_select(2, 1, 2.0, 1.0, 1.0), ValueError, "mu must lie"),
+    "hypothesis-q-below-1": (lambda: golden_hypothesis(q_exp=0.5),
+                             ValueError, "q_exp must be at least 1"),
+    "hypothesis-unpaired-betas": (
+        lambda: DecayHypothesis(**dict(_STRATIFIED, beta_tildes=())), ValueError, "pair up"),
+    "hypothesis-stratum-constant-zero": (
+        lambda: DecayHypothesis(**dict(_STRATIFIED, betas=(0.0,))),
+        ValueError, "stratum constants must be positive"),
+    "audit-bad-which": (
+        lambda: audit_hypothesis(_coarse_sample(), golden_hypothesis(),
+                                 Stratification(base=[[0.0, 0.0]]), "IV"),
+        ValueError, "which must be"),
+    "audit-part-three-of-two-part": (
+        lambda: audit_hypothesis(_coarse_sample(), golden_hypothesis(),
+                                 Stratification(base=[[0.0, 0.0]]), "III"),
+        ValueError, "part III exists only"),
+    "audit-part-two-without-strata": (
+        lambda: audit_hypothesis(_coarse_sample(), DecayHypothesis(**_STRATIFIED),
+                                 Stratification(base=[[0.0, 0.0]]), "II"),
+        ValueError, "no strata"),
+    "free-centers-none-clear": (
+        lambda: certify._free_centers(_coarse_sample(), np.zeros((1, 2))),
+        BelowResolutionError, "no free centers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CERTIFY_REFUSALS))
+def test_certify_refuses_malformed_input(case):
+    call, error, match = _CERTIFY_REFUSALS[case]
+    with pytest.raises(error, match=match):
+        call()

@@ -277,7 +277,7 @@ def test_lattice_of_a_grid_read_back_from_csv(tmp_path):
     grid = Domain.annulus(2, 0.3, 1.0).sample(1.0 / 24.0)
     path = tmp_path / "annulus.csv"
     io.write_samples_csv(path, SampledQFunction(grid, grid.points[:, None, :1]))
-    back = io.read_samples_csv(path).grid
+    back = io.read_samples_csv(path, None).grid
     sub, _ = back.restrict([0.5, -0.2], 0.45)
     for depth in range(1, 6):
         for g in (back, sub, sub.restrict([0.6, -0.1], 0.2)[0]):
@@ -311,3 +311,26 @@ def test_certificate_builds_one_table_per_grid(monkeypatch):
         q_exp=2.0, mu_claim=0.5)
     assert out.ok
     assert built == [grid.size]
+
+
+_GEOMETRY_REFUSALS = {
+    "parent-index-length": (
+        lambda: QuadratureGrid(np.zeros((2, 2)), np.ones(2), 0.5,
+                               parent=Domain.box(2, 1.0).sample(0.5), parent_index=[0]),
+        ValueError, "one parent index per node"),
+    "domain-center-dimension": (lambda: Domain.ball(2, 1.0, center=[0.0, 0.0, 0.0]),
+                                DegenerateDomainError, "bad center"),
+    "box-half-width-zero": (lambda: Domain.box(2, 0.0), DegenerateDomainError,
+                            "half width <= 0"),
+    "box-half-width-negative": (lambda: Domain.box(2, -1.0), DegenerateDomainError,
+                                "half width <= 0"),
+    "no-interior-cells": (lambda: Domain.annulus(2, 0.9, 1.0).sample(1.0),
+                          DegenerateDomainError, "no interior cells"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GEOMETRY_REFUSALS))
+def test_geometry_refuses_malformed_input(case):
+    call, error, match = _GEOMETRY_REFUSALS[case]
+    with pytest.raises(error, match=match):
+        call()

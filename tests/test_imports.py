@@ -4,11 +4,13 @@ star import of every module that declares `__all__`."""
 import ast
 import importlib
 import pathlib
+import re
 
 import pytest
 
 TESTS = pathlib.Path(__file__).resolve().parent
-SRC = TESTS.parent / "src" / "qvalued"
+ROOT = TESTS.parent
+SRC = ROOT / "src" / "qvalued"
 MODULES = sorted(SRC.glob("*.py"))
 TEST_MODULES = sorted(TESTS.glob("*.py"))
 
@@ -187,3 +189,48 @@ def test_checker_flags_an_unread_private_name():
     }
     assert unread_private_names(trees) == [
         ("a", 2, "_LEFT"), ("a", 3, "_Y"), ("a", 6, "_Gone"), ("b", 3, "_Y")]
+
+
+def unread_exports(trees, outside):
+    """(module, name) of each `__all__` name of `trees`, a {module: tree}
+    dict, that no tree of `trees` or of `outside` reads.  A definition is
+    not a read, and neither is the `__all__` entry itself."""
+    read = set().union(*(names_read(tree) for tree in list(trees.values()) + outside))
+    return sorted((module, e.value) for module, tree in trees.items()
+                  for node in all_assignments(tree) for e in ast.walk(node.value)
+                  if isinstance(e, ast.Constant) and e.value not in read)
+
+
+def test_every_export_is_read_outside_the_unit_tests():
+    """Each public name is read by package code, the acceptance tests, a
+    README Python block or the benchmark: a name that only its unit tests
+    call is dead code with tests."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    outside = [ast.parse((TESTS / "test_acceptance.py").read_text())]
+    outside += [ast.parse(block) for block in blocks]
+    outside += [ast.parse(p.read_text()) for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    assert blocks and len(outside) > len(blocks) + 1
+    assert unread_exports(trees, outside) == []
+
+
+def test_checker_flags_an_unread_export():
+    trees = {
+        "a": ast.parse(
+            "__all__ = ['used', 'via_attr', 'outside', 'own_only', 'unread']\n"
+            "def used(): pass\n"
+            "def via_attr(): pass\n"
+            "def outside(): pass\n"
+            "def own_only(): pass\n"
+            "def unread(): pass\n"
+            "def helper():\n"
+            "    return own_only()\n"),
+        "b": ast.parse(
+            "from . import a\n"
+            "from .a import used\n"
+            "__all__ = ['g']\n"
+            "def g():\n"
+            "    return used() + a.via_attr()\n"),
+    }
+    outside = [ast.parse("import a\na.outside()\n")]
+    assert unread_exports(trees, outside) == [("a", "unread"), ("b", "g")]

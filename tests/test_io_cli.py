@@ -35,7 +35,7 @@ def bp_csv(tmp_path_factory):
 
 def test_csv_round_trip_exact(bp_csv):
     path, u = bp_csv
-    v = io.read_samples_csv(path)
+    v = io.read_samples_csv(path, None)
     assert v.grid.resolution == u.grid.resolution
     assert np.array_equal(v.grid.points, u.grid.points)
     # branch order per row carries no meaning, so compare through the metric
@@ -65,7 +65,7 @@ def test_csv_parse_is_byte_equal_to_per_cell_floats(bp_csv, tmp_path):
         " .75 , 0.125 ,+2.5E+2,4.9e-324\r\n"
         "1.0000000000000002,0.1,1.7976931348623157e308,-2.2250738585072014e-308\n")
     for csv in (path, spelled):
-        u = io.read_samples_csv(csv)
+        u = io.read_samples_csv(csv, None)
         points, values = _per_cell_parse(csv)
         assert u.grid.points.tobytes() == points.tobytes()
         assert u.values.tobytes() == values.tobytes()
@@ -111,19 +111,19 @@ def test_csv_malformed_rows(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("2,1,2\n0.0,0.0,1.0\n")
     with pytest.raises(ValueError, match="row 2"):
-        io.read_samples_csv(bad)
+        io.read_samples_csv(bad, None)
     bad.write_text("not,a,header\n")
     with pytest.raises(ValueError, match="malformed sample header"):
-        io.read_samples_csv(bad)
+        io.read_samples_csv(bad, None)
     bad.write_text("2,1,2\n")
     with pytest.raises(ValueError, match="no data rows"):
-        io.read_samples_csv(bad)
+        io.read_samples_csv(bad, None)
 
 
 def test_resolution_inference_and_override(tmp_path):
     path = tmp_path / "flat.csv"
     path.write_text("1,1,1\n0.0,1.0\n0.25,2.0\n0.75,3.0\n")
-    u = io.read_samples_csv(path)
+    u = io.read_samples_csv(path, None)
     assert u.grid.resolution == 0.25
     forced = io.read_samples_csv(path, resolution=0.5)
     assert forced.grid.resolution == 0.5
@@ -131,7 +131,7 @@ def test_resolution_inference_and_override(tmp_path):
     dup = tmp_path / "dup.csv"
     dup.write_text("1,1,1\n0.5,1.0\n0.5,2.0\n")
     with pytest.raises(ValueError, match="coincident"):
-        io.read_samples_csv(dup)
+        io.read_samples_csv(dup, None)
 
 
 def test_polynomial_round_trip(tmp_path):
@@ -412,7 +412,7 @@ def test_non_finite_samples_exit_as_input_errors(tmp_path, bp_csv):
     path = tmp_path / "nan.csv"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="finite"):
-        io.read_samples_csv(path)
+        io.read_samples_csv(path, None)
     out = tmp_path / "o.json"
     assert main(["fit", "--in", str(path), "--out", str(out)]) == 2
     assert not out.exists()
@@ -693,3 +693,23 @@ def test_fit_refuses_the_ladder_depth_flag(tmp_path, bp_csv, capsys):
     assert exc.value.code == 2
     assert "--ladder-depth" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_io_refuses_malformed_input_and_cleans_up(tmp_path, monkeypatch):
+    shape = tmp_path / "shape.json"
+    shape.write_text(json.dumps({"n": 2, "m": 1, "Q": 2, "points": [[0.0, 0.0]],
+                                 "values": [[[1.0, 2.0]]]}))
+    with pytest.raises(ValueError, match="values shape"):
+        io.read_samples_json(shape)
+    word = tmp_path / "word.csv"
+    word.write_text("2,1,1\n0.0,0.0,abc\n")
+    with pytest.raises(ValueError, match="abc"):
+        io.read_samples_csv(word, None)
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        io._atomic_write(tmp_path / "out.json", "{}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["shape.json", "word.csv"]

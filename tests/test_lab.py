@@ -75,7 +75,8 @@ def test_branch_power_average_vanishes():
 
 def test_branch_power_jacobian_matches_differences():
     pts = np.array([[0.3, 0.2], [0.1, -0.4], [-0.25, 0.33], [0.6, 0.05]])
-    for f in (lab.BranchPower(2, 3), lab.BranchPower(3, 4), lab.WallPair()):
+    for f in (lab.BranchPower(2, 3), lab.BranchPower(3, 4), lab.WallPair(),
+              lab.WallPair(m=2)):
         exact = f.jacobian(pts)
         fd = lab.AnalyticQFunction.jacobian(f, pts)
         assert np.abs(exact - fd).max() < 1e-8
@@ -180,6 +181,29 @@ def test_good_decay_vacuous_and_violations():
         lab.good_decay_check(_SlowPair(), np.zeros(2), [(0.4, 0.1)])
 
 
+@pytest.mark.parametrize("x0, pair, match", [
+    ([math.nan, 0.0], (0.1, 0.2), "x0 must be finite"),
+    ([math.inf, 0.0], (0.1, 0.2), "x0 must be finite"),
+    ([0.0, 0.0, 7.0], (0.1, 0.2), "x0 dimension"),
+    ([0.0, 0.0], (0.1, math.inf), "finite 0 < sigma <= rho"),
+], ids=["nan-center", "inf-center", "3d-center", "inf-radius"])
+def test_good_decay_refuses_a_bad_center_or_radius(x0, pair, match):
+    # each used to return ratios [nan], no violation and vacuous=False: a pass
+    with pytest.raises(ValueError, match=match):
+        lab.good_decay_check(lab.BranchPower(2, 3), x0, [pair])
+
+
+def test_good_decay_refuses_sampled_data_before_any_mass(disk_grid, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a mass was computed")
+
+    monkeypatch.setattr(lab, "_mass", refuse)
+    monkeypatch.setattr(SampledQFunction, "q_mass", refuse)
+    u = SampledQFunction.from_function(disk_grid, lab.BranchPower(2, 3).eval, 2, 2)
+    with pytest.raises(TypeError, match="analytic"):
+        lab.good_decay_check(u, np.zeros(2), [(0.1, 0.2)])
+
+
 def test_frequency_homogeneous_degrees():
     for d in (1, 2, 4):
         rep = lab.frequency_function(lab.BranchPower(1, d, m=1), np.zeros(2), [0.6, 0.3])
@@ -235,6 +259,20 @@ def test_frequency_refuses_non_finite_or_non_positive_radius(disk_grid, ladder):
             lab.frequency_function(v, np.zeros(2), ladder)
 
 
+@pytest.mark.parametrize("x0, match", [
+    ([0.0, 0.0, 7.0], "x0 dimension"), ([math.nan, 0.0], "x0 must be finite"),
+    ([0.0, math.inf], "x0 must be finite"),
+], ids=["3d-center", "nan-center", "inf-center"])
+def test_frequency_refuses_a_bad_center(x0, match):
+    # on sampled data [0, 0, 7] used to give the values at [0, 0], and a NaN
+    # center skipped every rung
+    f = lab.BranchPower(2, 3)
+    u = SampledQFunction.from_function(Domain.ball(2, 1.0).sample(1.0 / 32.0), f.eval, 2, 2)
+    for v in (u, f):
+        with pytest.raises(ValueError, match=match):
+            lab.frequency_function(v, x0, [0.6, 0.3])
+
+
 @pytest.mark.parametrize("ladder", [[], np.array(0.5)])
 def test_frequency_refuses_an_empty_ladder(disk_grid, ladder):
     f = lab.BranchPower(2, 3)
@@ -288,6 +326,17 @@ def test_reflected_wall_pair_harmonic_across_wall():
     order, coarse, fine = lab.harmonicity_order(refl, cells, h)
     assert order >= 1.8
     assert fine.max_defect < coarse.max_defect
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0 / 64.0, math.nan, math.inf])
+def test_harmonicity_audit_refuses_a_step_that_is_not_finite_and_positive(step):
+    # step 0 used to give max_defect = nan, and a negative step was accepted
+    pts = np.array([[0.4, 0.3], [-0.5, 0.1]])
+    f = lab.BranchPower(2, 3)
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        lab.laplacian_defect(f, pts, step)
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        lab.harmonicity_order(f, pts, step)
 
 
 def test_branch_power_harmonic_away_from_origin():
@@ -373,3 +422,51 @@ def test_hardt_simon_refuses_sampled_data():
     u = SampledQFunction.from_function(grid, lab.BranchPower(2, 3).eval, 2, 2)
     with pytest.raises(TypeError, match="analytic"):
         lab.hardt_simon_check(u, np.array([0.0, 0.3]), 0.25)
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+
+_LAB_REFUSALS = {
+    "branch-power-q": (lambda: lab.BranchPower(0, 3), ValueError, "q >= 1"),
+    "branch-power-p": (lambda: lab.BranchPower(2, 0), ValueError, "p >= 1"),
+    "branch-power-m": (lambda: lab.BranchPower(2, 3, m=3), ValueError, "m = 1 or m = 2"),
+    "wall-pair-d": (lambda: lab.WallPair(d=0.0), ValueError, "d must be positive"),
+    "wall-pair-m": (lambda: lab.WallPair(m=3), ValueError, "m = 1 or m = 2"),
+    "linear-tuple-shape": (lambda: lab.LinearTuple(np.zeros((2, 2))), ValueError,
+                           "shape \\(Q, m, n\\)"),
+    "abstract-eval": (lambda: lab.AnalyticQFunction().eval(np.zeros((1, 2))),
+                      NotImplementedError, "^$"),
+    "disk-rule-radius": (lambda: lab.disk_rule(np.zeros(2), 0.0), ValueError,
+                         "positive radius"),
+    "frequency-3d-analytic": (
+        lambda: lab.frequency_function(lab.LinearTuple(np.ones((1, 1, 3))),
+                                       np.zeros(3), [0.5]),
+        ValueError, "plane only"),
+    "frequency-3d-sampled": (
+        lambda: lab.frequency_function(
+            SampledQFunction.from_function(Domain.ball(3, 1.0).sample(0.25),
+                                           lambda p: np.ones((len(p), 1, 1)), 1, 1),
+            np.zeros(3), [0.5]),
+        ValueError, "plane only"),
+    "hardt-simon-off-wall": (
+        lambda: lab.hardt_simon_check(lab.BranchPower(2, 3), [0.1, 0.5], 0.1),
+        ValueError, "on the wall"),
+    "hardt-simon-3d": (
+        lambda: lab.hardt_simon_check(lab.BranchPower(2, 3), [0.0, 0.5, 0.0], 0.1),
+        ValueError, "on the wall"),
+    "hardt-simon-rho-large": (
+        lambda: lab.hardt_simon_check(lab.BranchPower(2, 3), [0.0, 0.5], 0.2),
+        ValueError, "rho outside"),
+    "hardt-simon-rho-zero": (
+        lambda: lab.hardt_simon_check(lab.BranchPower(2, 3), [0.0, 0.5], 0.0),
+        ValueError, "rho outside"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LAB_REFUSALS))
+def test_lab_refuses_malformed_input(case):
+    call, error, match = _LAB_REFUSALS[case]
+    with pytest.raises(error, match=match):
+        call()

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qvalued.errors import BranchAmbiguityError, OracleLimitError
+from qvalued.errors import OracleLimitError
 from qvalued.geometry import Domain, QuadratureGrid, dyadic_ladder
+from qvalued.lab import BranchPower
 from qvalued.points import (
     AqPoint,
     SampledQFunction,
@@ -22,7 +23,6 @@ from qvalued.points import (
     match_margins,
     matched_mass,
     metric_g,
-    numeric_derivative,
 )
 from qvalued.points import _permutation_table
 
@@ -110,10 +110,11 @@ def test_metric_axioms(s_branches, data):
 @given(_tuples())
 def test_norm_decomposition(branches):
     w = AqPoint(branches)
+    zero = AqPoint(np.zeros(w.branches.shape))
     wa = w.branches.mean(axis=0)
     ws = AqPoint(w.branches - wa)
-    lhs = w.norm() ** 2
-    rhs = ws.norm() ** 2 + w.q * float(wa @ wa)
+    lhs = metric_g(w, zero) ** 2
+    rhs = metric_g(ws, zero) ** 2 + w.q * float(wa @ wa)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -130,7 +131,6 @@ def test_canonical_storage_is_permutation_invariant():
 
 def test_norm_is_distance_to_zero_tuple():
     p = AqPoint([[3.0, 0.0], [0.0, 4.0]])
-    assert p.norm() == pytest.approx(5.0)
     assert metric_g(p, AqPoint(np.zeros((2, 2)))) == pytest.approx(5.0)
 
 
@@ -398,11 +398,11 @@ def test_cost_only_matching_computes_no_margin(monkeypatch):
         raise AssertionError("a margin was computed for a cost-only match")
 
     monkeypatch.setattr(points, "_swap_margins", refuse)
-    assert np.all(np.isfinite(comparison_constant_ratios(4, q_branches=7)))
+    assert np.all(np.isfinite(comparison_constant_ratios(4, seed=0, q_branches=7)))
     grid = Domain.ball(2, 1.0).sample(1.0 / 16.0)
     target = random_qpolynomial(np.random.default_rng(2), 2, 1, 3, 1)
     u = SampledQFunction(grid, target.eval(grid.points))
-    assert best_fit(u, np.zeros(2), 1.1, 1).polynomial.q == 3
+    assert best_fit(u, np.zeros(2), 1.1, 1, 2.0).polynomial.q == 3
     radii, _, _ = lebesgue_point_profile(u, np.zeros(2), dyadic_ladder(0.5, 3))
     assert radii.size
     # up to six branches the best pairing needs no runner-up
@@ -498,75 +498,6 @@ def test_value_at_picks_nearest(disk_grid):
     got = u.value_at([0.5, 0.0])
     x_node = disk_grid.points[u.nearest_index([0.5, 0.0]), 0]
     assert metric_g(got, AqPoint([[x_node], [-x_node]])) == 0.0
-
-
-def test_numeric_derivative_linear_tuples():
-    grid = Domain.ball(2, 1.0).sample(1.0 / 64.0)
-    vals = np.stack([grid.points[:, :1], -grid.points[:, :1]], axis=1)
-    u = SampledQFunction(grid, vals)
-    jac = numeric_derivative(u, [0.5, 0.2], h=1.0 / 64.0)
-    # rows follow the canonical (ascending) branch order at the center
-    assert jac == pytest.approx(
-        np.array([[[-1.0, 0.0]], [[1.0, 0.0]]]), abs=1e-10
-    )
-    single = SampledQFunction(grid, (2.0 * grid.points[:, 0]
-                                     + 3.0 * grid.points[:, 1])[:, None, None])
-    jac1 = numeric_derivative(single, [0.1, -0.2], h=1.0 / 64.0)
-    assert jac1 == pytest.approx(np.array([[[2.0, 3.0]]]), abs=1e-10)
-
-
-def test_numeric_derivative_refuses_a_point_off_the_sampled_domain():
-    # the differences of nodes far from (5, 5) used to give [0.3125, -0.3125]
-    # as the gradient of x1 on the h = 1/16 disk
-    grid = Domain.ball(2, 1.0).sample(1.0 / 16.0)
-    u = SampledQFunction(grid, grid.points[:, :1, None])
-    with pytest.raises(ValueError, match="no grid node within one grid step"):
-        numeric_derivative(u, [5.0, 5.0], h=0.1)
-
-
-@pytest.mark.parametrize("h", [0.0, -1.0 / 64.0, math.nan, math.inf])
-def test_numeric_derivative_refuses_a_step_that_is_not_positive(h):
-    # h = 0 used to return an all-NaN Jacobian
-    grid = Domain.ball(2, 1.0).sample(1.0 / 16.0)
-    vals = np.stack([grid.points[:, :1], -grid.points[:, :1]], axis=1)
-    with pytest.raises(ValueError, match="step h"):
-        numeric_derivative(SampledQFunction(grid, vals), [0.5, 0.2], h=h)
-
-
-@pytest.mark.parametrize("gap_tol", [math.nan, -1.0])
-def test_numeric_derivative_refuses_a_gap_tolerance_that_is_nan_or_negative(gap_tol):
-    # both used to pass the branch point and return an all-zero Jacobian
-    from qvalued.lab import LinearTuple
-
-    u = LinearTuple.wall([1.0, -1.0])
-    with pytest.raises(ValueError, match="gap_tol"):
-        numeric_derivative(u, [0.0, 0.3], h=1.0 / 64.0, gap_tol=gap_tol)
-
-
-def test_numeric_derivative_branch_point_refuses():
-    from qvalued.lab import LinearTuple
-
-    u = LinearTuple.wall([1.0, -1.0])
-    with pytest.raises(BranchAmbiguityError, match="ambiguous"):
-        numeric_derivative(u, [0.0, 0.3], h=1.0 / 64.0)
-    # on a cell-centered grid the wall sits between nodes; a gap tolerance
-    # at the cell scale still flags the near-collision
-    grid = Domain.ball(2, 1.0).sample(1.0 / 64.0)
-    vals = np.stack([grid.points[:, :1], -grid.points[:, :1]], axis=1)
-    s = SampledQFunction(grid, vals)
-    with pytest.raises(BranchAmbiguityError):
-        numeric_derivative(s, [0.0, 0.3], h=1.0 / 64.0, gap_tol=0.02)
-
-
-def test_numeric_derivative_branch_power_closed_form():
-    from qvalued.lab import BranchPower
-
-    f = BranchPower(2, 3, m=1)
-    jac = numeric_derivative(f, [1.0, 0.0], h=1e-4)
-    # branches of Re z^{3/2} have gradient (±3/2, 0) at z = 1
-    assert jac == pytest.approx(
-        np.array([[[-1.5, 0.0]], [[1.5, 0.0]]]), abs=1e-6
-    )
 
 
 def test_lebesgue_profile_constant_and_lipschitz(disk_grid):
@@ -683,3 +614,23 @@ def test_from_function_propagates_errors_of_vectorised_callables():
 
     with pytest.raises(ZeroDivisionError, match="bad block"):
         SampledQFunction.from_function(grid, broken, 2, 2)
+
+
+_POINTS_REFUSALS = {
+    "aqpoint-3d": (lambda: AqPoint(np.zeros((2, 2, 2))), ValueError, "\\(Q, m\\) array"),
+    "aqpoint-empty": (lambda: AqPoint(np.zeros((0, 2))), ValueError, "\\(Q, m\\) array"),
+    "match-shapes": (lambda: match_batch(np.zeros((3, 2, 1)), np.zeros((3, 2, 2))),
+                     ValueError, "one shape"),
+    "match-2d": (lambda: match_batch(np.zeros((3, 2)), np.zeros((3, 2))),
+                 ValueError, "one shape"),
+    "profile-analytic": (
+        lambda: lebesgue_point_profile(BranchPower(2, 3), np.zeros(2), [0.5]),
+        TypeError, "sampled data"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_POINTS_REFUSALS))
+def test_points_refuses_malformed_input(case):
+    call, error, match = _POINTS_REFUSALS[case]
+    with pytest.raises(error, match=match):
+        call()

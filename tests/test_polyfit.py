@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from qvalued import polyfit
+from qvalued import lab, polyfit
 from qvalued.errors import InsufficientSamplesError, RecenterError
 from qvalued.geometry import (
     Domain,
@@ -76,7 +76,7 @@ def test_multi_indices_enumeration():
 
 def test_eval_constant_and_linear():
     const = QPolynomial(np.zeros(2), 0, np.array([[[2.0]], [[-1.0]]]))
-    assert metric_g(const.eval_point([0.7, -0.3]),
+    assert metric_g(const.eval(np.array([[0.7, -0.3]]))[0],
                     AqPoint([[2.0], [-1.0]])) == 0.0
     idx = multi_indices(2, 1)
     coeffs = np.zeros((2, 1, len(idx)))
@@ -84,7 +84,7 @@ def test_eval_constant_and_linear():
     coeffs[0, 0, slot] = 1.0
     coeffs[1, 0, slot] = -1.0
     lin = QPolynomial(np.zeros(2), 1, coeffs)
-    assert metric_g(lin.eval_point([2.0, 0.0]),
+    assert metric_g(lin.eval(np.array([[2.0, 0.0]]))[0],
                     AqPoint([[2.0], [-2.0]])) == 0.0
 
 
@@ -654,7 +654,7 @@ def test_random_restarts_run_only_where_the_deterministic_starts_disagree(
         center, ran):
     u = _two_branch_sample()
     center = np.array(center)
-    res = best_fit(u, center, 0.2, 1)
+    res = best_fit(u, center, 0.2, 1, 2.0)
     kinds = [entry[0] for entry in res.log]
     assert kinds == ["spectral", "order0", "order_k"] + ["random"] * (ran - 3)
     deterministic = [entry[1] for entry in res.log[:3]]
@@ -690,7 +690,7 @@ def test_deterministic_starts_with_equal_labels_share_one_alternation(monkeypatc
         return original(*args)
 
     monkeypatch.setattr(polyfit, "_alternate", counting)
-    res = best_fit(u, center, 0.2, 1)
+    res = best_fit(u, center, 0.2, 1, 2.0)
     assert res.log == tuple(want)
     assert len(calls) == 1 < len(res.log)
 
@@ -730,7 +730,7 @@ def test_a_random_labeling_equal_to_an_earlier_one_is_not_alternated_again(
 
     monkeypatch.setattr(np.random, "default_rng", Repeating)
     monkeypatch.setattr(polyfit, "_alternate", counting)
-    res = best_fit(u, center, 0.2, 1)
+    res = best_fit(u, center, 0.2, 1, 2.0)
     assert res.log == tuple(want)
     assert sum(np.array_equal(labels, drawn) for labels in calls) == 1
     assert len(calls) == len(outcomes)
@@ -748,9 +748,9 @@ def test_fit_starts_read_the_symmetric_part():
     field = _two_branch_field(grid.points)
     c = np.random.default_rng(1).normal(size=(2, 3))  # c0 + c1 x + c2 y per component
     affine = c[:, 0] + grid.points @ c[:, 1:].T
-    plain = best_fit(SampledQFunction(grid, field), np.zeros(2), 0.15, 2)
+    plain = best_fit(SampledQFunction(grid, field), np.zeros(2), 0.15, 2, 2.0)
     moved = best_fit(SampledQFunction(grid, field + affine[:, None, :]),
-                     np.zeros(2), 0.15, 2)
+                     np.zeros(2), 0.15, 2, 2.0)
     assert moved.residual == pytest.approx(plain.residual, rel=1e-9, abs=0.0)
 
 
@@ -897,7 +897,7 @@ def test_exact_fit_logs_the_starts_up_to_the_floor(fit_grid):
     for q, k in ((1, 1), (2, 1), (2, 2), (3, 1)):
         target = random_qpolynomial(rng, 2, 1, q, k)
         u = SampledQFunction(fit_grid, target.eval(fit_grid.points))
-        res = best_fit(u, np.zeros(2), 1.1, k)
+        res = best_fit(u, np.zeros(2), 1.1, k, 2.0)
         assert res.residual <= 1e-18
         kinds = [entry[0] for entry in res.log]
         assert kinds == (["zero"] if q == 1 else
@@ -937,7 +937,7 @@ def test_fit_stopping_at_the_order_zero_start_grows_no_order_k_forest(fit_grid,
     u = SampledQFunction(fit_grid, vals)
     for k in (1, 2):
         reach.clear()
-        assert best_fit(u, np.zeros(2), 1.1, k).residual <= 1e-20
+        assert best_fit(u, np.zeros(2), 1.1, k, 2.0).residual <= 1e-20
         assert reach == [1], k  # the order-0 forest only
 
 
@@ -1018,7 +1018,7 @@ def test_rank_deficient_fit_is_the_minimum_norm_solution(k):
     pts = np.stack([x, np.full(x.size, 0.3)], axis=1)
     grid = QuadratureGrid(pts, np.full(x.size, h * h), h)
     vals = np.random.default_rng(4).normal(size=(x.size, 1, 1))
-    res = best_fit(SampledQFunction(grid, vals), np.zeros(2), 1.0, k)
+    res = best_fit(SampledQFunction(grid, vals), np.zeros(2), 1.0, k, 2.0)
     sw = np.sqrt(grid.weights)
     design = design_matrix(pts, np.zeros(2), multi_indices(2, k))
     want, _, rank, _ = np.linalg.lstsq(design * sw[:, None], vals[:, 0, 0] * sw,
@@ -1181,7 +1181,7 @@ def test_reweighted_residual_is_the_matched_objective(fit_grid, q_exp):
     assert res.residual == pytest.approx(objective(res.polynomial), rel=1e-12,
                                          abs=0.0)
     # reweighting must improve on the plain least-squares polynomial
-    assert res.residual < objective(best_fit(u, np.zeros(2), 1.1, 1).polynomial)
+    assert res.residual < objective(best_fit(u, np.zeros(2), 1.1, 1, 2.0).polynomial)
 
 
 @pytest.mark.parametrize("q_exp, k, match", [
@@ -1212,8 +1212,36 @@ def test_non_finite_samples_are_refused_before_any_fit(fit_grid, bad,
     vals = _two_branch_field(fit_grid.points)
     vals[fit_grid.size // 2, 1, 0] = bad
     with pytest.raises(ValueError, match="finite"):
-        polyfit.best_fit(SampledQFunction(fit_grid, vals), np.zeros(2), 0.5, 1)
+        polyfit.best_fit(SampledQFunction(fit_grid, vals), np.zeros(2), 0.5, 1, 2.0)
     with pytest.raises(ValueError, match="finite"):
         polyfit.best_fit(SampledQFunction.from_function(
-            fit_grid, lambda x: vals, q=2, m=2), np.zeros(2), 0.5, 1)
+            fit_grid, lambda x: vals, q=2, m=2), np.zeros(2), 0.5, 1, 2.0)
     assert calls == []
+
+
+def _poly(degree, q, m):
+    return QPolynomial(np.zeros(2), degree, np.zeros((q, m, len(multi_indices(2, degree)))))
+
+
+_POLYFIT_REFUSALS = {
+    "best-fit-analytic": (
+        lambda: best_fit(lab.BranchPower(2, 3), np.zeros(2), 0.5, 1, 2.0),
+        TypeError, "sampled data"),
+    "coeffs-shape": (lambda: QPolynomial(np.zeros(2), 1, np.zeros((2, 3))),
+                     ValueError, "coeffs must have shape"),
+    "coeffs-count": (lambda: QPolynomial(np.zeros(2), 1, np.zeros((2, 1, 4))),
+                     ValueError, "coefficient count 4"),
+    "metric-degree": (lambda: coefficient_metric(_poly(1, 2, 1), _poly(2, 2, 1)),
+                      ValueError, "share degree"),
+    "metric-q": (lambda: coefficient_metric(_poly(1, 2, 1), _poly(1, 3, 1)),
+                 ValueError, "share degree"),
+    "metric-m": (lambda: coefficient_metric(_poly(1, 2, 1), _poly(1, 2, 2)),
+                 ValueError, "share degree"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_POLYFIT_REFUSALS))
+def test_polyfit_refuses_malformed_input(case):
+    call, error, match = _POLYFIT_REFUSALS[case]
+    with pytest.raises(error, match=match):
+        call()
