@@ -12,6 +12,18 @@ link to that grid and the indices of its nodes there, so its lattice is a
 gather of the parent's rows.  Points and weights are read-only, so a
 built lattice cannot go stale.
 
+A grid keeps everything it computes about itself in one memo: its lattice,
+the geometry a fit derives from its nodes (`QuadratureGrid.cached`) and its
+balls.  A ball, keyed by its normalised center bytes and float radius,
+keeps its node indices and a memo of its own, which every restriction to
+that ball reads; so the lattice, the propagation skeleton and the
+least-squares factor of a ball are computed once per grid, however many
+fields or degrees are fitted on it.  Memo entries hold arrays and dicts,
+never a grid, so a grid and its memo are freed together by reference
+counting.  A grid keeps balls while their node counts sum to at most its
+own size; a restriction past that is computed and dropped, as the first
+one is.  Kept arrays are read-only.
+
 The table is built by direct addressing.  Each axis ranks its distinct
 lattice keys; every node's index is written to its cell of a box with one
 cell per combination of ranks, plus a padding slab per axis for steps to a
@@ -197,8 +209,10 @@ class QuadratureGrid:
     """Midpoint-rule nodes: cell centers, weights h^n, and the cell side h.
 
     `parent` and `parent_index` link a restriction to the grid its lattice
-    is gathered from and to its nodes' indices there.  Grids compare and
-    hash by identity; compare their arrays with np.array_equal.
+    is gathered from and to its nodes' indices there.  A grid's one memo
+    keeps its lattice, its balls and what fits compute from its nodes alone
+    (see the module docstring).  Grids compare and hash by identity;
+    compare their arrays with np.array_equal.
     """
 
     points: np.ndarray
@@ -229,7 +243,7 @@ class QuadratureGrid:
         wts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
-        object.__setattr__(self, "_lattice", None)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def size(self):
@@ -242,15 +256,25 @@ class QuadratureGrid:
     def total_weight(self):
         return float(self.weights.sum())
 
+    def cached(self, key, build):
+        """build(), computed on the first call with `key` and kept in this
+        grid's memo.  For geometry that depends on the grid alone, never on
+        sampled values; build returns read-only arrays, or tuples of them,
+        and no grid."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
     def lattice(self, depth):
         """neighbour_table(points, resolution, _lattice_directions(dim),
-        depth), built once and kept.
+        depth), built once and kept, read-only.
 
         A grid that is no restriction builds the table, again only when a
         deeper one is asked for; a restriction gathers its rows from the
         parent's table, mapping parent indices to its own and keeping -1.
         """
-        table = self._lattice
+        table = self._memo.get("lattice")
         if table is None or table.shape[2] < depth:
             if self.parent is None:
                 table = neighbour_table(self.points, self.resolution,
@@ -259,8 +283,30 @@ class QuadratureGrid:
                 inv = np.full(self.parent.size + 1, -1, dtype=_index_dtype(self.size))
                 inv[self.parent_index] = np.arange(self.size)
                 table = inv[self.parent.lattice(depth)[self.parent_index]]
-            object.__setattr__(self, "_lattice", table)
+            table.setflags(write=False)
+            self._memo["lattice"] = table
         return table[:, :, :depth]
+
+    def _ball(self, center, radius):
+        """(center, radius) as a float vector and a float, refused as
+        restrict_indices says."""
+        center = _grid_point(center, self.dim, "center")
+        radius = float(radius)
+        if math.isnan(radius):
+            raise ValueError("radius must not be NaN")
+        if radius <= 2.0 * self.resolution:
+            raise BelowResolutionError(
+                "restriction radius %g below resolution (h = %g)"
+                % (radius, self.resolution)
+            )
+        return center, radius
+
+    def _indices(self, center, radius):
+        d2 = squared_distances(self.points, center)
+        idx = np.nonzero(d2 <= radius * radius)[0]
+        if idx.size == 0:
+            raise EmptyIntersectionError("empty intersection")
+        return idx
 
     def restrict_indices(self, center, radius):
         """Indices of nodes within distance `radius` of `center`.
@@ -269,31 +315,32 @@ class QuadratureGrid:
         meaningful quadrature of a ball.  A center that is not a finite point
         of the grid's dimension, or a NaN radius, is refused with ValueError.
         """
-        center = _grid_point(center, self.dim, "center")
-        if math.isnan(radius):
-            raise ValueError("radius must not be NaN")
-        if radius <= 2.0 * self.resolution:
-            raise BelowResolutionError(
-                "restriction radius %g below resolution (h = %g)"
-                % (radius, self.resolution)
-            )
-        d2 = squared_distances(self.points, center)
-        idx = np.nonzero(d2 <= radius * radius)[0]
-        if idx.size == 0:
-            raise EmptyIntersectionError("empty intersection")
-        return idx
+        return self._indices(*self._ball(center, radius))
 
     def restrict(self, center, radius):
         """(sub-grid, idx): the nodes within `radius` of `center`, idx their
-        indices here.  The sub-grid links to this grid's own parent where it
-        has one, so every restriction gathers from one table."""
-        idx = self.restrict_indices(center, radius)
+        read-only indices here.  The sub-grid links to this grid's own
+        parent where it has one, so every restriction gathers from one
+        table, and it reads the memo of its ball, which this grid keeps
+        within its node budget."""
+        center, radius = self._ball(center, radius)
+        balls = self._memo.setdefault("balls", {})
+        key = (center.tobytes(), radius)
+        ball = balls.get(key)
+        if ball is None:
+            idx = self._indices(center, radius)
+            idx.setflags(write=False)
+            ball = (idx, {})
+            if idx.size + sum(kept.size for kept, _ in balls.values()) <= self.size:
+                balls[key] = ball
+        idx, memo = ball
         if self.parent is None:
             parent, parent_index = self, idx
         else:
             parent, parent_index = self.parent, self.parent_index[idx]
         sub = QuadratureGrid(self.points[idx], self.weights[idx], self.resolution,
                              parent, parent_index)
+        object.__setattr__(sub, "_memo", memo)
         return sub, idx
 
 

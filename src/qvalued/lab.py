@@ -434,8 +434,11 @@ def branch_set_detect(u, tol):
 
     Value-only coincidence is not enough (crossing sheets decompose); the
     derivative term is what separates a genuine branch point from a
-    transversal crossing.
+    transversal crossing.  u is sampled; an analytic function is refused
+    with TypeError.
     """
+    if not isinstance(u, SampledQFunction):
+        raise TypeError("branch_set_detect needs sampled data, not an analytic function")
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("branch tolerance must be positive and finite")
     vgap2 = branch_gaps(u.values)
@@ -561,6 +564,8 @@ def _require_wall_point(z):
     z = np.asarray(z, dtype=float).ravel()
     if z.shape[0] != 2 or abs(z[0]) > 1e-9:
         raise ValueError("expected a planar point on the wall {x1 = 0}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("wall point must be finite, got %s" % z)
     return z
 
 

@@ -14,9 +14,12 @@ plane at exponent 2.
 Fitting alternates two steps: match each sample's branches to the current
 model branches with an exact assignment solve, then refit all branch
 polynomials by weighted least squares.  The weighted design sqrt(w) X is
-factored once per fit by a thin SVD, cut at np.linalg.lstsq's default
-rank, and every start and iteration reuses that factor: an iteration is
-one gather of the labelled values and two matrix products.  For exponents
+factored by a thin SVD, cut at np.linalg.lstsq's default rank, once per
+ball and degree while its grid keeps the ball: the ball's own grid keeps
+the design and its factor
+(`QuadratureGrid.cached`), so every start and iteration of every fit on
+that ball reuses them, whatever the field.  An iteration is one gather of
+the labelled values and two matrix products.  For exponents
 other than 2 the refit is iteratively reweighted with a floored weight,
 the design is factored again whenever the weights change, and since
 reweighting need not descend, a start ends at its least-objective iterate.
@@ -27,7 +30,9 @@ propagated over the sample lattice: labels composed along a
 maximum-margin spanning forest (quality-guided growing as a spanning tree
 over edges sorted by reliability, Herraez et al. 2002).  The lattice is
 the grid's own neighbour table (`QuadratureGrid.lattice`), which a ball
-restriction gathers from its parent grid's.  Every lattice edge is
+restriction gathers from its parent grid's; the edges, CSR arrays and
+chains read from it depend on the lattice alone and are kept on the grid
+per chain depth (`_lattice_skeleton`).  Every lattice edge is
 weighed by matching one cell against the Newton extrapolation of the
 lattice chain beyond its neighbour, in chunked `match_margins` calls; the
 chains are read by flat takes of the framed values, summed one chain
@@ -266,6 +271,17 @@ def _factor(design, weights):
     return (u * sw).T, u / sw, vt[keep].T / s[keep]
 
 
+def _fit_geometry(points, center, indices, weights):
+    """(design, _factor(design, weights)) of a ball's nodes, read-only: what
+    a fit derives from the ball alone, kept on its grid per center and
+    degree."""
+    design = design_matrix(points, center, indices)
+    factor = _factor(design, weights)
+    for array in (design,) + factor:
+        array.setflags(write=False)
+    return design, factor
+
+
 def _spectral_ranks(values):
     """Rank branches per sample along the dominant value direction."""
     S, Q, m = values.shape
@@ -369,6 +385,47 @@ def _agrees(pairing, labels, child, parent):
         labels.take(child, axis=0))
 
 
+def _lattice_skeleton(grid, depth):
+    """The part of a propagation at chain depth `depth` that depends on the
+    lattice alone, kept on the grid per depth (`QuadratureGrid.cached`):
+    (tail, head, indptr, indices, extrap, cells, chains, runs).
+
+    The undirected edges {tail, head = tail + d}, d over the half
+    directions, in (cell, direction) order, are row `tail` of a CSR
+    adjacency (indptr, indices); its row S, the virtual node, is joined to
+    every cell.  extrap[L] holds the weights of a chain of length L,
+    zero-padded.  chains are the chains of every edge, forward from its
+    tail and, at depth > 1, then backward from its head, cells the cells
+    they predict and runs their in-grid runs; order 0 reads the first cell
+    of each forward chain.
+    """
+
+    def build():
+        table = grid.lattice(depth)
+        S = table.shape[0]
+        tail, half = np.nonzero(table[:, 0::2, 0] >= 0)
+        indices = np.r_[table[tail, 2 * half, 0], np.arange(S, dtype=table.dtype)]
+        head = indices[:tail.size]
+        tail = tail.astype(table.dtype)  # kept at the table's width, not intp's
+        indptr = np.empty(S + 2, dtype=table.dtype)
+        indptr[0], indptr[-1] = 0, tail.size + S
+        np.cumsum(np.bincount(tail, minlength=S), out=indptr[1:-1])
+        extrap = np.zeros((depth + 1, depth))
+        for length in range(1, depth + 1):
+            extrap[length, :length] = _EXTRAP_WEIGHTS[length]
+        cells, chains = tail, table[tail, 2 * half]
+        if depth > 1:
+            cells = np.concatenate([tail, head])
+            chains = np.concatenate([chains, table[head, 2 * half + 1]])
+        skeleton = (tail, head, indptr, indices, extrap, cells, chains,
+                    _run_lengths(chains))
+        for array in skeleton:
+            array.setflags(write=False)
+        return skeleton
+
+    return grid.cached(("skeleton", depth), build)
+
+
 def _propagated_labels(grid, values, start_labels, order=0):
     """Labels composed along a maximum-margin spanning forest of the sample
     lattice (quality-guided unwrapping as a spanning tree over edges sorted
@@ -417,17 +474,8 @@ def _propagated_labels(grid, values, start_labels, order=0):
 
     S, Q, m = values.shape
     depth = min(order + 1, max(_EXTRAP_WEIGHTS))
-    table = grid.lattice(depth)
-    # undirected edges {tail, head = tail + d}, d over the half directions,
-    # in (cell, direction) order: row `tail` of a CSR adjacency; row S, the
-    # virtual node, is joined to every cell
-    tail, half = np.nonzero(table[:, 0::2, 0] >= 0)
-    head = table[tail, 2 * half, 0]
+    tail, head, indptr, indices, extrap, cells, chains, runs = _lattice_skeleton(grid, depth)
     count = tail.size
-    indptr = np.empty(S + 2, dtype=head.dtype)
-    indptr[0], indptr[-1] = 0, count + S
-    np.cumsum(np.bincount(tail, minlength=S), out=indptr[1:-1])
-    indices = np.r_[head, np.arange(S, dtype=head.dtype)]
 
     @functools.cache
     def root_weights():
@@ -438,20 +486,6 @@ def _propagated_labels(grid, values, start_labels, order=0):
         by = np.argsort(-branch_gaps(values), kind="stable")
         weight[by] = np.arange(count + 1, count + S + 1)
         return weight
-
-    # extrap[L] holds the weights of a chain of length L, zero-padded
-    extrap = np.zeros((depth + 1, depth))
-    for length in range(1, depth + 1):
-        extrap[length, :length] = _EXTRAP_WEIGHTS[length]
-    # the chains of every edge, forward from its tail and, at order k, then
-    # backward from its head, and their runs: they depend only on the
-    # lattice, so every grow reads them; order 0 reads the first cell of
-    # each forward chain
-    cells, chains = tail, table[tail, 2 * half]
-    if depth > 1:
-        cells = np.concatenate([tail, head])
-        chains = np.concatenate([chains, table[head, 2 * half + 1]])
-    runs = _run_lengths(chains)
 
     def grow(frames):
         """Labels composed along the forest of the lattice chains: with no
@@ -631,8 +665,8 @@ def best_fit(u, center, radius, k, q_exp, cfg=None):
         raise InsufficientSamplesError(
             "insufficient samples: %d nodes for %d coefficients" % (sub.size, K)
         )
-    design = design_matrix(X, center, indices)
-    factor = _factor(design, weights)
+    design, factor = sub.grid.cached(
+        ("fit", center.tobytes(), k), lambda: _fit_geometry(X, center, indices, weights))
 
     Q = sub.q
 

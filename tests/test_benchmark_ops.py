@@ -4,8 +4,11 @@ Each of the four workloads in `perfbench/workloads.py` is built at its
 `DEFAULT_SEEDS` seed, and every op's output goes through that op's
 `check`: the λ̂ band, λ̃ = 25/6, soundness of at least 0.95 and the
 profile reference among them.  A change that breaks a benchmark check
-fails here, before any benchmark run.  The module is loaded from its file,
-so nothing under `perfbench/` lands on the import path.
+fails here, before any benchmark run.  The two workloads that fit many
+balls of one grid also run each op on a build whose grids the whole op
+list has left a warm ball memo and on a fresh build, and require equal
+digests.  The module is loaded from its file, so nothing under
+`perfbench/` lands on the import path.
 """
 
 import importlib.util
@@ -33,3 +36,14 @@ def test_every_benchmark_op_passes_its_check(name, tmp_path):
     assert wl.ops
     for op in wl.ops:
         op.check(op.run())
+
+
+@pytest.mark.parametrize("name", ["certify-e2e", "fit-interp"])
+def test_op_digests_equal_on_a_warm_and_a_fresh_build(name, tmp_path):
+    seed = workloads.DEFAULT_SEEDS[name]
+    warm = workloads.BUILDERS[name](seed, str(tmp_path))
+    for op in warm.ops:
+        op.run()
+    for i, op in enumerate(warm.ops):
+        fresh = workloads.BUILDERS[name](seed, str(tmp_path)).ops[i]
+        assert op.check(op.run()) == fresh.check(fresh.run()), op.label

@@ -494,23 +494,25 @@ def test_end_to_end_traverses_each_part_once(stratified_run):
 
 def _record_fits(monkeypatch):
     """Record every best_fit call the certify and campanato modules make, as
-    (u, center, radius, k, q_exp, result), and count the fits computed: at
-    q = 2 each computed fit factors its design once."""
+    (u, center, radius, k, q_exp, result), and count the fits computed: each
+    computed fit reads its rounding floor, polyfit.exact_floor, once.  (Its
+    design factor is no count: a grid keeps one per ball and degree, shared
+    by every fit there.)"""
     calls, computed = [], []
-    fit, factor = polyfit.best_fit, polyfit._factor
+    fit, floor = polyfit.best_fit, polyfit.exact_floor
 
     def recording(u, center, radius, k, q_exp=2.0, cfg=None):
         res = fit(u, center, radius, k, q_exp, cfg)
         calls.append((u, np.asarray(center, dtype=float).copy(), radius, k, q_exp, res))
         return res
 
-    def counting(design, weights):
+    def counting(mass, q_exp):
         computed.append(1)
-        return factor(design, weights)
+        return floor(mass, q_exp)
 
     for module in (certify, campanato):
         monkeypatch.setattr(module, "best_fit", recording)
-    monkeypatch.setattr(polyfit, "_factor", counting)
+    monkeypatch.setattr(polyfit, "exact_floor", counting)
     return calls, computed
 
 

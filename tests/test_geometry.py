@@ -1,7 +1,9 @@
 """Tests for domains, quadrature grids, and dyadic ladders."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from qvalued.geometry import (
     unit_ball_volume,
 )
 from qvalued.points import SampledQFunction
-from qvalued.polyfit import QPolynomial
+from qvalued.polyfit import QPolynomial, best_fit
 
 
 @pytest.fixture(scope="module")
@@ -282,6 +284,91 @@ def test_lattice_of_a_grid_read_back_from_csv(tmp_path):
     for depth in range(1, 6):
         for g in (back, sub, sub.restrict([0.6, -0.1], 0.2)[0]):
             _assert_lattice_is_built_table(g, depth)
+
+
+# ---------------------------------------------------------------------------
+# the ball memo
+
+
+def _kept_nodes(grid):
+    return sum(idx.size for idx, _ in grid._memo.get("balls", {}).values())
+
+
+def test_restrictions_of_one_ball_share_its_memo():
+    grid = Domain.ball(2, 1.0).sample(1.0 / 32.0)
+    a, idx_a = grid.restrict([0.1, -0.2], 0.4)
+    b, idx_b = grid.restrict(np.array([[0.1, -0.2]]), np.float64(0.4))
+    assert a is not b and idx_a is idx_b and a._memo is b._memo
+    a.lattice(2)
+    assert b._memo["lattice"] is a._memo["lattice"]
+    # another ball, or the same one restricted from the restriction, has its own
+    c, _ = grid.restrict([0.1, -0.2], 0.41)
+    d, _ = a.restrict([0.1, -0.2], 0.4)
+    assert c._memo is not a._memo and d._memo is not a._memo
+    assert d.parent is grid and np.array_equal(d.points, a.points)
+
+
+def test_kept_ball_nodes_never_exceed_the_grid_size():
+    """A grid keeps balls while their node counts sum to at most its size;
+    a ball past that budget is restricted as a kept one is."""
+    grid = Domain.ball(2, 1.0).sample(1.0 / 32.0)
+    twin = QuadratureGrid(grid.points, grid.weights, grid.resolution)
+    rng = np.random.default_rng(5)
+    asked = set()
+    for _ in range(40):
+        center, radius = rng.uniform(-0.8, 0.8, 2), rng.uniform(0.1, 1.2)
+        sub, idx = grid.restrict(center, radius)
+        asked.add((center.tobytes(), radius))
+        assert np.array_equal(idx, twin.restrict_indices(center, radius))
+        inner, inner_idx = sub.restrict(center, max(0.5 * radius, 0.07))
+        assert np.array_equal(inner.points, sub.points[inner_idx])
+        assert _kept_nodes(grid) <= grid.size and _kept_nodes(sub) <= sub.size
+    assert 0 < len(grid._memo["balls"]) < len(asked)
+
+
+def test_a_kept_ball_leaves_every_refusal_in_place():
+    grid = Domain.ball(2, 1.0).sample(1.0 / 16.0)
+    nan = math.nan
+    for _ in range(2):
+        grid.restrict([0.0, 0.0], 0.5)
+        with pytest.raises(ValueError, match="radius must not be NaN"):
+            grid.restrict([0.0, 0.0], nan)
+        with pytest.raises(BelowResolutionError):
+            grid.restrict([0.0, 0.0], 2.0 * grid.resolution)
+        for center in ([nan, 0.0], [0.0, math.inf]):
+            with pytest.raises(ValueError, match="center must be finite"):
+                grid.restrict(center, 0.5)
+    assert list(grid._memo["balls"]) == [(np.zeros(2).tobytes(), 0.5)]
+
+
+def test_kept_indices_and_lattices_are_read_only():
+    grid = Domain.ball(2, 1.0).sample(1.0 / 16.0)
+    sub, idx = grid.restrict([0.2, 0.1], 0.5)
+    for kept in (idx, grid.lattice(2), sub.lattice(3)):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 0
+
+
+def test_a_grid_and_its_memo_are_freed_by_reference_counting():
+    """Memo entries hold no grid, so a grid whose balls hold a lattice, a
+    propagation skeleton and a factor is freed, with every restriction, as
+    soon as its last reference goes: no collector is needed."""
+    gc.collect()
+    gc.disable()
+    try:
+        grid = Domain.ball(2, 1.0).sample(1.0 / 16.0)
+        x = np.abs(grid.points[:, :1] - 0.1) ** 1.5
+        u = SampledQFunction(grid, np.stack([x, -x], axis=1))
+        fit = best_fit(u, [0.1, 0.0], 0.6, 2, 2.0)
+        sub = u.restrict([0.1, 0.0], 0.6)
+        assert {"lattice", ("skeleton", 3), ("fit", np.array([0.1, 0.0]).tobytes(), 2)} \
+            <= set(sub.grid._memo)
+        refs = [weakref.ref(grid), weakref.ref(sub.grid)]
+        del grid, u, sub, x
+        assert [ref() for ref in refs] == [None, None]
+        assert fit.residual >= 0.0
+    finally:
+        gc.enable()
 
 
 def _two_branch(grid):

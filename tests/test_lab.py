@@ -156,6 +156,11 @@ def test_branch_set_refuses_bad_tolerance(disk_grid, tol):
         lab.branch_set_detect(single, tol)
 
 
+def test_branch_set_refuses_analytic_functions():
+    with pytest.raises(TypeError, match="sampled data"):
+        lab.branch_set_detect(lab.BranchPower(2, 3), 0.5)
+
+
 # ---------------------------------------------------------------------------
 # decay and frequency
 
@@ -456,6 +461,15 @@ _LAB_REFUSALS = {
     "hardt-simon-3d": (
         lambda: lab.hardt_simon_check(lab.BranchPower(2, 3), [0.0, 0.5, 0.0], 0.1),
         ValueError, "on the wall"),
+    "hardt-simon-nan-wall-coordinate": (
+        lambda: lab.hardt_simon_check(lab.BranchPower(2, 3), [math.nan, 0.5], 0.1),
+        ValueError, "wall point must be finite"),
+    "hardt-simon-nan-height": (
+        lambda: lab.hardt_simon_check(lab.BranchPower(2, 3), [0.0, math.nan], 0.1),
+        ValueError, "wall point must be finite"),
+    "hardt-simon-infinite-height": (
+        lambda: lab.hardt_simon_check(lab.BranchPower(2, 3), [0.0, math.inf], 0.1),
+        ValueError, "wall point must be finite"),
     "hardt-simon-rho-large": (
         lambda: lab.hardt_simon_check(lab.BranchPower(2, 3), [0.0, 0.5], 0.2),
         ValueError, "rho outside"),

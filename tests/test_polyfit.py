@@ -616,6 +616,58 @@ def test_serial_fit_stops_before_propagating(fit_grid, monkeypatch):
     assert res.starts == len(res.log) == 1
 
 
+def test_fits_through_a_warm_memo_equal_fits_on_a_fresh_grid():
+    """A ball's kept geometry changes no fit: fits on a grid whose balls
+    hold the lattice, propagation skeleton and factor that fits of other
+    fields and degrees left there equal, to the bit, the fits on a fresh
+    copy of the grid."""
+    grid = Domain.ball(2, 1.0).sample(1.0 / 16.0)
+    rng = np.random.default_rng(29)
+    balls = [(rng.uniform(-0.3, 0.3, 2), float(rng.uniform(0.3, 0.45))) for _ in range(3)]
+    cases = []
+    for _ in range(24):
+        q, m, k = (int(v) for v in rng.integers((1, 1, 0), (4, 3, 4)))
+        center, radius = balls[rng.integers(len(balls))]
+        values = random_qpolynomial(rng, 2, m, q, k).eval(grid.points)
+        values += 0.05 * rng.normal(size=values.shape)
+        cases.append((values, center, radius, k, float(rng.choice([2.0, 1.5]))))
+
+    def fit(g, values, center, radius, k, q_exp):
+        res = best_fit(SampledQFunction(g, values), center, radius, k, q_exp)
+        return res.polynomial.coeffs.tobytes(), repr(res.residual), res.log
+
+    for case in cases:
+        fit(grid, *case)
+    assert len(grid._memo["balls"]) == len(balls)
+    for case in cases:
+        fresh = QuadratureGrid(grid.points, grid.weights, grid.resolution)
+        assert fit(grid, *case) == fit(fresh, *case)
+
+
+def test_fits_on_one_ball_and_degree_share_one_factor(fit_grid, monkeypatch):
+    factored = []
+    original = polyfit._factor
+
+    def counting(design, weights):
+        factored.append(design.shape)
+        return original(design, weights)
+
+    monkeypatch.setattr(polyfit, "_factor", counting)
+    grid = QuadratureGrid(fit_grid.points, fit_grid.weights, fit_grid.resolution)
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 1, 2, 1):
+        u = SampledQFunction(grid, random_qpolynomial(rng, 2, 1, 2, k).eval(grid.points))
+        res = best_fit(u, np.zeros(2), 1.1, k, 2.0)
+        assert res.residual <= 1e-16
+    assert factored == [(grid.size, 3), (grid.size, 6)]
+    sub = u.restrict(np.zeros(2), 1.1)
+    design, factor = sub.grid._memo[("fit", np.zeros(2).tobytes(), 1)]
+    skeleton = polyfit._lattice_skeleton(sub.grid, 2)
+    for kept in (design,) + factor + skeleton:
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 0
+
+
 def _fit_inputs(u, center, radius, k):
     """best_fit's set-up at q_exp = 2: the ball, its canonically ordered
     values, the design, its factor and the deterministic start labels,
