@@ -32,7 +32,7 @@ from .errors import (
 )
 from .geometry import dyadic_ladder, squared_distances
 from .points import matched_mass
-from .polyfit import _shared_fits, best_fit, exact_floor
+from .polyfit import _grid_values, _shared_fits, best_fit, exact_floor
 
 __all__ = [
     "DecayHypothesis",
@@ -352,8 +352,9 @@ def _pair_table(us, center, own, fams, rho_top, h):
     polynomial on each (the fine side).  fams: per component, the family the
     premise quantifies over on the coarse side, whose binding case is the
     member with the smallest coarse mass; None compares own with itself.
-    Every rung restricts each component once, for own and family alike.
-    Pairs run over rho from the top, then sigma below it.
+    Every rung restricts each component once, for own and family alike,
+    and evaluates each polynomial through the ball's kept design.  Pairs
+    run over rho from the top, then sigma below it.
     """
     n, k, q_exp = h.n, h.k, h.q_exp
     radii = _audit_ladder(us[0], rho_top)
@@ -370,12 +371,12 @@ def _pair_table(us, center, own, fams, rho_top, h):
         subs = [u.restrict(center, rho) for u in us]
         fine[rho] = sum(
             scale * matched_mass(sub.grid.weights, sub.values,
-                                 P.eval(sub.grid.points), q_exp)
+                                 _grid_values(P, sub.grid), q_exp)
             for sub, P in zip(subs, own))
         data[rho] = sum(scale * sub.q_mass(q_exp) for sub in subs)
         coarse[rho] = fine[rho] if fams is None else sum(
             min(scale * matched_mass(sub.grid.weights, sub.values,
-                                     P.eval(sub.grid.points), q_exp)
+                                     _grid_values(P, sub.grid), q_exp)
                 for P in fam)
             for sub, fam in zip(subs, fams))
     cutoff = radii[max(0, len(radii) // 2 - 1)]

@@ -369,17 +369,12 @@ class _SymmetricOf(AnalyticQFunction):
 
 
 def average_symmetric_split(u):
-    """Split u into its branch average u_a and symmetric part u_s = u - u_a.
-
-    Works on sampled and analytic functions alike; the symmetric part keeps
-    the branch count and its branches sum to zero pointwise.
+    """Split an analytic u into its branch average u_a and symmetric part
+    u_s = u - u_a; the symmetric part keeps the branch count and its
+    branches sum to zero pointwise.  Sampled data is refused with TypeError.
     """
     if isinstance(u, SampledQFunction):
-        mean = u.values.mean(axis=1, keepdims=True)
-        return (
-            SampledQFunction(u.grid, mean.copy()),
-            SampledQFunction(u.grid, u.values - mean),
-        )
+        raise TypeError("average_symmetric_split needs an analytic function, not sampled data")
     return _AverageOf(u), _SymmetricOf(u)
 
 

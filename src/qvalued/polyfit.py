@@ -13,12 +13,15 @@ plane at exponent 2.
 
 Fitting alternates two steps: match each sample's branches to the current
 model branches with an exact assignment solve, then refit all branch
-polynomials by weighted least squares.  The weighted design sqrt(w) X is
-factored by a thin SVD, cut at np.linalg.lstsq's default rank, once per
-ball and degree while its grid keeps the ball: the ball's own grid keeps
-the design and its factor
-(`QuadratureGrid.cached`), so every start and iteration of every fit on
-that ball reuses them, whatever the field.  An iteration is one gather of
+polynomials by weighted least squares.  A ball's grid keeps one design
+matrix per polynomial center and degree (`_kept_design`, through
+`QuadratureGrid.cached`): a fit at the ball's own center and an audit's
+evaluation of any polynomial on the ball (`_grid_values`, with the one
+formula `QPolynomial.eval` uses) read the same array.  The weighted design
+sqrt(w) X is factored by a thin SVD, cut at np.linalg.lstsq's default
+rank, once per ball and degree while its grid keeps the ball, so every
+start and iteration of every fit on that ball reuses the design and its
+factor, whatever the field.  An iteration is one gather of
 the labelled values and two matrix products.  For exponents
 other than 2 the refit is iteratively reweighted with a floored weight,
 the design is factored again whenever the weights change, and since
@@ -119,6 +122,28 @@ def design_matrix(points, center, indices):
     return cols
 
 
+def _evaluate(design, coeffs):
+    """Values of a (Q, m, K) coefficient block on a design's nodes, shape
+    (S, Q, m): the one evaluation formula."""
+    return np.einsum("sk,qmk->sqm", design, coeffs)
+
+
+def _kept_design(grid, center, k):
+    """design_matrix of the grid's nodes at `center` and degree k, read-only,
+    kept on the grid per (center bytes, k) (`QuadratureGrid.cached`)."""
+    def build():
+        design = design_matrix(grid.points, center, multi_indices(grid.dim, k))
+        design.setflags(write=False)
+        return design
+
+    return grid.cached(("design", center.tobytes(), k), build)
+
+
+def _grid_values(poly, grid):
+    """poly.eval(grid.points), to the bit, through the grid's kept design."""
+    return _evaluate(_kept_design(grid, poly.center, poly.degree), poly.coeffs)
+
+
 @dataclass(frozen=True, eq=False)
 class QPolynomial:
     """Unordered tuple of Q polynomial branches R^n -> R^m, one shared center.
@@ -165,8 +190,7 @@ class QPolynomial:
 
     def eval(self, points):
         """Values at points, shape (S, Q, m)."""
-        D = design_matrix(points, self.center, self.indices)
-        return np.einsum("sk,qmk->sqm", D, self.coeffs)
+        return _evaluate(design_matrix(points, self.center, self.indices), self.coeffs)
 
     def recenter(self, new_center):
         """Exact Taylor shift of the center; values are unchanged."""
@@ -271,15 +295,18 @@ def _factor(design, weights):
     return (u * sw).T, u / sw, vt[keep].T / s[keep]
 
 
-def _fit_geometry(points, center, indices, weights):
+def _fit_geometry(grid, center, k):
     """(design, _factor(design, weights)) of a ball's nodes, read-only: what
     a fit derives from the ball alone, kept on its grid per center and
-    degree."""
-    design = design_matrix(points, center, indices)
-    factor = _factor(design, weights)
-    for array in (design,) + factor:
-        array.setflags(write=False)
-    return design, factor
+    degree.  The design is the ball's one kept design (`_kept_design`)."""
+    def build():
+        design = _kept_design(grid, center, k)
+        factor = _factor(design, grid.weights)
+        for array in factor:
+            array.setflags(write=False)
+        return design, factor
+
+    return grid.cached(("fit", center.tobytes(), k), build)
 
 
 def _spectral_ranks(values):
@@ -653,20 +680,17 @@ def best_fit(u, center, radius, k, q_exp, cfg=None):
             return memo[key]
     sub = u.restrict(center, radius)
     center = np.asarray(center, dtype=float).ravel()
-    X = sub.grid.points
     weights = sub.grid.weights
     # Canonical per-sample branch order makes the fit independent of how the
     # caller happened to order branch values.
     values = np.take_along_axis(
         sub.values, canonical_order(sub.values)[:, :, None], axis=1)
-    indices = multi_indices(center.shape[0], k)
-    K = len(indices)
+    K = len(multi_indices(center.shape[0], k))
     if sub.size < K:
         raise InsufficientSamplesError(
             "insufficient samples: %d nodes for %d coefficients" % (sub.size, K)
         )
-    design, factor = sub.grid.cached(
-        ("fit", center.tobytes(), k), lambda: _fit_geometry(X, center, indices, weights))
+    design, factor = _fit_geometry(sub.grid, center, k)
 
     Q = sub.q
 

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from qvalued import certify, geometry, io
+from qvalued import certify, geometry, io, polyfit
 from qvalued.errors import (
     BelowResolutionError,
     DegenerateDomainError,
@@ -291,7 +291,11 @@ def test_lattice_of_a_grid_read_back_from_csv(tmp_path):
 
 
 def _kept_nodes(grid):
-    return sum(idx.size for idx, _ in grid._memo.get("balls", {}).values())
+    return sum(ball[0].size for ball in grid._memo.get("balls", {}).values())
+
+
+def _sub_grid_bytes(sub):
+    return [a.tobytes() for a in (sub.points, sub.weights, sub.parent_index)]
 
 
 def test_restrictions_of_one_ball_share_its_memo():
@@ -308,22 +312,34 @@ def test_restrictions_of_one_ball_share_its_memo():
     assert d.parent is grid and np.array_equal(d.points, a.points)
 
 
-def test_kept_ball_nodes_never_exceed_the_grid_size():
-    """A grid keeps balls while their node counts sum to at most its size;
-    a ball past that budget is restricted as a kept one is."""
+def test_kept_ball_nodes_never_exceed_twice_the_grid_size():
+    """A grid keeps balls while their node counts sum to at most twice its
+    size; a ball past that budget is computed, dropped, and restricted as a
+    kept one is."""
     grid = Domain.ball(2, 1.0).sample(1.0 / 32.0)
     twin = QuadratureGrid(grid.points, grid.weights, grid.resolution)
     rng = np.random.default_rng(5)
-    asked = set()
+    asked = []
     for _ in range(40):
         center, radius = rng.uniform(-0.8, 0.8, 2), rng.uniform(0.1, 1.2)
         sub, idx = grid.restrict(center, radius)
-        asked.add((center.tobytes(), radius))
+        asked.append((center, radius))
         assert np.array_equal(idx, twin.restrict_indices(center, radius))
         inner, inner_idx = sub.restrict(center, max(0.5 * radius, 0.07))
         assert np.array_equal(inner.points, sub.points[inner_idx])
-        assert _kept_nodes(grid) <= grid.size and _kept_nodes(sub) <= sub.size
-    assert 0 < len(grid._memo["balls"]) < len(asked)
+        assert _kept_nodes(grid) <= 2 * grid.size and _kept_nodes(sub) <= 2 * sub.size
+    balls = grid._memo["balls"]
+    assert 0 < len(balls) < len(asked)
+    assert _kept_nodes(grid) > grid.size
+    for center, radius in asked:
+        kept = (center.tobytes(), radius) in balls
+        sub, idx = grid.restrict(center, radius)
+        fresh, fresh_idx = QuadratureGrid(
+            grid.points, grid.weights, grid.resolution).restrict(center, radius)
+        assert idx.tobytes() == fresh_idx.tobytes()
+        assert _sub_grid_bytes(sub) == _sub_grid_bytes(fresh)
+        # a dropped ball is computed again, and dropped again
+        assert ((center.tobytes(), radius) in balls) == kept
 
 
 def test_a_kept_ball_leaves_every_refusal_in_place():
@@ -398,6 +414,87 @@ def test_certificate_builds_one_table_per_grid(monkeypatch):
         q_exp=2.0, mu_claim=0.5)
     assert out.ok
     assert built == [grid.size]
+
+
+def _single_valued(grid):
+    r = np.linalg.norm(grid.points, axis=1)
+    return SampledQFunction(grid, (r ** 1.5)[:, None, None])
+
+
+def _certify(u):
+    return certify.end_to_end_certify(
+        u, certify.Stratification(base=[[0.0, 0.0]]), k=1, q_exp=2.0, mu_claim=0.5)
+
+
+def _counting(counts, name, fn):
+    def counted(*args):
+        counts[name] += 1
+        return fn(*args)
+
+    return counted
+
+
+def test_a_repeated_certificate_computes_no_ball_geometry(monkeypatch):
+    """A certificate's whole working set of balls stays on its grid: a
+    second certificate of the same field scans for no ball and builds no
+    design or factor, and a certificate on a fresh copy of the grid, which
+    builds them all again, is equal to both."""
+    grid = Domain.ball(2, 1.0).sample(1.0 / 80.0)
+    first = _certify(_single_valued(grid))
+    counts = {"scan": 0, "factor": 0, "design": 0}
+    monkeypatch.setattr(QuadratureGrid, "_indices",
+                        _counting(counts, "scan", QuadratureGrid._indices))
+    monkeypatch.setattr(polyfit, "_factor", _counting(counts, "factor", polyfit._factor))
+    monkeypatch.setattr(polyfit, "design_matrix",
+                        _counting(counts, "design", polyfit.design_matrix))
+    again = _certify(_single_valued(grid))
+    assert counts == {"scan": 0, "factor": 0, "design": 0}
+    fresh = _certify(_single_valued(
+        QuadratureGrid(grid.points, grid.weights, grid.resolution)))
+    assert min(counts.values()) > 0
+    assert again == first and fresh == first
+
+
+@pytest.fixture(scope="module")
+def certified_grid():
+    """The h = 1/80 disk after one two-branch certificate."""
+    grid = Domain.ball(2, 1.0).sample(1.0 / 80.0)
+    assert _certify(_two_branch(grid)).ok
+    return grid
+
+
+def _memo_items(memo):
+    """Every key and value of a memo, nested dicts and tuples walked."""
+    for item in memo.items() if isinstance(memo, dict) else memo:
+        if isinstance(item, (dict, tuple)):
+            yield from _memo_items(item)
+        else:
+            yield item
+
+
+def test_a_certificate_leaves_only_read_only_arrays_in_the_memo(certified_grid):
+    kept = list(_memo_items(certified_grid._memo))
+    assert not [x for x in kept if isinstance(x, (QuadratureGrid, SampledQFunction,
+                                                  QPolynomial))]
+    assert {type(x) for x in kept} <= {np.ndarray, bytes, str, int, float}
+    arrays = [x for x in kept if isinstance(x, np.ndarray)]
+    assert not [a for a in arrays if a.flags.writeable]
+    # each ball keeps its indices, points, weights, parent indices and designs
+    balls = certified_grid._memo["balls"]
+    assert all(len(ball) == 5 for ball in balls.values())
+    assert all(any(key[0] == "design" for key in ball[4]) for ball in balls.values())
+
+
+def test_a_memo_hit_restriction_equals_one_on_a_fresh_grid(certified_grid):
+    grid = certified_grid
+    for center, radius in grid._memo["balls"]:
+        center = np.frombuffer(center)
+        sub, idx = grid.restrict(center, radius)
+        fresh, fresh_idx = QuadratureGrid(
+            grid.points, grid.weights, grid.resolution).restrict(center, radius)
+        assert idx.tobytes() == fresh_idx.tobytes()
+        assert _sub_grid_bytes(sub) == _sub_grid_bytes(fresh)
+        assert sub.resolution == fresh.resolution and sub.parent is grid
 
 
 _GEOMETRY_REFUSALS = {

@@ -101,30 +101,31 @@ def test_split_constant_and_linear_pairs():
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 3), st.data())
 def test_split_identities_random(q, m, data):
-    vals = np.array(
+    slopes = np.array(
         data.draw(
             st.lists(
-                st.lists(
-                    st.lists(
-                        st.floats(-10, 10, allow_nan=False), min_size=m, max_size=m
-                    ),
-                    min_size=q, max_size=q,
-                ),
-                min_size=3, max_size=3,
+                st.floats(-10, 10, allow_nan=False), min_size=q * m * 2, max_size=q * m * 2
             )
         )
-    )
-    grid = Domain.box(2, 1.0).sample(0.7)
-    assert grid.size >= 3
-    vals = np.concatenate([vals] * (grid.size // 3 + 1))[: grid.size]
-    u = SampledQFunction(grid, vals)
+    ).reshape(q, m, 2)
+    u = lab.LinearTuple(slopes)
+    pts = Domain.box(2, 1.0).sample(0.7).points
     ua, us = lab.average_symmetric_split(u)
-    assert np.abs(us.values.sum(axis=1)).max() < 1e-9
-    assert np.abs(ua.values + us.values - u.values).max() < 1e-12
-    # squared-mass identity: |w|^2 = |w_s|^2 + Q |w_a|^2 per node
-    lhs = np.sum(u.values ** 2, axis=(1, 2))
-    rhs = np.sum(us.values ** 2, axis=(1, 2)) + q * np.sum(ua.values[:, 0] ** 2, axis=1)
+    vals, va, vs = u.eval(pts), ua.eval(pts), us.eval(pts)
+    assert va.shape == (pts.shape[0], 1, m) and vs.shape == vals.shape
+    assert np.abs(vs.sum(axis=1)).max() < 1e-9
+    assert np.abs(va + vs - vals).max() < 1e-12
+    # squared-mass identity: |w|^2 = |w_s|^2 + Q |w_a|^2 per point
+    lhs = np.sum(vals ** 2, axis=(1, 2))
+    rhs = np.sum(vs ** 2, axis=(1, 2)) + q * np.sum(va[:, 0] ** 2, axis=1)
     assert np.abs(lhs - rhs).max() < 1e-7 * (1.0 + np.abs(lhs).max())
+
+
+def test_split_refuses_sampled_data():
+    grid = Domain.box(2, 1.0).sample(0.25)
+    u = SampledQFunction.from_function(grid, lab.BranchPower(2, 3).eval, 2, 2)
+    with pytest.raises(TypeError, match="analytic function, not sampled data"):
+        lab.average_symmetric_split(u)
 
 
 # ---------------------------------------------------------------------------

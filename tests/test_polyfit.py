@@ -24,6 +24,7 @@ from qvalued.points import (
     canonical_order,
     match_batch,
     match_margins,
+    matched_mass,
     metric_g,
 )
 from qvalued.polyfit import (
@@ -44,6 +45,7 @@ from qvalued.polyfit import (
     _MAX_ITER,
     _alternate,
     _factor,
+    _grid_values,
     _propagated_labels,
     _spectral_ranks,
 )
@@ -666,6 +668,35 @@ def test_fits_on_one_ball_and_degree_share_one_factor(fit_grid, monkeypatch):
     for kept in (design,) + factor + skeleton:
         with pytest.raises(ValueError, match="read-only"):
             kept[0] = 0
+
+
+def test_values_through_a_kept_design_equal_eval_on_raw_points():
+    """Audit masses read a polynomial's values through the ball's kept
+    design; they equal, to the bit, eval on a fresh copy of the ball's
+    points, for polynomials centered on the ball's center and off it.  A
+    fit's design at its own center is that same kept design."""
+    grid = Domain.ball(2, 1.0).sample(1.0 / 32.0)
+    rng = np.random.default_rng(30)
+    balls = [(rng.uniform(-0.3, 0.3, 2), float(rng.uniform(0.3, 0.45))) for _ in range(3)]
+    for _ in range(30):
+        q, m, k = (int(v) for v in rng.integers((1, 1, 0), (4, 3, 4)))
+        center, radius = balls[rng.integers(len(balls))]
+        pole = center if rng.random() < 0.5 else rng.uniform(-0.5, 0.5, 2)
+        P = QPolynomial(pole, k, random_qpolynomial(rng, 2, m, q, k).coeffs)
+        ball, idx = grid.restrict(center, radius)
+        raw = np.array(grid.points[idx])
+        for _ in range(2):  # the second call reads the kept design
+            kept = _grid_values(P, ball)
+            assert kept.tobytes() == P.eval(raw).tobytes()
+        values = rng.normal(size=(ball.size, q, m))
+        for q_exp in (2.0, 1.5):
+            assert matched_mass(ball.weights, values, kept, q_exp) \
+                == matched_mass(grid.weights[idx], values, P.eval(raw), q_exp)
+    center, radius = balls[0]
+    u = SampledQFunction(grid, random_qpolynomial(rng, 2, 1, 2, 2).eval(grid.points))
+    best_fit(u, center, radius, 2, 2.0)
+    memo = u.restrict(center, radius).grid._memo
+    assert memo[("fit", center.tobytes(), 2)][0] is memo[("design", center.tobytes(), 2)]
 
 
 def _fit_inputs(u, center, radius, k):
