@@ -44,7 +44,6 @@ class ExcessProfile:
     radii: np.ndarray
     excesses: np.ndarray
     truncated: bool
-    fits: tuple
 
 
 def excess_profile(u, x0, k, q_exp, ladder):
@@ -61,7 +60,7 @@ def excess_profile(u, x0, k, q_exp, ladder):
     """
     rungs = _ladder_radii(ladder)
     x0 = np.asarray(x0, dtype=float).ravel()
-    radii, excesses, fits = [], [], []
+    radii, excesses = [], []
     dropped = set()
     for rho in rungs:
         try:
@@ -72,7 +71,6 @@ def excess_profile(u, x0, k, q_exp, ladder):
             continue
         radii.append(rho)
         excesses.append(res.residual)
-        fits.append(res)
     if not radii:
         if dropped - {BelowResolutionError} == {EmptyIntersectionError}:
             raise EmptyIntersectionError(
@@ -80,7 +78,7 @@ def excess_profile(u, x0, k, q_exp, ladder):
                 % x0.tolist())
         raise BelowResolutionError("ladder entirely below resolution")
     return ExcessProfile(x0, np.asarray(radii), np.asarray(excesses),
-                         bool(dropped), tuple(fits))
+                         bool(dropped))
 
 
 @dataclass(frozen=True)

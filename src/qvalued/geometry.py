@@ -6,27 +6,28 @@ inside the domain and assigns it the full cell weight h^n, so integrals are
 plain weighted sums over cell centers.
 
 A grid owns its sample lattice: the neighbour table over the signed
-lattice directions, built once, lazily, on a grid that is no restriction
-and deepened only when a deeper one is asked for.  A restriction keeps a
-link to that grid and the indices of its nodes there, so its lattice is a
-gather of the parent's rows.  Points and weights are read-only, so a
-built lattice cannot go stale.
+lattice directions of its own points, built once, lazily, and deepened
+only when a deeper one is asked for.  A restriction is a grid of its own
+and builds its table on its own points; it holds no link to the grid it
+was cut from.  Points and weights are read-only, so a built lattice
+cannot go stale.
 
 A grid keeps everything it computes about itself in one memo: its lattice,
 the geometry a fit or an audit derives from its nodes
 (`QuadratureGrid.cached`) and its balls.  A ball, keyed by its normalised
 center bytes and float radius, keeps its node indices, its sub-grid's
-points, weights and parent indices, and a memo of its own, which every
-restriction to that ball reads.  So a repeat restriction is one dict
-lookup, and the lattice, the propagation skeleton, the design matrices and
-the least-squares factors of a ball are computed once per grid, however
-many fields, degrees or polynomials are fitted or evaluated on it.  Memo
+points and weights, and a memo of its own, which every restriction to
+that ball reads.  So a repeat restriction is one dict lookup, and the
+lattice, the propagation skeleton, the design matrices and the
+least-squares factors of a ball are computed once per grid, however many
+fields, degrees or polynomials are fitted or evaluated on it.  Memo
 entries hold arrays and dicts, never a grid, so a grid and its memo are
-freed together by reference counting.  A grid keeps balls while their node
-counts sum to at most twice its own size, which holds the whole working
-set of one certificate (on the benchmark's, 51 balls with 1.12 times the
-grid's nodes); a restriction past that is computed and dropped, as the
-first one is.  Kept arrays are read-only.
+freed together by reference counting, and a restriction never keeps the
+grid it was cut from alive.  A grid keeps balls while their node counts
+sum to at most twice its own size, which holds the whole working set of
+one certificate (on the benchmark's, 51 balls with 1.12 times the grid's
+nodes); a restriction past that is computed and dropped, as the first one
+is.  Kept arrays are read-only.
 
 The table is built by direct addressing.  Each axis ranks its distinct
 lattice keys; every node's index is written to its cell of a box with one
@@ -212,18 +213,14 @@ def squared_distances(points, x):
 class QuadratureGrid:
     """Midpoint-rule nodes: cell centers, weights h^n, and the cell side h.
 
-    `parent` and `parent_index` link a restriction to the grid its lattice
-    is gathered from and to its nodes' indices there.  A grid's one memo
-    keeps its lattice, its balls and what fits compute from its nodes alone
-    (see the module docstring).  Grids compare and hash by identity;
-    compare their arrays with np.array_equal.
+    A grid's one memo keeps its lattice, its balls and what fits compute
+    from its nodes alone (see the module docstring).  Grids compare and hash
+    by identity; compare their arrays with np.array_equal.
     """
 
     points: np.ndarray
     weights: np.ndarray
     resolution: float
-    parent: QuadratureGrid | None = field(default=None, repr=False)
-    parent_index: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.array(self.points, dtype=float))
@@ -237,12 +234,6 @@ class QuadratureGrid:
         if not (np.isfinite(self.resolution) and self.resolution > 0):
             raise ValueError("resolution must be positive and finite, got %r"
                              % (self.resolution,))
-        if self.parent is not None:
-            index = np.array(self.parent_index, dtype=np.intp)
-            if index.shape != wts.shape:
-                raise ValueError("a parent link needs one parent index per node")
-            index.setflags(write=False)
-            object.__setattr__(self, "parent_index", index)
         pts.setflags(write=False)
         wts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -272,28 +263,39 @@ class QuadratureGrid:
 
     def lattice(self, depth):
         """neighbour_table(points, resolution, _lattice_directions(dim),
-        depth), built once and kept, read-only.
+        depth) on this grid's own points, built once and kept, read-only,
+        and built again only when a deeper one is asked for.
 
-        A grid that is no restriction builds the table, again only when a
-        deeper one is asked for; a restriction gathers its rows from the
-        parent's table, mapping parent indices to its own and keeping -1.
+        A restriction's table keys the lattice from the ball's own
+        coordinate minimum.  On lattice points it is the source grid's
+        table restricted to the ball; on a scattered, off-lattice point set,
+        which no lattice fits, the two can differ.
         """
         table = self._memo.get("lattice")
         if table is None or table.shape[2] < depth:
-            if self.parent is None:
-                table = neighbour_table(self.points, self.resolution,
-                                        _lattice_directions(self.dim), depth)
-            else:
-                inv = np.full(self.parent.size + 1, -1, dtype=_index_dtype(self.size))
-                inv[self.parent_index] = np.arange(self.size)
-                table = inv[self.parent.lattice(depth)[self.parent_index]]
+            table = neighbour_table(self.points, self.resolution,
+                                    _lattice_directions(self.dim), depth)
             table.setflags(write=False)
             self._memo["lattice"] = table
         return table[:, :, :depth]
 
-    def _ball(self, center, radius):
-        """(center, radius) as a float vector and a float, refused as
-        restrict_indices says."""
+    def restrict(self, center, radius):
+        """(sub-grid, idx): the nodes within `radius` of `center`, idx their
+        read-only indices here.  The sub-grid reads the memo of its ball.
+
+        The radius must exceed two grid cells, else BelowResolutionError: a
+        handful of nodes is not a meaningful quadrature of a ball.  A center
+        that is not a finite point of the grid's dimension, or a NaN radius,
+        is refused with ValueError, and a ball with no node with
+        EmptyIntersectionError.
+
+        A ball's indices, points and weights are gathered once, read-only,
+        from this grid's validated arrays, and the sub-grid is built on them
+        with no copy and no second check.  This grid keeps the ball, those
+        arrays and its memo while the node counts of its kept balls sum to
+        at most twice its size; a ball past that is computed and dropped, as
+        the first one is.
+        """
         center = _grid_point(center, self.dim, "center")
         radius = float(radius)
         if math.isnan(radius):
@@ -303,56 +305,23 @@ class QuadratureGrid:
                 "restriction radius %g below resolution (h = %g)"
                 % (radius, self.resolution)
             )
-        return center, radius
-
-    def _indices(self, center, radius):
-        d2 = squared_distances(self.points, center)
-        idx = np.nonzero(d2 <= radius * radius)[0]
-        if idx.size == 0:
-            raise EmptyIntersectionError("empty intersection")
-        return idx
-
-    def restrict_indices(self, center, radius):
-        """Indices of nodes within distance `radius` of `center`.
-
-        The radius must exceed two grid cells; a handful of nodes is not a
-        meaningful quadrature of a ball.  A center that is not a finite point
-        of the grid's dimension, or a NaN radius, is refused with ValueError.
-        """
-        return self._indices(*self._ball(center, radius))
-
-    def restrict(self, center, radius):
-        """(sub-grid, idx): the nodes within `radius` of `center`, idx their
-        read-only indices here.  The sub-grid links to this grid's own
-        parent where it has one, so every restriction gathers from one
-        table, and it reads the memo of its ball.
-
-        A ball's indices, points, weights and parent indices are gathered
-        once, read-only, from this grid's validated arrays, and the
-        sub-grid is built on them with no copy and no second check.  This
-        grid keeps the ball, those arrays and its memo while the node
-        counts of its kept balls sum to at most twice its size; a ball past
-        that is computed and dropped, as the first one is.
-        """
-        center, radius = self._ball(center, radius)
         balls = self._memo.setdefault("balls", {})
         key = (center.tobytes(), radius)
         ball = balls.get(key)
         if ball is None:
-            idx = self._indices(center, radius)
-            parent_index = idx if self.parent is None else self.parent_index[idx]
-            ball = (idx, self.points[idx], self.weights[idx], parent_index, {})
-            for array in ball[:4]:
+            idx = np.nonzero(squared_distances(self.points, center) <= radius * radius)[0]
+            if idx.size == 0:
+                raise EmptyIntersectionError("empty intersection")
+            ball = (idx, self.points[idx], self.weights[idx], {})
+            for array in ball[:3]:
                 array.setflags(write=False)
             kept = sum(other[0].size for other in balls.values())
             if kept + idx.size <= 2 * self.size:
                 balls[key] = ball
-        idx, points, weights, parent_index, memo = ball
-        parent = self if self.parent is None else self.parent
+        idx, points, weights, memo = ball
         sub = object.__new__(QuadratureGrid)
         for name, value in (("points", points), ("weights", weights),
-                            ("resolution", self.resolution), ("parent", parent),
-                            ("parent_index", parent_index), ("_memo", memo)):
+                            ("resolution", self.resolution), ("_memo", memo)):
             object.__setattr__(sub, name, value)
         return sub, idx
 
@@ -414,15 +383,10 @@ class Domain:
     def box(cls, n, half_width, center=None):
         return cls("box", n, center, half_width=float(half_width))
 
-    def _bounding_radius(self):
-        if self.kind == "box":
-            return self.half_width
-        return self.radius
-
     @property
     def extent(self):
         """Half-width of the coordinate bounding box around the center."""
-        return self._bounding_radius()
+        return self.half_width if self.kind == "box" else self.radius
 
     def contains(self, points):
         """Boolean mask of strict interior membership."""
@@ -441,7 +405,7 @@ class Domain:
         h = float(resolution)
         if not (math.isfinite(h) and h > 0):
             raise ValueError("resolution must be positive and finite, got %r" % h)
-        R = self._bounding_radius()
+        R = self.extent
         if h > R:
             raise BelowResolutionError(
                 "resolution %g too coarse for extent %g" % (h, R)

@@ -82,24 +82,38 @@ def write_samples_csv(path, u):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _infer_resolution(points):
-    """Smallest positive per-axis gap between distinct sorted coordinates."""
+def _coordinate_gap(points):
+    """Smallest positive per-axis gap between distinct sorted coordinates,
+    inf where no axis has two distinct values."""
     best = math.inf
     for axis in range(points.shape[1]):
         u = np.unique(points[:, axis])
         if u.size > 1:
             best = min(best, float(np.diff(u).min()))
-    if not math.isfinite(best):
-        raise ValueError(
-            "cannot infer grid resolution from coincident coordinates"
-        )
     return best
 
 
+# relative slack of a given grid step over the coordinate gap
+_RESOLUTION_RTOL = 1e-9
+
+
 def _samples_from_arrays(points, values, resolution):
+    """Samples on a grid of step h, the given resolution or, where it is
+    None, the coordinate gap.  A step above the gap is refused with
+    ValueError: its cells would overlap and merge lattice nodes."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.asarray(values, dtype=float)
-    h = _infer_resolution(points) if resolution is None else float(resolution)
+    gap = _coordinate_gap(points)
+    if resolution is None and not math.isfinite(gap):
+        raise ValueError(
+            "cannot infer grid resolution from coincident coordinates"
+        )
+    h = gap if resolution is None else float(resolution)
+    if h > gap * (1.0 + _RESOLUTION_RTOL):
+        raise ValueError(
+            "resolution %r exceeds the smallest coordinate gap %r of the "
+            "samples" % (h, gap)
+        )
     weights = np.full(points.shape[0], h ** points.shape[1])
     grid = QuadratureGrid(points, weights, h)
     return SampledQFunction(grid, values)
@@ -120,9 +134,9 @@ def read_samples_csv(path, resolution):
     """Load a sampled tuple function; node weights are h^n cell measures.
 
     The grid step h is the given resolution, or where it is None, is
-    inferred from the closest pair of distinct coordinate values.  The rows
-    are parsed by np.loadtxt; a row of the wrong width is refused by its
-    line number.
+    inferred from the closest pair of distinct coordinate values; a given
+    step above that gap is refused.  The rows are parsed by np.loadtxt; a
+    row of the wrong width is refused by its line number.
     """
     with open(path) as fh:
         header = fh.readline().strip()

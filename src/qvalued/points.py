@@ -439,7 +439,7 @@ def lebesgue_point_profile(u, x0, ladder):
     radius: the Lebesgue-point profile at exponent 2.
 
     Returns (radii_used, averages, truncated) where truncated flags ladder
-    rungs of at most two grid steps, which `QuadratureGrid.restrict_indices`
+    rungs of at most two grid steps, which `QuadratureGrid.restrict`
     refuses; a longer rung holds x0's node.  A center x0 that is not a
     finite point of the grid's dimension or has no grid node within one
     grid step, an empty ladder, or a radius that is not finite and positive
@@ -454,13 +454,12 @@ def lebesgue_point_profile(u, x0, ladder):
     truncated = False
     for rho in _ladder_radii(ladder):
         try:
-            idx = u.grid.restrict_indices(x0, rho)
+            ball = u.restrict(x0, rho)
         except BelowResolutionError:
             truncated = True
             continue
-        vals = u.values[idx]
-        mass = matched_mass(u.grid.weights[idx], vals,
-                            np.broadcast_to(ref, vals.shape), 2.0)
+        mass = matched_mass(ball.grid.weights, ball.values,
+                            np.broadcast_to(ref, ball.values.shape), 2.0)
         radii.append(rho)
         averages.append(mass / (omega * rho ** u.n))
     return np.asarray(radii), np.asarray(averages), truncated

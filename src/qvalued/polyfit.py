@@ -33,9 +33,9 @@ propagated over the sample lattice: labels composed along a
 maximum-margin spanning forest (quality-guided growing as a spanning tree
 over edges sorted by reliability, Herraez et al. 2002).  The lattice is
 the grid's own neighbour table (`QuadratureGrid.lattice`), which a ball
-restriction gathers from its parent grid's; the edges, CSR arrays and
-chains read from it depend on the lattice alone and are kept on the grid
-per chain depth (`_lattice_skeleton`).  Every lattice edge is
+restriction builds on its own points; the edges, CSR arrays and chains
+read from it depend on the lattice alone and are kept on the grid per
+chain depth (`_lattice_skeleton`).  Every lattice edge is
 weighed by matching one cell against the Newton extrapolation of the
 lattice chain beyond its neighbour, in chunked `match_margins` calls; the
 chains are read by flat takes of the framed values, summed one chain
@@ -807,8 +807,7 @@ def comparison_constant_ratios(instances, seed, q_branches=2):
         count = min(count, grid.size)
         subset = rng.choice(grid.size, size=count, replace=False)
         D = full[subset]
-        fv = np.einsum("sk,qmk->sqm", D, F.coeffs)
-        gv = np.einsum("sk,qmk->sqm", D, G.coeffs)
-        integrals[i] = matched_mass(grid.weights[subset], fv, gv, _RATIO_Q)
+        integrals[i] = matched_mass(grid.weights[subset], _evaluate(D, F.coeffs),
+                                    _evaluate(D, G.coeffs), _RATIO_Q)
         tuples[:, i] = coefficient_tuple(F).branches, coefficient_tuple(G).branches
     return np.sqrt(match_batch(*tuples)[1]) ** _RATIO_Q / integrals

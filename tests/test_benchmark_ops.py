@@ -38,7 +38,7 @@ def test_every_benchmark_op_passes_its_check(name, tmp_path):
         op.check(op.run())
 
 
-@pytest.mark.parametrize("name", ["certify-e2e", "fit-interp"])
+@pytest.mark.parametrize("name", ["certify-e2e", "fit-interp", "metric-compare"])
 def test_op_digests_equal_on_a_warm_and_a_fresh_build(name, tmp_path):
     seed = workloads.DEFAULT_SEEDS[name]
     warm = workloads.BUILDERS[name](seed, str(tmp_path))

@@ -120,14 +120,12 @@ def test_sample_refuses_non_finite_resolution(h):
 def test_restriction_refuses_a_non_finite_center(disk_grid, center):
     # a NaN center used to read as an empty ball
     with pytest.raises(ValueError, match="center must be finite"):
-        disk_grid.restrict_indices(center, 0.5)
-    with pytest.raises(ValueError, match="center must be finite"):
         disk_grid.restrict(center, 0.5)
 
 
 def test_restriction_refuses_a_nan_radius(disk_grid):
     with pytest.raises(ValueError, match="radius must not be NaN"):
-        disk_grid.restrict_indices([0.0, 0.0], math.nan)
+        disk_grid.restrict([0.0, 0.0], math.nan)
 
 
 def test_restrict_superset_is_identity(disk_grid):
@@ -189,7 +187,7 @@ def test_squared_distances_are_the_bytes_of_the_summed_squares(n, h):
     for x in (rng.uniform(-0.5, 0.5, n), grid.points[7]):
         want = np.sum((grid.points - x) ** 2, axis=1)
         assert squared_distances(grid.points, x).tobytes() == want.tobytes()
-        assert np.array_equal(grid.restrict_indices(x, 0.4),
+        assert np.array_equal(grid.restrict(x, 0.4)[1],
                               np.nonzero(want <= 0.4 * 0.4)[0])
     # strided columns: every other column of a wider array, and a
     # Fortran-ordered copy
@@ -216,8 +214,6 @@ def test_grid_arrays_are_private_read_only_copies():
             g.weights[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             g.points += 1.0
-    with pytest.raises(ValueError, match="read-only"):
-        sub.parent_index[0] = 1
 
 
 def test_array_dataclasses_compare_and_hash_by_identity():
@@ -238,23 +234,76 @@ def _assert_lattice_is_built_table(grid, depth):
     assert got.tobytes() == want.tobytes()
 
 
+def _lattice_by_gather(source, idx, depth):
+    """A restriction's lattice as it was once computed, kept as its oracle:
+    the rows of its source grid's table at the ball's nodes, mapped to the
+    ball's own indices, with -1 kept."""
+    inv = np.full(source.size + 1, -1, dtype=geometry._index_dtype(idx.size))
+    inv[idx] = np.arange(idx.size)
+    return inv[source.lattice(depth)[idx]]
+
+
+def _assert_lattice_is_the_gather(source, ball, idx, depth):
+    got, want = ball.lattice(depth), _lattice_by_gather(source, idx, depth)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n, h", [(1, 1.0 / 64.0), (2, 1.0 / 32.0), (3, 1.0 / 8.0)])
 def test_restriction_lattice_gathers_the_parent_table(n, h):
-    """A restriction's lattice, gathered from its parent's table, is the
-    table built on its own points; deeper requests rebuild, shallower ones
-    slice."""
+    """A restriction builds its lattice on its own points, and on lattice
+    points that table is the gather of its source grid's table, for a ball
+    of a ball too; deeper requests rebuild, shallower ones slice."""
     top = Domain.ball(n, 1.0).sample(h)
     rng = np.random.default_rng(n)
     center = rng.uniform(-0.3, 0.3, n)
     sub, idx = top.restrict(center, 0.6)
     subsub, idx2 = sub.restrict(center + 0.1, 0.35)
-    assert sub.parent is top and np.array_equal(sub.parent_index, idx)
-    assert subsub.parent is top and np.array_equal(subsub.parent_index, idx[idx2])
-    # holds the parent's last node, which a -1 in the parent table must not reach
-    corner, _ = top.restrict(top.points[-1], 0.4)
+    # holds the source's last node, which a -1 in the source table must not reach
+    corner, idx3 = top.restrict(top.points[-1], 0.4)
     for depth in (2, 1, 5, 3, 4):
         for grid in (top, sub, subsub, corner):
             _assert_lattice_is_built_table(grid, depth)
+        for source, ball, index in ((top, sub, idx), (sub, subsub, idx2),
+                                    (top, subsub, idx[idx2]), (top, corner, idx3)):
+            _assert_lattice_is_the_gather(source, ball, index, depth)
+
+
+_DOMAIN_KINDS = {
+    "ball": lambda n, c: Domain.ball(n, 1.0, c),
+    "half_ball": lambda n, c: Domain.half_ball(n, 1.0, c),
+    "annulus": lambda n, c: Domain.annulus(n, 0.3, 1.0, c),
+    "box": lambda n, c: Domain.box(n, 0.9, c),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DOMAIN_KINDS))
+@pytest.mark.parametrize("n, h", [(1, 1.0 / 64.0), (2, 1.0 / 24.0), (3, 1.0 / 8.0)])
+def test_a_ball_lattice_equals_the_gather_of_its_source_table(kind, n, h, tmp_path):
+    """On random balls, and balls of those, of a domain with a shifted
+    center, sampled or read back from CSV, each ball's own table is the
+    gather of its source grid's, byte for byte, at depths 1, 3 and 5."""
+    rng = np.random.default_rng([n, len(kind)])
+    dom = _DOMAIN_KINDS[kind](n, rng.uniform(-0.4, 0.4, n))
+    sampled = dom.sample(h)
+    path = tmp_path / "samples.csv"
+    io.write_samples_csv(path, SampledQFunction(sampled, sampled.points[:, None, :1]))
+    checked = 0
+    for grid in (sampled, io.read_samples_csv(path, None).grid):
+        for _ in range(8):
+            center = dom.center + rng.uniform(-1.0, 1.0, n)
+            try:
+                sub, idx = grid.restrict(center, rng.uniform(2.5 * h, 1.0))
+                inner, inner_idx = sub.restrict(center + rng.uniform(-0.2, 0.2, n),
+                                                rng.uniform(2.5 * h, 0.6))
+            except EmptyIntersectionError:
+                continue
+            for depth in (1, 3, 5):
+                _assert_lattice_is_the_gather(grid, sub, idx, depth)
+                _assert_lattice_is_the_gather(sub, inner, inner_idx, depth)
+                _assert_lattice_is_the_gather(grid, inner, idx[inner_idx], depth)
+            checked += 1
+    assert checked >= 4
 
 
 @pytest.mark.parametrize("make", [
@@ -295,7 +344,7 @@ def _kept_nodes(grid):
 
 
 def _sub_grid_bytes(sub):
-    return [a.tobytes() for a in (sub.points, sub.weights, sub.parent_index)]
+    return [a.tobytes() for a in (sub.points, sub.weights)]
 
 
 def test_restrictions_of_one_ball_share_its_memo():
@@ -309,7 +358,7 @@ def test_restrictions_of_one_ball_share_its_memo():
     c, _ = grid.restrict([0.1, -0.2], 0.41)
     d, _ = a.restrict([0.1, -0.2], 0.4)
     assert c._memo is not a._memo and d._memo is not a._memo
-    assert d.parent is grid and np.array_equal(d.points, a.points)
+    assert np.array_equal(d.points, a.points)
 
 
 def test_kept_ball_nodes_never_exceed_twice_the_grid_size():
@@ -324,7 +373,7 @@ def test_kept_ball_nodes_never_exceed_twice_the_grid_size():
         center, radius = rng.uniform(-0.8, 0.8, 2), rng.uniform(0.1, 1.2)
         sub, idx = grid.restrict(center, radius)
         asked.append((center, radius))
-        assert np.array_equal(idx, twin.restrict_indices(center, radius))
+        assert np.array_equal(idx, twin.restrict(center, radius)[1])
         inner, inner_idx = sub.restrict(center, max(0.5 * radius, 0.07))
         assert np.array_equal(inner.points, sub.points[inner_idx])
         assert _kept_nodes(grid) <= 2 * grid.size and _kept_nodes(sub) <= 2 * sub.size
@@ -387,33 +436,31 @@ def test_a_grid_and_its_memo_are_freed_by_reference_counting():
         gc.enable()
 
 
+def test_a_restriction_does_not_keep_its_source_grid_alive():
+    """A restricted field, and a fit on it, outlive the grid it was cut
+    from: no collector is needed to free that grid."""
+    gc.collect()
+    gc.disable()
+    try:
+        grid = Domain.ball(2, 1.0).sample(1.0 / 16.0)
+        sub = _single_valued(grid).restrict([0.1, 0.0], 0.6)
+        inner = sub.restrict([0.1, 0.1], 0.3)
+        ref = weakref.ref(grid)
+        del grid
+        assert ref() is None
+        for v in (sub, inner):
+            assert v.grid.lattice(2).shape == (v.size, 8, 2)
+            assert best_fit(v, [0.1, 0.0], 0.3, 1, 2.0).residual >= 0.0
+    finally:
+        gc.enable()
+
+
 def _two_branch(grid):
     p = grid.points
     a = np.linalg.norm(p, axis=1) ** 1.5
     th = 1.5 * np.arctan2(p[:, 1], p[:, 0])
     b = np.stack([a * np.cos(th), a * np.sin(th)], axis=-1)
     return SampledQFunction(grid, np.stack([b, -b], axis=1))
-
-
-def test_certificate_builds_one_table_per_grid(monkeypatch):
-    """Every fit and audit of a certificate gathers its ball's lattice from
-    the one table of the sampled grid.  The grid is the benchmark's,
-    h = 1/80: at h = 1/40 to 1/72 this certificate has no admissible scale
-    pair."""
-    built = []
-    original = geometry.neighbour_table
-
-    def counting(points, *args):
-        built.append(len(points))
-        return original(points, *args)
-
-    monkeypatch.setattr(geometry, "neighbour_table", counting)
-    grid = Domain.ball(2, 1.0).sample(1.0 / 80.0)
-    out = certify.end_to_end_certify(
-        _two_branch(grid), certify.Stratification(base=[[0.0, 0.0]]), k=1,
-        q_exp=2.0, mu_claim=0.5)
-    assert out.ok
-    assert built == [grid.size]
 
 
 def _single_valued(grid):
@@ -437,19 +484,22 @@ def _counting(counts, name, fn):
 def test_a_repeated_certificate_computes_no_ball_geometry(monkeypatch):
     """A certificate's whole working set of balls stays on its grid: a
     second certificate of the same field scans for no ball and builds no
-    design or factor, and a certificate on a fresh copy of the grid, which
-    builds them all again, is equal to both."""
+    lattice, design or factor, and a certificate on a fresh copy of the
+    grid, which builds them all again, is equal to both.  The two-branch
+    field's fits read ball lattices; the grid is the benchmark's, h = 1/80."""
     grid = Domain.ball(2, 1.0).sample(1.0 / 80.0)
-    first = _certify(_single_valued(grid))
-    counts = {"scan": 0, "factor": 0, "design": 0}
-    monkeypatch.setattr(QuadratureGrid, "_indices",
-                        _counting(counts, "scan", QuadratureGrid._indices))
+    first = _certify(_two_branch(grid))
+    counts = {"scan": 0, "lattice": 0, "factor": 0, "design": 0}
+    monkeypatch.setattr(geometry, "squared_distances",
+                        _counting(counts, "scan", geometry.squared_distances))
+    monkeypatch.setattr(geometry, "neighbour_table",
+                        _counting(counts, "lattice", geometry.neighbour_table))
     monkeypatch.setattr(polyfit, "_factor", _counting(counts, "factor", polyfit._factor))
     monkeypatch.setattr(polyfit, "design_matrix",
                         _counting(counts, "design", polyfit.design_matrix))
-    again = _certify(_single_valued(grid))
-    assert counts == {"scan": 0, "factor": 0, "design": 0}
-    fresh = _certify(_single_valued(
+    again = _certify(_two_branch(grid))
+    assert counts == {"scan": 0, "lattice": 0, "factor": 0, "design": 0}
+    fresh = _certify(_two_branch(
         QuadratureGrid(grid.points, grid.weights, grid.resolution)))
     assert min(counts.values()) > 0
     assert again == first and fresh == first
@@ -479,10 +529,10 @@ def test_a_certificate_leaves_only_read_only_arrays_in_the_memo(certified_grid):
     assert {type(x) for x in kept} <= {np.ndarray, bytes, str, int, float}
     arrays = [x for x in kept if isinstance(x, np.ndarray)]
     assert not [a for a in arrays if a.flags.writeable]
-    # each ball keeps its indices, points, weights, parent indices and designs
+    # each ball keeps its indices, points, weights and designs
     balls = certified_grid._memo["balls"]
-    assert all(len(ball) == 5 for ball in balls.values())
-    assert all(any(key[0] == "design" for key in ball[4]) for ball in balls.values())
+    assert all(len(ball) == 4 for ball in balls.values())
+    assert all(any(key[0] == "design" for key in ball[3]) for ball in balls.values())
 
 
 def test_a_memo_hit_restriction_equals_one_on_a_fresh_grid(certified_grid):
@@ -494,14 +544,10 @@ def test_a_memo_hit_restriction_equals_one_on_a_fresh_grid(certified_grid):
             grid.points, grid.weights, grid.resolution).restrict(center, radius)
         assert idx.tobytes() == fresh_idx.tobytes()
         assert _sub_grid_bytes(sub) == _sub_grid_bytes(fresh)
-        assert sub.resolution == fresh.resolution and sub.parent is grid
+        assert sub.resolution == fresh.resolution
 
 
 _GEOMETRY_REFUSALS = {
-    "parent-index-length": (
-        lambda: QuadratureGrid(np.zeros((2, 2)), np.ones(2), 0.5,
-                               parent=Domain.box(2, 1.0).sample(0.5), parent_index=[0]),
-        ValueError, "one parent index per node"),
     "domain-center-dimension": (lambda: Domain.ball(2, 1.0, center=[0.0, 0.0, 0.0]),
                                 DegenerateDomainError, "bad center"),
     "box-half-width-zero": (lambda: Domain.box(2, 0.0), DegenerateDomainError,

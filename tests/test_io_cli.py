@@ -125,9 +125,12 @@ def test_resolution_inference_and_override(tmp_path):
     path.write_text("1,1,1\n0.0,1.0\n0.25,2.0\n0.75,3.0\n")
     u = io.read_samples_csv(path, None)
     assert u.grid.resolution == 0.25
-    forced = io.read_samples_csv(path, resolution=0.5)
-    assert forced.grid.resolution == 0.5
-    assert forced.grid.weights[0] == 0.5
+    forced = io.read_samples_csv(path, resolution=0.125)
+    assert forced.grid.resolution == 0.125
+    assert forced.grid.weights[0] == 0.125
+    # a step above the coordinate gap would overlap the cells
+    with pytest.raises(ValueError, match=r"resolution 0\.5 exceeds .* gap 0\.25"):
+        io.read_samples_csv(path, resolution=0.5)
     dup = tmp_path / "dup.csv"
     dup.write_text("1,1,1\n0.5,1.0\n0.5,2.0\n")
     with pytest.raises(ValueError, match="coincident"):
@@ -443,6 +446,30 @@ def test_cli_refuses_non_positive_resolution(tmp_path, bp_csv):
     assert not out.exists()
 
 
+def test_cli_refuses_a_resolution_above_the_coordinate_gap(tmp_path, bp_csv, capsys):
+    # a coarser step overlapped the cells and merged lattice nodes: the run
+    # returned a wrong excess, or blamed the ladder, with no input error
+    src, u = bp_csv
+    out = tmp_path / "o.json"
+    for argv in (["fit"], ["excess"], ["exponent"], ["lab", "audit"]):
+        for res in ("0.0625", "0.5"):
+            capsys.readouterr()
+            assert main(argv + ["--in", str(src), "--out", str(out),
+                                "--resolution", res]) == 2
+            assert not out.exists()
+            assert "exceeds the smallest coordinate gap 0.03125" in capsys.readouterr().err
+    # the inferred step itself, and a finer one, are accepted
+    for res in ("0.03125", "0.015625"):
+        assert main(["fit", "--in", str(src), "--out", str(out), "--resolution", res]) == 0
+    # and a JSON sample file's own resolution is held to the same gap
+    js = tmp_path / "coarse.json"
+    io.write_samples_json(js, u)
+    obj = json.loads(js.read_text())
+    obj["resolution"] = 0.0625
+    js.write_text(json.dumps(obj))
+    assert main(["fit", "--in", str(js), "--out", str(tmp_path / "j.json")]) == 2
+
+
 def test_cli_refuses_resolution_with_json_samples(tmp_path, capsys):
     # a JSON sample file carries its own resolution; the flag used to be
     # dropped silently, so the fit ran at the file's step
@@ -483,10 +510,13 @@ def test_cli_refuses_undefined_exponent_or_degree(tmp_path, bp_csv):
         assert not out.exists()
 
 
-def test_cli_exit_numeric_on_starved_ladder(tmp_path, bp_csv):
-    src, _ = bp_csv
-    rc = main(["exponent", "--in", str(src), "--out",
-               str(tmp_path / "o.json"), "--resolution", "0.5"])
+def test_cli_exit_numeric_on_starved_ladder(tmp_path):
+    # on an h = 1/8 grid only three of six rungs exceed two grid steps
+    src = tmp_path / "coarse.csv"
+    grid = Domain.ball(2, 1.0).sample(1.0 / 8.0)
+    io.write_samples_csv(src, SampledQFunction.from_function(
+        grid, lab.BranchPower(2, 3, m=1).eval, 2, 1))
+    rc = main(["exponent", "--in", str(src), "--out", str(tmp_path / "o.json")])
     assert rc == 3
 
 
