@@ -25,6 +25,7 @@ from itertools import repeat
 
 import numpy as np
 
+from .campanato import decay_exponent
 from .errors import (
     BelowResolutionError,
     InsufficientSamplesError,
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .geometry import dyadic_ladder, squared_distances
 from .points import matched_mass
-from .polyfit import _grid_values, _shared_fits, best_fit, exact_floor
+from .polyfit import _shared_fits, best_fit, exact_floor
 
 __all__ = [
     "DecayHypothesis",
@@ -52,6 +53,7 @@ GAMMA_T_MAX = 64
 DEFAULT_AUDIT_TOL = 0.05
 OFFSET_WINDOW = 4  # dyadic steps a stratum point can hide below the base set
 MIN_NODES_RADIUS = 8.0  # audit radii span at least this many grid steps
+FREE_CENTERS = 12  # the most ordinary audit centers drawn from a grid
 SOUNDNESS_DEPTH = 4  # rungs below eps in the soundness spot check's ladder
 MIN_SEPARATION = 1e-9  # closest a stratum point may come to the base set
 
@@ -371,12 +373,12 @@ def _pair_table(us, center, own, fams, rho_top, h):
         subs = [u.restrict(center, rho) for u in us]
         fine[rho] = sum(
             scale * matched_mass(sub.grid.weights, sub.values,
-                                 _grid_values(P, sub.grid), q_exp)
+                                 P.eval(sub.grid), q_exp)
             for sub, P in zip(subs, own))
         data[rho] = sum(scale * sub.q_mass(q_exp) for sub in subs)
         coarse[rho] = fine[rho] if fams is None else sum(
             min(scale * matched_mass(sub.grid.weights, sub.values,
-                                     _grid_values(P, sub.grid), q_exp)
+                                     P.eval(sub.grid), q_exp)
                 for P in fam)
             for sub, fam in zip(subs, fams))
     cutoff = radii[max(0, len(radii) // 2 - 1)]
@@ -417,8 +419,8 @@ def _judge(which, pairs, betas, beta_used):
                        tuple(pairs))
 
 
-def _free_centers(u, bad_points, cap=12):
-    """Ordinary audit centers: grid nodes keeping clear of the bad sets."""
+def _free_centers(u, bad_points):
+    """Ordinary audit centers: at most FREE_CENTERS grid nodes clear of the bad sets."""
     pts = u.grid.points
     h = u.grid.resolution
     d = _set_distances(pts, bad_points)
@@ -426,8 +428,8 @@ def _free_centers(u, bad_points, cap=12):
     ok = np.flatnonzero(d >= 6.0 * MIN_NODES_RADIUS * h)
     if ok.size == 0:
         raise BelowResolutionError("no free centers clear of the bad sets")
-    stride = max(1, ok.size // cap)
-    return pts[ok[::stride][:cap]]
+    stride = max(1, ok.size // FREE_CENTERS)
+    return pts[ok[::stride][:FREE_CENTERS]]
 
 
 def _bad_all(s):
@@ -447,7 +449,9 @@ def audit_hypothesis(us, h, s, which):
     are reported as violations with their location and scales.  The report
     keeps the pair table it judged, and fits each ball once, or once per
     enclosing `polyfit._shared_fits` block.  A point of `s` with no grid
-    node within one grid step is refused with ValueError before any fit.
+    node within one grid step is refused with ValueError before any fit,
+    and so are three-part counts of components, strata and constants that
+    disagree: part i pairs component i, stratum i and betas[i], beta_tildes[i].
     """
     u_list = _as_list(us)
     if which not in ("I", "II", "III"):
@@ -456,6 +460,11 @@ def audit_hypothesis(us, h, s, which):
         raise ValueError("part III exists only for the three-part form")
     if which == "II" and h.stratified and s.n_strata == 0:
         raise ValueError("no strata to audit")
+    if h.stratified and not len(u_list) == s.n_strata == h.n_strata:
+        raise ValueError(
+            "the three-part form pairs each component with one stratum and "
+            "one (beta, beta_tilde) pair: got %d components, %d strata and "
+            "%d stratum constant pairs" % (len(u_list), s.n_strata, h.n_strata))
     for u in u_list:
         for x in s.points():
             u.nearest_index(x)  # refuses a point with no node within one step
@@ -583,12 +592,11 @@ def end_to_end_certify(us, s, k, q_exp, mu_claim):
 
 def _soundness_spot_check(u_list, s, cert, k, q_exp, eps):
     """Fraction of audited centers where measured decay meets the
-    certificate's exponent; exact-polynomial centers count as sound."""
-    from .campanato import decay_exponent
-
+    certificate's exponent; exact-polynomial centers count as sound.  Of
+    the free centers the grid gave the audits, every other one is checked."""
     centers = list(s.points())
     if s.free_points is None:
-        centers.extend(_free_centers(u_list[0], _bad_all(s), cap=6))
+        centers.extend(_free_centers(u_list[0], _bad_all(s))[::2])
     ladder = dyadic_ladder(eps, SOUNDNESS_DEPTH)
     results = []
     for center in centers:

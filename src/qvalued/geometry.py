@@ -5,29 +5,29 @@ cell sampling.  A grid keeps every axis-aligned cell whose center lies
 inside the domain and assigns it the full cell weight h^n, so integrals are
 plain weighted sums over cell centers.
 
-A grid owns its sample lattice: the neighbour table over the signed
-lattice directions of its own points, built once, lazily, and deepened
-only when a deeper one is asked for.  A restriction is a grid of its own
-and builds its table on its own points; it holds no link to the grid it
-was cut from.  Points and weights are read-only, so a built lattice
-cannot go stale.
+A grid's sample lattice is a function of its points, `neighbour_table`,
+which no grid keeps; a fit keeps what it reads from it (`polyfit`'s
+propagation skeleton).  A restriction is a grid of its own, with no link
+to the grid it was cut from.  On lattice points a ball's table is its
+source grid's table restricted to the ball; on a scattered, off-lattice
+point set, which no lattice fits, the two can differ.
 
-A grid keeps everything it computes about itself in one memo: its lattice,
-the geometry a fit or an audit derives from its nodes
+A grid keeps everything it computes about itself in one memo: the
+geometry a fit or an audit derives from its nodes
 (`QuadratureGrid.cached`) and its balls.  A ball, keyed by its normalised
 center bytes and float radius, keeps its node indices, its sub-grid's
 points and weights, and a memo of its own, which every restriction to
 that ball reads.  So a repeat restriction is one dict lookup, and the
-lattice, the propagation skeleton, the design matrices and the
-least-squares factors of a ball are computed once per grid, however many
-fields, degrees or polynomials are fitted or evaluated on it.  Memo
-entries hold arrays and dicts, never a grid, so a grid and its memo are
-freed together by reference counting, and a restriction never keeps the
-grid it was cut from alive.  A grid keeps balls while their node counts
-sum to at most twice its own size, which holds the whole working set of
-one certificate (on the benchmark's, 51 balls with 1.12 times the grid's
-nodes); a restriction past that is computed and dropped, as the first one
-is.  Kept arrays are read-only.
+propagation skeleton, the design matrices and the least-squares factors
+of a ball are computed once per grid, however many fields, degrees or
+polynomials are fitted or evaluated on it.  Memo entries hold arrays and
+dicts, never a grid, so a grid and its memo are freed together by
+reference counting, and a restriction never keeps the grid it was cut from
+alive.  A grid keeps balls while their node counts sum to at most twice
+its own size, which holds the whole working set of one certificate (on the
+benchmark's, 51 balls with 1.12 times the grid's nodes); a restriction
+past that is computed and dropped, as the first one is.  Kept arrays are
+read-only.
 
 The table is built by direct addressing.  Each axis ranks its distinct
 lattice keys; every node's index is written to its cell of a box with one
@@ -158,9 +158,10 @@ def _rank_cells(points, resolution, offsets, depth):
     return own, target, cells
 
 
-def neighbour_table(points, resolution, dirs, depth):
+def neighbour_table(points, resolution, depth):
     """Lattice neighbours by index: table[s, d, j] is the sample one lattice
-    step of (j + 1) * dirs[d] away from sample s, or -1 where there is none.
+    step of (j + 1) * dirs[d] away from sample s, or -1 where there is none,
+    dirs = _lattice_directions(n) for points in R^n.
 
     Points sit on a lattice of side `resolution` anchored at their
     coordinate-wise minimum and are keyed by rounding.  A sample is
@@ -175,6 +176,7 @@ def neighbour_table(points, resolution, dirs, depth):
     """
     points = np.asarray(points, dtype=float)
     S, n = points.shape
+    dirs = _lattice_directions(n)
     # the len(dirs) * depth lattice offsets, in table order
     offsets = (np.arange(1, depth + 1)[:, None] * np.asarray(dirs)[:, None, :]).reshape(-1, n)
     own, target, cells = _rank_cells(points, resolution, offsets, depth)
@@ -213,9 +215,9 @@ def squared_distances(points, x):
 class QuadratureGrid:
     """Midpoint-rule nodes: cell centers, weights h^n, and the cell side h.
 
-    A grid's one memo keeps its lattice, its balls and what fits compute
-    from its nodes alone (see the module docstring).  Grids compare and hash
-    by identity; compare their arrays with np.array_equal.
+    A grid's one memo keeps its balls and what fits compute from its nodes
+    alone (see the module docstring).  Grids compare and hash by identity;
+    compare their arrays with np.array_equal.
     """
 
     points: np.ndarray
@@ -260,24 +262,6 @@ class QuadratureGrid:
         if key not in memo:
             memo[key] = build()
         return memo[key]
-
-    def lattice(self, depth):
-        """neighbour_table(points, resolution, _lattice_directions(dim),
-        depth) on this grid's own points, built once and kept, read-only,
-        and built again only when a deeper one is asked for.
-
-        A restriction's table keys the lattice from the ball's own
-        coordinate minimum.  On lattice points it is the source grid's
-        table restricted to the ball; on a scattered, off-lattice point set,
-        which no lattice fits, the two can differ.
-        """
-        table = self._memo.get("lattice")
-        if table is None or table.shape[2] < depth:
-            table = neighbour_table(self.points, self.resolution,
-                                    _lattice_directions(self.dim), depth)
-            table.setflags(write=False)
-            self._memo["lattice"] = table
-        return table[:, :, :depth]
 
     def restrict(self, center, radius):
         """(sub-grid, idx): the nodes within `radius` of `center`, idx their

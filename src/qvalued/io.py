@@ -95,12 +95,16 @@ def _coordinate_gap(points):
 
 # relative slack of a given grid step over the coordinate gap
 _RESOLUTION_RTOL = 1e-9
+# the farthest a sample's lattice key (x - min x) / h may lie from an integer
+_LATTICE_KEY_ATOL = 1e-6
 
 
 def _samples_from_arrays(points, values, resolution):
     """Samples on a grid of step h, the given resolution or, where it is
     None, the coordinate gap.  A step above the gap is refused with
-    ValueError: its cells would overlap and merge lattice nodes."""
+    ValueError: its cells would overlap and merge lattice nodes.  So is a
+    sample off the lattice of step h: scattered samples have no lattice to
+    propagate labels over, and their h^n weights do not measure the domain."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.asarray(values, dtype=float)
     gap = _coordinate_gap(points)
@@ -115,7 +119,12 @@ def _samples_from_arrays(points, values, resolution):
             "samples" % (h, gap)
         )
     weights = np.full(points.shape[0], h ** points.shape[1])
-    grid = QuadratureGrid(points, weights, h)
+    grid = QuadratureGrid(points, weights, h)  # refuses a step not finite and positive
+    keys = (grid.points - grid.points.min(axis=0)) / h
+    off = np.flatnonzero(np.any(np.abs(keys - np.rint(keys)) > _LATTICE_KEY_ATOL, axis=1))
+    if off.size:
+        raise ValueError("sample %d at %s is off the lattice of step h = %r"
+                         % (off[0], grid.points[off[0]].tolist(), h))
     return SampledQFunction(grid, values)
 
 

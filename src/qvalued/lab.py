@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReflectionTraceError
-from .geometry import _grid_point, _ladder_radii, squared_distances
+from .geometry import _grid_point, _ladder_radii, neighbour_table, squared_distances
 from .points import SampledQFunction, branch_gaps, match_batch
 
 __all__ = [
@@ -389,7 +389,8 @@ def _node_jacobians(u, indices=None):
     before differencing; a missing neighbor degrades to a one-sided
     difference, and an isolated node gets a zero column.
     """
-    table = u.grid.lattice(1)  # columns 2d and 2d + 1: steps +e_d and -e_d
+    # columns 2d and 2d + 1: steps +e_d and -e_d
+    table = neighbour_table(u.grid.points, u.grid.resolution, 1)
     idx = np.arange(u.size) if indices is None else np.asarray(indices, dtype=int)
     vals = u.values
     vc = vals[idx]

@@ -16,8 +16,8 @@ model branches with an exact assignment solve, then refit all branch
 polynomials by weighted least squares.  A ball's grid keeps one design
 matrix per polynomial center and degree (`_kept_design`, through
 `QuadratureGrid.cached`): a fit at the ball's own center and an audit's
-evaluation of any polynomial on the ball (`_grid_values`, with the one
-formula `QPolynomial.eval` uses) read the same array.  The weighted design
+evaluation of any polynomial on the ball (`QPolynomial.eval` of the
+ball's grid) read the same array.  The weighted design
 sqrt(w) X is factored by a thin SVD, cut at np.linalg.lstsq's default
 rank, once per ball and degree while its grid keeps the ball, so every
 start and iteration of every fit on that ball reuses the design and its
@@ -32,10 +32,9 @@ the values less their branch mean, are a spectral labeling and labels
 propagated over the sample lattice: labels composed along a
 maximum-margin spanning forest (quality-guided growing as a spanning tree
 over edges sorted by reliability, Herraez et al. 2002).  The lattice is
-the grid's own neighbour table (`QuadratureGrid.lattice`), which a ball
-restriction builds on its own points; the edges, CSR arrays and chains
-read from it depend on the lattice alone and are kept on the grid per
-chain depth (`_lattice_skeleton`).  Every lattice edge is
+the neighbour table of the grid's points (`neighbour_table`), which no
+grid keeps: the grid keeps the edges, CSR arrays and chains read from it
+per chain depth (`_lattice_skeleton`).  Every lattice edge is
 weighed by matching one cell against the Newton extrapolation of the
 lattice chain beyond its neighbour, in chunked `match_margins` calls; the
 chains are read by flat takes of the framed values, summed one chain
@@ -69,6 +68,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InsufficientSamplesError, RecenterError
+from .geometry import Domain, QuadratureGrid, neighbour_table
 from .points import (
     AqPoint,
     SampledQFunction,
@@ -77,6 +77,7 @@ from .points import (
     match_batch,
     match_margins,
     matched_mass,
+    metric_g,
 )
 
 __all__ = [
@@ -139,11 +140,6 @@ def _kept_design(grid, center, k):
     return grid.cached(("design", center.tobytes(), k), build)
 
 
-def _grid_values(poly, grid):
-    """poly.eval(grid.points), to the bit, through the grid's kept design."""
-    return _evaluate(_kept_design(grid, poly.center, poly.degree), poly.coeffs)
-
-
 @dataclass(frozen=True, eq=False)
 class QPolynomial:
     """Unordered tuple of Q polynomial branches R^n -> R^m, one shared center.
@@ -189,8 +185,12 @@ class QPolynomial:
         return multi_indices(self.n, self.degree)
 
     def eval(self, points):
-        """Values at points, shape (S, Q, m)."""
-        return _evaluate(design_matrix(points, self.center, self.indices), self.coeffs)
+        """Values at points, shape (S, Q, m); at a QuadratureGrid's nodes,
+        through its kept design, the bytes of eval(grid.points)."""
+        design = (_kept_design(points, self.center, self.degree)
+                  if isinstance(points, QuadratureGrid)
+                  else design_matrix(points, self.center, self.indices))
+        return _evaluate(design, self.coeffs)
 
     def recenter(self, new_center):
         """Exact Taylor shift of the center; values are unchanged."""
@@ -233,8 +233,6 @@ def coefficient_metric(fpoly, gpoly):
     Requires an identical center; otherwise the tuples live in different
     charts ("recenter first").
     """
-    from .points import metric_g
-
     if fpoly.degree != gpoly.degree or fpoly.q != gpoly.q or fpoly.m != gpoly.m:
         raise ValueError("polynomials must share degree, Q, and m")
     if not np.array_equal(fpoly.center, gpoly.center):
@@ -428,7 +426,7 @@ def _lattice_skeleton(grid, depth):
     """
 
     def build():
-        table = grid.lattice(depth)
+        table = neighbour_table(grid.points, grid.resolution, depth)
         S = table.shape[0]
         tail, half = np.nonzero(table[:, 0::2, 0] >= 0)
         indices = np.r_[table[tail, 2 * half, 0], np.arange(S, dtype=table.dtype)]
@@ -458,8 +456,8 @@ def _propagated_labels(grid, values, start_labels, order=0):
     lattice (quality-guided unwrapping as a spanning tree over edges sorted
     by reliability: Herraez et al. 2002, Ghiglia & Pritt 1998, ch. 4).
 
-    Every lattice edge {t, t + d} (from the grid's own neighbour table,
-    `grid.lattice`) is weighed by matching a cell against the Newton
+    Every lattice edge {t, t + d} (from the grid's neighbour table,
+    `_lattice_skeleton`) is weighed by matching a cell against the Newton
     extrapolation of the chain t + d, ..., t + Ld running away from it, L
     its in-grid run of at most order + 1 cells; the key is (L, relative
     margin), longer first.  Branch restrictions to lattice lines are 1-D
@@ -787,8 +785,6 @@ def comparison_constant_ratios(instances, seed, q_branches=2):
     invariant, so the unit radius loses no generality.
     """
     rng = np.random.default_rng(seed)
-    from .geometry import Domain
-
     n, m, k = _RATIO_N, _RATIO_M, _RATIO_K
     grid = Domain.ball(n, 1.0).sample(_RATIO_RESOLUTION)
     total = grid.total_weight()

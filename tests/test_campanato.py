@@ -56,6 +56,31 @@ def u_sin(disk_grid):
     )
 
 
+def test_decay_exponent_in_three_dimensions():
+    """u = +-Re (x1 + i x2)^(3/2) on the unit ball of R^3 is homogeneous of
+    degree 3/2 about the x3 axis and no affine tuple fits it better at any
+    scale, so E(0, rho) scales as rho^(n + 2 * 3/2) and lambda = 6.  The
+    fits propagate labels over a 3-D lattice.
+
+    At h = 1/24 this ladder reads 6.21, and at h = 1/32 6.04: the reading
+    falls towards 6 from above as h shrinks, so its offset is
+    discretisation, mostly of the bottom rung (rho = 0.1 is 2.4 cells).
+    The upper tolerance, 0.3, is the coarse run's measured 0.21 with a
+    margin of 0.09; the lower one, 0.1, is a little over twice the finer
+    run's 0.04, since readings approach 6 from above.  Both keep the
+    reading inside lambda's band (5, 7) and the Holder exponent within
+    0.15 of 1/2."""
+    grid = Domain.ball(3, 1.0).sample(1.0 / 24.0)
+    assert grid.size == 57_856
+    p = grid.points
+    re = np.hypot(p[:, 0], p[:, 1]) ** 1.5 * np.cos(1.5 * np.arctan2(p[:, 1], p[:, 0]))
+    u = SampledQFunction(grid, np.stack([re, -re], axis=1)[:, :, None])
+    fit = decay_exponent(u, np.zeros(3), 1, 2.0, [0.8, 0.4, 0.2, 0.1])
+    assert not fit.exact and fit.r_squared > 0.99
+    assert 6.0 - 0.1 <= fit.lambda_hat <= 6.0 + 0.3
+    assert fit.holder_alpha(3, 2.0) == pytest.approx(0.5, abs=0.15)
+
+
 def test_excess_oracle_abs_k0(u_abs):
     prof = excess_profile(u_abs, (0.0, 0.0), 0, 2.0, [0.5])
     oracle = math.pi / 18.0 * 0.5 ** 4

@@ -656,6 +656,61 @@ def test_nearby_free_points_get_their_own_comparison_polynomials(monkeypatch):
         assert all(P.center.tobytes() == center.tobytes() for P in own)
 
 
+def _r15_sample():
+    """The single-valued r^1.5 field on the h = 1/80 disk."""
+    grid = Domain.ball(2, 1.0).sample(1.0 / 80.0)
+    r = np.linalg.norm(grid.points, axis=1)
+    return SampledQFunction(grid, (r ** 1.5)[:, None, None])
+
+
+_TWO_STRATA = ([[0.5, 0.0]], [[-0.5, 0.0]])
+_MISCOUNTED = {
+    # components, strata, stratum constant pairs
+    "certify-one-component-two-strata": lambda u: end_to_end_certify(
+        [u], Stratification(base=[[0.0, 0.0]], strata=_TWO_STRATA), 1, 2.0, 0.5),
+    "certify-two-components-one-stratum": lambda u: end_to_end_certify(
+        [u, u], Stratification(base=[[0.0, 0.0]], strata=_TWO_STRATA[:1]), 1, 2.0, 0.5),
+    "part-three-one-component-two-strata": lambda u: audit_hypothesis(
+        [u], DecayHypothesis(**dict(_STRATIFIED, betas=(1.0, 1.0), beta_tildes=(1.0, 2.0))),
+        Stratification(base=[[0.0, 0.0]], strata=_TWO_STRATA), "III"),
+    "part-one-two-constant-pairs-one-stratum": lambda u: audit_hypothesis(
+        [u], DecayHypothesis(**dict(_STRATIFIED, betas=(1.0, 1.0), beta_tildes=(1.0, 1.0))),
+        Stratification(base=[[0.0, 0.0]], strata=_TWO_STRATA[:1]), "I"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISCOUNTED))
+def test_three_part_counts_must_agree_before_any_fit(case, monkeypatch):
+    # the three-part form pairs component i with stratum i and with
+    # (betas[i], beta_tildes[i]); mismatched counts raised IndexError, or
+    # ran part III reading only beta_tildes[0]
+    u = _r15_sample()
+
+    def no_fit(*args):
+        raise AssertionError("fitted before the counts were checked")
+
+    monkeypatch.setattr(certify, "_limit_fit", no_fit)
+    with pytest.raises(ValueError, match=r"got \d components, \d strata and \d "
+                                         r"stratum constant pairs"):
+        _MISCOUNTED[case](u)
+
+
+def test_soundness_centers_are_audited_centers():
+    """The soundness check's free centers are every other one of the
+    audits' own, at a grid step where the two used to differ."""
+    grid = Domain.ball(2, 1.0).sample(1.0 / 64.0)
+    r = np.linalg.norm(grid.points, axis=1)
+    u = SampledQFunction(grid, (r ** 1.5)[:, None, None])
+    s = Stratification(base=[[0.0, 0.0]])
+    audited = certify._free_centers(u, certify._bad_all(s))
+    assert len(audited) == certify.FREE_CENTERS
+    cert = certified_exponent(DecayHypothesis(n=2, k=1, q_exp=2.0, mu=0.5,
+                                              beta1=1.05, beta2=1.05))
+    out = certify._soundness_spot_check([u], s, cert, 1, 2.0, 0.2)
+    checked = [c["center"] for c in out["centers"]]
+    assert checked == [[0.0, 0.0]] + audited[::2].tolist()
+
+
 def _coarse_sample():
     grid = Domain.ball(2, 1.0).sample(1.0 / 16.0)
     return SampledQFunction.from_function(grid, lambda p: p[:, :1, None], q=1, m=1)

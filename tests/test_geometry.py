@@ -226,11 +226,17 @@ def test_array_dataclasses_compare_and_hash_by_identity():
     assert len({grid, twin, poly, u}) == 4
 
 
-def _assert_lattice_is_built_table(grid, depth):
-    want = neighbour_table(grid.points, grid.resolution, _lattice_directions(grid.dim),
-                           depth)
-    got = grid.lattice(depth)
+def _table(grid, depth):
+    return neighbour_table(grid.points, grid.resolution, depth)
+
+
+def _assert_shallow_table_is_a_slice(grid, depth):
+    """A table at one depth is the first columns of a deeper one: a step
+    j <= depth is found alike, however deep the table."""
+    want = _table(grid, 5)[:, :, :depth]
+    got = _table(grid, depth)
     assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.shape[1] == len(_lattice_directions(grid.dim))
     assert got.tobytes() == want.tobytes()
 
 
@@ -240,20 +246,20 @@ def _lattice_by_gather(source, idx, depth):
     ball's own indices, with -1 kept."""
     inv = np.full(source.size + 1, -1, dtype=geometry._index_dtype(idx.size))
     inv[idx] = np.arange(idx.size)
-    return inv[source.lattice(depth)[idx]]
+    return inv[_table(source, depth)[idx]]
 
 
 def _assert_lattice_is_the_gather(source, ball, idx, depth):
-    got, want = ball.lattice(depth), _lattice_by_gather(source, idx, depth)
+    got, want = _table(ball, depth), _lattice_by_gather(source, idx, depth)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n, h", [(1, 1.0 / 64.0), (2, 1.0 / 32.0), (3, 1.0 / 8.0)])
 def test_restriction_lattice_gathers_the_parent_table(n, h):
-    """A restriction builds its lattice on its own points, and on lattice
+    """A restriction's lattice is read from its own points, and on lattice
     points that table is the gather of its source grid's table, for a ball
-    of a ball too; deeper requests rebuild, shallower ones slice."""
+    of a ball too; a shallower table is a slice of a deeper one."""
     top = Domain.ball(n, 1.0).sample(h)
     rng = np.random.default_rng(n)
     center = rng.uniform(-0.3, 0.3, n)
@@ -263,7 +269,7 @@ def test_restriction_lattice_gathers_the_parent_table(n, h):
     corner, idx3 = top.restrict(top.points[-1], 0.4)
     for depth in (2, 1, 5, 3, 4):
         for grid in (top, sub, subsub, corner):
-            _assert_lattice_is_built_table(grid, depth)
+            _assert_shallow_table_is_a_slice(grid, depth)
         for source, ball, index in ((top, sub, idx), (sub, subsub, idx2),
                                     (top, subsub, idx[idx2]), (top, corner, idx3)):
             _assert_lattice_is_the_gather(source, ball, index, depth)
@@ -317,7 +323,7 @@ def test_lattice_build_peak_memory_is_a_few_tables(make):
     grid = make()
     tracemalloc.start()
     try:
-        table = grid.lattice(2)
+        table = _table(grid, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -325,14 +331,17 @@ def test_lattice_build_peak_memory_is_a_few_tables(make):
 
 
 def test_lattice_of_a_grid_read_back_from_csv(tmp_path):
+    """A grid read back from CSV has the sampled grid's lattice, and its
+    balls, and theirs, slice shallower tables from deeper ones."""
     grid = Domain.annulus(2, 0.3, 1.0).sample(1.0 / 24.0)
     path = tmp_path / "annulus.csv"
     io.write_samples_csv(path, SampledQFunction(grid, grid.points[:, None, :1]))
     back = io.read_samples_csv(path, None).grid
     sub, _ = back.restrict([0.5, -0.2], 0.45)
     for depth in range(1, 6):
+        assert _table(back, depth).tobytes() == _table(grid, depth).tobytes()
         for g in (back, sub, sub.restrict([0.6, -0.1], 0.2)[0]):
-            _assert_lattice_is_built_table(g, depth)
+            _assert_shallow_table_is_a_slice(g, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +361,9 @@ def test_restrictions_of_one_ball_share_its_memo():
     a, idx_a = grid.restrict([0.1, -0.2], 0.4)
     b, idx_b = grid.restrict(np.array([[0.1, -0.2]]), np.float64(0.4))
     assert a is not b and idx_a is idx_b and a._memo is b._memo
-    a.lattice(2)
-    assert b._memo["lattice"] is a._memo["lattice"]
+    skeleton = polyfit._lattice_skeleton(a, 2)
+    assert b._memo[("skeleton", 2)] is skeleton
+    assert polyfit._lattice_skeleton(b, 2) is skeleton
     # another ball, or the same one restricted from the restriction, has its own
     c, _ = grid.restrict([0.1, -0.2], 0.41)
     d, _ = a.restrict([0.1, -0.2], 0.4)
@@ -407,17 +417,25 @@ def test_a_kept_ball_leaves_every_refusal_in_place():
 
 
 def test_kept_indices_and_lattices_are_read_only():
+    """A ball's indices and the propagation skeletons, a grid's one kept
+    form of its lattice, are read-only; no memo keeps a neighbour table."""
     grid = Domain.ball(2, 1.0).sample(1.0 / 16.0)
     sub, idx = grid.restrict([0.2, 0.1], 0.5)
-    for kept in (idx, grid.lattice(2), sub.lattice(3)):
+    grid_skeleton = polyfit._lattice_skeleton(grid, 2)
+    sub_skeleton = polyfit._lattice_skeleton(sub, 3)
+    assert grid._memo[("skeleton", 2)] is grid_skeleton
+    assert sub._memo[("skeleton", 3)] is sub_skeleton
+    assert not hasattr(grid, "lattice")
+    assert "lattice" not in grid._memo and "lattice" not in sub._memo
+    for kept in (idx,) + grid_skeleton + sub_skeleton:
         with pytest.raises(ValueError, match="read-only"):
             kept[0] = 0
 
 
 def test_a_grid_and_its_memo_are_freed_by_reference_counting():
-    """Memo entries hold no grid, so a grid whose balls hold a lattice, a
-    propagation skeleton and a factor is freed, with every restriction, as
-    soon as its last reference goes: no collector is needed."""
+    """Memo entries hold no grid, so a grid whose balls hold a propagation
+    skeleton and a factor is freed, with every restriction, as soon as its
+    last reference goes: no collector is needed."""
     gc.collect()
     gc.disable()
     try:
@@ -426,8 +444,9 @@ def test_a_grid_and_its_memo_are_freed_by_reference_counting():
         u = SampledQFunction(grid, np.stack([x, -x], axis=1))
         fit = best_fit(u, [0.1, 0.0], 0.6, 2, 2.0)
         sub = u.restrict([0.1, 0.0], 0.6)
-        assert {"lattice", ("skeleton", 3), ("fit", np.array([0.1, 0.0]).tobytes(), 2)} \
+        assert {("skeleton", 3), ("fit", np.array([0.1, 0.0]).tobytes(), 2)} \
             <= set(sub.grid._memo)
+        assert "lattice" not in sub.grid._memo
         refs = [weakref.ref(grid), weakref.ref(sub.grid)]
         del grid, u, sub, x
         assert [ref() for ref in refs] == [None, None]
@@ -449,7 +468,7 @@ def test_a_restriction_does_not_keep_its_source_grid_alive():
         del grid
         assert ref() is None
         for v in (sub, inner):
-            assert v.grid.lattice(2).shape == (v.size, 8, 2)
+            assert _table(v.grid, 2).shape == (v.size, 8, 2)
             assert best_fit(v, [0.1, 0.0], 0.3, 1, 2.0).residual >= 0.0
     finally:
         gc.enable()
@@ -492,8 +511,8 @@ def test_a_repeated_certificate_computes_no_ball_geometry(monkeypatch):
     counts = {"scan": 0, "lattice": 0, "factor": 0, "design": 0}
     monkeypatch.setattr(geometry, "squared_distances",
                         _counting(counts, "scan", geometry.squared_distances))
-    monkeypatch.setattr(geometry, "neighbour_table",
-                        _counting(counts, "lattice", geometry.neighbour_table))
+    monkeypatch.setattr(polyfit, "neighbour_table",
+                        _counting(counts, "lattice", polyfit.neighbour_table))
     monkeypatch.setattr(polyfit, "_factor", _counting(counts, "factor", polyfit._factor))
     monkeypatch.setattr(polyfit, "design_matrix",
                         _counting(counts, "design", polyfit.design_matrix))

@@ -132,6 +132,50 @@ def test_every_private_module_name_is_read_in_the_package():
     assert unread_private_names(trees) == []
 
 
+def in_function_package_imports(tree):
+    """(line, module) of each import of a qvalued module made inside a
+    function: relative, or absolute from `qvalued`.  Other imports, such as
+    scipy's lazy ones, are not listed."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.ImportFrom) and (
+                    inner.level or (inner.module or "").partition(".")[0] == "qvalued"):
+                found.add((inner.lineno, "." * inner.level + (inner.module or "")))
+            elif isinstance(inner, ast.Import):
+                found.update((inner.lineno, alias.name) for alias in inner.names
+                             if alias.name.partition(".")[0] == "qvalued")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_modules_are_imported_at_module_top(path):
+    """No import cycle needs a deferred import of a package module, so each
+    is imported once, at the top of its module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert in_function_package_imports(tree) == []
+
+
+def test_checker_flags_an_in_function_package_import():
+    tree = ast.parse(
+        "from .points import metric_g\n"
+        "def f():\n"
+        "    from .geometry import Domain\n"
+        "    from scipy.optimize import linear_sum_assignment\n"
+        "    def g():\n"
+        "        from . import campanato\n"
+        "        import qvalued.lab\n"
+        "        import numpy\n"
+        "    return g\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        from qvalued.io import read_json\n")
+    assert in_function_package_imports(tree) == [
+        (3, ".geometry"), (6, "."), (7, "qvalued.lab"), (12, "qvalued.io")]
+
+
 def private_points_imports(tree):
     """(line, name) of each private name imported from the sibling module
     `points`, by `from .points import _x` or read as `points._x`."""

@@ -470,6 +470,35 @@ def test_cli_refuses_a_resolution_above_the_coordinate_gap(tmp_path, bp_csv, cap
     assert main(["fit", "--in", str(js), "--out", str(tmp_path / "j.json")]) == 2
 
 
+def test_off_lattice_samples_are_refused(tmp_path, capsys):
+    # 2,361 uniform random points in a disk read back with the smallest
+    # coordinate gap, about 1e-7, as their step and a lattice with no edge,
+    # and every command ran on them: exponent exited 0 with excesses of
+    # 1e-12 to 1e-18
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(-0.7, 0.7, (4000, 2))
+    pts = pts[np.linalg.norm(pts, axis=1) < 0.7][:2361]
+    assert pts.shape == (2361, 2)
+    r = np.linalg.norm(pts, axis=1)
+    grid = qvalued.QuadratureGrid(pts, np.full(pts.shape[0], 1e-3), 1e-7)
+    path = tmp_path / "scattered.csv"
+    io.write_samples_csv(path, SampledQFunction(grid, (r ** 1.5)[:, None, None]))
+    with pytest.raises(ValueError, match=r"sample \d+ at \[.*\] is off the lattice "
+                                         r"of step h = [0-9.e-]+"):
+        io.read_samples_csv(path, None)
+    out = tmp_path / "o.json"
+    for extra in ([], ["--resolution", "1e-9"]):
+        capsys.readouterr()
+        assert main(["exponent", "--in", str(path), "--out", str(out)] + extra) == 2
+        assert not out.exists()
+        assert "is off the lattice of step h" in capsys.readouterr().err
+    # a JSON sample file is read by the same rule
+    js = tmp_path / "scattered.json"
+    io.write_samples_json(js, SampledQFunction(grid, (r ** 1.5)[:, None, None]))
+    with pytest.raises(ValueError, match="off the lattice of step h = 1e-07"):
+        io.read_samples_json(js)
+
+
 def test_cli_refuses_resolution_with_json_samples(tmp_path, capsys):
     # a JSON sample file carries its own resolution; the flag used to be
     # dropped silently, so the fit ran at the file's step

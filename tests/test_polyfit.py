@@ -45,7 +45,6 @@ from qvalued.polyfit import (
     _MAX_ITER,
     _alternate,
     _factor,
-    _grid_values,
     _propagated_labels,
     _spectral_ranks,
 )
@@ -467,7 +466,7 @@ def _assert_table_matches_dict_lookup(points, resolution, depth):
     by several samples holds the one listed last."""
     keys = _lattice_keys(points, resolution)
     dirs = _lattice_directions(points.shape[1])
-    table = neighbour_table(points, resolution, dirs, depth)
+    table = neighbour_table(points, resolution, depth)
     index_of = {tuple(k): s for s, k in enumerate(keys)}
     expected = np.array([
         [[index_of.get(tuple(k + step * np.asarray(d)), -1) for step in range(1, depth + 1)]
@@ -686,7 +685,7 @@ def test_values_through_a_kept_design_equal_eval_on_raw_points():
         ball, idx = grid.restrict(center, radius)
         raw = np.array(grid.points[idx])
         for _ in range(2):  # the second call reads the kept design
-            kept = _grid_values(P, ball)
+            kept = P.eval(ball)
             assert kept.tobytes() == P.eval(raw).tobytes()
         values = rng.normal(size=(ball.size, q, m))
         for q_exp in (2.0, 1.5):
