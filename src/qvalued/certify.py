@@ -458,8 +458,6 @@ def audit_hypothesis(us, h, s, which):
         raise ValueError("which must be I, II, or III")
     if which == "III" and not h.stratified:
         raise ValueError("part III exists only for the three-part form")
-    if which == "II" and h.stratified and s.n_strata == 0:
-        raise ValueError("no strata to audit")
     if h.stratified and not len(u_list) == s.n_strata == h.n_strata:
         raise ValueError(
             "the three-part form pairs each component with one stratum and "

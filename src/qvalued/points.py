@@ -7,18 +7,24 @@ branches, by sorting scalar values, or by an assignment solver.  The
 space is a metric space, not a vector space: branch arithmetic only makes
 sense after fixing a pairing.
 
-All matching in the package goes through one kernel with two entries:
-match_batch returns the pairings and their costs, and match_margins adds
-how far each pairing is from the next best one; metric_g is match_batch
-on a batch of one pair.  Only label propagation reads the margin, so
-every other caller skips the work of finding a runner-up.  Up
-to six branches the kernel works on branch-major (Q, m, S) copies of its
-inputs, so each numpy step runs along the long sample axis: one (Q, Q, S)
-block of squared branch distances, each summed over components in index
-order, and one (Q!, S) table of pairing totals, each summed over branches
-in index order, whose first least row per column wins.  A Lebesgue-point
-profile averages the squared matching distance, exponent 2, to the value
-at its center over each ball of a ladder.
+All matching in the package goes through one kernel with three entries:
+match_batch returns the pairings and their costs, match_margins adds how
+far each pairing is from the next best one, and match_columns is
+match_batch on branch-major (Q, m, S) columns; metric_g is match_batch on
+a batch of one pair.  Only label propagation reads the margin, so every
+other caller skips the work of finding a runner-up.  From two to six
+branches the kernel works on branch-major columns, so each numpy step runs
+along the long sample axis: one (Q, Q, S) block of squared branch
+distances, each summed over components in index order, and one (Q!, S)
+table of pairing totals, each summed over branches in index order, whose
+first least row per column wins.  There match_batch and match_margins copy
+their (S, Q, m) inputs to columns on every call, and match_columns reads
+its columns as given, so a fit's alternation, which matches one data set
+against a new model every iteration, copies the data once per start.  For
+one branch and above six the kernel works on (S, Q, m) rows, and only
+match_columns copies, its columns to rows.  A Lebesgue-point profile
+averages the squared matching distance, exponent 2, to the value at its
+center over each ball of a ladder.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ __all__ = [
     "brute_force_metric",
     "match_batch",
     "match_margins",
+    "match_columns",
     "canonical_order",
     "branch_gaps",
     "matched_mass",
@@ -225,11 +232,13 @@ def _refuse_overflow(bound):
         raise ValueError(_NON_FINITE)
 
 
-def _batch_arrays(a, b):
+def _batch_arrays(a, b, layout):
+    """a and b as float arrays of one 3-D shape; otherwise ValueError, which
+    names the `layout` of the entry that refuses them."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 3 or a.shape != b.shape:
-        raise ValueError("matching needs two (S, Q, m) arrays of one shape")
+        raise ValueError("matching needs two %s arrays of one shape" % layout)
     return a, b
 
 
@@ -259,9 +268,28 @@ def match_batch(a, b):
     sample whose matching cost overflows.
 
     The cost is all that fitting, masses and profiles read; match_margins
-    adds the margin that only label propagation reads.
+    adds the margin that only label propagation reads, and match_columns
+    takes the same samples as columns.
     """
-    return _match(*_batch_arrays(a, b), margin=False)
+    return _match(*_batch_arrays(a, b, "(S, Q, m)"), margin=False)
+
+
+def match_columns(at, bt):
+    """match_batch on branch-major columns: at and bt have shape (Q, m, S),
+    and (labels, sq_cost) are the bytes of match_batch(at.transpose(2, 0,
+    1), bt.transpose(2, 0, 1)), refusals included.
+
+    Up to Q = _ENUMERATION_LIMIT the kernel reads the columns as given, so
+    a caller that matches one data set many times, as a fit's alternation
+    does, copies its columns once and builds its models as columns, where
+    match_batch would copy both inputs on every call.  Q = 1 and larger Q
+    work on (S, Q, m) rows, so there the columns are copied to rows once.
+    """
+    at, bt = _batch_arrays(at, bt, "(Q, m, S)")
+    if 2 <= at.shape[0] <= _ENUMERATION_LIMIT:
+        return _match_columns(at, bt, margin=False)
+    return _match_rows(np.ascontiguousarray(at.transpose(2, 0, 1)),
+                       np.ascontiguousarray(bt.transpose(2, 0, 1)), margin=False)
 
 
 def match_margins(a, b):
@@ -277,45 +305,64 @@ def match_margins(a, b):
     they cost a second pass over the pairing totals or over all
     transpositions per sample.
     """
-    return _match(*_batch_arrays(a, b), margin=True)
+    return _match(*_batch_arrays(a, b, "(S, Q, m)"), margin=True)
+
+
+def _match(a, b, margin):
+    """The kernel of match_batch, with match_margins' margins when
+    `margin` is set, on (S, Q, m) arrays of one shape: copied once to
+    branch-major (Q, m, S) columns for 2 <= Q <= _ENUMERATION_LIMIT, where
+    every step then runs along the long sample axis, none along a short row
+    of Q or Q! entries, and read as rows otherwise."""
+    if 2 <= a.shape[1] <= _ENUMERATION_LIMIT:
+        return _match_columns(a.transpose(1, 2, 0).copy(),
+                              b.transpose(1, 2, 0).copy(), margin)
+    return _match_rows(a, b, margin)
 
 
 @np.errstate(invalid="ignore", over="ignore")
-def _match(a, b, margin):
-    """The kernel of match_batch, with match_margins' margins when
-    `margin` is set, on (S, Q, m) arrays of one shape.  Input that matching
-    refuses is refused here, with no warning on the way."""
+def _match_columns(at, bt, margin):
+    """The kernel's column body, on (Q, m, S) arrays of one shape with
+    2 <= Q <= _ENUMERATION_LIMIT.  Input that matching refuses is refused
+    here, with no warning on the way."""
+    Q, m, S = at.shape
+    if Q == 2:
+        # the two pairings in closed form: the totals, ties and labels of
+        # the enumeration, without its (Q!, S) table and argmin
+        keep = _column_distance(at[0], bt[0])
+        keep += _column_distance(at[1], bt[1])
+        swap = _column_distance(at[1], bt[0])
+        swap += _column_distance(at[0], bt[1])
+        crossed = swap < keep
+        labels = np.empty((S, 2), dtype=int)
+        labels[:, 0] = crossed
+        labels[:, 1] = ~crossed
+        # both pairing totals finite, so the four squared distances too
+        if not margin:
+            _refuse_overflow(keep.max(initial=0.0))
+            _refuse_overflow(swap.max(initial=0.0))
+            return labels, np.minimum(keep, swap)
+        worst = np.maximum(keep, swap)
+        _refuse_overflow(worst.max(initial=0.0))
+        best = np.minimum(keep, swap)
+        return labels, best, worst - best
+    perms = _permutation_table(Q)
+    step = max(_CHUNK_ENTRIES // perms.size, 1)
+    parts = [_enumerated_pairings(at[..., lo:lo + step], bt[..., lo:lo + step],
+                                  perms, margin)
+             for lo in range(0, max(S, 1), step)]
+    found = (parts[0] if len(parts) == 1
+             else tuple(np.concatenate(col) for col in zip(*parts)))
+    _refuse_overflow(found[1].max(initial=0.0))
+    return found
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _match_rows(a, b, margin):
+    """The kernel's row body, on (S, Q, m) arrays of one shape with Q = 1
+    or Q > _ENUMERATION_LIMIT.  Input that matching refuses is refused
+    here, with no warning on the way."""
     S, Q, m = a.shape
-    if 2 <= Q <= _ENUMERATION_LIMIT:
-        # branch-major (Q, m, S) columns: every step below runs along the
-        # long sample axis, none along a short row of Q or Q! entries
-        at = a.transpose(1, 2, 0).copy()
-        bt = b.transpose(1, 2, 0).copy()
-        if Q == 2:
-            # the two pairings in closed form: the totals, ties and labels
-            # of the enumeration, without its (Q!, S) table and argmin
-            keep = _column_distance(at[0], bt[0]) + _column_distance(at[1], bt[1])
-            swap = _column_distance(at[1], bt[0]) + _column_distance(at[0], bt[1])
-            worst = np.maximum(keep, swap)
-            # both pairing totals finite, so the four squared distances too
-            _refuse_overflow(worst.max(initial=0.0))
-            crossed = swap < keep
-            best = np.minimum(keep, swap)
-            labels = np.empty((S, 2), dtype=int)
-            labels[:, 0] = crossed
-            labels[:, 1] = ~crossed
-            if not margin:
-                return labels, best
-            return labels, best, worst - best
-        perms = _permutation_table(Q)
-        step = max(_CHUNK_ENTRIES // perms.size, 1)
-        parts = [_enumerated_pairings(at[..., lo:lo + step], bt[..., lo:lo + step],
-                                      perms, margin)
-                 for lo in range(0, max(S, 1), step)]
-        found = (parts[0] if len(parts) == 1
-                 else tuple(np.concatenate(col) for col in zip(*parts)))
-        _refuse_overflow(found[1].max(initial=0.0))
-        return found
     if Q > _ENUMERATION_LIMIT and m == 1:
         x, y = a[:, :, 0], b[:, :, 0]
         rank_a = np.argsort(x, axis=1, kind="stable")

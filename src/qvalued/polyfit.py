@@ -21,8 +21,10 @@ ball's grid) read the same array.  The weighted design
 sqrt(w) X is factored by a thin SVD, cut at np.linalg.lstsq's default
 rank, once per ball and degree while its grid keeps the ball, so every
 start and iteration of every fit on that ball reuses the design and its
-factor, whatever the field.  An iteration is one gather of
-the labelled values and two matrix products.  For exponents
+factor, whatever the field.  An iteration is one sample-major gather of
+the labelled values, two matrix products and one `match_columns` call:
+a start copies the data to branch-major (Q, m, S) columns once, and each
+model is formed as columns, so no iteration copies either.  For exponents
 other than 2 the refit is iteratively reweighted with a floored weight,
 the design is factored again whenever the weights change, and since
 reweighting need not descend, a start ends at its least-objective iterate.
@@ -75,6 +77,7 @@ from .points import (
     branch_gaps,
     canonical_order,
     match_batch,
+    match_columns,
     match_margins,
     matched_mass,
     metric_g,
@@ -578,7 +581,12 @@ def _alternate(design, values, weights, factor, labels, q_exp):
     and every start of a fit.  An iteration gathers the labelled values
     with one flat take, projects them on the factor, and matches the data
     against the model values; the coefficients are formed once, when the
-    start ends.  At other exponents the least squares are iteratively
+    start ends.  The data is copied to (Q, m, S) columns once per start and
+    the model is formed as columns, y.T @ basis.T, the bytes of
+    (basis @ y).T, so `match_columns` matches them with no copy.  The
+    gather and the projection stay sample-major: a branch-major gather fed
+    to the projection as a transposed operand changes the projection's
+    bits.  At other exponents the least squares are iteratively
     reweighted by floored powers w g^(q_exp - 2) of the matching distances
     g, and the design is factored again each time those weights change.
     Reweighting need not lower the objective from one iteration to the
@@ -592,6 +600,7 @@ def _alternate(design, values, weights, factor, labels, q_exp):
     S, Q, m = values.shape
     flat = values.reshape(S * Q, m)
     offsets = np.arange(0, S * Q, Q)[:, None]
+    columns = values.transpose(1, 2, 0).copy()  # (Q, m, S), matched every iteration
     prev_obj = math.inf
     g = None
     kept = None  # (objective, y, solve, labels) of the iterate the start ends at
@@ -603,7 +612,7 @@ def _alternate(design, values, weights, factor, labels, q_exp):
                 design, weights * np.maximum(g, _IRLS_FLOOR) ** (q_exp - 2.0))
         project, basis, solve = factor
         y = project @ flat.take(labels + offsets, axis=0).reshape(S, Q * m)
-        new_labels, costs = match_batch(values, (basis @ y).reshape(S, Q, m))
+        new_labels, costs = match_columns(columns, (y.T @ basis.T).reshape(Q, m, S))
         g = np.sqrt(np.maximum(costs, 0.0))
         obj = float(np.sum(weights * g ** q_exp))
         if kept is None or q_exp == 2.0 or obj < kept[0]:

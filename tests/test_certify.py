@@ -740,7 +740,7 @@ _CERTIFY_REFUSALS = {
     "audit-part-two-without-strata": (
         lambda: audit_hypothesis(_coarse_sample(), DecayHypothesis(**_STRATIFIED),
                                  Stratification(base=[[0.0, 0.0]]), "II"),
-        ValueError, "no strata"),
+        ValueError, "got 1 components, 0 strata and 1 stratum constant pairs"),
     "free-centers-none-clear": (
         lambda: certify._free_centers(_coarse_sample(), np.zeros((1, 2))),
         BelowResolutionError, "no free centers"),

@@ -20,6 +20,7 @@ from qvalued.points import (
     canonical_order,
     lebesgue_point_profile,
     match_batch,
+    match_columns,
     match_margins,
     matched_mass,
     metric_g,
@@ -359,6 +360,51 @@ def test_matching_refuses_overflowing_squared_distances(q, m):
             match(a[:1], far)
     with pytest.raises(ValueError, match="finite squared distances"):
         metric_g(a[0], far[0])
+
+
+def _columns(x):
+    """Branch-major (Q, m, S) copy of (S, Q, m) rows."""
+    return x.transpose(1, 2, 0).copy()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 8), st.integers(1, 3), st.booleans(),
+       st.data())
+def test_match_columns_is_match_batch_on_rows(S, q, m, rounded, data):
+    """match_columns on the (Q, m, S) transposes of two batches gives
+    match_batch's labels and cost bytes, through the column body
+    (2 <= Q <= 6) and the row body (Q = 1, Q > 6) alike, on copies and on
+    strided views; rounded values make exact ties, broken alike."""
+    elements = st.floats(-100, 100, allow_nan=False, allow_subnormal=False)
+    a, b = data.draw(arrays(float, (2, S, q, m), elements=elements))
+    if rounded:
+        a, b = np.round(a / 50.0), np.round(b / 50.0)
+    want = match_batch(a, b)
+    for at, bt in ((_columns(a), _columns(b)),
+                   (a.transpose(1, 2, 0), b.transpose(1, 2, 0))):
+        got = match_columns(at, bt)
+        assert len(got) == len(want) == 2
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200],
+                         ids=["nan", "inf", "overflow"])
+@pytest.mark.parametrize("q, m", [(1, 2), (2, 1), (2, 2), (3, 2), (7, 1), (7, 2)])
+def test_match_columns_refuses_what_match_batch_refuses(q, m, bad):
+    """Non-finite values and squared distances that overflow are refused by
+    match_columns with match_batch's ValueError and words."""
+    a, b = np.random.default_rng(q).normal(size=(2, 5, q, m))
+    a[3, q - 1, m - 1] = bad
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError) as want:
+            match_batch(x, y)
+        with pytest.raises(ValueError) as got:
+            match_columns(_columns(x), _columns(y))
+        assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match=r"two \(Q, m, S\) arrays of one shape"):
+        match_columns(_columns(b), _columns(b)[:, :, 1:])
 
 
 def test_match_batch_chunks_agree_with_metric():
