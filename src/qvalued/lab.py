@@ -525,7 +525,7 @@ def frequency_function(u, x0, ladder):
     if isinstance(u, SampledQFunction):
         jac = _node_jacobians(u)
         dens = np.sum(jac * jac, axis=(1, 2, 3))
-        sq = np.sum(u.values ** 2, axis=(1, 2))
+        sq = _squared_values(u.values)
         rads = np.sqrt(squared_distances(u.grid.points, x0))
         h = u.grid.resolution
 

@@ -12,19 +12,18 @@ match_batch returns the pairings and their costs, match_margins adds how
 far each pairing is from the next best one, and match_columns is
 match_batch on branch-major (Q, m, S) columns; metric_g is match_batch on
 a batch of one pair.  Only label propagation reads the margin, so every
-other caller skips the work of finding a runner-up.  From two to six
-branches the kernel works on branch-major columns, so each numpy step runs
-along the long sample axis: one (Q, Q, S) block of squared branch
-distances, each summed over components in index order, and one (Q!, S)
-table of pairing totals, each summed over branches in index order, whose
-first least row per column wins.  There match_batch and match_margins copy
-their (S, Q, m) inputs to columns on every call, and match_columns reads
-its columns as given, so a fit's alternation, which matches one data set
-against a new model every iteration, copies the data once per start.  For
-one branch and above six the kernel works on (S, Q, m) rows, and only
-match_columns copies, its columns to rows.  A Lebesgue-point profile
-averages the squared matching distance, exponent 2, to the value at its
-center over each ball of a ladder.
+other caller skips the work of finding a runner-up.  The enumeration
+limit, six branches, is the kernel's one boundary: up to it the kernel
+works on branch-major (Q, m, S) columns, so each numpy step runs along the
+long sample axis, and above it on (S, Q, m) rows, where it sorts scalar
+values or solves one assignment per sample.  An entry copies only where
+its layout is not the body's: match_batch and match_margins copy their
+inputs to columns up to six branches, and match_columns copies its
+columns to rows above six, so a fit's alternation, which matches one data
+set against a new model every iteration, copies the data once per start.
+Every body sums by the one rule that match_batch states.  A
+Lebesgue-point profile averages the squared matching distance, exponent
+2, to the value at its center over each ball of a ladder.
 """
 
 from __future__ import annotations
@@ -161,8 +160,9 @@ def _swap_margins(d2, labels):
 
 
 def _column_distance(x, y):
-    """Squared distances between (..., m, S) component columns, per sample,
-    summed over components in index order."""
+    """Squared distances between (..., m, S) columns, per sample, summed
+    over axis -2 in index order: over the components of branch columns, or
+    over the branches of scalar tuples laid out as (Q, S)."""
     diff = x - y
     diff *= diff
     total = diff[..., 0, :]
@@ -202,10 +202,10 @@ def _runner_up(totals, best):
 
 
 def _pair_distances(a, b):
-    """d2[s, i, j] = |a[s, i] - b[s, j]|^2 for (S, Q, m) arrays: every
-    branch-to-branch squared distance outside the enumeration's columns."""
-    diff = a[:, :, None, :] - b[:, None, :, :]
-    return np.einsum("sabm,sabm->sab", diff, diff)
+    """d2[s, i, j] = |a[s, i] - b[s, j]|^2 for (S, Q, m) arrays, summed over
+    components in index order: every branch-to-branch squared distance
+    outside the kernel's columns."""
+    return squared_distances(a[:, :, None, :], b[:, None, :, :])
 
 
 def branch_gaps(values):
@@ -247,21 +247,23 @@ def match_batch(a, b):
 
     a and b have shape (S, Q, m).  Returns (labels, sq_cost): labels[s, i]
     is the branch of a[s] matched to b[s, i], and sq_cost[s] the squared
-    matching distance G(a[s], b[s])^2.  Up to Q = _ENUMERATION_LIMIT the
-    samples are copied once into branch-major (Q, m, S) columns and every
-    pairing is enumerated in lexicographic order, in column chunks of at
-    most _CHUNK_ENTRIES pairing terms: each branch distance is summed over
-    components in index order, each pairing total over b's branches in
-    index order, and an exact tie goes to the first least total, the
-    lexicographically smallest labels[s].  Above it, scalar values (m = 1)
-    are paired by rank, the t-th smallest branch of a[s] with the t-th
-    smallest of b[s]: by the rearrangement inequality that pairing is
-    optimal, and an exact tie goes to the stable sort, equal values ranked
-    by branch index.
-    Vector values above it get one exact assignment solve per sample.
-    Q = 2 takes its two pairings in closed form on the same columns, with
-    the same sums and tie rule; scipy is imported only for vector values
-    above _ENUMERATION_LIMIT.
+    matching distance G(a[s], b[s])^2.
+
+    The arithmetic is one rule at every Q and batch size: each squared
+    branch distance is summed over components in index order, and each
+    pairing total over b's branches in index order.  Only how the best
+    pairing is found depends on Q.  Up to Q = _ENUMERATION_LIMIT the samples
+    are copied once into branch-major (Q, m, S) columns.  There Q = 1 has
+    its one pairing, Q = 2 takes its two in closed form, and larger Q
+    enumerate every pairing in lexicographic order, in column chunks of at
+    most _CHUNK_ENTRIES pairing terms; an exact tie goes to the first least
+    total, the lexicographically smallest labels[s].  Above it the kernel
+    reads the (S, Q, m) rows.  Scalar values (m = 1) are paired by rank, the
+    t-th smallest branch of a[s] with the t-th smallest of b[s]: by the
+    rearrangement inequality that pairing is optimal, and an exact tie goes
+    to the stable sort, equal values ranked by branch index.  Vector values
+    get one exact assignment solve per sample; scipy is imported only for
+    them.
 
     Values that are not finite, or whose squared branch distances overflow
     (values about 1e154 apart), are refused with ValueError; so is a
@@ -282,11 +284,11 @@ def match_columns(at, bt):
     Up to Q = _ENUMERATION_LIMIT the kernel reads the columns as given, so
     a caller that matches one data set many times, as a fit's alternation
     does, copies its columns once and builds its models as columns, where
-    match_batch would copy both inputs on every call.  Q = 1 and larger Q
-    work on (S, Q, m) rows, so there the columns are copied to rows once.
+    match_batch would copy both inputs on every call.  Above it the kernel
+    works on (S, Q, m) rows, so there each call copies the columns to rows.
     """
     at, bt = _batch_arrays(at, bt, "(Q, m, S)")
-    if 2 <= at.shape[0] <= _ENUMERATION_LIMIT:
+    if at.shape[0] <= _ENUMERATION_LIMIT:
         return _match_columns(at, bt, margin=False)
     return _match_rows(np.ascontiguousarray(at.transpose(2, 0, 1)),
                        np.ascontiguousarray(bt.transpose(2, 0, 1)), margin=False)
@@ -311,10 +313,10 @@ def match_margins(a, b):
 def _match(a, b, margin):
     """The kernel of match_batch, with match_margins' margins when
     `margin` is set, on (S, Q, m) arrays of one shape: copied once to
-    branch-major (Q, m, S) columns for 2 <= Q <= _ENUMERATION_LIMIT, where
-    every step then runs along the long sample axis, none along a short row
-    of Q or Q! entries, and read as rows otherwise."""
-    if 2 <= a.shape[1] <= _ENUMERATION_LIMIT:
+    branch-major (Q, m, S) columns for Q <= _ENUMERATION_LIMIT, where every
+    step then runs along the long sample axis, none along a short row of Q
+    or Q! entries, and read as rows above it."""
+    if a.shape[1] <= _ENUMERATION_LIMIT:
         return _match_columns(a.transpose(1, 2, 0).copy(),
                               b.transpose(1, 2, 0).copy(), margin)
     return _match_rows(a, b, margin)
@@ -323,9 +325,15 @@ def _match(a, b, margin):
 @np.errstate(invalid="ignore", over="ignore")
 def _match_columns(at, bt, margin):
     """The kernel's column body, on (Q, m, S) arrays of one shape with
-    2 <= Q <= _ENUMERATION_LIMIT.  Input that matching refuses is refused
+    Q <= _ENUMERATION_LIMIT.  Input that matching refuses is refused
     here, with no warning on the way."""
     Q, m, S = at.shape
+    if Q == 1:
+        # one pairing: its cost is the one branch distance, its margin 0
+        sq_cost = _column_distance(at[0], bt[0])
+        _refuse_overflow(sq_cost.max(initial=0.0))
+        found = (np.zeros((S, 1), dtype=int), sq_cost)
+        return found + (np.zeros(S),) if margin else found
     if Q == 2:
         # the two pairings in closed form: the totals, ties and labels of
         # the enumeration, without its (Q!, S) table and argmin
@@ -359,11 +367,11 @@ def _match_columns(at, bt, margin):
 
 @np.errstate(invalid="ignore", over="ignore")
 def _match_rows(a, b, margin):
-    """The kernel's row body, on (S, Q, m) arrays of one shape with Q = 1
-    or Q > _ENUMERATION_LIMIT.  Input that matching refuses is refused
+    """The kernel's row body, on (S, Q, m) arrays of one shape with
+    Q > _ENUMERATION_LIMIT.  Input that matching refuses is refused
     here, with no warning on the way."""
     S, Q, m = a.shape
-    if Q > _ENUMERATION_LIMIT and m == 1:
+    if m == 1:
         x, y = a[:, :, 0], b[:, :, 0]
         rank_a = np.argsort(x, axis=1, kind="stable")
         rank_b = np.argsort(y, axis=1, kind="stable")
@@ -371,7 +379,8 @@ def _match_rows(a, b, margin):
         cols = np.empty((S, Q), dtype=int)
         np.put_along_axis(cols, rank_a, rank_b, axis=1)
         labels = np.argsort(cols, axis=1)
-        sq_cost = ((x - np.take_along_axis(y, cols, axis=1)) ** 2).sum(axis=1)
+        # the paired tuples' squared distance, in b's branch order
+        sq_cost = _column_distance(np.take_along_axis(x, labels, axis=1).T, y.T)
         # on the line the farthest pair of branches joins opposite extremes
         low_a, high_a = np.take_along_axis(x, rank_a[:, [0, -1]], axis=1).T
         low_b, high_b = np.take_along_axis(y, rank_b[:, [0, -1]], axis=1).T
@@ -384,16 +393,16 @@ def _match_rows(a, b, margin):
     d2 = _pair_distances(a, b)
     # checked before the solve: scipy refuses non-finite costs in its own words
     _refuse_overflow(d2.max(initial=0.0))
-    if Q == 1:
-        found = (np.zeros((S, 1), dtype=int), d2[:, 0, 0])
-        return found + (np.zeros(S),) if margin else found
     from scipy.optimize import linear_sum_assignment
 
     cols = np.empty((S, Q), dtype=int)
     for s in range(S):
         cols[s] = linear_sum_assignment(d2[s])[1]
     labels = np.argsort(cols, axis=1)
-    sq_cost = np.take_along_axis(d2, cols[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+    # one row of terms per branch of b, added in index order: numpy's sum
+    # adds eight or more terms pairwise where it reduces along memory, at S = 1
+    terms = d2[np.arange(S)[:, None], labels, np.arange(Q)].T
+    sq_cost = functools.reduce(np.add, terms)
     _refuse_overflow(sq_cost.max(initial=0.0))
     if not margin:
         return labels, sq_cost

@@ -24,7 +24,8 @@ start and iteration of every fit on that ball reuses the design and its
 factor, whatever the field.  An iteration is one sample-major gather of
 the labelled values, two matrix products and one `match_columns` call:
 a start copies the data to branch-major (Q, m, S) columns once, and each
-model is formed as columns, so no iteration copies either.  For exponents
+model is formed as columns, so up to six branches no iteration copies
+either; above six `match_columns` copies both to rows.  For exponents
 other than 2 the refit is iteratively reweighted with a floored weight,
 the design is factored again whenever the weights change, and since
 reweighting need not descend, a start ends at its least-objective iterate.
@@ -265,17 +266,21 @@ class FitConfig:
 class FitResult:
     """A fit and how it was reached.  `iterations` and `converged` are the
     winning start's, counting the alternation iterations that ran; `starts`
-    counts the starts that ran, len(log).  `log` holds one (kind, objective,
-    iterations, converged) entry per start that ran, in order, a start that
-    shared an earlier one's labels with that one's outcome; the kinds are
-    "zero" (Q = 1), "spectral", "order0", "order_k" and "random"."""
+    counts the starts that ran, len(log), as a property.  `log` holds one
+    (kind, objective, iterations, converged) entry per start that ran, in
+    order, a start that shared an earlier one's labels with that one's
+    outcome; the kinds are "zero" (Q = 1), "spectral", "order0", "order_k"
+    and "random"."""
 
     polynomial: QPolynomial
     residual: float
     converged: bool
     iterations: int
-    starts: int
     log: tuple = field(repr=False)
+
+    @property
+    def starts(self):
+        return len(self.log)
 
 
 def _factor(design, weights):
@@ -751,7 +756,7 @@ def best_fit(u, center, radius, k, q_exp, cfg=None):
     coeffs, _, obj, conv, iters = min(
         (out for _, out in ran), key=lambda o: (o[2], o[0].tobytes()))
     poly = QPolynomial(center, k, coeffs).canonical_branch_order()
-    result = FitResult(poly, obj, conv, iters, len(log), tuple(log))
+    result = FitResult(poly, obj, conv, iters, tuple(log))
     if memo is not None:
         memo[key] = result
     return result

@@ -265,11 +265,12 @@ def test_match_batch_chunked_columns_equal_one_chunk(monkeypatch, integer):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 6])
+@pytest.mark.parametrize("q", [1, 3, 4, 5, 6, 7, 8])
 def test_match_batch_three_components_sum_in_index_order(q):
     """With three components each branch distance is summed over them in
     index order and the pairing total over b's branches in index order,
-    bit for bit; the distance agrees with the brute-force oracle."""
+    bit for bit, in every body of the kernel and in a batch of one as in a
+    batch; the distance agrees with the brute-force oracle."""
     rng = np.random.default_rng(q)
     a, b = rng.normal(size=(2, 60, q, 3))
     labels, sq_cost, _ = match_margins(a, b)
@@ -280,8 +281,27 @@ def test_match_batch_three_components_sum_in_index_order(q):
         for i in range(1, q):
             total = total + d2[s, labels[s, i], i]
         assert sq_cost[s] == total
+        assert match_batch(a[s:s + 1], b[s:s + 1])[1][0] == total
         assert math.sqrt(sq_cost[s]) == pytest.approx(
             brute_force_metric(a[s], b[s]), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", [7, 8, 10])
+def test_scalar_costs_above_six_branches_sum_in_index_order(q):
+    """Above six branches a scalar cost is sum_j (a[labels[j]] - b[j])^2,
+    each term d * d, added in j order, in a batch and in a batch of one,
+    where numpy's own sum would add eight or more terms pairwise."""
+    rng = np.random.default_rng(q)
+    a, b = rng.normal(size=(2, 400, q, 1))
+    labels, sq_cost = match_batch(a, b)
+    assert match_margins(a, b)[1].tobytes() == sq_cost.tobytes()
+    for s in range(len(a)):
+        d = a[s, labels[s], 0] - b[s, :, 0]
+        total = d[0] * d[0]
+        for j in range(1, q):
+            total = total + d[j] * d[j]
+        assert sq_cost[s] == total
+        assert match_batch(a[s:s + 1], b[s:s + 1])[1][0] == total
 
 
 @pytest.mark.parametrize("q, m", [(7, 2), (8, 2), (7, 1), (8, 1)],
@@ -373,8 +393,8 @@ def _columns(x):
 def test_match_columns_is_match_batch_on_rows(S, q, m, rounded, data):
     """match_columns on the (Q, m, S) transposes of two batches gives
     match_batch's labels and cost bytes, through the column body
-    (2 <= Q <= 6) and the row body (Q = 1, Q > 6) alike, on copies and on
-    strided views; rounded values make exact ties, broken alike."""
+    (Q <= 6) and the row body (Q > 6) alike, on copies and on strided
+    views; rounded values make exact ties, broken alike."""
     elements = st.floats(-100, 100, allow_nan=False, allow_subnormal=False)
     a, b = data.draw(arrays(float, (2, S, q, m), elements=elements))
     if rounded:
@@ -457,6 +477,34 @@ def test_cost_only_matching_computes_no_margin(monkeypatch):
     match_batch(a, b)
     with pytest.raises(AssertionError, match="margin"):
         match_margins(a, b)
+
+
+def test_up_to_six_branches_never_enter_the_row_body(monkeypatch):
+    """All three entries match Q = 1 to 6 on columns, and so does a Q = 1
+    fit's alternation, with the row body refused: it serves Q > 6 only.
+    The Q = 1 margin stays 0."""
+    from qvalued import points
+    from qvalued.polyfit import best_fit, random_qpolynomial
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the row body matched")
+
+    monkeypatch.setattr(points, "_match_rows", refuse)
+    rng = np.random.default_rng(4)
+    for q in range(1, 7):
+        for m in (1, 3):
+            a, b = rng.normal(size=(2, 30, q, m))
+            match_batch(a, b)
+            match_columns(_columns(a), _columns(b))
+            margin = match_margins(a, b)[2]
+            if q == 1:
+                assert margin.tobytes() == np.zeros(30).tobytes()
+    grid = Domain.ball(2, 1.0).sample(1.0 / 16.0)
+    target = random_qpolynomial(np.random.default_rng(2), 2, 2, 1, 1)
+    u = SampledQFunction(grid, target.eval(grid.points))
+    assert best_fit(u, np.zeros(2), 1.1, 1, 2.0).polynomial.q == 1
+    with pytest.raises(AssertionError, match="row body"):
+        match_batch(*rng.normal(size=(2, 5, 7, 1)))
 
 
 # ---------------------------------------------------------------------------
