@@ -91,13 +91,18 @@ class SeminormReport:
 
 
 def campanato_seminorm(u, k, q_exp, lam, centers, ladder):
-    """Supremum of [rho^-lambda E(x0, rho)]^(1/q) over centers and rungs."""
+    """Supremum of [rho^-lambda E(x0, rho)]^(1/q) over centers and rungs.
+    An empty set of centers, like a lambda that is not finite, is refused
+    with ValueError."""
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    if centers.size == 0:
+        raise ValueError("campanato_seminorm needs at least one center")
     rows = []
     best = -math.inf
     worst = (None, None)
-    for x0 in np.atleast_2d(np.asarray(centers, dtype=float)):
+    for x0 in centers:
         prof = excess_profile(u, x0, k, q_exp, ladder)
         for rho, exc in zip(prof.radii, prof.excesses):
             scaled = (exc / rho ** lam) ** (1.0 / q_exp)

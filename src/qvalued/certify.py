@@ -133,10 +133,10 @@ class Stratification:
     base is the primary bad set (boundary points, say); strata holds one
     point set per component (branch points, say); free_points are ordinary
     centers used for the off-set part of the audit, generated from the grid
-    when absent.  A point that is not finite, or a stratum point within
-    MIN_SEPARATION of the base set (the finite-sample form of the closure
-    condition: the two levels would not be distinguishable), is refused
-    with ValueError.
+    when absent.  An empty base set, a point that is not finite, or a
+    stratum point within MIN_SEPARATION of the base set (the finite-sample
+    form of the closure condition: the two levels would not be
+    distinguishable), is refused with ValueError.
     """
 
     base: np.ndarray
@@ -151,6 +151,8 @@ class Stratification:
         if self.free_points is not None:
             object.__setattr__(self, "free_points", np.atleast_2d(
                 np.asarray(self.free_points, dtype=float)))
+        if self.base.size == 0:
+            raise ValueError("the base bad set needs at least one point")
         for x in self.points():
             if not np.all(np.isfinite(x)):
                 raise ValueError("point %s is not finite" % x.tolist())

@@ -7,19 +7,17 @@ branches, by sorting scalar values, or by an assignment solver.  The
 space is a metric space, not a vector space: branch arithmetic only makes
 sense after fixing a pairing.
 
-All matching in the package goes through one kernel with three entries:
-match_batch returns the pairings and their costs, match_margins adds how
-far each pairing is from the next best one, and match_columns is
-match_batch on branch-major (Q, m, S) columns; metric_g is match_batch on
-a batch of one pair.  Only label propagation reads the margin, so every
-other caller skips the work of finding a runner-up.  The enumeration
-limit, six branches, is the kernel's one boundary: up to it the kernel
-works on branch-major (Q, m, S) columns, so each numpy step runs along the
-long sample axis, and above it on (S, Q, m) rows, where it sorts scalar
-values or solves one assignment per sample.  An entry copies only where
-its layout is not the body's: match_batch and match_margins copy their
-inputs to columns up to six branches, and match_columns copies its
-columns to rows above six, so a fit's alternation, which matches one data
+All matching in the package goes through one kernel with two entries:
+match_batch returns the pairings and their costs, and match_margins adds
+how far each pairing is from the next best one; metric_g is match_batch
+on a batch of one pair.  Only label propagation reads the margin, so
+every other caller skips the work of finding a runner-up.  The
+enumeration limit, six branches, is the kernel's one boundary: up to it
+the kernel works on branch-major (Q, m, S) columns, so each numpy step
+runs along the long sample axis, and above it on (S, Q, m) rows, where it
+sorts scalar values or solves one assignment per sample.  Both entries
+take (S, Q, m) arrays in any memory layout and copy by the one rule
+that match_batch states, so a fit's alternation, which matches one data
 set against a new model every iteration, copies the data once per start.
 Every body sums by the one rule that match_batch states.  A
 Lebesgue-point profile averages the squared matching distance, exponent
@@ -44,7 +42,6 @@ __all__ = [
     "brute_force_metric",
     "match_batch",
     "match_margins",
-    "match_columns",
     "canonical_order",
     "branch_gaps",
     "matched_mass",
@@ -232,70 +229,61 @@ def _refuse_overflow(bound):
         raise ValueError(_NON_FINITE)
 
 
-def _batch_arrays(a, b, layout):
-    """a and b as float arrays of one 3-D shape; otherwise ValueError, which
-    names the `layout` of the entry that refuses them."""
+def _batch_arrays(a, b):
+    """a and b as float (S, Q, m) arrays of one shape with Q, m >= 1, in
+    the memory layout they came in; otherwise ValueError."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 3 or a.shape != b.shape:
-        raise ValueError("matching needs two %s arrays of one shape" % layout)
+        raise ValueError("matching needs two (S, Q, m) arrays of one shape")
+    if a.shape[1] < 1 or a.shape[2] < 1:
+        raise ValueError("matching needs Q >= 1 branches of m >= 1 components")
     return a, b
 
 
 def match_batch(a, b):
     """Optimal branch pairing of a[s] with b[s] for every sample s.
 
-    a and b have shape (S, Q, m).  Returns (labels, sq_cost): labels[s, i]
-    is the branch of a[s] matched to b[s, i], and sq_cost[s] the squared
-    matching distance G(a[s], b[s])^2.
+    a and b have shape (S, Q, m), with Q, m >= 1; an empty batch, S = 0,
+    is matched.  Returns (labels, sq_cost): labels[s, i] is the branch of
+    a[s] matched to b[s, i], and sq_cost[s] the squared matching distance
+    G(a[s], b[s])^2.
 
-    The arithmetic is one rule at every Q and batch size: each squared
-    branch distance is summed over components in index order, and each
-    pairing total over b's branches in index order.  Only how the best
-    pairing is found depends on Q.  Up to Q = _ENUMERATION_LIMIT the samples
-    are copied once into branch-major (Q, m, S) columns.  There Q = 1 has
-    its one pairing, Q = 2 takes its two in closed form, and larger Q
-    enumerate every pairing in lexicographic order, in column chunks of at
-    most _CHUNK_ENTRIES pairing terms; an exact tie goes to the first least
-    total, the lexicographically smallest labels[s].  Above it the kernel
-    reads the (S, Q, m) rows.  Scalar values (m = 1) are paired by rank, the
-    t-th smallest branch of a[s] with the t-th smallest of b[s]: by the
-    rearrangement inequality that pairing is optimal, and an exact tie goes
-    to the stable sort, equal values ranked by branch index.  Vector values
-    get one exact assignment solve per sample; scipy is imported only for
-    them.
+    The kernel reads branch-major (Q, m, S) columns up to Q =
+    _ENUMERATION_LIMIT and (S, Q, m) rows above it.  An entry takes its
+    inputs in any memory layout and copies one only where its memory order
+    is not the body's: a transposed view of C-contiguous (Q, m, S) columns
+    is read in place at every Q, C-contiguous rows are copied once to
+    columns up to the limit, and the row body reads its inputs as given,
+    strided views included.  The kernel never writes to its inputs.
+
+    The arithmetic is one rule at every Q, batch size and layout: each
+    squared branch distance is summed over components in index order, and
+    each pairing total over b's branches in index order.  Only how the best
+    pairing is found depends on Q.  Up to the limit Q = 1 has its one
+    pairing, Q = 2 takes its two in closed form, and larger Q enumerate
+    every pairing in lexicographic order, in column chunks of at most
+    _CHUNK_ENTRIES pairing terms; an exact tie goes to the first least
+    total, the lexicographically smallest labels[s].  Above it scalar
+    values (m = 1) are paired by rank, the t-th smallest branch of a[s]
+    with the t-th smallest of b[s]: by the rearrangement inequality that
+    pairing is optimal, and an exact tie goes to the stable sort, equal
+    values ranked by branch index.  Vector values get one exact assignment
+    solve per sample; scipy is imported only for them.
 
     Values that are not finite, or whose squared branch distances overflow
     (values about 1e154 apart), are refused with ValueError; so is a
     sample whose matching cost overflows.
 
     The cost is all that fitting, masses and profiles read; match_margins
-    adds the margin that only label propagation reads, and match_columns
-    takes the same samples as columns.
+    adds the margin that only label propagation reads.
     """
-    return _match(*_batch_arrays(a, b, "(S, Q, m)"), margin=False)
-
-
-def match_columns(at, bt):
-    """match_batch on branch-major columns: at and bt have shape (Q, m, S),
-    and (labels, sq_cost) are the bytes of match_batch(at.transpose(2, 0,
-    1), bt.transpose(2, 0, 1)), refusals included.
-
-    Up to Q = _ENUMERATION_LIMIT the kernel reads the columns as given, so
-    a caller that matches one data set many times, as a fit's alternation
-    does, copies its columns once and builds its models as columns, where
-    match_batch would copy both inputs on every call.  Above it the kernel
-    works on (S, Q, m) rows, so there each call copies the columns to rows.
-    """
-    at, bt = _batch_arrays(at, bt, "(Q, m, S)")
-    if at.shape[0] <= _ENUMERATION_LIMIT:
-        return _match_columns(at, bt, margin=False)
-    return _match_rows(np.ascontiguousarray(at.transpose(2, 0, 1)),
-                       np.ascontiguousarray(bt.transpose(2, 0, 1)), margin=False)
+    return _match(*_batch_arrays(a, b), margin=False)
 
 
 def match_margins(a, b):
-    """match_batch's (labels, sq_cost) and the margin of each pairing.
+    """match_batch's (labels, sq_cost) and the margin of each pairing, on
+    the inputs match_batch takes, in any memory layout.
 
     margin[s] is the gap between the best and the runner-up pairing cost
     up to Q = _ENUMERATION_LIMIT, 0 where two pairings tie at the least
@@ -307,26 +295,27 @@ def match_margins(a, b):
     they cost a second pass over the pairing totals or over all
     transpositions per sample.
     """
-    return _match(*_batch_arrays(a, b, "(S, Q, m)"), margin=True)
+    return _match(*_batch_arrays(a, b), margin=True)
 
 
 def _match(a, b, margin):
     """The kernel of match_batch, with match_margins' margins when
-    `margin` is set, on (S, Q, m) arrays of one shape: copied once to
-    branch-major (Q, m, S) columns for Q <= _ENUMERATION_LIMIT, where every
-    step then runs along the long sample axis, none along a short row of Q
-    or Q! entries, and read as rows above it."""
+    `margin` is set, on (S, Q, m) arrays of one shape: read as
+    C-contiguous branch-major (Q, m, S) columns for Q <=
+    _ENUMERATION_LIMIT, where every step then runs along the long sample
+    axis, none along a short row of Q or Q! entries, and as rows above
+    it."""
     if a.shape[1] <= _ENUMERATION_LIMIT:
-        return _match_columns(a.transpose(1, 2, 0).copy(),
-                              b.transpose(1, 2, 0).copy(), margin)
+        return _match_columns(np.ascontiguousarray(a.transpose(1, 2, 0)),
+                              np.ascontiguousarray(b.transpose(1, 2, 0)), margin)
     return _match_rows(a, b, margin)
 
 
 @np.errstate(invalid="ignore", over="ignore")
 def _match_columns(at, bt, margin):
-    """The kernel's column body, on (Q, m, S) arrays of one shape with
-    Q <= _ENUMERATION_LIMIT.  Input that matching refuses is refused
-    here, with no warning on the way."""
+    """The kernel's column body, on C-contiguous (Q, m, S) arrays of one
+    shape with Q <= _ENUMERATION_LIMIT.  Input that matching refuses is
+    refused here, with no warning on the way."""
     Q, m, S = at.shape
     if Q == 1:
         # one pairing: its cost is the one branch distance, its margin 0
@@ -368,7 +357,7 @@ def _match_columns(at, bt, margin):
 @np.errstate(invalid="ignore", over="ignore")
 def _match_rows(a, b, margin):
     """The kernel's row body, on (S, Q, m) arrays of one shape with
-    Q > _ENUMERATION_LIMIT.  Input that matching refuses is refused
+    Q > _ENUMERATION_LIMIT, in any memory layout.  Input that matching refuses is refused
     here, with no warning on the way."""
     S, Q, m = a.shape
     if m == 1:

@@ -22,13 +22,14 @@ sqrt(w) X is factored by a thin SVD, cut at np.linalg.lstsq's default
 rank, once per ball and degree while its grid keeps the ball, so every
 start and iteration of every fit on that ball reuses the design and its
 factor, whatever the field.  An iteration is one sample-major gather of
-the labelled values, two matrix products and one `match_columns` call:
+the labelled values, two matrix products and one `match_batch` call:
 a start copies the data to branch-major (Q, m, S) columns once, and each
-model is formed as columns, so up to six branches no iteration copies
-either; above six `match_columns` copies both to rows.  For exponents
-other than 2 the refit is iteratively reweighted with a floored weight,
-the design is factored again whenever the weights change, and since
-reweighting need not descend, a start ends at its least-objective iterate.
+model is formed as columns; both reach `match_batch` as transposed
+(S, Q, m) views, which the kernel reads in place, so no iteration copies
+either at any Q.  For exponents other than 2 the refit is iteratively
+reweighted with a floored weight, the design is factored again whenever
+the weights change, and since reweighting need not descend, a start ends
+at its least-objective iterate.
 
 The alternation is multi-started.  The deterministic starts, which read
 the values less their branch mean, are a spectral labeling and labels
@@ -78,7 +79,6 @@ from .points import (
     branch_gaps,
     canonical_order,
     match_batch,
-    match_columns,
     match_margins,
     matched_mass,
     metric_g,
@@ -588,12 +588,13 @@ def _alternate(design, values, weights, factor, labels, q_exp):
     against the model values; the coefficients are formed once, when the
     start ends.  The data is copied to (Q, m, S) columns once per start and
     the model is formed as columns, y.T @ basis.T, the bytes of
-    (basis @ y).T, so `match_columns` matches them with no copy.  The
-    gather and the projection stay sample-major: a branch-major gather fed
-    to the projection as a transposed operand changes the projection's
-    bits.  At other exponents the least squares are iteratively
-    reweighted by floored powers w g^(q_exp - 2) of the matching distances
-    g, and the design is factored again each time those weights change.
+    (basis @ y).T; `match_batch` reads their transposed (S, Q, m) views in
+    place, so no iteration copies either.  The gather and the projection
+    stay sample-major: a branch-major gather fed to the projection as a
+    transposed operand changes the projection's bits.  At other exponents
+    the least squares are iteratively reweighted by floored powers
+    w g^(q_exp - 2) of the matching distances g, and the design is
+    factored again each time those weights change.
     Reweighting need not lower the objective from one iteration to the
     next, so there the start ends at its iterate of least objective (the
     first of equal ones), with the coefficients of the factor that produced
@@ -617,7 +618,8 @@ def _alternate(design, values, weights, factor, labels, q_exp):
                 design, weights * np.maximum(g, _IRLS_FLOOR) ** (q_exp - 2.0))
         project, basis, solve = factor
         y = project @ flat.take(labels + offsets, axis=0).reshape(S, Q * m)
-        new_labels, costs = match_columns(columns, (y.T @ basis.T).reshape(Q, m, S))
+        model = (y.T @ basis.T).reshape(Q, m, S)
+        new_labels, costs = match_batch(columns.transpose(2, 0, 1), model.transpose(2, 0, 1))
         g = np.sqrt(np.maximum(costs, 0.0))
         obj = float(np.sum(weights * g ** q_exp))
         if kept is None or q_exp == 2.0 or obj < kept[0]:

@@ -217,6 +217,15 @@ def test_seminorm_refuses_non_finite_lambda(u_abs15, lam):
         campanato_seminorm(u_abs15, 1, 2.0, lam, [(0.0, 0.0)], [0.5, 0.25])
 
 
+@pytest.mark.parametrize("centers", [np.zeros((0, 2)), [], [[]]],
+                         ids=["no-rows", "empty-list", "no-coordinates"])
+def test_seminorm_refuses_an_empty_set_of_centers(u_abs15, centers):
+    """A supremum over no center is refused, not read as -inf with no
+    worst center."""
+    with pytest.raises(ValueError, match="at least one center"):
+        campanato_seminorm(u_abs15, 1, 2.0, 5.0, centers, [0.5, 0.25])
+
+
 def test_excess_monotone_in_degree(u_abs15):
     es = []
     for k in (0, 1, 2, 3):

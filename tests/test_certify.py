@@ -392,6 +392,18 @@ def test_stratification_refuses_non_finite_points(kw):
         Stratification(**kw)
 
 
+@pytest.mark.parametrize("base", [np.zeros((0, 2)), [], [[]]],
+                         ids=["no-rows", "empty-list", "no-coordinates"])
+def test_stratification_refuses_an_empty_base_set(base):
+    """A stratification with no base point is refused where it is built,
+    not by an audit that checks no pair or a certificate that fails on
+    an empty minimum."""
+    with pytest.raises(ValueError, match="base bad set needs at least one point"):
+        Stratification(base=base)
+    with pytest.raises(ValueError, match="base bad set needs at least one point"):
+        Stratification(base=base, strata=([[0.5, 0.0]],))
+
+
 @pytest.mark.parametrize("kw", [
     {"base": [[5.0, 5.0]]},
     {"base": [[0.0, 0.0]], "strata": ([[0.5, 0.0], [1.2, 0.0]],)},

@@ -20,7 +20,6 @@ from qvalued.points import (
     canonical_order,
     lebesgue_point_profile,
     match_batch,
-    match_columns,
     match_margins,
     matched_mass,
     metric_g,
@@ -382,49 +381,71 @@ def test_matching_refuses_overflowing_squared_distances(q, m):
         metric_g(a[0], far[0])
 
 
-def _columns(x):
-    """Branch-major (Q, m, S) copy of (S, Q, m) rows."""
-    return x.transpose(1, 2, 0).copy()
+def _layouts(x):
+    """(S, Q, m) values in four memory layouts: C-contiguous rows, the
+    transposed view of C-contiguous (Q, m, S) columns, Fortran-order rows,
+    and a read-only view."""
+    frozen = x.view()
+    frozen.setflags(write=False)
+    return (np.ascontiguousarray(x), x.transpose(1, 2, 0).copy().transpose(2, 0, 1),
+            np.asfortranarray(x), frozen)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 30), st.integers(1, 8), st.integers(1, 3), st.booleans(),
+@given(st.integers(0, 30), st.integers(1, 8), st.integers(1, 3), st.booleans(),
        st.data())
-def test_match_columns_is_match_batch_on_rows(S, q, m, rounded, data):
-    """match_columns on the (Q, m, S) transposes of two batches gives
-    match_batch's labels and cost bytes, through the column body
-    (Q <= 6) and the row body (Q > 6) alike, on copies and on strided
-    views; rounded values make exact ties, broken alike."""
+def test_matching_reads_any_memory_layout(S, q, m, rounded, data):
+    """match_batch and match_margins return the same bytes on C-contiguous
+    rows, transposed views of C-contiguous columns, Fortran-order rows
+    and read-only views, through the column body (Q <= 6) and the row
+    body (Q > 6) alike, an empty batch (S = 0) included, and write to
+    none of them; rounded values make exact ties, broken alike."""
     elements = st.floats(-100, 100, allow_nan=False, allow_subnormal=False)
     a, b = data.draw(arrays(float, (2, S, q, m), elements=elements))
     if rounded:
         a, b = np.round(a / 50.0), np.round(b / 50.0)
-    want = match_batch(a, b)
-    for at, bt in ((_columns(a), _columns(b)),
-                   (a.transpose(1, 2, 0), b.transpose(1, 2, 0))):
-        got = match_columns(at, bt)
-        assert len(got) == len(want) == 2
-        for x, y in zip(got, want):
-            assert x.dtype == y.dtype and x.shape == y.shape
-            assert x.tobytes() == y.tobytes()
+    for match in (match_batch, match_margins):
+        want = match(a, b)
+        for x, y in zip(_layouts(a), _layouts(b)):
+            kept = x.tobytes(), y.tobytes()
+            got = match(x, y)
+            assert (x.tobytes(), y.tobytes()) == kept
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200],
                          ids=["nan", "inf", "overflow"])
 @pytest.mark.parametrize("q, m", [(1, 2), (2, 1), (2, 2), (3, 2), (7, 1), (7, 2)])
-def test_match_columns_refuses_what_match_batch_refuses(q, m, bad):
-    """Non-finite values and squared distances that overflow are refused by
-    match_columns with match_batch's ValueError and words."""
+def test_matching_refuses_on_views_what_it_refuses_on_rows(q, m, bad):
+    """Non-finite values and squared distances that overflow are refused on
+    every memory layout with the ValueError and words of C-contiguous
+    rows, by both entries."""
     a, b = np.random.default_rng(q).normal(size=(2, 5, q, m))
     a[3, q - 1, m - 1] = bad
-    for x, y in ((a, b), (b, a)):
-        with pytest.raises(ValueError) as want:
-            match_batch(x, y)
-        with pytest.raises(ValueError) as got:
-            match_columns(_columns(x), _columns(y))
-        assert str(got.value) == str(want.value)
-    with pytest.raises(ValueError, match=r"two \(Q, m, S\) arrays of one shape"):
-        match_columns(_columns(b), _columns(b)[:, :, 1:])
+    for match in (match_batch, match_margins):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError) as want:
+                match(x, y)
+            for xv, yv in zip(_layouts(x), _layouts(y)):
+                with pytest.raises(ValueError) as got:
+                    match(xv, yv)
+                assert str(got.value) == str(want.value)
+        view = b.transpose(1, 2, 0).copy().transpose(2, 0, 1)
+        with pytest.raises(ValueError, match=r"two \(S, Q, m\) arrays of one shape"):
+            match(view, view[1:])
+
+
+@pytest.mark.parametrize("shape", [(3, 0, 2), (3, 1, 0), (3, 7, 0), (0, 0, 0)],
+                         ids=["Q0", "m0", "Q7-m0", "S0-Q0-m0"])
+def test_matching_refuses_a_batch_without_branches_or_components(shape):
+    """Q = 0 and m = 0 batches are refused by name, at every S."""
+    x = np.ones(shape)
+    for match in (match_batch, match_margins):
+        with pytest.raises(ValueError, match=r"Q >= 1 branches of m >= 1 components"):
+            match(x, x)
 
 
 def test_match_batch_chunks_agree_with_metric():
@@ -480,9 +501,9 @@ def test_cost_only_matching_computes_no_margin(monkeypatch):
 
 
 def test_up_to_six_branches_never_enter_the_row_body(monkeypatch):
-    """All three entries match Q = 1 to 6 on columns, and so does a Q = 1
-    fit's alternation, with the row body refused: it serves Q > 6 only.
-    The Q = 1 margin stays 0."""
+    """Both entries match Q = 1 to 6 on columns, in every memory layout,
+    and so does a Q = 1 fit's alternation, with the row body refused: it
+    serves Q > 6 only.  The Q = 1 margin stays 0."""
     from qvalued import points
     from qvalued.polyfit import best_fit, random_qpolynomial
 
@@ -494,8 +515,8 @@ def test_up_to_six_branches_never_enter_the_row_body(monkeypatch):
     for q in range(1, 7):
         for m in (1, 3):
             a, b = rng.normal(size=(2, 30, q, m))
-            match_batch(a, b)
-            match_columns(_columns(a), _columns(b))
+            for x, y in zip(_layouts(a), _layouts(b)):
+                match_batch(x, y)
             margin = match_margins(a, b)[2]
             if q == 1:
                 assert margin.tobytes() == np.zeros(30).tobytes()

@@ -1164,9 +1164,10 @@ def test_factored_alternation_matches_lstsq_alternation(fit_grid, q_exp):
 
 def test_branch_major_model_is_the_sample_major_model():
     """The alternation forms its model as (Q, m, S) columns, y.T @ basis.T,
-    for match_columns; those are the bytes of the sample-major model
-    (basis @ y).T that it matched before, so no fit moves.  Checked on balls
-    of the h = 1/80 disk from 51 to 12,864 nodes, k = 0..3 and Q m up to 12.
+    and hands match_batch their transposed (S, Q, m) view; those are the
+    bytes of the sample-major model (basis @ y).T, so no fit moves.
+    Checked on balls of the h = 1/80 disk from 51 to 12,864 nodes, k = 0..3
+    and Q m up to 12.
     QPolynomial.eval's formula, `_evaluate`, gives the same bytes at k = 0;
     at k >= 1 its einsum sums over the K coefficients in an order of its
     own and differs from the matrix product in the last bits, so there it
@@ -1246,13 +1247,13 @@ def test_a_repeated_labeling_ends_a_q2_alternation_without_confirming_it(
         vals = random_qpolynomial(rng, 2, m, q, k).eval(fit_grid.points)
         cases.append((vals + 0.05 * rng.normal(size=vals.shape), k))
     matchings = []
-    original = polyfit.match_columns
+    original = polyfit.match_batch
 
     def counting(*args):
         matchings.append(1)
         return original(*args)
 
-    monkeypatch.setattr(polyfit, "match_columns", counting)
+    monkeypatch.setattr(polyfit, "match_batch", counting)
     for vals, k in cases:
         design = design_matrix(fit_grid.points, np.zeros(2), multi_indices(2, k))
         factor = _factor(design, weights)
@@ -1272,6 +1273,44 @@ def test_a_repeated_labeling_ends_a_q2_alternation_without_confirming_it(
                 assert (coeffs.tobytes(), got.tobytes(), obj, conv, iters) == \
                     want[:3] + (True, ran)
                 assert len(matchings) == ran
+
+
+def test_an_alternation_copies_neither_data_nor_model(fit_grid, monkeypatch):
+    """Every iteration hands the kernel views of the start's one copy of
+    the data, at any Q: above six branches the row body reads strided
+    (S, Q, m) views of the data and model columns, m = 1 and m = 2 alike,
+    and up to six the column body reads the data columns themselves."""
+    from qvalued import points
+
+    calls = []
+
+    def spying(body):
+        def spy(x, y, margin):
+            calls.append((x, y))  # kept alive, so no copy reuses an address
+            return body(x, y, margin)
+        return spy
+
+    monkeypatch.setattr(points, "_match_rows", spying(points._match_rows))
+    monkeypatch.setattr(points, "_match_columns", spying(points._match_columns))
+    rng = np.random.default_rng(31)
+    weights = fit_grid.weights
+    design = design_matrix(fit_grid.points, np.zeros(2), multi_indices(2, 1))
+    factor = _factor(design, weights)
+    for q, m in ((8, 1), (8, 2), (1, 2), (2, 2), (3, 1), (6, 1)):
+        vals = rng.normal(size=(fit_grid.size, q, m))
+        calls.clear()
+        labels = np.argsort(rng.random(vals.shape[:2]), axis=1)
+        iterations = _alternate(design, vals, weights, factor, labels, 2.0)[4]
+        assert len(calls) == iterations >= min(q, 2), (q, m)
+        data = {x.__array_interface__["data"][0] for x, _ in calls}
+        assert len(data) == 1, (q, m)
+        for x, y in calls:
+            assert x.base is not None and y.base is not None, (q, m)
+            if q > 6:
+                assert not x.flags.c_contiguous and not y.flags.c_contiguous
+                assert x.shape == y.shape == vals.shape
+            else:
+                assert x.flags.c_contiguous and x.shape == (q, m, fit_grid.size)
 
 
 def _r15_pair(grid):
